@@ -57,9 +57,6 @@ from .geometry import (
     GroupElement,
     PrototypeSet,
     TorusSpace,
-    indicator_fourier_coefficient,
-    set_measure,
-    translate_set,
 )
 from .schedule import (
     ContinuousPath,
@@ -127,7 +124,6 @@ __all__ = [
     "equispaced_design",
     "evolve_to",
     "gamma_matrix",
-    "indicator_fourier_coefficient",
     "interval_output_energy",
     "moment_matrix",
     "moment_residual",
@@ -137,14 +133,12 @@ __all__ = [
     "path_observation_energy",
     "random_datum",
     "run_protocol",
-    "set_measure",
     "solve_design",
     "tail_reduction_check",
     "temporal_gram",
     "temporal_gram_min_eigenvalue",
     "torus_displacement",
     "trajectory_lipschitz_bound",
-    "translate_set",
     "verify_design",
     "windowed_observation_energy",
 ]

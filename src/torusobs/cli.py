@@ -190,24 +190,12 @@ def _schedule_rows(schedule, cap: int):
     return islice(generate(), cap)
 
 
-def _emit_schedule(config: RunConfig, out: Path, index: int) -> Path:
-    basis = build_basis(config.space(), config.design.cutoff)
-    prototype = config.prototype()
-    design = equispaced_design(basis, prototype)
-    bound = trajectory_lipschitz_bound(
-        basis, config.model, config.mass, config.duration
-    )
-    schedule = build_switching(
-        design,
-        ((index - 1) * config.duration, config.duration),
-        bound,
-        config.tolerance_at(index),
-    )
-    cap = config.schedule.csv_row_cap
+def _write_schedule(config: RunConfig, out: Path, index: int, schedule) -> Path:
+    """Write schedule_m{index}.csv (capped rows) and its JSON sidecar."""
     path = out / f"schedule_m{index}.csv"
     emitted = _write_csv(
         path, SCHEDULE_VERSION, schedule_header(config.dim),
-        _schedule_rows(schedule, cap),
+        _schedule_rows(schedule, config.schedule.csv_row_cap),
     )
     _write_json(
         out / f"schedule_m{index}.json",
@@ -226,6 +214,22 @@ def _emit_schedule(config: RunConfig, out: Path, index: int) -> Path:
     return path
 
 
+def _emit_schedule(config: RunConfig, out: Path, index: int) -> Path:
+    basis = build_basis(config.space(), config.design.cutoff)
+    prototype = config.prototype()
+    design = equispaced_design(basis, prototype)
+    bound = trajectory_lipschitz_bound(
+        basis, config.model, config.mass, config.duration
+    )
+    schedule = build_switching(
+        design,
+        ((index - 1) * config.duration, config.duration),
+        bound,
+        config.tolerance_at(index),
+    )
+    return _write_schedule(config, out, index, schedule)
+
+
 def cmd_schedule(config: RunConfig, out: Path, args) -> int:
     index = config.schedule.interval
     path = _emit_schedule(config, out, index)
@@ -236,7 +240,7 @@ def cmd_schedule(config: RunConfig, out: Path, args) -> int:
 
 
 def cmd_experiment(config: RunConfig, out: Path, args) -> int:
-    series = run_protocol(config, threads=args.threads)
+    series = run_protocol(config)
     report = tail_reduction_check(series)
 
     _write_csv(out / "series.csv", SERIES_VERSION, SERIES_HEADER, series.to_rows())
@@ -258,28 +262,7 @@ def cmd_experiment(config: RunConfig, out: Path, args) -> int:
         )
     for index in config.schedule.emit_intervals:
         if 1 <= index <= config.interval_count:
-            schedule = series.schedule_for(index)
-            cap = config.schedule.csv_row_cap
-            emitted = _write_csv(
-                out / f"schedule_m{index}.csv",
-                SCHEDULE_VERSION,
-                schedule_header(config.dim),
-                _schedule_rows(schedule, cap),
-            )
-            _write_json(
-                out / f"schedule_m{index}.json",
-                {
-                    "schema": "torusobs-schedule/1",
-                    "interval": index,
-                    "t_start": schedule.t_start,
-                    "duration": schedule.duration,
-                    "macro_count": schedule.macro_count,
-                    "atom_count": schedule.atom_count,
-                    "certified_loss": schedule.certified_loss,
-                    "total_rows": schedule.macro_count * schedule.atom_count,
-                    "emitted_rows": emitted,
-                },
-            )
+            _write_schedule(config, out, index, series.schedule_for(index))
 
     final_ratio = series.final_mean / series.reference_bound
     _write_json(
@@ -482,8 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="path to a JSON config")
     parser.add_argument("--out", default="out", help="artifact directory")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="parallel interval evaluation (output-invariant)")
     parser.add_argument("--check", action="store_true",
                         help="revalidate artifacts after writing them")
     return parser

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Sequence
 
@@ -76,6 +77,27 @@ class ConvexDesign:
 
     def __len__(self) -> int:
         return len(self.atoms)
+
+    @cached_property
+    def grid_per_axis(self) -> int | None:
+        """J1 if the design is the equal-weight grid, else None.
+
+        The grid has J1^d atoms of one common weight whose shifts are
+        (c_0/J1, ..., c_{d-1}/J1) in lexicographic order, which is how
+        `equispaced_design` lists them.  Weights and shifts are compared
+        exactly, with no float tolerance.
+        """
+        if len({a.weight for a in self.atoms}) != 1:
+            return None
+        dim = self.atoms[0].shift.dim
+        per_axis = round(len(self) ** (1.0 / dim))
+        if per_axis**dim != len(self):
+            return None
+        grid = product(range(per_axis), repeat=dim)
+        for atom, combo in zip(self.atoms, grid):
+            if atom.shift.shift != tuple(Fraction(c, per_axis) for c in combo):
+                return None
+        return per_axis
 
     def to_dict(self) -> dict:
         return {

@@ -19,16 +19,27 @@ Every output coefficient trajectory is a sum of at most two complex
 exponentials c * e^{i alpha t}.  All time integrals of Gram-weighted output
 energies therefore reduce to the primitive
 
-    int_{t1}^{t2} e^{i alpha t} dt = (t2-t1) * sinc(alpha (t2-t1) / 2) * e^{i alpha (t1+t2)/2},
+    int_{t0}^{t0+w} e^{i alpha t} dt = e^{i alpha t0} * w * sinc(alpha w / 2) * e^{i alpha w / 2},
 
 which is exact for every alpha including alpha = 0 (the equal-frequency
-degenerate case is the analytic sinc limit, no threshold branch needed), and
+degenerate case is the analytic sinc limit, no threshold branch needed).  The
+width w is passed in, never recovered as a difference of absolute times, and
 
     sum_{r=0}^{R-1} e^{i alpha tau r} = e^{i delta (R-1)/2} * sin(R delta/2) / sin(delta/2),
     delta = alpha tau reduced mod 2 pi to (-pi, pi],
 
-which aggregates the R repetitions of a macro-interval slot in O(1); this is
-what makes 10^6-macro schedules affordable.
+aggregates the R repetitions of a macro-interval slot in O(1); this is what
+makes 10^6-macro schedules affordable.
+
+Observation matrices enter only through Gamma(0): the matrix at shift g is
+Gamma(0) times the entrywise phase e^{-2 pi i (n_i - n_k).g}.  Kernels live on
+(mode, branch, mode, branch) axes, and mode matrices are lifted onto them by
+broadcasting.  For the equal-weight grid design (J1 shifts c/J1 per axis,
+J = J1^d atoms, slot width w = tau/J) both the slot start j*w and the shift
+phase are affine in each grid coordinate j_a of the atom index, so the sum
+over all J atoms is the same Dirichlet ratio once per axis: each interval
+costs O((dim*P)^2) whatever the atom count.  Any other design is summed atom
+by atom.
 """
 
 from __future__ import annotations
@@ -40,7 +51,7 @@ from functools import cached_property
 import numpy as np
 
 from .schedule import ContinuousPath, SwitchingSchedule
-from .spectral import ModalBasis, ObservationMatrix
+from .spectral import ModalBasis, ObservationMatrix, shift_phase
 
 TWO_PI = 2.0 * math.pi
 
@@ -239,12 +250,16 @@ def output_expansion(datum: ModalDatum, kind: str) -> tuple[np.ndarray, np.ndarr
     return coeff.astype(complex), alpha.astype(float)
 
 
-def phase_integral(alpha: np.ndarray, t1: float, t2: float) -> np.ndarray:
-    """Exact elementwise integral of e^{i alpha t} over [t1, t2]."""
-    dt = t2 - t1
-    mid = 0.5 * (t1 + t2)
+def phase_integral(alpha: np.ndarray, t_start: float, width: float) -> np.ndarray:
+    """Exact elementwise integral of e^{i alpha t} over [t_start, t_start + width].
+
+    The width is taken as given, never recovered as a difference of absolute
+    times, so a slot keeps its exact length however late it starts; the
+    absolute phase e^{i alpha t_start} is a separate factor.
+    """
     # np.sinc(x) = sin(pi x)/(pi x); entire, so alpha = 0 needs no branch
-    return dt * np.sinc(alpha * dt / TWO_PI) * np.exp(1j * alpha * mid)
+    local = width * np.sinc(alpha * width / TWO_PI) * np.exp(0.5j * alpha * width)
+    return np.exp(1j * alpha * t_start) * local
 
 
 def geometric_phase_sum(alpha: np.ndarray, tau: float, count: int) -> np.ndarray:
@@ -263,70 +278,155 @@ def geometric_phase_sum(alpha: np.ndarray, tau: float, count: int) -> np.ndarray
     return ratio * np.exp(1j * (count - 1) * half)
 
 
-def _flatten_expansion(
-    coeff: np.ndarray, alpha: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int]:
-    branches = coeff.shape[1]
-    return coeff.ravel(), alpha.ravel(), branches
+def frequency_differences(alpha: np.ndarray) -> np.ndarray:
+    """D[i, p, k, q] = alpha[k, q] - alpha[i, p] for an expansion of shape (dim, P).
+
+    Kernels live on these (mode, branch, mode, branch) axes; a mode matrix
+    M of shape (dim, dim) enters them by broadcasting as M[:, None, :, None].
+    """
+    return alpha[None, None, :, :] - alpha[:, :, None, None]
 
 
-def _expand_matrix(matrix: np.ndarray, branches: int) -> np.ndarray:
-    """Lift a (dim, dim) mode matrix to the flattened (dim*P, dim*P) indexing."""
-    if branches == 1:
-        return matrix
-    return np.kron(matrix, np.ones((branches, branches)))
+def kernel_energy(kernel: np.ndarray, coeff: np.ndarray) -> float:
+    """Re sum conj(C[i, p]) K[i, p, k, q] C[k, q] for a kernel on the lifted axes."""
+    flat = coeff.ravel()
+    return float(np.real(np.vdot(flat, kernel.reshape(flat.size, flat.size) @ flat)))
 
 
-def _check_gamma_basis(datum: ModalDatum, gamma: ObservationMatrix) -> None:
-    if gamma.basis.modes != datum.basis.modes:
+def grid_atom_sum(
+    diff: np.ndarray, basis: ModalBasis, per_axis: int, tau: float
+) -> np.ndarray:
+    """Slot integrals of one macro interval summed over an equal-weight grid.
+
+    Atom j = sum_a j_a J1^(d-1-a) sits at shift (j_0, .., j_{d-1})/J1 and
+    dwells on [j w, (j+1) w) of the macro interval, w = tau / J1^d.  Its
+    shift phase e^{-2 pi i m.g_j} (m = n_i - n_k) and its slot phase
+    e^{i D j w} are both affine in every j_a, so the sum over all J1^d atoms
+    factors into one Dirichlet sum per axis, of
+    D w J1^(d-1-a) - 2 pi m_a / J1 over j_a = 0..J1-1, times the shared
+    slot integral over [0, w).
+    """
+    dim = basis.space.dim
+    width = tau / per_axis**dim
+    mdiff = basis.mode_differences[:, None, :, None, :]
+    total = phase_integral(diff, 0.0, width)
+    for a in range(dim):
+        arg = diff * (tau / per_axis ** (a + 1)) - (TWO_PI / per_axis) * mdiff[..., a]
+        total = total * geometric_phase_sum(arg, 1.0, per_axis)
+    return total
+
+
+def per_atom_sum(
+    diff: np.ndarray, basis: ModalBasis, schedule: SwitchingSchedule
+) -> np.ndarray:
+    """Slot integrals of one macro interval summed atom by atom.
+
+    Atom j contributes phase(g_j) times the integral over its slot, which
+    starts at cum_j tau and is (cum_{j+1} - cum_j) tau wide; any design.
+    """
+    tau = schedule.macro_length
+    cum = schedule.cum
+    total = np.zeros_like(diff, dtype=complex)
+    for j, atom in enumerate(schedule.design.atoms):
+        phase = shift_phase(basis, atom.shift)[:, None, :, None]
+        width = (cum[j + 1] - cum[j]) * tau
+        total += phase * phase_integral(diff, cum[j] * tau, width)
+    return total
+
+
+def switching_kernel(
+    schedule: SwitchingSchedule, alpha: np.ndarray, gamma_base: ObservationMatrix
+) -> np.ndarray:
+    """Lifted kernel of the observation energy along a switching schedule.
+
+    Gamma(0) times e^{i D t_start} times the Dirichlet sum over the R macro
+    repetitions times the atom sum of one macro interval (closed form for
+    the equal-weight grid, atom by atom otherwise).  Its quadratic form in
+    the output coefficients (`kernel_energy`) is the observed energy.
+    """
+    diff = frequency_differences(alpha)
+    tau = schedule.macro_length
+    per_axis = schedule.design.grid_per_axis
+    if per_axis is None:
+        atoms = per_atom_sum(diff, gamma_base.basis, schedule)
+    else:
+        atoms = grid_atom_sum(diff, gamma_base.basis, per_axis, tau)
+    repeats = geometric_phase_sum(diff, tau, schedule.macro_count)
+    start = np.exp(1j * diff * schedule.t_start)
+    return gamma_base.entries[:, None, :, None] * (start * repeats * atoms)
+
+
+def _check_gamma_base(datum: ModalDatum, gamma_base: ObservationMatrix) -> None:
+    if gamma_base.basis.modes != datum.basis.modes:
         raise BasisMismatch(
             "observation matrices must be assembled on the simulation basis"
         )
+    if any(gamma_base.shift.shift):
+        raise ValueError("gamma_base must be the unshifted observation matrix")
 
 
 def windowed_observation_energy(
     datum: ModalDatum,
     schedule: SwitchingSchedule,
     kind: str,
-    gammas: list[ObservationMatrix],
+    gamma_base: ObservationMatrix,
 ) -> float:
     """Observation energy of the datum along a switching schedule.
 
     Equals the sum over micro slots of v(t)^H Gamma(g_j) v(t) integrated in
-    closed form; the R repetitions of each atom's slot are aggregated by the
-    exact geometric phase sum.  Tail modes of the datum above the design
-    cutoff are included; `gammas` must be on the datum's basis, aligned with
-    the design atoms.
+    closed form, with Gamma(g_j) = Gamma(0) * phase(g_j).  `gamma_base` is
+    Gamma at shift 0 on the datum's basis; tail modes of the datum above
+    the design cutoff are included.
     """
-    if len(gammas) != schedule.atom_count:
-        raise ValueError("one observation matrix per design atom is required")
-    for g in gammas:
-        _check_gamma_basis(datum, g)
+    _check_gamma_base(datum, gamma_base)
     coeff, alpha = output_expansion(datum, kind)
-    flat_c, flat_a, branches = _flatten_expansion(coeff, alpha)
-    diff = flat_a[None, :] - flat_a[:, None]
-    geom = geometric_phase_sum(diff, schedule.macro_length, schedule.macro_count)
-    tau = schedule.macro_length
-    total = 0.0
-    for j, gamma in enumerate(gammas):
-        t1 = schedule.t_start + schedule.cum[j] * tau
-        t2 = schedule.t_start + schedule.cum[j + 1] * tau
-        base = phase_integral(diff, t1, t2)
-        kernel = _expand_matrix(gamma.entries, branches) * base * geom
-        total += float(np.real(np.vdot(flat_c, kernel @ flat_c)))
-    return total
+    return kernel_energy(switching_kernel(schedule, alpha, gamma_base), coeff)
 
 
 def interval_output_energy(
     datum: ModalDatum, t_start: float, duration: float, kind: str
 ) -> float:
-    """Full-torus output energy over one interval (Gram = identity)."""
+    """Full-torus output energy over one interval (Gram = identity).
+
+    Only branches of one mode interact, so the kernel is (dim, P, P).
+    """
     coeff, alpha = output_expansion(datum, kind)
-    flat_c, flat_a, branches = _flatten_expansion(coeff, alpha)
-    diff = flat_a[None, :] - flat_a[:, None]
-    base = phase_integral(diff, t_start, t_start + duration)
-    kernel = _expand_matrix(np.eye(datum.basis.dim), branches) * base
-    return float(np.real(np.vdot(flat_c, kernel @ flat_c)))
+    diff = alpha[:, None, :] - alpha[:, :, None]
+    base = phase_integral(diff, t_start, duration)
+    return float(np.real(np.einsum("ip,ipq,iq->", coeff.conj(), base, coeff)))
+
+
+def path_kernel(
+    path: ContinuousPath, alpha: np.ndarray, gamma_base: ObservationMatrix
+) -> np.ndarray:
+    """Lifted kernel of the observation energy along a continuous path.
+
+    Translation enters through the entrywise phases e^{-2 pi i (n_i - n_k) . g}.
+    On a transit leg the position is affine in t, so the phase stays a
+    complex exponential and every segment integral remains closed-form.
+    Macro repetitions aggregate exactly as for switching schedules.
+    """
+    diff = frequency_differences(alpha)
+    # 2 pi (n_i - n_k), lifted to the (mode, branch, mode, branch) axes
+    mdiff = TWO_PI * gamma_base.basis.mode_differences[:, None, :, None, :]
+    segments = np.zeros_like(diff, dtype=complex)
+    for seg in path.template:
+        width = seg.offset_end - seg.offset_start
+        if width <= 0.0:
+            continue
+        position = np.exp(-1j * (mdiff @ np.asarray(seg.position, dtype=float)))
+        if seg.kind == "dwell":
+            local = phase_integral(diff, seg.offset_start, width)
+        else:
+            # the moving phase e^{i rate (t - t1)} folds into the exponential integral
+            rate = -(mdiff @ np.asarray(seg.velocity, dtype=float))
+            local = np.exp(1j * diff * seg.offset_start) * phase_integral(
+                diff + rate, 0.0, width
+            )
+        segments += position * local
+    repeats = geometric_phase_sum(diff, path.macro_length, path.macro_count)
+    start = np.exp(1j * diff * path.t_start)
+    return gamma_base.entries[:, None, :, None] * (start * repeats * segments)
 
 
 def path_observation_energy(
@@ -335,44 +435,10 @@ def path_observation_energy(
     kind: str,
     gamma_base: ObservationMatrix,
 ) -> float:
-    """Observation energy along a continuous path.
+    """Observation energy along a continuous path (see `path_kernel`).
 
-    `gamma_base` is Gamma at shift 0 on the datum's basis; translation enters
-    through the entrywise phases e^{2 pi i (n_j - n_i) . g}.  On a transit leg
-    the position is affine in t, so the phase stays a complex exponential and
-    every segment integral remains closed-form.  Macro repetitions aggregate
-    exactly as for switching schedules.
+    `gamma_base` is Gamma at shift 0 on the datum's basis.
     """
-    _check_gamma_basis(datum, gamma_base)
-    if any(x != 0.0 for x in gamma_base.shift.as_floats()):
-        raise ValueError("gamma_base must be the unshifted observation matrix")
+    _check_gamma_base(datum, gamma_base)
     coeff, alpha = output_expansion(datum, kind)
-    flat_c, flat_a, branches = _flatten_expansion(coeff, alpha)
-    diff = flat_a[None, :] - flat_a[:, None]
-    geom = geometric_phase_sum(diff, path.macro_length, path.macro_count)
-    modes = datum.basis.mode_array.astype(float)
-    # mdiff[i, j, axis] = n_j - n_i, lifted to the flattened indexing
-    mdiff = modes[None, :, :] - modes[:, None, :]
-    base_entries = _expand_matrix(gamma_base.entries, branches)
-
-    def lifted_phase_rate(vector: np.ndarray) -> np.ndarray:
-        """TWO_PI * mdiff . vector on the flattened indexing."""
-        rate = TWO_PI * (mdiff @ np.asarray(vector, dtype=float))
-        return _expand_matrix(rate, branches)
-
-    total = 0.0
-    for seg in path.template:
-        t1 = path.t_start + seg.offset_start
-        t2 = path.t_start + seg.offset_end
-        if t2 <= t1:
-            continue
-        shift_phase = np.exp(1j * lifted_phase_rate(seg.position))
-        if seg.kind == "dwell":
-            base = phase_integral(diff, t1, t2)
-        else:
-            rate = lifted_phase_rate(seg.velocity)
-            # e^{i rate (t - t1)} folded into the exponential integral
-            base = np.exp(-1j * rate * t1) * phase_integral(diff + rate, t1, t2)
-        kernel = base_entries * shift_phase * base * geom
-        total += float(np.real(np.vdot(flat_c, kernel @ flat_c)))
-    return total
+    return kernel_energy(path_kernel(path, alpha, gamma_base), coeff)

@@ -9,27 +9,29 @@ construction certifies for the windowed part; two companion reports verify the
 hypotheses that let the spectral tail be discarded, and rerun the protocol
 with continuous speed-bounded paths in place of switching.
 
-Interval records are independent given the datum (evolution is evaluated at
-absolute times), so they can be computed on a thread pool; results do not
-depend on the degree of parallelism.
+Every interval's energy comes from one observation matrix, Gamma(0) on the
+simulation basis, built once per run: shifted matrices are phase products of
+it, and the atoms of the equal-weight grid designs are summed in closed form.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .design import ConvexDesign, design_gammas, equispaced_design
+from .design import ConvexDesign, equispaced_design
 from .evolve import (
     ModalDatum,
     conserved_energy,
     interval_output_energy,
+    kernel_energy,
+    output_expansion,
     output_kind_for,
-    path_observation_energy,
+    path_kernel,
     random_datum,
+    switching_kernel,
     windowed_observation_energy,
 )
 from .schedule import (
@@ -202,9 +204,9 @@ class IntervalRecord:
 class CesaroSeries:
     """Protocol output: interval records plus the context to re-derive them.
 
-    The context (datum, designs, observation matrices) is kept so the
-    verification reports can recompute interval energies for truncated data
-    or alternative realizations without re-running the pipeline.
+    The context (datum, designs, the unshifted observation matrix) is kept so
+    the verification reports can recompute interval energies for truncated
+    data or alternative realizations without re-running the pipeline.
     """
 
     model: str
@@ -218,7 +220,7 @@ class CesaroSeries:
     basis: ModalBasis
     designs: dict[int, ConvexDesign]
     design_bounds: dict[int, float]
-    gammas: dict[int, tuple[ObservationMatrix, ...]]
+    gamma_base: ObservationMatrix
 
     @property
     def reference_bound(self) -> float:
@@ -272,14 +274,15 @@ class CesaroSeries:
         ]
 
 
-def run_protocol(config, threads: int = 1) -> CesaroSeries:
+def run_protocol(config) -> CesaroSeries:
     """Run the full switching protocol described by the config.
 
     For each interval: fetch (or build and cache) the equal-weight design for
     the interval's cutoff, build the switching schedule hitting the interval's
     loss target, and integrate the observed energy of the evolving datum in
-    closed form.  Designs, Lipschitz bounds, and observation matrices are
-    shared across intervals with equal cutoffs.
+    closed form.  Designs and Lipschitz bounds are shared across intervals
+    with equal cutoffs; every interval uses the one unshifted observation
+    matrix on the simulation basis.
     """
     space = config.space()
     prototype = config.prototype()
@@ -296,10 +299,10 @@ def run_protocol(config, threads: int = 1) -> CesaroSeries:
     energy = conserved_energy(datum)
     constants = calibration(config.model, sim_basis, config.mass, config.duration)
     kind = output_kind_for(config.model)
+    gamma_base = gamma_matrix(sim_basis, prototype, space.identity())
 
     designs: dict[int, ConvexDesign] = {}
     design_bounds: dict[int, float] = {}
-    gammas: dict[int, tuple[ObservationMatrix, ...]] = {}
 
     def prepare(window: int) -> None:
         if window in designs:
@@ -315,42 +318,27 @@ def run_protocol(config, threads: int = 1) -> CesaroSeries:
         design_bounds[window] = trajectory_lipschitz_bound(
             design_basis, config.model, config.mass, config.duration
         )
-        gammas[window] = tuple(design_gammas(design, sim_basis, prototype))
 
-    plan: list[tuple[int, int, float]] = []
+    records: list[IntervalRecord] = []
+    total = 0.0
     for m in range(1, config.interval_count + 1):
         window = config.window_at(m)
         tolerance = config.tolerance_at(m)
         prepare(window)
-        plan.append((m, window, tolerance))
-
-    def observe(item: tuple[int, int, float]) -> tuple[int, float]:
-        m, window, tolerance = item
         schedule = build_switching(
             designs[window],
             ((m - 1) * config.duration, config.duration),
             design_bounds[window],
             tolerance,
         )
-        value = windowed_observation_energy(datum, schedule, kind, list(gammas[window]))
-        return schedule.macro_count, value
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(observe, plan))
-    else:
-        results = [observe(item) for item in plan]
-
-    records: list[IntervalRecord] = []
-    total = 0.0
-    for (m, window, tolerance), (macro_count, value) in zip(plan, results):
+        value = windowed_observation_energy(datum, schedule, kind, gamma_base)
         total += value
         records.append(
             IntervalRecord(
                 index=m,
                 window=window,
                 tolerance=tolerance,
-                macro_count=macro_count,
+                macro_count=schedule.macro_count,
                 observed=value,
                 running_mean=total / m,
                 windowed_energy=energy.below(window),
@@ -369,7 +357,7 @@ def run_protocol(config, threads: int = 1) -> CesaroSeries:
         basis=sim_basis,
         designs=designs,
         design_bounds=design_bounds,
-        gammas=gammas,
+        gamma_base=gamma_base,
     )
 
 
@@ -426,19 +414,18 @@ def tail_reduction_check(
     if any(eta <= 0.0 or eta >= 1.0 for eta in etas):
         raise ValueError("split parameters must lie in (0, 1)")
     kind = output_kind_for(series.model)
+    _, alpha = output_expansion(series.datum, kind)
     observed = series.observed
     truncated = np.empty(len(series.records))
     tail = np.empty(len(series.records))
     floors = np.empty(len(series.records))
     for i, rec in enumerate(series.records):
-        schedule = series.schedule_for(rec.index)
-        gam = list(series.gammas[rec.window])
-        truncated[i] = windowed_observation_energy(
-            series.datum.windowed(rec.window), schedule, kind, gam
-        )
-        tail[i] = windowed_observation_energy(
-            series.datum.tail(rec.window), schedule, kind, gam
-        )
+        # windowing masks coefficients only, so both parts share one kernel
+        kernel = switching_kernel(series.schedule_for(rec.index), alpha, series.gamma_base)
+        inside, _ = output_expansion(series.datum.windowed(rec.window), kind)
+        outside, _ = output_expansion(series.datum.tail(rec.window), kind)
+        truncated[i] = kernel_energy(kernel, inside)
+        tail[i] = kernel_energy(kernel, outside)
         floors[i] = (
             series.constants.lower
             * (series.measure - rec.tolerance)
@@ -551,8 +538,7 @@ def continuous_protocol_delta(config, speeds) -> ContinuousReport:
         raise ValueError("at least one speed is required")
     series = run_protocol(config)
     kind = output_kind_for(series.model)
-    zero = series.basis.space.identity()
-    gamma_base = gamma_matrix(series.basis, config.prototype(), zero)
+    coeff, alpha = output_expansion(series.datum, kind)
 
     records: dict[float, tuple[ContinuousIntervalRecord, ...]] = {}
     certified: dict[float, float] = {}
@@ -571,13 +557,15 @@ def continuous_protocol_delta(config, speeds) -> ContinuousReport:
                 speed,
                 series.design_bounds[rec.window],
             )
-            value = path_observation_energy(series.datum, path, kind, gamma_base)
+            # the windowed part masks coefficients only: one kernel serves both
+            kernel = path_kernel(path, alpha, series.gamma_base)
+            value = kernel_energy(kernel, coeff)
             total += value
             factor = max(series.measure - path.certified_loss, 0.0)
             worst_factor = min(worst_factor, factor)
             if factor > 0.0:
                 part = series.datum.windowed(rec.window)
-                part_value = path_observation_energy(part, path, kind, gamma_base)
+                part_value = kernel_energy(kernel, output_expansion(part, kind)[0])
                 reference = interval_output_energy(part, t_start, duration, kind)
                 if reference > 0.0:
                     ratio = part_value / (factor * reference)

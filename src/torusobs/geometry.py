@@ -225,14 +225,31 @@ class PrototypeSet:
             total += factor
         return total
 
+    def fourier_table(self, bound: int) -> np.ndarray:
+        """All indicator Fourier coefficients with |n|_inf <= bound at once.
 
-def translate_set(s: PrototypeSet, g: GroupElement) -> PrototypeSet:
-    return s.translate(g)
-
-
-def set_measure(s: PrototypeSet) -> float:
-    return s.measure
-
-
-def indicator_fourier_coefficient(s: PrototypeSet, freq: Sequence[int]) -> complex:
-    return s.fourier_coefficient(freq)
+        Returns a complex array of shape (2*bound+1,)*dim whose entry at
+        index n + bound is `fourier_coefficient(n)`.  Each box contributes
+        the outer product of its per-axis factors, evaluated as vectors over
+        n = -bound..bound with the same formulas.
+        """
+        if bound < 0:
+            raise ValueError(f"frequency bound must be >= 0, got {bound}")
+        freqs = np.arange(-bound, bound + 1)
+        nonzero = freqs != 0
+        safe = np.where(nonzero, freqs, 1)
+        table = np.zeros((2 * bound + 1,) * self.space.dim, dtype=complex)
+        for box in self.pieces:
+            factor = np.ones((), dtype=complex)
+            for a, b in box:
+                if b - a == 1:
+                    axis = np.where(nonzero, 0.0, 1.0).astype(complex)
+                else:
+                    fa, fb = float(a), float(b)
+                    edges = (
+                        np.exp(-1j * TWO_PI * freqs * fa) - np.exp(-1j * TWO_PI * freqs * fb)
+                    ) / (1j * TWO_PI * safe)
+                    axis = np.where(nonzero, edges, float(b - a))
+                factor = np.multiply.outer(factor, axis)
+            table += factor
+        return table

@@ -11,13 +11,18 @@ The observation matrix of a translated set g.omega is, in bra-ket convention,
 
 so that v^H Gamma(g) v is the energy of sum_n v_n e_n restricted to g.omega.
 Entry (i, j) equals the indicator Fourier coefficient of g.omega at n_i - n_j.
+Translation multiplies that coefficient by e^{-2 pi i (n_i - n_j).g}, so
+
+    Gamma(g) = D_g Gamma(0) D_g^*,      D_g = diag(e^{-2 pi i n.g}),
+
+and every shifted matrix is the cached Gamma(0) times one entrywise phase.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -25,6 +30,7 @@ import numpy as np
 from .geometry import GroupElement, PrototypeSet, TorusSpace
 
 FOUR_PI_SQ = 4.0 * math.pi**2
+TWO_PI = 2.0 * math.pi
 
 #: guard against accidentally huge profile spaces
 DEFAULT_MAX_DIM = 4096
@@ -51,6 +57,20 @@ class ModalBasis:
     @cached_property
     def mode_array(self) -> np.ndarray:
         return np.array(self.modes, dtype=int)
+
+    @cached_property
+    def mode_differences(self) -> np.ndarray:
+        """Integer array of shape (dim, dim, d) holding n_i - n_j."""
+        modes = self.mode_array
+        return modes[:, None, :] - modes[None, :, :]
+
+    @cached_property
+    def difference_index(self) -> np.ndarray:
+        """Flat index of n_i - n_j into a C-ordered table over |m|_inf <= 2K."""
+        k2 = 2 * self.cutoff
+        shape = (2 * k2 + 1,) * self.space.dim
+        shifted = np.moveaxis(self.mode_differences + k2, -1, 0)
+        return np.ravel_multi_index(tuple(shifted), shape)
 
     def window_mask(self, window: int) -> np.ndarray:
         """Boolean mask selecting modes with max-norm <= window."""
@@ -122,28 +142,41 @@ class ObservationMatrix:
         }
 
 
-def gamma_matrix(basis: ModalBasis, prototype: PrototypeSet, shift: GroupElement) -> ObservationMatrix:
-    """Assemble Gamma(g) exactly from indicator Fourier coefficients.
+@lru_cache(maxsize=64)
+def _base_entries(basis: ModalBasis, prototype: PrototypeSet) -> np.ndarray:
+    """Gamma(0) entries: the coefficient table over |m|_inf <= 2K, read at n_i - n_j."""
+    table = prototype.fourier_table(2 * basis.cutoff).ravel()
+    entries = table[basis.difference_index]
+    entries.setflags(write=False)
+    return entries
 
-    Coefficients are evaluated once per frequency difference (max-norm <= 2K)
-    and placed at entries[i, j] = coeff(n_i - n_j) of the translated set.
+
+def shift_phase(basis: ModalBasis, shift: GroupElement) -> np.ndarray:
+    """Entrywise phases e^{-2 pi i (n_i - n_j).g}, so Gamma(g) = Gamma(0) * phases.
+
+    Each per-axis product m * g_a is reduced mod 1 exactly (g is rational)
+    before it is rounded, for m = -2K..2K; the phase of a frequency
+    difference is the product of its per-axis factors.
+    """
+    k2 = 2 * basis.cutoff
+    table = np.ones((), dtype=complex)
+    for s in shift.shift:
+        turns = np.array([float((m * s) % 1) for m in range(-k2, k2 + 1)])
+        table = np.multiply.outer(table, np.exp(-1j * TWO_PI * turns))
+    return table.ravel()[basis.difference_index]
+
+
+def gamma_matrix(basis: ModalBasis, prototype: PrototypeSet, shift: GroupElement) -> ObservationMatrix:
+    """Gamma(g) as the cached Gamma(0) of (basis, prototype) times `shift_phase`.
+
+    Gamma(0) is assembled once per (basis, prototype) from the vectorised
+    indicator coefficient table of the prototype.
     """
     if basis.space != prototype.space:
         raise ValueError("basis and prototype live on different tori")
     if shift.dim != basis.space.dim:
         raise ValueError("shift dimension does not match the torus")
-    translated = prototype.translate(shift)
-    k2 = 2 * basis.cutoff
-    rng = range(-k2, k2 + 1)
-    coeff = {
-        m: translated.fourier_coefficient(m)
-        for m in product(rng, repeat=basis.space.dim)
-    }
-    n = basis.dim
-    entries = np.empty((n, n), dtype=complex)
-    for i, ni in enumerate(basis.modes):
-        for j, nj in enumerate(basis.modes):
-            entries[i, j] = coeff[tuple(a - b for a, b in zip(ni, nj))]
+    entries = _base_entries(basis, prototype) * shift_phase(basis, shift)
     entries.setflags(write=False)
     return ObservationMatrix(basis=basis, prototype=prototype, shift=shift, entries=entries)
 

@@ -97,19 +97,28 @@ def output_matrix(datum, ts: np.ndarray) -> np.ndarray:
 
 
 def simpson_schedule_energy(datum, schedule, gammas,
-                            nodes_per_slot: int = 129) -> float:
+                            nodes_per_slot: int = 129, chunk: int = 4096) -> float:
     """Quadrature of v(t)^H Gamma_j v(t) over every micro slot, summed.
 
-    Materializes the slots, so only cheap for small macro counts.
+    Slot (r, j) starts at t_start + (r + cum_j) tau and is integrated in local
+    time over its width (cum_{j+1} - cum_j) tau, so late start times do not
+    wear the widths down.  `chunk` macro repetitions are done at a time, so
+    every one of the R * J slots is integrated even at R ~ 10^5.
     """
+    tau = schedule.macro_length
     total = 0.0
-    for (t1, t2, j) in schedule.iter_micro():
-        if t2 <= t1:
-            continue
-        ts = np.linspace(t1, t2, nodes_per_slot)
-        v = output_matrix(datum, ts)
-        vals = np.real(np.einsum("ti,ij,tj->t", v.conj(), gammas[j].entries, v))
-        total += float(simpson(vals, x=ts))
+    for first in range(0, schedule.macro_count, chunk):
+        r = np.arange(first, min(first + chunk, schedule.macro_count))
+        for j in range(schedule.atom_count):
+            width = (schedule.cum[j + 1] - schedule.cum[j]) * tau
+            if width <= 0.0:
+                continue
+            local = np.linspace(0.0, width, nodes_per_slot)
+            starts = schedule.t_start + (r + schedule.cum[j]) * tau
+            ts = starts[:, None] + local[None, :]
+            v = output_matrix(datum, ts.ravel()).reshape(*ts.shape, -1)
+            vals = np.real(np.einsum("sti,ij,stj->st", v.conj(), gammas[j].entries, v))
+            total += float(np.sum(simpson(vals, x=local, axis=-1)))
     return total
 
 

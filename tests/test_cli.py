@@ -163,17 +163,6 @@ def test_experiment_is_reproducible(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_threads_do_not_change_series(tmp_path):
-    config = write_config(tmp_path)
-    out1, out3 = tmp_path / "t1", tmp_path / "t3"
-    assert main(["experiment", "--config", str(config), "--out", str(out1)]) == 0
-    rc = main(
-        ["experiment", "--config", str(config), "--out", str(out3), "--threads", "3"]
-    )
-    assert rc == 0
-    assert (out1 / "series.csv").read_bytes() == (out3 / "series.csv").read_bytes()
-
-
 def test_experiment_check_flag(tmp_path):
     config = write_config(tmp_path)
     out = tmp_path / "out"

@@ -56,6 +56,26 @@ def test_equispaced_design_is_exact_on_the_square_torus():
     assert design.residual <= 1e-12
 
 
+def test_equal_weight_grid_is_detected_exactly():
+    w = interval(0, "1/4")
+    square = PrototypeSet.from_boxes(T2, [[(0, "1/2"), (0, "1/4")]])
+    for space, cutoff, prototype in ((T1, 0, w), (T1, 2, w), (T2, 1, square)):
+        grid = equispaced_design(build_basis(space, cutoff), prototype)
+        assert grid.grid_per_axis == 4 * cutoff + 1
+    grid = equispaced_design(build_basis(T1, 1), w)
+    atoms = grid.atoms
+    reordered = ConvexDesign(atoms=atoms[::-1], measure=0.25, cutoff=1, residual=0.0)
+    assert reordered.grid_per_axis is None
+    nudged = list(atoms)
+    nudged[0] = DesignAtom(atoms[0].shift, np.nextafter(0.2, 1.0))
+    nudged[1] = DesignAtom(atoms[1].shift, np.nextafter(0.2, 0.0))
+    assert ConvexDesign(tuple(nudged), 0.25, 1, 0.0).grid_per_axis is None
+    off_grid = (DesignAtom(GroupElement.of("1/5"), 1.0),)
+    assert ConvexDesign(off_grid, 0.25, 1, 0.0).grid_per_axis is None
+    on_grid = (DesignAtom(GroupElement.of(0), 1.0),)
+    assert ConvexDesign(on_grid, 0.25, 1, 0.0).grid_per_axis == 1
+
+
 def test_full_torus_needs_a_single_atom():
     basis = build_basis(T1, 2)
     w = interval(0, 1)

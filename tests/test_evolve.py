@@ -33,13 +33,18 @@ from torusobs import (
 from torusobs.evolve import (
     FIELD,
     TIME_DERIVATIVE,
+    frequency_differences,
     geometric_phase_sum,
+    grid_atom_sum,
+    kernel_energy,
     output_expansion,
     output_kind_for,
+    per_atom_sum,
     phase_integral,
 )
 
 T1 = TorusSpace(1)
+T2 = TorusSpace(2)
 MODELS = [("wave", 0.0), ("klein_gordon", 1.0), ("schrodinger", 0.0)]
 
 
@@ -227,7 +232,7 @@ def test_phase_integral_matches_dense_quadrature():
         [[0.0, 1e-12, -1e-9, 500.0], rng.uniform(-100.0, 100.0, size=46)]
     )
     t1, t2 = 0.3, 1.7
-    exact = phase_integral(alphas, t1, t2)
+    exact = phase_integral(alphas, t1, t2 - t1)
     assert exact[0] == t2 - t1  # zero frequency integrates the constant
     for k, alpha in enumerate(alphas):
         dense = oracles.simpson_phase_integral(float(alpha), t1, t2)
@@ -262,11 +267,11 @@ def test_full_torus_first_order_energy_is_flat():
     basis = build_basis(T1, 2)
     full = PrototypeSet.from_boxes(T1, [(0, 1)])
     design = equispaced_design(basis, full)
-    reduced_gammas = [gamma_matrix(basis, full, s) for s in design.shifts]
+    gamma0 = gamma_matrix(basis, full, GroupElement.of(0))
     datum = random_datum("schrodinger", basis, 2, seed=14)
     for t_start, duration in ((0.0, 1.0), (0.4, 0.7)):
         schedule = build_switching(design, (t_start, duration), 0.0, 0.5)
-        q = windowed_observation_energy(datum, schedule, FIELD, reduced_gammas)
+        q = windowed_observation_energy(datum, schedule, FIELD, gamma0)
         norm_sq = conserved_energy(datum).total
         assert q == pytest.approx(duration * norm_sq, rel=1e-12)
         assert q == pytest.approx(
@@ -294,13 +299,13 @@ def test_single_mode_kinetic_energy_matches_the_temporal_gram():
 @pytest.mark.parametrize("model,mass", MODELS)
 def test_observation_energy_is_bounded_by_the_full_output(model, mass):
     basis, w, design = quarter_setup()
-    gammas = [gamma_matrix(basis, w, s) for s in design.shifts]
+    gamma0 = gamma_matrix(basis, w, GroupElement.of(0))
     rate = trajectory_lipschitz_bound(basis, model, mass, 1.0)
     schedule = build_switching(design, (0.0, 1.0), rate, 0.1)
     kind = output_kind_for(model)
     for seed in range(5):
         datum = make_datum(model, mass, basis, seed=seed)
-        q = windowed_observation_energy(datum, schedule, kind, gammas)
+        q = windowed_observation_energy(datum, schedule, kind, gamma0)
         full = interval_output_energy(datum, 0.0, 1.0, kind)
         assert q >= -1e-12 * full
         assert q <= full * (1.0 + 1e-12)
@@ -310,11 +315,12 @@ def test_observation_energy_is_bounded_by_the_full_output(model, mass):
 def test_switching_energy_matches_dense_quadrature(model, mass):
     basis, w, design = quarter_setup()
     gammas = [gamma_matrix(basis, w, s) for s in design.shifts]
+    gamma0 = gamma_matrix(basis, w, GroupElement.of(0))
     rate = trajectory_lipschitz_bound(basis, model, mass, 1.0)
     schedule = build_switching(design, (0.3, 1.0), rate, 0.24)
     kind = output_kind_for(model)
     datum = make_datum(model, mass, basis, seed=2)
-    q = windowed_observation_energy(datum, schedule, kind, gammas)
+    q = windowed_observation_energy(datum, schedule, kind, gamma0)
     dense = oracles.simpson_schedule_energy(datum, schedule, gammas)
     assert q == pytest.approx(dense, rel=1e-8)
 
@@ -322,10 +328,11 @@ def test_switching_energy_matches_dense_quadrature(model, mass):
 def test_macro_aggregation_matches_an_explicit_slot_loop():
     basis, w, design = quarter_setup()
     gammas = [gamma_matrix(basis, w, s) for s in design.shifts]
+    gamma0 = gamma_matrix(basis, w, GroupElement.of(0))
     schedule = build_switching(design, (0.0, 1.0), 8.0 * math.pi, 0.2)
     assert schedule.macro_count > 10
     datum = make_datum("wave", 0.0, basis, seed=3)
-    q = windowed_observation_energy(datum, schedule, TIME_DERIVATIVE, gammas)
+    q = windowed_observation_energy(datum, schedule, TIME_DERIVATIVE, gamma0)
 
     coeff, alpha = output_expansion(datum, TIME_DERIVATIVE)
     flat_c = coeff.ravel()
@@ -333,7 +340,7 @@ def test_macro_aggregation_matches_an_explicit_slot_loop():
     diff = flat_a[None, :] - flat_a[:, None]
     total = 0.0
     for t1, t2, j in schedule.iter_micro():
-        base = phase_integral(diff, t1, t2)
+        base = phase_integral(diff, t1, t2 - t1)
         kernel = np.kron(gammas[j].entries, np.ones((2, 2))) * base
         total += float(np.real(np.vdot(flat_c, kernel @ flat_c)))
     assert q == pytest.approx(total, rel=1e-12)
@@ -341,19 +348,79 @@ def test_macro_aggregation_matches_an_explicit_slot_loop():
 
 def test_gamma_bookkeeping_is_enforced():
     basis, w, design = quarter_setup()
-    gammas = [gamma_matrix(basis, w, s) for s in design.shifts]
+    gamma0 = gamma_matrix(basis, w, GroupElement.of(0))
     schedule = build_switching(design, (0.0, 1.0), 1.0, 0.2)
     fine = random_datum("wave", build_basis(T1, 2), 2, seed=0)
     with pytest.raises(BasisMismatch):
-        windowed_observation_energy(fine, schedule, TIME_DERIVATIVE, gammas)
+        windowed_observation_energy(fine, schedule, TIME_DERIVATIVE, gamma0)
     datum = random_datum("wave", basis, 1, seed=0)
+    shifted = gamma_matrix(basis, w, design.shifts[1])
     with pytest.raises(ValueError):
-        windowed_observation_energy(datum, schedule, TIME_DERIVATIVE, gammas[:-1])
+        windowed_observation_energy(datum, schedule, TIME_DERIVATIVE, shifted)
     with pytest.raises(ValueError):
-        windowed_observation_energy(datum, schedule, FIELD, gammas)
+        windowed_observation_energy(datum, schedule, FIELD, gamma0)
     sdatum = random_datum("schrodinger", basis, 1, seed=0)
     with pytest.raises(ValueError):
-        windowed_observation_energy(sdatum, schedule, TIME_DERIVATIVE, gammas)
+        windowed_observation_energy(sdatum, schedule, TIME_DERIVATIVE, gamma0)
+
+
+def grid_and_atom_energies(datum, schedule, kind, gamma0):
+    """Energies from the closed-form grid sum and from the atom-by-atom sum,
+    composed with the shared Gamma(0), start-phase and macro-repeat factors."""
+    coeff, alpha = output_expansion(datum, kind)
+    diff = frequency_differences(alpha)
+    tau = schedule.macro_length
+    shared = (
+        gamma0.entries[:, None, :, None]
+        * np.exp(1j * diff * schedule.t_start)
+        * geometric_phase_sum(diff, tau, schedule.macro_count)
+    )
+    per_axis = schedule.design.grid_per_axis
+    grid = grid_atom_sum(diff, datum.basis, per_axis, tau)
+    atoms = per_atom_sum(diff, datum.basis, schedule)
+    return kernel_energy(shared * grid, coeff), kernel_energy(shared * atoms, coeff)
+
+
+@pytest.mark.parametrize("model,mass", MODELS)
+def test_grid_closed_form_at_desk_scale(model, mass):
+    # a late interval with R ~ 10^5 macro repetitions, where slot widths
+    # recovered from absolute times would be off by ~1e-8 relative
+    basis, w, design = quarter_setup()
+    assert design.grid_per_axis == 5
+    rate = trajectory_lipschitz_bound(basis, model, mass, 1.0)
+    schedule = build_switching(design, (199.0, 1.0), rate, 1.25 * rate / 1e5)
+    assert schedule.macro_count >= 10**5
+    kind = output_kind_for(model)
+    datum = make_datum(model, mass, basis, seed=19)
+    gamma0 = gamma_matrix(basis, w, GroupElement.of(0))
+    q = windowed_observation_energy(datum, schedule, kind, gamma0)
+    q_grid, q_atoms = grid_and_atom_energies(datum, schedule, kind, gamma0)
+    assert q == pytest.approx(q_grid, rel=1e-14)
+    assert q_atoms == pytest.approx(q, rel=1e-12)
+    gammas = [gamma_matrix(basis, w, s) for s in design.shifts]
+    dense = oracles.simpson_schedule_energy(datum, schedule, gammas, nodes_per_slot=5)
+    assert q == pytest.approx(dense, rel=1e-12)
+
+
+def test_grid_closed_form_in_2d_with_aliased_frequencies():
+    # sim modes reach |m_a| = 6 >= J1 = 5, so some shift phases alias onto
+    # the grid and the per-axis Dirichlet sums hit resonance
+    design_basis = build_basis(T2, 1)
+    basis = build_basis(T2, 3)
+    w = PrototypeSet.from_boxes(T2, [[(0, "1/2"), ("1/8", "5/8")]])
+    design = equispaced_design(design_basis, w)
+    assert design.grid_per_axis == 5 and len(design) == 25
+    rate = trajectory_lipschitz_bound(design_basis, "wave", 0.0, 1.0)
+    schedule = build_switching(design, (3.0, 1.0), rate, 0.2)
+    datum = random_datum("wave", basis, 3, seed=4)
+    gamma0 = gamma_matrix(basis, w, GroupElement.of(0, 0))
+    q = windowed_observation_energy(datum, schedule, TIME_DERIVATIVE, gamma0)
+    q_grid, q_atoms = grid_and_atom_energies(datum, schedule, TIME_DERIVATIVE, gamma0)
+    assert q == pytest.approx(q_grid, rel=1e-14)
+    assert q_atoms == pytest.approx(q, rel=1e-12)
+    gammas = [gamma_matrix(basis, w, s) for s in design.shifts]
+    dense = oracles.simpson_schedule_energy(datum, schedule, gammas, nodes_per_slot=9)
+    assert q == pytest.approx(dense, rel=1e-10)
 
 
 @pytest.mark.parametrize("model,mass", MODELS)
@@ -379,11 +446,10 @@ def test_single_atom_path_equals_single_atom_switching():
     path = build_continuous(design, (0.0, 1.0), 5.0, 1.0)
     schedule = build_switching(design, (0.0, 1.0), 1.0, 0.2)
     gamma0 = gamma_matrix(basis, w, GroupElement.of(0))
-    gamma_g = gamma_matrix(basis, w, g)
     datum = random_datum("wave", basis, 1, seed=12)
     q_path = path_observation_energy(datum, path, TIME_DERIVATIVE, gamma0)
     q_switch = windowed_observation_energy(
-        datum, schedule, TIME_DERIVATIVE, [gamma_g]
+        datum, schedule, TIME_DERIVATIVE, gamma0
     )
     assert q_path == pytest.approx(q_switch, rel=1e-12)
 

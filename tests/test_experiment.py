@@ -223,14 +223,6 @@ def test_single_interval_run_has_a_trivial_mean():
     assert series.final_mean == series.records[0].observed
 
 
-def test_thread_pool_does_not_change_the_numbers():
-    config = quick_config()
-    solo = run_protocol(config, threads=1)
-    pooled = run_protocol(config, threads=3)
-    assert np.array_equal(solo.observed, pooled.observed)
-    assert np.array_equal(solo.running_means, pooled.running_means)
-
-
 def test_windows_at_the_simulation_cutoff_are_rejected_at_runtime():
     config = RunConfig(
         dim=1,

@@ -10,9 +10,6 @@ from torusobs import (
     GroupElement,
     PrototypeSet,
     TorusSpace,
-    indicator_fourier_coefficient,
-    set_measure,
-    translate_set,
 )
 
 T1 = TorusSpace(1)
@@ -24,19 +21,19 @@ def interval(a, b) -> PrototypeSet:
 
 
 def test_rigid_shift():
-    shifted = translate_set(interval(0, "1/4"), GroupElement.of("1/2"))
+    shifted = interval(0, "1/4").translate(GroupElement.of("1/2"))
     assert shifted.pieces == (((Fraction(1, 2), Fraction(3, 4)),),)
     assert shifted.measure_exact == Fraction(1, 4)
 
 
 def test_wraparound_shift_lands_in_one_box():
-    shifted = translate_set(interval("9/10", 1), GroupElement.of("1/5"))
+    shifted = interval("9/10", 1).translate(GroupElement.of("1/5"))
     assert shifted.pieces == (((Fraction(1, 10), Fraction(1, 5)),),)
 
 
 def test_zero_shift_is_identity():
     w = PrototypeSet.from_boxes(T1, [(0, "1/10"), ("1/2", "7/10")])
-    assert translate_set(w, GroupElement.of(0)).pieces == w.pieces
+    assert w.translate(GroupElement.of(0)).pieces == w.pieces
 
 
 def test_translation_preserves_measure_exactly():
@@ -45,28 +42,28 @@ def test_translation_preserves_measure_exactly():
         lo, hi = np.sort(rng.choice(840, size=2, replace=False))
         w = interval(Fraction(int(lo), 840), Fraction(int(hi), 840))
         g = GroupElement.of(Fraction(int(rng.integers(0, 840)), 840))
-        assert translate_set(w, g).measure_exact == w.measure_exact
+        assert w.translate(g).measure_exact == w.measure_exact
 
 
 def test_coefficient_at_zero_frequency_is_the_measure():
     for length in (Fraction(1, 10), Fraction(1, 4), Fraction(3, 5)):
         w = interval(0, length)
-        assert indicator_fourier_coefficient(w, (0,)) == pytest.approx(
+        assert w.fourier_coefficient((0,)) == pytest.approx(
             float(length), abs=1e-15
         )
 
 
 def test_half_interval_first_coefficient():
     # integral of e^{-2 pi i y} over [0, 1/2) is 1/(pi i) = -i/pi
-    val = indicator_fourier_coefficient(interval(0, "1/2"), (1,))
+    val = interval(0, "1/2").fourier_coefficient((1,))
     assert val == pytest.approx(-1j / math.pi, abs=1e-15)
 
 
 def test_full_torus_coefficients_vanish():
     w = interval(0, 1)
-    assert indicator_fourier_coefficient(w, (0,)) == pytest.approx(1.0, abs=0)
+    assert w.fourier_coefficient((0,)) == pytest.approx(1.0, abs=0)
     for n in (1, -3, 7):
-        assert indicator_fourier_coefficient(w, (n,)) == 0
+        assert w.fourier_coefficient((n,)) == 0
 
 
 def test_translation_phase_covariance():
@@ -76,7 +73,7 @@ def test_translation_phase_covariance():
         lo, hi = np.sort(rng.choice(720, size=2, replace=False))
         w = interval(Fraction(int(lo), 720), Fraction(int(hi), 720))
         g = GroupElement.of(Fraction(int(rng.integers(0, 720)), 720))
-        shifted = translate_set(w, g)
+        shifted = w.translate(g)
         gf = float(g.shift[0])
         for n in range(-10, 11):
             expected = np.exp(-2j * np.pi * n * gf) * w.fourier_coefficient((n,))
@@ -93,7 +90,7 @@ def test_2d_phase_covariance():
             Fraction(int(rng.integers(0, 64)), 64),
             Fraction(int(rng.integers(0, 64)), 64),
         )
-        shifted = translate_set(w, g)
+        shifted = w.translate(g)
         gf = g.as_floats()
         for n in [(1, 0), (0, 1), (2, -3), (-1, 1)]:
             expected = np.exp(-2j * np.pi * (n @ gf)) * w.fourier_coefficient(n)
@@ -110,15 +107,15 @@ def test_coefficients_conjugate_under_frequency_negation():
 
 
 def test_measures():
-    assert set_measure(interval(0, "3/10")) == pytest.approx(0.3, abs=0)
+    assert interval(0, "3/10").measure == pytest.approx(0.3, abs=0)
     two = PrototypeSet.from_boxes(T1, [(0, "1/10"), ("1/2", "7/10")])
-    assert set_measure(two) == pytest.approx(0.3, abs=0)
-    assert set_measure(interval(0, 1)) == 1.0
+    assert two.measure == pytest.approx(0.3, abs=0)
+    assert interval(0, 1).measure == 1.0
 
 
 def test_2d_box_measure_and_tensor_coefficient():
     w = PrototypeSet.from_boxes(T2, [[(0, "1/2"), (0, "1/2")]])
-    assert set_measure(w) == 0.25
+    assert w.measure == 0.25
     # the coefficient factorizes across axes
     assert w.fourier_coefficient((1, 0)) == pytest.approx(
         (-1j / math.pi) * 0.5, abs=1e-15
@@ -164,4 +161,4 @@ def test_torus_dimension_guard():
     with pytest.raises(ValueError):
         TorusSpace(3)
     with pytest.raises(ValueError):
-        translate_set(interval(0, "1/4"), GroupElement.of("1/2", "1/3"))
+        interval(0, "1/4").translate(GroupElement.of("1/2", "1/3"))

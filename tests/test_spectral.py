@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from torusobs import (
@@ -180,6 +182,58 @@ def test_matrix_against_dense_quadrature_2d():
         gamma = gamma_matrix(basis, w, g).entries
         dense = oracles.gauss_gamma_2d(basis, w, g)
         assert np.max(np.abs(gamma - dense)) <= 1e-6
+
+
+@st.composite
+def shifted_box_unions(draw):
+    """(basis, prototype, shift): a random 1D/2D union of disjoint boxes with
+    rational endpoints (some wrapping), a cutoff, and a rational shift."""
+    dim = draw(st.sampled_from([1, 2]))
+    denom = draw(st.sampled_from([8, 30, 1000, 2**20]))
+    count = draw(st.integers(1, 3))
+    edges = sorted(
+        draw(st.lists(st.integers(0, denom), min_size=2 * count, max_size=2 * count,
+                      unique=True))
+    )
+    turn = draw(st.integers(0, denom - 1))  # rotating the x-edges makes some wrap
+    boxes = []
+    for a, b in zip(edges[::2], edges[1::2]):
+        box = [(Fraction(a + turn, denom), Fraction(b + turn, denom))]
+        if dim == 2:
+            lo = draw(st.integers(0, denom - 1))
+            length = draw(st.integers(1, denom))
+            box.append((Fraction(lo, denom), Fraction(lo + length, denom)))
+        boxes.append(box)
+    space = TorusSpace(dim)
+    prototype = PrototypeSet.from_boxes(space, boxes)
+    basis = build_basis(space, draw(st.integers(0, 3 if dim == 1 else 2)))
+    shift = GroupElement.of(
+        *(
+            Fraction(draw(st.integers(-10**6, 10**6)), draw(st.integers(1, 10**6)))
+            for _ in range(dim)
+        )
+    )
+    return basis, prototype, shift
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(shifted_box_unions())
+def test_phase_product_equals_translate_then_integrate(case):
+    # Gamma(g) from the cached Gamma(0) and one entrywise phase, against the
+    # exact translated set's indicator coefficients at n_i - n_k
+    basis, prototype, shift = case
+    translated = prototype.translate(shift)
+    exact = np.array(
+        [
+            [
+                translated.fourier_coefficient(tuple(a - b for a, b in zip(ni, nk)))
+                for nk in basis.modes
+            ]
+            for ni in basis.modes
+        ]
+    )
+    fast = gamma_matrix(basis, prototype, shift).entries
+    assert np.max(np.abs(fast - exact)) <= 1e-13
 
 
 def test_matrix_debug_dict_round_trips():
