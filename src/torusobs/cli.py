@@ -22,7 +22,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from itertools import islice, product
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -80,15 +80,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, version: str, header: str, rows) -> int:
+def _write_lines(path: Path, version: str, header: str, lines) -> int:
+    """Write the version and header lines, then every formatted line."""
     count = 0
     with path.open("w", newline="\n") as fh:
         fh.write(version + "\n")
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for line in lines:
+            fh.write(line)
             count += 1
     return count
+
+
+def _write_csv(path: Path, version: str, header: str, rows) -> int:
+    return _write_lines(
+        path, version, header, (",".join(_fmt(v) for v in row) + "\n" for row in rows)
+    )
 
 
 def _read_csv(path: Path, version: str, header: str) -> list[list[str]]:
@@ -178,24 +185,41 @@ def cmd_calibrate(config: RunConfig, out: Path, args) -> int:
     return 0
 
 
-def _schedule_rows(schedule, cap: int):
-    shifts = [s.as_floats() for s in schedule.design.shifts]
+#: micro slots formatted per block of the schedule CSV writer
+SCHEDULE_BLOCK = 8192
 
-    def generate():
-        for r in range(schedule.macro_count):
-            for j in range(schedule.atom_count):
-                t0, t1, _ = schedule.micro_interval(r, j)
-                yield (t0, t1, j, *shifts[j])
 
-    return islice(generate(), cap)
+def _schedule_lines(schedule, cap: int):
+    """CSV lines of the first `cap` micro slots, in (macro, atom) order.
+
+    Slot ends are (t_start + r tau) + cum_j tau, the same floating-point
+    operations as `SwitchingSchedule.micro_interval`, evaluated for a block
+    of macro repetitions at a time.
+    """
+    tau = schedule.macro_length
+    atoms = schedule.atom_count
+    suffixes = [
+        f",{j}," + ",".join(repr(v) for v in s.as_floats().tolist()) + "\n"
+        for j, s in enumerate(schedule.design.shifts)
+    ]
+    rows = min(cap, schedule.micro_count)
+    macros = max(1, SCHEDULE_BLOCK // atoms)
+    for first in range(0, -(-rows // atoms), macros):
+        r = np.arange(first, min(first + macros, schedule.macro_count))
+        base = (schedule.t_start + r * tau)[:, None]
+        starts = (base + schedule.cum[None, :-1] * tau).ravel().tolist()
+        ends = (base + schedule.cum[None, 1:] * tau).ravel().tolist()
+        count = min(len(starts), rows - first * atoms)
+        for k in range(count):
+            yield repr(starts[k]) + "," + repr(ends[k]) + suffixes[k % atoms]
 
 
 def _write_schedule(config: RunConfig, out: Path, index: int, schedule) -> Path:
     """Write schedule_m{index}.csv (capped rows) and its JSON sidecar."""
     path = out / f"schedule_m{index}.csv"
-    emitted = _write_csv(
+    emitted = _write_lines(
         path, SCHEDULE_VERSION, schedule_header(config.dim),
-        _schedule_rows(schedule, config.schedule.csv_row_cap),
+        _schedule_lines(schedule, config.schedule.csv_row_cap),
     )
     _write_json(
         out / f"schedule_m{index}.json",

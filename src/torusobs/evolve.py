@@ -40,6 +40,15 @@ phase are affine in each grid coordinate j_a of the atom index, so the sum
 over all J atoms is the same Dirichlet ratio once per axis: each interval
 costs O((dim*P)^2) whatever the atom count.  Any other design is summed atom
 by atom.
+
+A continuous path through that grid repeats one macro template: dwells at
+the atoms in lexicographic order, joined by constant-speed legs.  A leg's
+carry level a (the slowest axis it moves) fixes both its direction and its
+duration, so the legs fall into d classes, and the dwell start offsets are
+affine in every grid coordinate.  Dwells and each class of legs then sum
+like the switching slots: the whole template costs d + 1 segment integrals
+times per-axis Dirichlet sums, O(d^2) kernel-sized operations whatever the
+atom count (`grid_tour_sum`).  Any other design is summed segment by segment.
 """
 
 from __future__ import annotations
@@ -50,7 +59,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .schedule import ContinuousPath, SwitchingSchedule
+from .schedule import ContinuousPath, SwitchingSchedule, torus_displacement
 from .spectral import ModalBasis, ObservationMatrix, shift_phase
 
 TWO_PI = 2.0 * math.pi
@@ -396,20 +405,19 @@ def interval_output_energy(
     return float(np.real(np.einsum("ip,ipq,iq->", coeff.conj(), base, coeff)))
 
 
-def path_kernel(
-    path: ContinuousPath, alpha: np.ndarray, gamma_base: ObservationMatrix
+def per_segment_sum(
+    diff: np.ndarray, mode_differences: np.ndarray, path: ContinuousPath
 ) -> np.ndarray:
-    """Lifted kernel of the observation energy along a continuous path.
+    """Segment integrals of one macro template summed segment by segment.
 
-    Translation enters through the entrywise phases e^{-2 pi i (n_i - n_k) . g}.
-    On a transit leg the position is affine in t, so the phase stays a
-    complex exponential and every segment integral remains closed-form.
-    Macro repetitions aggregate exactly as for switching schedules.
+    On a transit leg the position is affine in t, so the shift phase stays
+    a complex exponential e^{i rate (t - t1)} that folds into the slot
+    integral; any design.  `mode_differences` holds n_i - n_k, shape
+    (dim, dim, d).
     """
-    diff = frequency_differences(alpha)
     # 2 pi (n_i - n_k), lifted to the (mode, branch, mode, branch) axes
-    mdiff = TWO_PI * gamma_base.basis.mode_differences[:, None, :, None, :]
-    segments = np.zeros_like(diff, dtype=complex)
+    mdiff = TWO_PI * mode_differences[:, None, :, None, :]
+    total = np.zeros_like(diff, dtype=complex)
     for seg in path.template:
         width = seg.offset_end - seg.offset_start
         if width <= 0.0:
@@ -418,12 +426,82 @@ def path_kernel(
         if seg.kind == "dwell":
             local = phase_integral(diff, seg.offset_start, width)
         else:
-            # the moving phase e^{i rate (t - t1)} folds into the exponential integral
             rate = -(mdiff @ np.asarray(seg.velocity, dtype=float))
             local = np.exp(1j * diff * seg.offset_start) * phase_integral(
                 diff + rate, 0.0, width
             )
-        segments += position * local
+        total += position * local
+    return total
+
+
+def grid_tour_sum(
+    diff: np.ndarray, mode_differences: np.ndarray, per_axis: int, path: ContinuousPath
+) -> np.ndarray:
+    """Segment integrals of one macro template summed over the grid tour.
+
+    The tour visits the J = J1^d grid atoms in lexicographic order.  The leg
+    leaving atom j has carry level a when j_{a+1..d-1} = J1-1 and j_a < J1-1
+    (the closing leg from atom J-1 has level 0): it moves axes a..d-1 by the
+    step s = torus_displacement(0, 1/J1) and lasts l_a = |s| sqrt(d-a)/speed.
+    With dwell w = theta (tau - D/speed), atom j's dwell starts at the offset
+    sum_b c_b j_b,
+
+        c_b = w J1^(d-1-b) + l_b + sum_{a>b} l_a (J1-1) J1^(a-1-b),
+
+    so its slot phase and its shift phase are both affine in every j_b, and
+    the dwells sum to one slot integral times one Dirichlet sum per axis.
+    The level-a legs start at the dwell offsets plus w and form a sub-grid:
+    axes b < a over J1 values, axis a over J1-1 values (J1 at level 0), the
+    later axes fixed at J1-1.  Each class is one moving-phase integral over
+    [0, l_a) times at most d Dirichlet sums, O(d^2) kernel-sized operations
+    for the whole template whatever J is.
+    """
+    dim = mode_differences.shape[-1]
+    mdiff = mode_differences[:, None, :, None, :]
+    dwell = path.design.atoms[0].weight * (path.macro_length - path.cycle / path.speed)
+    total = phase_integral(diff, 0.0, dwell)
+    if per_axis == 1:
+        return total
+    step = float(torus_displacement(0.0, 1.0 / per_axis))
+    legs = [abs(step) * math.sqrt(dim - a) / path.speed for a in range(dim)]
+    full, short, fixed = [], [], []
+    for b in range(dim):
+        offset = dwell * per_axis ** (dim - 1 - b) + legs[b]
+        for a in range(b + 1, dim):
+            offset += legs[a] * (per_axis - 1) * per_axis ** (a - 1 - b)
+        arg = diff * offset - (TWO_PI / per_axis) * mdiff[..., b]
+        full.append(geometric_phase_sum(arg, 1.0, per_axis))
+        short.append(geometric_phase_sum(arg, 1.0, per_axis - 1))
+        fixed.append(np.exp(1j * (per_axis - 1) * arg))
+    total = total * math.prod(full)
+    after_dwell = np.exp(1j * diff * dwell)
+    for a in range(dim):
+        along = (full if a == 0 else short)[a]
+        atoms = math.prod(full[:a]) * along * math.prod(fixed[a + 1 :])
+        rate = -(TWO_PI * step / legs[a]) * mdiff[..., a:].sum(axis=-1)
+        total = total + atoms * after_dwell * phase_integral(diff + rate, 0.0, legs[a])
+    return total
+
+
+def path_kernel(
+    path: ContinuousPath, alpha: np.ndarray, gamma_base: ObservationMatrix
+) -> np.ndarray:
+    """Lifted kernel of the observation energy along a continuous path.
+
+    Gamma(0) times e^{i D t_start} times the Dirichlet sum over the R macro
+    repetitions times the segment sum of one macro template.  For an
+    equal-weight grid design that sum is closed-form (`grid_tour_sum`): the
+    dwells and each carry level's class of legs are one segment integral
+    times per-axis Dirichlet sums.  Any other design is summed segment by
+    segment (`per_segment_sum`).
+    """
+    diff = frequency_differences(alpha)
+    mode_differences = gamma_base.basis.mode_differences
+    per_axis = path.design.grid_per_axis
+    if per_axis is None:
+        segments = per_segment_sum(diff, mode_differences, path)
+    else:
+        segments = grid_tour_sum(diff, mode_differences, per_axis, path)
     repeats = geometric_phase_sum(diff, path.macro_length, path.macro_count)
     start = np.exp(1j * diff * path.t_start)
     return gamma_base.entries[:, None, :, None] * (start * repeats * segments)

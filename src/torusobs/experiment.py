@@ -17,7 +17,7 @@ it, and the atoms of the equal-weight grid designs are summed in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,10 +52,12 @@ __all__ = [
     "CesaroSeries",
     "ContinuousReport",
     "IntervalRecord",
+    "ProtocolSetup",
     "TailReductionReport",
     "WindowExceedsSimulation",
     "calibration",
     "continuous_protocol_delta",
+    "prepare_protocol",
     "run_protocol",
     "tail_reduction_check",
     "temporal_gram",
@@ -274,15 +276,25 @@ class CesaroSeries:
         ]
 
 
-def run_protocol(config) -> CesaroSeries:
-    """Run the full switching protocol described by the config.
+@dataclass(frozen=True, eq=False)
+class ProtocolSetup:
+    """What every protocol run shares: the datum on the simulation basis, the
+    equal-weight design and Lipschitz bound of each window the intervals
+    use, and the one unshifted observation matrix."""
 
-    For each interval: fetch (or build and cache) the equal-weight design for
-    the interval's cutoff, build the switching schedule hitting the interval's
-    loss target, and integrate the observed energy of the evolving datum in
-    closed form.  Designs and Lipschitz bounds are shared across intervals
-    with equal cutoffs; every interval uses the one unshifted observation
-    matrix on the simulation basis.
+    datum: ModalDatum
+    basis: ModalBasis
+    measure: float
+    designs: dict[int, ConvexDesign]
+    design_bounds: dict[int, float]
+    gamma_base: ObservationMatrix
+
+
+def prepare_protocol(config) -> ProtocolSetup:
+    """Build the datum, the per-window designs and bounds, and Gamma(0).
+
+    Windows are prepared in interval order, so a window at or above the
+    simulation cutoff is reported for the first interval that uses it.
     """
     space = config.space()
     prototype = config.prototype()
@@ -296,42 +308,60 @@ def run_protocol(config) -> CesaroSeries:
         seed=config.seed,
         mass=config.mass,
     )
-    energy = conserved_energy(datum)
-    constants = calibration(config.model, sim_basis, config.mass, config.duration)
-    kind = output_kind_for(config.model)
-    gamma_base = gamma_matrix(sim_basis, prototype, space.identity())
-
     designs: dict[int, ConvexDesign] = {}
     design_bounds: dict[int, float] = {}
-
-    def prepare(window: int) -> None:
+    for m in range(1, config.interval_count + 1):
+        window = config.window_at(m)
         if window in designs:
-            return
+            continue
         if window >= config.sim_window:
             raise WindowExceedsSimulation(
                 f"window {window} needs modes outside the simulated cutoff "
                 f"{config.sim_window}"
             )
         design_basis = build_basis(space, window)
-        design = equispaced_design(design_basis, prototype)
-        designs[window] = design
+        designs[window] = equispaced_design(design_basis, prototype)
         design_bounds[window] = trajectory_lipschitz_bound(
             design_basis, config.model, config.mass, config.duration
         )
+    return ProtocolSetup(
+        datum=datum,
+        basis=sim_basis,
+        measure=prototype.measure,
+        designs=designs,
+        design_bounds=design_bounds,
+        gamma_base=gamma_matrix(sim_basis, prototype, space.identity()),
+    )
+
+
+def run_protocol(config) -> CesaroSeries:
+    """Run the full switching protocol described by the config.
+
+    For each interval: take the equal-weight design for the interval's
+    cutoff, build the switching schedule hitting the interval's loss target,
+    and integrate the observed energy of the evolving datum in closed form.
+    Designs and Lipschitz bounds are shared across intervals with equal
+    cutoffs; every interval uses the one unshifted observation matrix on the
+    simulation basis.
+    """
+    setup = prepare_protocol(config)
+    datum = setup.datum
+    energy = conserved_energy(datum)
+    constants = calibration(config.model, setup.basis, config.mass, config.duration)
+    kind = output_kind_for(config.model)
 
     records: list[IntervalRecord] = []
     total = 0.0
     for m in range(1, config.interval_count + 1):
         window = config.window_at(m)
         tolerance = config.tolerance_at(m)
-        prepare(window)
         schedule = build_switching(
-            designs[window],
+            setup.designs[window],
             ((m - 1) * config.duration, config.duration),
-            design_bounds[window],
+            setup.design_bounds[window],
             tolerance,
         )
-        value = windowed_observation_energy(datum, schedule, kind, gamma_base)
+        value = windowed_observation_energy(datum, schedule, kind, setup.gamma_base)
         total += value
         records.append(
             IntervalRecord(
@@ -348,16 +378,16 @@ def run_protocol(config) -> CesaroSeries:
     return CesaroSeries(
         model=config.model,
         mass=config.mass,
-        measure=prototype.measure,
+        measure=setup.measure,
         duration=config.duration,
         energy=energy.total,
         constants=constants,
         records=tuple(records),
         datum=datum,
-        basis=sim_basis,
-        designs=designs,
-        design_bounds=design_bounds,
-        gamma_base=gamma_base,
+        basis=setup.basis,
+        designs=setup.designs,
+        design_bounds=setup.design_bounds,
+        gamma_base=setup.gamma_base,
     )
 
 
@@ -531,14 +561,17 @@ def continuous_protocol_delta(config, speeds) -> ContinuousReport:
     The realized-bound check is evaluated on the datum truncated at each
     interval's cutoff (the certificate covers the windowed part; the tail
     only adds energy), and only where the certified loss leaves a positive
-    factor.
+    factor.  Certified losses must not grow from one speed to the next
+    faster one, compared in sorted-speed order; the report keeps the
+    ladder's order.
     """
     speeds = tuple(float(v) for v in speeds)
     if not speeds:
         raise ValueError("at least one speed is required")
-    series = run_protocol(config)
-    kind = output_kind_for(series.model)
-    coeff, alpha = output_expansion(series.datum, kind)
+    setup = prepare_protocol(config)
+    kind = output_kind_for(config.model)
+    coeff, alpha = output_expansion(setup.datum, kind)
+    windows = [config.window_at(m) for m in range(1, config.interval_count + 1)]
 
     records: dict[float, tuple[ContinuousIntervalRecord, ...]] = {}
     certified: dict[float, float] = {}
@@ -546,27 +579,30 @@ def continuous_protocol_delta(config, speeds) -> ContinuousReport:
     realized_ok = True
     realized_margin = math.inf
     for speed in speeds:
+        # paths of one window differ only in t_start
+        paths = {
+            k: build_continuous(
+                setup.designs[k], (0.0, config.duration), speed, setup.design_bounds[k]
+            )
+            for k in setup.designs
+        }
         recs: list[ContinuousIntervalRecord] = []
         total = 0.0
         worst_factor = math.inf
-        for rec in series.records:
-            t_start, duration = series.interval(rec.index)
-            path = build_continuous(
-                series.designs[rec.window],
-                (t_start, duration),
-                speed,
-                series.design_bounds[rec.window],
-            )
+        for m, window in enumerate(windows, start=1):
+            path = replace(paths[window], t_start=(m - 1) * config.duration)
             # the windowed part masks coefficients only: one kernel serves both
-            kernel = path_kernel(path, alpha, series.gamma_base)
+            kernel = path_kernel(path, alpha, setup.gamma_base)
             value = kernel_energy(kernel, coeff)
             total += value
-            factor = max(series.measure - path.certified_loss, 0.0)
+            factor = max(setup.measure - path.certified_loss, 0.0)
             worst_factor = min(worst_factor, factor)
             if factor > 0.0:
-                part = series.datum.windowed(rec.window)
+                part = setup.datum.windowed(window)
                 part_value = kernel_energy(kernel, output_expansion(part, kind)[0])
-                reference = interval_output_energy(part, t_start, duration, kind)
+                reference = interval_output_energy(
+                    part, path.t_start, config.duration, kind
+                )
                 if reference > 0.0:
                     ratio = part_value / (factor * reference)
                     realized_margin = min(realized_margin, ratio)
@@ -574,24 +610,24 @@ def continuous_protocol_delta(config, speeds) -> ContinuousReport:
                         realized_ok = False
             recs.append(
                 ContinuousIntervalRecord(
-                    index=rec.index,
-                    window=rec.window,
+                    index=m,
+                    window=window,
                     macro_count=path.macro_count,
                     certified_loss=path.certified_loss,
                     observed=value,
-                    running_mean=total / rec.index,
+                    running_mean=total / m,
                 )
             )
         records[speed] = tuple(recs)
         certified[speed] = worst_factor
         final_means[speed] = recs[-1].running_mean
 
-    monotone_ok = True
-    for lo, hi in zip(speeds, speeds[1:]):
-        if hi > lo:
-            for r_lo, r_hi in zip(records[lo], records[hi]):
-                if r_hi.certified_loss > r_lo.certified_loss * (1.0 + 1e-12):
-                    monotone_ok = False
+    ladder = sorted(set(speeds))
+    monotone_ok = all(
+        r_hi.certified_loss <= r_lo.certified_loss * (1.0 + 1e-12)
+        for lo, hi in zip(ladder, ladder[1:])
+        for r_lo, r_hi in zip(records[lo], records[hi])
+    )
     return ContinuousReport(
         speeds=speeds,
         records=records,

@@ -4,11 +4,15 @@ Nothing here reuses the package's antiderivative-based integration: restricted
 set integrals are redone by midpoint Riemann sums (1d) or per-box tensor
 Gauss-Legendre quadrature (2d), time integrals by composite Simpson rules on
 dense grids, output trajectories by direct trig evaluation, and schedule
-lookups by linear scans.
+lookups by linear scans.  The path oracle redoes the segment sum at 40
+digits with mpmath.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
+import mpmath as mp
 import numpy as np
 from scipy.integrate import simpson
 
@@ -158,6 +162,106 @@ def simpson_path_energy(datum, path, gamma0_entries: np.ndarray,
             vals = np.real(np.einsum("ti,tij,tj->t", v.conj(), kernel, v))
             total += float(simpson(vals, x=ts))
     return total
+
+
+def _mpf(x: Fraction):
+    return mp.mpf(x.numerator) / x.denominator
+
+
+def _torus_step(a: Fraction, b: Fraction) -> Fraction:
+    """Shortest signed displacement from a to b on the unit circle, exactly."""
+    return (b - a + Fraction(1, 2)) % 1 - Fraction(1, 2)
+
+
+def mpmath_path_energy(datum, path, gamma0_entries: np.ndarray,
+                       digits: int = 40) -> float:
+    """Observation energy along a continuous path, segment by segment, at
+    `digits` significant digits.
+
+    The macro template is rebuilt from the design's exact rational shifts:
+    each leg is the exact shortest displacement between consecutive atoms
+    (the closing leg returns to the first), dwells take
+    theta_j (tau - cycle/speed) of each macro interval, and the last segment
+    ends at tau.  Offsets are
+    accumulated at full precision from tau = duration / R, so in 1D they are
+    the exact rationals to 40 digits.  A segment starting at offset o with
+    shift g and displacement delta over time l contributes, per entry,
+
+        e^{-2 pi i m.g} e^{i D o} (e^{i beta l} - 1) / (i beta),
+        beta l = D l - 2 pi m.delta,
+
+    with m = n_i - n_k and D = alpha_kq - alpha_ip; the R macro repetitions
+    sum as (z^R - 1)/(z - 1), z = e^{i D tau}.  Output coefficients,
+    frequencies (recomputed from the float eigenvalues and mass) and the
+    Gamma(0) entries are taken as exact inputs.
+    """
+    with mp.workdps(digits):
+        if datum.model == "schrodinger":
+            terms = [(i, mp.mpc(complex(c)), mp.mpf(float(lam)))
+                     for i, (c, lam) in enumerate(zip(datum.c, datum.basis.eigenvalues))]
+        else:
+            terms = []
+            for i, (a, b, lam) in enumerate(
+                zip(datum.a, datum.b, datum.basis.eigenvalues)
+            ):
+                rho = mp.sqrt(mp.mpf(float(lam)) + mp.mpf(datum.mass) ** 2)
+                a_mp, b_mp = mp.mpc(complex(a)), mp.mpc(complex(b))
+                terms.append((i, (b_mp + 1j * rho * a_mp) / 2, rho))
+                terms.append((i, (b_mp - 1j * rho * a_mp) / 2, -rho))
+
+        atoms = path.design.atoms
+        shifts = [atom.shift.shift for atom in atoms]
+        speed = mp.mpf(path.speed)
+        tau = mp.mpf(path.duration) / path.macro_count
+        steps = [
+            tuple(_torus_step(x, y) for x, y in zip(shifts[j], shifts[(j + 1) % len(atoms)]))
+            for j in range(len(atoms))
+        ] if len(atoms) > 1 else []
+        lengths = [mp.sqrt(_mpf(sum(x * x for x in step))) for step in steps]
+        dwell_total = tau - sum(lengths, mp.mpf(0)) / speed
+        # (start offset, duration, shift, displacement) per segment
+        segments = []
+        offset = mp.mpf(0)
+        for j, atom in enumerate(atoms):
+            width = mp.mpf(atom.weight) * dwell_total
+            segments.append([offset, width, shifts[j], None])
+            offset += width
+            if steps and lengths[j] > 0:
+                segments.append([offset, lengths[j] / speed, shifts[j], steps[j]])
+                offset += lengths[j] / speed
+        segments[-1][1] = tau - segments[-1][0]
+
+        modes = datum.basis.modes
+        t0 = mp.mpf(path.t_start)
+        cache: dict = {}
+        total = mp.mpc(0)
+        for i, c_i, a_i in terms:
+            for k, c_k, a_k in terms:
+                m = tuple(x - y for x, y in zip(modes[i], modes[k]))
+                key = (a_i, a_k, m)
+                if key not in cache:
+                    d = a_k - a_i
+                    z = mp.expj(d * tau)
+                    repeats = (
+                        mp.mpf(path.macro_count) if z == 1
+                        else (mp.expj(d * tau * path.macro_count) - 1) / (z - 1)
+                    )
+                    template = mp.mpc(0)
+                    for start, width, shift, step in segments:
+                        turn = sum((x * y for x, y in zip(m, shift)), Fraction(0))
+                        phase = mp.expjpi(-2 * _mpf(turn % 1)) * mp.expj(d * start)
+                        moved = Fraction(0) if step is None else sum(
+                            (x * y for x, y in zip(m, step)), Fraction(0)
+                        )
+                        beta_l = d * width - 2 * mp.pi * _mpf(moved)
+                        if beta_l == 0:
+                            template += phase * width
+                        else:
+                            template += phase * mp.expm1(1j * beta_l) * width / (1j * beta_l)
+                    cache[key] = mp.expj(d * t0) * repeats * template
+                gamma = mp.mpc(complex(gamma0_entries[i, k]))
+                total += mp.conj(c_i) * c_k * gamma * cache[key]
+        return float(total.real)
 
 
 def scan_observer(schedule, t: float) -> int:

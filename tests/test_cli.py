@@ -5,9 +5,13 @@ import json
 
 import pytest
 
+from torusobs import PrototypeSet, TorusSpace, build_basis, build_switching, equispaced_design
 from torusobs.cli import (
     CONTINUOUS_HEADER,
+    SCHEDULE_BLOCK,
     SERIES_HEADER,
+    _fmt,
+    _schedule_lines,
     main,
 )
 from test_experiment import config_dict
@@ -152,6 +156,24 @@ def test_schedule_row_cap(tmp_path):
     assert len(rows) == 7
     assert sidecar["total_rows"] > 7
     assert main(["verify", "--config", str(config), "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("cap", [7, 3 * SCHEDULE_BLOCK + 11, 10**9])
+def test_schedule_lines_match_micro_intervals(cap):
+    # the block writer must reproduce the slot-by-slot text exactly, also
+    # late in time, across block boundaries and at partial macro intervals
+    space = TorusSpace(1)
+    design = equispaced_design(
+        build_basis(space, 1), PrototypeSet.from_boxes(space, [(0, "1/4")])
+    )
+    schedule = build_switching(design, (199.0, 1.0), 10.0, 10.0 * 1.25 / 5000)
+    assert schedule.micro_count > 3 * SCHEDULE_BLOCK + 11
+    shifts = [s.as_floats() for s in design.shifts]
+    expected = [
+        ",".join(_fmt(v) for v in (t0, t1, j, *shifts[j])) + "\n"
+        for t0, t1, j in schedule.micro_intervals()[:cap]
+    ]
+    assert list(_schedule_lines(schedule, cap)) == expected
 
 
 def test_experiment_is_reproducible(tmp_path):

@@ -3,6 +3,7 @@ against dense quadrature."""
 
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -30,16 +31,19 @@ from torusobs import (
     trajectory_lipschitz_bound,
     windowed_observation_energy,
 )
+from torusobs import evolve
 from torusobs.evolve import (
     FIELD,
     TIME_DERIVATIVE,
     frequency_differences,
     geometric_phase_sum,
     grid_atom_sum,
+    grid_tour_sum,
     kernel_energy,
     output_expansion,
     output_kind_for,
     per_atom_sum,
+    per_segment_sum,
     phase_integral,
 )
 
@@ -480,3 +484,107 @@ def test_path_energy_rejects_mismatched_matrices():
     coarse = gamma_matrix(build_basis(T1, 2), w, GroupElement.of(0))
     with pytest.raises(BasisMismatch):
         path_observation_energy(datum, path, TIME_DERIVATIVE, coarse)
+
+
+def grid_design(dim, per_axis):
+    """Equal-weight lexicographic grid of per_axis^dim atoms, any dimension."""
+    count = per_axis**dim
+    atoms = tuple(
+        DesignAtom(GroupElement(tuple(Fraction(c, per_axis) for c in combo)), 1.0 / count)
+        for combo in product(range(per_axis), repeat=dim)
+    )
+    return ConvexDesign(atoms=atoms, measure=0.25, cutoff=1, residual=0.0)
+
+
+def model_frequencies(model, mass, modes):
+    """Output frequencies alpha of shape (dim, P) straight from integer modes."""
+    eig = 4.0 * math.pi**2 * np.sum(modes.astype(float) ** 2, axis=1)
+    if model == "schrodinger":
+        return eig[:, None]
+    rho = np.sqrt(eig + mass * mass)
+    return np.stack([rho, -rho], axis=1)
+
+
+@pytest.mark.parametrize("model,mass", MODELS)
+@pytest.mark.parametrize("per_axis", [1, 5, 9])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_grid_tour_sum_matches_the_segment_loop(dim, per_axis, model, mass):
+    # the tour sum is dimension-generic while the torus stops at d = 2, so
+    # the template sums are compared on integer mode differences directly;
+    # 1D modes reach |m| = 10, past both grid sizes, so shift phases alias
+    design = grid_design(dim, per_axis)
+    assert design.grid_per_axis == per_axis
+    speed = 1e5
+    # a Lipschitz bound this large clips R to the speed limit: the dwells
+    # shrink to a sliver of each macro interval
+    path = build_continuous(design, (199.0, 1.0), speed, speed)
+    if per_axis > 1:
+        assert path.macro_count == math.ceil(speed / path.cycle) - 1
+    cut = {1: 5, 2: 2, 3: 1}[dim]
+    modes = np.array(list(product(range(-cut, cut + 1), repeat=dim)))
+    diff = frequency_differences(model_frequencies(model, mass, modes))
+    mdiff = modes[:, None, :] - modes[None, :, :]
+    tour = grid_tour_sum(diff, mdiff, per_axis, path)
+    loop = per_segment_sum(diff, mdiff, path)
+    assert np.max(np.abs(tour - loop)) <= 1e-12 * np.max(np.abs(loop))
+
+
+@pytest.mark.parametrize(
+    "weights,shifts",
+    [
+        ((0.3, 0.1, 0.2, 0.25, 0.15), ("0", "1/5", "2/5", "3/5", "4/5")),
+        ((0.2,) * 5, ("0", "1/7", "2/5", "3/5", "5/6")),
+    ],
+    ids=["unequal_weights", "off_grid_shifts"],
+)
+def test_non_grid_paths_take_the_segment_loop(monkeypatch, weights, shifts):
+    basis = build_basis(T1, 1)
+    w = PrototypeSet.from_boxes(T1, [(0, "1/4")])
+    design = ConvexDesign(
+        atoms=tuple(DesignAtom(GroupElement.of(g), t) for g, t in zip(shifts, weights)),
+        measure=0.25,
+        cutoff=1,
+        residual=0.0,
+    )
+    assert design.grid_per_axis is None
+
+    def no_tour(*args):
+        raise AssertionError("the grid tour sum ran on a non-grid design")
+
+    monkeypatch.setattr(evolve, "grid_tour_sum", no_tour)
+    rate = trajectory_lipschitz_bound(basis, "wave", 0.0, 1.0)
+    path = build_continuous(design, (0.0, 1.0), 12.0, rate)
+    gamma0 = gamma_matrix(basis, w, GroupElement.of(0))
+    datum = make_datum("wave", 0.0, basis, seed=23)
+    q = path_observation_energy(datum, path, TIME_DERIVATIVE, gamma0)
+    dense = oracles.simpson_path_energy(datum, path, gamma0.entries)
+    assert q == pytest.approx(dense, rel=1e-8)
+
+
+@pytest.mark.parametrize(
+    "dim,model,mass",
+    [(1, "wave", 0.0), (1, "klein_gordon", 1.0), (1, "schrodinger", 0.0), (2, "wave", 0.0)],
+)
+def test_grid_path_energy_matches_the_40_digit_oracle(monkeypatch, dim, model, mass):
+    # a late interval with R ~ 10^4..10^5 macro repetitions, summed by the
+    # closed-form tour only
+    def no_loop(*args):
+        raise AssertionError("the segment loop ran on a grid design")
+
+    monkeypatch.setattr(evolve, "per_segment_sum", no_loop)
+    if dim == 1:
+        space, boxes, sim = T1, [(0, "1/4")], 2
+    else:
+        space, boxes, sim = T2, [[(0, "1/2"), ("1/8", "5/8")]], 1
+    w = PrototypeSet.from_boxes(space, boxes)
+    design = equispaced_design(build_basis(space, 1), w)
+    assert design.grid_per_axis == 5
+    speed = 1e5
+    path = build_continuous(design, (199.0, 1.0), speed, speed)
+    assert path.macro_count == math.ceil(speed / path.cycle) - 1 >= 10**4
+    basis = build_basis(space, sim)
+    gamma0 = gamma_matrix(basis, w, space.identity())
+    datum = make_datum(model, mass, basis, seed=29)
+    q = path_observation_energy(datum, path, output_kind_for(model), gamma0)
+    exact = oracles.mpmath_path_energy(datum, path, gamma0.entries)
+    assert q == pytest.approx(exact, rel=1e-13)

@@ -1,6 +1,7 @@
 """End-to-end protocol runs: calibration, Cesaro series, tail reduction,
 and the continuous-path rerun."""
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -25,6 +26,7 @@ from torusobs.config import (
     ToleranceSchedule,
     WindowSchedule,
 )
+from torusobs import experiment
 from torusobs.experiment import gram_eigenvalue_band
 
 TWO_PI = 2.0 * math.pi
@@ -306,6 +308,36 @@ def test_continuous_rerun_improves_with_speed():
         means = np.cumsum([r.observed for r in recs]) / np.arange(1, 5)
         assert np.max(np.abs([r.running_mean for r in recs] - means)) <= 1e-15
     json.dumps(report.to_dict())
+
+
+def test_monotone_check_compares_speeds_in_sorted_order(monkeypatch):
+    # certified losses fall with speed, so the check is exercised by
+    # inflating the fastest rung's loss between those of the two slower
+    # rungs: only the (100, 1000) pair, which an unsorted ladder never puts
+    # next to each other, sees it
+    config = quick_config(model="wave", datum={"window": 3, "seed": 2})
+    ladder = (100.0, 10.0, 1000.0)
+    honest = continuous_protocol_delta(config, speeds=ladder)
+    assert honest.speeds == ladder
+    assert honest.monotone_ok
+    slow = {r.index: r.certified_loss for r in honest.records[10.0]}
+    mid = {r.index: r.certified_loss for r in honest.records[100.0]}
+    assert all(mid[m] < slow[m] for m in mid)
+    build = experiment.build_continuous
+
+    def inflated(design, interval, speed, bound):
+        path = build(design, interval, speed, bound)
+        if speed == 1000.0:
+            mid_loss = build(design, interval, 100.0, bound).certified_loss
+            path = dataclasses.replace(path, certified_loss=1.5 * mid_loss)
+        return path
+
+    monkeypatch.setattr(experiment, "build_continuous", inflated)
+    report = continuous_protocol_delta(config, speeds=ladder)
+    assert report.speeds == ladder
+    fast = {r.index: r.certified_loss for r in report.records[1000.0]}
+    assert all(mid[m] < fast[m] < slow[m] for m in fast)
+    assert not report.monotone_ok
 
 
 def test_continuous_rerun_needs_a_speed():
