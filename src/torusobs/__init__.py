@@ -23,6 +23,7 @@ from .design import (
     design_gammas,
     equispaced_design,
     moment_matrix,
+    moment_points,
     moment_residual,
     solve_design,
     verify_design,
@@ -126,6 +127,7 @@ __all__ = [
     "gamma_matrix",
     "interval_output_energy",
     "moment_matrix",
+    "moment_points",
     "moment_residual",
     "observer_at",
     "output_expansion",

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -105,6 +106,23 @@ def _read_csv(path: Path, version: str, header: str) -> list[list[str]]:
     return [line.split(",") for line in lines[2:] if line]
 
 
+def _read_time_columns(path: Path, header: str) -> np.ndarray:
+    """(t_start, t_end) of every schedule CSV row, as an (n, 2) float array.
+
+    The two layout lines are checked as in `_read_csv`; the rows are parsed
+    in one vectorised pass that reads only the two time columns.
+    """
+    with path.open() as fh:
+        if [fh.readline().rstrip("\r\n") for _ in range(2)] != [SCHEDULE_VERSION, header]:
+            raise ValueError(f"{path.name}: unrecognized layout")
+        with warnings.catch_warnings():
+            # an empty body is left to the caller's row-count check
+            warnings.simplefilter("ignore", UserWarning)
+            return np.loadtxt(
+                fh, delimiter=",", usecols=(0, 1), ndmin=2, comments=None
+            )
+
+
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
@@ -145,8 +163,7 @@ def _build_design(config: RunConfig) -> ConvexDesign:
             tol=config.design.tol,
             max_iter=config.design.max_iter,
         )
-    gammas = design_gammas(design, basis, prototype)
-    return caratheodory_reduce(design, gammas)
+    return caratheodory_reduce(design, basis, prototype)
 
 
 def cmd_design(config: RunConfig, out: Path, args) -> int:
@@ -425,22 +442,21 @@ def verify_artifacts(config: RunConfig, out: Path) -> list[str]:
 
     for path in sorted(out.glob("schedule_m*.csv")):
         try:
-            rows = _read_csv(path, SCHEDULE_VERSION, schedule_header(config.dim))
+            times = _read_time_columns(path, schedule_header(config.dim))
             sidecar = json.loads(
                 (out / (path.stem + ".json")).read_text()
             )
-            starts = np.array([float(r[0]) for r in rows])
-            ends = np.array([float(r[1]) for r in rows])
         except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
             problems.append(f"{path.name}: unreadable ({exc})")
             continue
-        if len(rows) != min(sidecar["total_rows"], config.schedule.csv_row_cap):
+        starts, ends = times[:, 0], times[:, 1]
+        if len(times) != min(sidecar["total_rows"], config.schedule.csv_row_cap):
             problems.append(f"{path.name}: row count disagrees with summary")
         if np.any(ends < starts) or np.any(starts[1:] < ends[:-1] - 1e-12):
             problems.append(f"{path.name}: slots out of order")
         lo = sidecar["t_start"]
         hi = sidecar["t_start"] + sidecar["duration"]
-        if len(rows) and (starts[0] < lo - 1e-12 or ends[-1] > hi + 1e-12):
+        if len(times) and (starts[0] < lo - 1e-12 or ends[-1] > hi + 1e-12):
             problems.append(f"{path.name}: slots outside the interval")
 
     cont_path = out / "continuous.csv"

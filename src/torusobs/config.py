@@ -191,7 +191,7 @@ class DesignOptions:
     candidates: int = 64
     candidate_seed: int = 0
     tol: float = 1e-10
-    max_iter: int = 20000
+    max_iter: int = 20000        # cap on the solver's min-norm-point major cycles
 
     @classmethod
     def parse(cls, data: Any, path: str) -> "DesignOptions":

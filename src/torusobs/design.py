@@ -7,6 +7,16 @@ A design is a list of atoms (g_j, theta_j), theta_j > 0 summing to one, with
 
 so that the weighted translated-set energies of any profile-space function
 reproduce the full-torus energy scaled by L, with no convexification loss.
+
+The identity depends on theta only through the trigonometric moments
+mu(m) = sum_j theta_j e^{-2 pi i m.g_j} for 0 < |m|_inf <= 2K.  Building
+and reducing designs therefore works on one real moment point per shift
+(`moment_points`, length (4K+1)^d - 1) instead of dim(H)^2 Gram entries:
+the solver is Wolfe's minimum-norm point over those points and the
+Caratheodory reduction removes their affine dependencies, so a design
+never needs more than (4K+1)^d atoms.  `moment_residual` and
+`verify_design` recompute the residual from the Gamma matrices, as an
+independent check of the moment-space arithmetic.
 """
 
 from __future__ import annotations
@@ -21,10 +31,16 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import GroupElement, PrototypeSet
-from .spectral import ModalBasis, ObservationMatrix, gamma_matrix
+from .spectral import ModalBasis, ObservationMatrix, gamma_matrix, phase_table
 
 #: atoms with weight below this are pruned and the rest renormalized
 WEIGHT_FLOOR = 1e-13
+
+#: Wolfe's optimality test: ||x||^2 - min_j <x, p_j> <= OPTIMALITY_GAP ||x|| max_j ||p_j||
+OPTIMALITY_GAP = 1e-12
+
+#: a residual below ZERO_NORM * max_j ||p_j|| is zero to rounding
+ZERO_NORM = 64 * np.finfo(float).eps
 
 
 class DesignError(Exception):
@@ -56,7 +72,7 @@ class ConvexDesign:
     atoms: tuple[DesignAtom, ...]
     measure: float          # L of the prototype set
     cutoff: int             # basis cutoff K the design was built for
-    residual: float         # ||sum theta Gamma - L Id||_F at build time
+    residual: float         # ||sum theta Gamma - L Id||_F at build time (moment space)
 
     def __post_init__(self) -> None:
         if not self.atoms:
@@ -147,17 +163,53 @@ def moment_matrix(weights: np.ndarray, gammas: Sequence[ObservationMatrix]) -> n
 def moment_residual(
     weights: np.ndarray, gammas: Sequence[ObservationMatrix], measure: float
 ) -> float:
+    """||sum_j theta_j Gamma(g_j) - L Id||_F from the matrices themselves."""
     m = moment_matrix(weights, gammas)
     return float(np.linalg.norm(m - measure * np.eye(m.shape[0]), "fro"))
+
+
+def moment_points(
+    basis: ModalBasis, prototype: PrototypeSet, shifts: Sequence[GroupElement]
+) -> np.ndarray:
+    """Real moment point of each shift, one row per shift.
+
+    With c = prototype.fourier_table(2K) and mult(m) the number of mode
+    pairs (i, k) with n_i - n_k = m, weights theta summing to one give
+
+        ||sum_j theta_j Gamma(g_j) - L Id||_F^2
+            = sum_{m != 0} mult(m) |c(m)|^2 |mu(m)|^2,
+        mu(m) = sum_j theta_j e^{-2 pi i m.g_j},
+
+    since the m = 0 term is (c(0) sum theta - L)^2 = 0.  As
+    mu(-m) = conj(mu(m)), the sum runs over the lexicographic half m > 0
+    with weight 2 mult(m), and the point of g is
+    sqrt(2 mult(m)) |c(m)| (Re, Im) e^{-2 pi i m.g} over that half: length
+    (4K+1)^d - 1, and the design residual is ||sum_j theta_j p_j||.
+    """
+    if basis.space != prototype.space:
+        raise ValueError("basis and prototype live on different tori")
+    k2 = 2 * basis.cutoff
+    size = (2 * k2 + 1) ** basis.space.dim
+    half = slice(size // 2 + 1, None)
+    mult = np.bincount(basis.difference_index.ravel(), minlength=size)
+    scale = np.sqrt(2.0 * mult[half]) * np.abs(prototype.fourier_table(k2).ravel()[half])
+    points = np.empty((len(shifts), 2, size // 2))
+    for row, g in zip(points, shifts):
+        phase = phase_table(g, k2).ravel()[half] * scale
+        row[0], row[1] = phase.real, phase.imag
+    return points.reshape(len(shifts), -1)
+
+
+def _residual(weights: np.ndarray, points: np.ndarray) -> float:
+    return float(np.linalg.norm(weights @ points))
 
 
 def equispaced_design(basis: ModalBasis, prototype: PrototypeSet) -> ConvexDesign:
     """Equal weights on a regular grid of 4K+1 shifts per axis.
 
-    All off-diagonal Gram entries live at frequency differences with
-    |m|_inf <= 2K; summing the translation phases over J >= 4K+1 equispaced
-    shifts kills every such nonzero frequency, so the design identity holds
-    exactly (to rounding).
+    Every moment mu(m) with 0 < |m|_inf <= 2K sums the phases of a nonzero
+    frequency over J >= 4K+1 equispaced shifts, which vanishes, so the
+    design identity holds exactly (to rounding).
     """
     k = basis.cutoff
     j_axis = 4 * k + 1
@@ -167,8 +219,8 @@ def equispaced_design(basis: ModalBasis, prototype: PrototypeSet) -> ConvexDesig
     ]
     weight = 1.0 / len(shifts)
     atoms = tuple(DesignAtom(shift=s, weight=weight) for s in shifts)
-    gammas = [gamma_matrix(basis, prototype, s) for s in shifts]
-    residual = moment_residual(np.full(len(shifts), weight), gammas, prototype.measure)
+    points = moment_points(basis, prototype, shifts)
+    residual = _residual(np.full(len(shifts), weight), points)
     return ConvexDesign(
         atoms=atoms, measure=prototype.measure, cutoff=k, residual=residual
     )
@@ -188,6 +240,79 @@ def default_candidates(basis: ModalBasis) -> list[GroupElement]:
     ]
 
 
+def _affine_minimizer(points: np.ndarray) -> np.ndarray:
+    """Coefficients (summing to one) of the point of least norm in the affine hull."""
+    if len(points) == 1:
+        return np.ones(1)
+    base = points[0]
+    beta = np.linalg.lstsq((points[1:] - base).T, -base, rcond=None)[0]
+    return np.concatenate(([1.0 - beta.sum()], beta))
+
+
+def _minor_cycles(
+    points: np.ndarray, corral: np.ndarray, lam: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Wolfe's minor cycles: shrink the corral until its affine minimizer is interior.
+
+    While some affine coefficient is not positive, move from the convex
+    weights `lam` toward the affine minimizer until the first weight hits
+    zero (ties: lowest corral position) and drop the atoms at zero.
+    """
+    while True:
+        alpha = _affine_minimizer(points[corral])
+        if alpha.min() > 0.0:
+            return corral, alpha
+        gap = lam - alpha
+        ratios = np.full(len(lam), np.inf)
+        blocking = alpha <= 0.0
+        ratios[blocking] = np.divide(
+            lam[blocking], gap[blocking],
+            out=np.zeros(int(blocking.sum())), where=gap[blocking] > 0.0,
+        )
+        leaving = int(np.argmin(ratios))
+        lam = lam - ratios[leaving] * gap
+        lam[leaving] = 0.0
+        keep = lam > 0.0
+        corral, lam = corral[keep], lam[keep]
+
+
+def _min_norm_point(
+    points: np.ndarray, max_cycles: int, history: list[float] | None
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Wolfe's minimum-norm point of conv(points): (corral, weights, norm).
+
+    Starts at the shortest point.  Each major cycle adds the point with the
+    least inner product with the iterate x and runs minor cycles until x is
+    the affine minimizer of an affinely independent corral, so the norm
+    strictly decreases and no corral repeats.  Stops when x is optimal
+    (Wolfe's test) or zero to rounding, or when a cycle makes no progress
+    at rounding level; that cycle is then discarded.
+    """
+    sq = np.einsum("ij,ij->i", points, points)
+    scale = math.sqrt(float(sq.max()))
+    first = int(np.argmin(sq))
+    corral, lam = np.array([first]), np.ones(1)
+    x, norm = points[first], math.sqrt(float(sq[first]))
+    if history is not None:
+        history.append(norm)
+    for _ in range(max_cycles):
+        if norm <= ZERO_NORM * scale:
+            break
+        dots = points @ x
+        j = int(np.argmin(dots))
+        if norm * norm - dots[j] <= OPTIMALITY_GAP * norm * scale:
+            break
+        trial, weights = _minor_cycles(points, np.append(corral, j), np.append(lam, 0.0))
+        y = weights @ points[trial]
+        trial_norm = float(np.linalg.norm(y))
+        if trial_norm >= norm:
+            break
+        corral, lam, x, norm = trial, weights, y, trial_norm
+        if history is not None:
+            history.append(norm)
+    return corral, lam, norm
+
+
 def solve_design(
     basis: ModalBasis,
     prototype: PrototypeSet,
@@ -196,174 +321,120 @@ def solve_design(
     max_iter: int = 20000,
     history: list[float] | None = None,
 ) -> ConvexDesign:
-    """Frank-Wolfe with away steps over the candidate simplex.
+    """Wolfe's minimum-norm point over the candidates' moment points.
 
-    Minimizes ||sum_j theta_j Gamma(g_j) - L Id||_F.  The objective is a
-    convex quadratic, so each step uses exact line search; away steps let the
-    iterate drop unused candidates, which is what makes sparse exact designs
-    reachable.  Raises DesignInfeasible if the residual never reaches tol.
-    If `history` is a list, the residual after every iterate (including the
-    start) is appended to it.
+    The design residual is ||sum_j theta_j p_j|| (`moment_points`), so the
+    best convex design is the point of conv{p_j} nearest the origin.
+    Wolfe's algorithm (Math. Programming 11, 1976) finds it in finitely
+    many major cycles, `max_iter` at most, and its support is affinely
+    independent: at most (4K+1)^d atoms, listed in candidate order.  Raises
+    DesignInfeasible if the minimum norm stays above tol.  If `history` is
+    a list, the residual at the start and after every major cycle is
+    appended to it; it never increases.
     """
     if len(candidates) == 0:
         raise EmptyCandidates("no candidate shifts supplied")
-    gammas = [gamma_matrix(basis, prototype, g) for g in candidates]
-    measure = prototype.measure
-    n = basis.dim
-    j_count = len(candidates)
-
-    # stack moments as complex vectors; Frobenius <-> complex 2-norm
-    cols = np.stack([g.entries.ravel() for g in gammas])  # (J, n*n)
-    target = (measure * np.eye(n)).ravel().astype(complex)
-
-    theta = np.full(j_count, 1.0 / j_count)
-    moment = theta @ cols
-
-    def residual_of(m: np.ndarray) -> float:
-        return float(np.linalg.norm(m - target))
-
-    resid = residual_of(moment)
-    if history is not None:
-        history.append(resid)
-    for _ in range(max_iter):
-        if resid <= tol:
-            break
-        grad = 2.0 * np.real(cols @ np.conj(moment - target))
-        s = int(np.argmin(grad))
-        support = np.flatnonzero(theta > 0)
-        a = int(support[np.argmax(grad[support])])
-
-        gap_fw = grad[s] - float(grad @ theta)     # <grad, e_s - theta>
-        gap_aw = float(grad @ theta) - grad[a]     # <grad, theta - e_a>
-        if gap_fw <= gap_aw:
-            direction = cols[s] - moment
-            slope = gap_fw
-            gamma_max = 1.0
-            toward, away = s, None
-        else:
-            direction = moment - cols[a]
-            slope = gap_aw
-            gamma_max = theta[a] / (1.0 - theta[a]) if theta[a] < 1.0 else 0.0
-            toward, away = None, a
-        if slope >= 0.0:
-            break  # stationary over the simplex
-        denom = float(np.real(np.vdot(direction, direction)))
-        if denom == 0.0:
-            break
-        step = min(max(-slope / (2.0 * denom), 0.0), gamma_max)
-        if step == 0.0:
-            break
-        if toward is not None:
-            theta *= 1.0 - step
-            theta[toward] += step
-        else:
-            theta *= 1.0 + step
-            theta[away] -= step
-        np.clip(theta, 0.0, None, out=theta)
-        theta /= theta.sum()
-        moment = theta @ cols
-        resid = residual_of(moment)
-        if history is not None:
-            history.append(resid)
-
-    if resid > tol:
+    points = moment_points(basis, prototype, candidates)
+    corral, lam, norm = _min_norm_point(points, max_iter, history)
+    if norm > tol:
         raise DesignInfeasible(
-            f"residual {resid:.3e} above tolerance {tol:.1e} after {max_iter} iterations"
+            f"minimum norm {norm:.3e} above tolerance {tol:.1e} after at most "
+            f"{max_iter} major cycles"
         )
-
-    keep = np.flatnonzero(theta > WEIGHT_FLOOR)
-    theta_kept = theta[keep] / theta[keep].sum()
+    order = np.argsort(corral, kind="stable")
+    corral, lam = corral[order], lam[order]
+    keep = lam > WEIGHT_FLOOR
+    kept = corral[keep]
+    theta = lam[keep] / lam[keep].sum()
     atoms = tuple(
         DesignAtom(shift=candidates[int(i)], weight=float(w))
-        for i, w in zip(keep, theta_kept)
+        for i, w in zip(kept, theta)
     )
-    final = moment_residual(theta_kept, [gammas[int(i)] for i in keep], measure)
     return ConvexDesign(
-        atoms=atoms, measure=measure, cutoff=basis.cutoff, residual=final
+        atoms=atoms,
+        measure=prototype.measure,
+        cutoff=basis.cutoff,
+        residual=_residual(theta, points[kept]),
     )
 
 
-def _real_moment_vectors(gammas: Sequence[ObservationMatrix]) -> np.ndarray:
-    """Real embedding of the Hermitian moments (rows: one vector per atom)."""
-    rows = [
-        np.concatenate([g.entries.real.ravel(), g.entries.imag.ravel()])
-        for g in gammas
-    ]
-    return np.stack(rows)
+def _null_vector(b: np.ndarray) -> np.ndarray | None:
+    """A certified null vector of b, or None if its columns are independent."""
+    _, s, vt = np.linalg.svd(b)
+    rank_tol = max(b.shape) * np.finfo(float).eps * s[0]
+    if int(np.sum(s > rank_tol)) == b.shape[1]:
+        return None
+    direction = vt[-1]
+    if float(np.linalg.norm(b @ direction)) > 1e-8 * max(1.0, s[0]):
+        raise NumericalRankFailure("null vector fails the dependency check")
+    return direction
 
 
 def caratheodory_reduce(
     design: ConvexDesign,
-    gammas: Sequence[ObservationMatrix],
+    basis: ModalBasis,
+    prototype: PrototypeSet,
     drift_tol: float = 1e-11,
 ) -> ConvexDesign:
-    """Reduce the atom count to at most (real affine dimension) + 1.
+    """Reduce the atoms to an affinely independent set of moment points.
 
-    While the moment vectors are affinely dependent, a null vector of the
-    stacked [moments; ones] matrix gives a direction that preserves the
-    moment and the weight sum; moving until the first weight hits zero
-    (ties: lowest atom index exits) removes at least one atom.  The final
-    count is at most dim(E)^2 + 1, the real dimension of the Hermitian
-    moment space plus one.
+    A design whose lifted points [p_j, 1] are already linearly independent,
+    as the solver's are, is checked with one SVD.  Otherwise atoms enter one
+    at a time, in order, beside an affinely independent active set.  While
+    the active lifted points are dependent, a null vector from their SVD
+    gives a direction that keeps the moment and the weight sum; moving
+    until the first weight hits zero (ties: lowest atom index exits)
+    removes an atom.  Each null vector thus comes from at most affine
+    rank + 2 atoms, and at most (4K+1)^d atoms remain, the length of a
+    moment point plus one.
     """
-    if len(gammas) != len(design):
-        raise ValueError("one observation matrix per atom is required")
-    hermitian_dim = gammas[0].dim ** 2
-
-    vectors = _real_moment_vectors(gammas)
+    points = moment_points(basis, prototype, design.shifts)
+    lifted = np.hstack([points, np.ones((len(design), 1))])
     weights = design.weights.copy()
-    index = list(range(len(design)))
-    original_moment = weights @ vectors
+    original_moment = weights @ points
+    active = list(range(len(design)))
+    if _null_vector(lifted.T) is not None:
+        active = []
+        for entering in range(len(design)):
+            active.append(entering)
+            while len(active) > 1:
+                direction = _null_vector(lifted[active].T)
+                if direction is None:
+                    break
+                if direction.max() < -direction.min():
+                    direction = -direction  # use the sign with the larger positive part
+                positive = np.flatnonzero(direction > 1e-15)
+                if positive.size == 0:
+                    raise NumericalRankFailure("degenerate dependency direction")
+                w = weights[active]
+                steps = w[positive] / direction[positive]
+                order = int(np.argmin(steps))  # ties: first occurrence = lowest index
+                exiting = int(positive[order])
+                w = w - float(steps[order]) * direction
+                w[exiting] = 0.0
+                weights[active] = w
+                active = [
+                    idx for pos, idx in enumerate(active)
+                    if pos != exiting and w[pos] > WEIGHT_FLOOR
+                ]
+                if not active:
+                    raise NumericalRankFailure("reduction removed every atom")
 
-    while True:
-        j = len(index)
-        vs = vectors[index]
-        b = np.vstack([vs.T, np.ones((1, j))])
-        u, s, vt = np.linalg.svd(b)
-        rank_tol = max(b.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-        rank = int(np.sum(s > rank_tol))
-        nullity = j - rank
-        if nullity <= 0:
-            if j > hermitian_dim + 1:
-                raise NumericalRankFailure(
-                    f"{j} atoms exceed the affine bound {hermitian_dim + 1} "
-                    "but no dependency was certified"
-                )
-            break
-        direction = vt[-1]
-        if float(np.linalg.norm(b @ direction)) > 1e-8 * max(1.0, s[0]):
-            raise NumericalRankFailure("null vector fails the dependency check")
-        if direction.max() < -direction.min():
-            direction = -direction  # use the sign with the larger positive part
-        positive = np.flatnonzero(direction > 1e-15)
-        if positive.size == 0:
-            raise NumericalRankFailure("degenerate dependency direction")
-        steps = weights[np.array(index)][positive] / direction[positive]
-        order = int(np.argmin(steps))  # ties: first occurrence = lowest index
-        step = float(steps[order])
-        exiting = int(positive[order])
-
-        w = weights[np.array(index)] - step * direction
-        w[exiting] = 0.0
-        for pos, idx in enumerate(index):
-            weights[idx] = w[pos]
-        index = [idx for pos, idx in enumerate(index) if pos != exiting and w[pos] > WEIGHT_FLOOR]
-        if not index:
-            raise NumericalRankFailure("reduction removed every atom")
-
-    kept = np.array(index)
+    kept = np.array(active)
     w = weights[kept]
     w = w / w.sum()
-    drift = float(np.linalg.norm(w @ vectors[kept] - original_moment))
+    drift = float(np.linalg.norm(w @ points[kept] - original_moment))
     if drift > drift_tol:
         raise NumericalRankFailure(f"moment drift {drift:.3e} exceeds {drift_tol:.1e}")
     atoms = tuple(
         DesignAtom(shift=design.atoms[int(i)].shift, weight=float(wi))
         for i, wi in zip(kept, w)
     )
-    residual = moment_residual(w, [gammas[int(i)] for i in kept], design.measure)
     return ConvexDesign(
-        atoms=atoms, measure=design.measure, cutoff=design.cutoff, residual=residual
+        atoms=atoms,
+        measure=design.measure,
+        cutoff=design.cutoff,
+        residual=_residual(w, points[kept]),
     )
 
 

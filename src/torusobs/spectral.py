@@ -151,19 +151,27 @@ def _base_entries(basis: ModalBasis, prototype: PrototypeSet) -> np.ndarray:
     return entries
 
 
+def phase_table(shift: GroupElement, bound: int) -> np.ndarray:
+    """Phases e^{-2 pi i m.g} over |m|_inf <= bound, laid out like `fourier_table(bound)`.
+
+    Each per-axis product m * g_a is reduced mod 1 exactly (g is rational)
+    before it is rounded; the phase of m is the product of its per-axis
+    factors.
+    """
+    table = np.ones((), dtype=complex)
+    for s in shift.shift:
+        p, q = s.numerator, s.denominator
+        turns = np.array([(m * p) % q / q for m in range(-bound, bound + 1)])
+        table = np.multiply.outer(table, np.exp(-1j * TWO_PI * turns))
+    return table
+
+
 def shift_phase(basis: ModalBasis, shift: GroupElement) -> np.ndarray:
     """Entrywise phases e^{-2 pi i (n_i - n_j).g}, so Gamma(g) = Gamma(0) * phases.
 
-    Each per-axis product m * g_a is reduced mod 1 exactly (g is rational)
-    before it is rounded, for m = -2K..2K; the phase of a frequency
-    difference is the product of its per-axis factors.
+    The `phase_table` over |m|_inf <= 2K, read at n_i - n_j.
     """
-    k2 = 2 * basis.cutoff
-    table = np.ones((), dtype=complex)
-    for s in shift.shift:
-        turns = np.array([float((m * s) % 1) for m in range(-k2, k2 + 1)])
-        table = np.multiply.outer(table, np.exp(-1j * TWO_PI * turns))
-    return table.ravel()[basis.difference_index]
+    return phase_table(shift, 2 * basis.cutoff).ravel()[basis.difference_index]
 
 
 def gamma_matrix(basis: ModalBasis, prototype: PrototypeSet, shift: GroupElement) -> ObservationMatrix:

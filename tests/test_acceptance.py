@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from torusobs import (
+    ConvexDesign,
+    DesignAtom,
     GroupElement,
     PrototypeSet,
     RunConfig,
@@ -89,22 +91,36 @@ def test_criterion_2_caratheodory_cap(capsys):
         for v in rng.integers(0, 2**20, size=64)
     ]
     design = solve_design(basis, QUARTER, candidates, tol=1e-8)
-    gammas = design_gammas(design, basis, QUARTER)
-    reduced = caratheodory_reduce(design, gammas)
-    before = moment_matrix(design.weights, gammas)
-    after = moment_matrix(
-        reduced.weights, design_gammas(reduced, basis, QUARTER)
-    )
-    drift = float(np.linalg.norm(after - before))
+    # a fat exact design: the union of ten shifted 5-point grids
+    rng = np.random.default_rng(41)
+    union = []
+    for _ in range(10):
+        offset = Fraction(int(rng.integers(0, 1024)), 1024)
+        for j in range(5):
+            union.append(DesignAtom(GroupElement.of(offset + Fraction(j, 5)), 1.0 / 50))
+    fat = ConvexDesign(atoms=tuple(union), measure=0.25, cutoff=1, residual=0.0)
+
     cap = basis.dim**2 + 1
-    support = sum(1 for a in design.atoms if a.weight > 0)
-    ok = len(reduced.atoms) <= cap and drift <= 1e-11
+    moment_cap = (4 * basis.cutoff + 1) ** basis.space.dim
+    counts, drift = [], 0.0
+    for start in (design, fat):
+        gammas = design_gammas(start, basis, QUARTER)
+        reduced = caratheodory_reduce(start, basis, QUARTER)
+        before = moment_matrix(start.weights, gammas)
+        after = moment_matrix(
+            reduced.weights, design_gammas(reduced, basis, QUARTER)
+        )
+        drift = max(drift, float(np.linalg.norm(after - before)))
+        counts.append((len(start), len(reduced)))
+    ok = all(n <= moment_cap <= cap for _, n in counts) and drift <= 1e-11
+    (solver_in, solver_out), (fat_in, fat_out) = counts
     report(
         capsys,
         2,
         ok,
-        f"solver support {support} -> {len(reduced.atoms)} atoms "
-        f"(cap {cap}), moment drift {drift:.3e} (tol 1e-11)",
+        f"solver support {solver_in} -> {solver_out} atoms, union of shifted "
+        f"grids {fat_in} -> {fat_out} atoms (cap (4K+1)^d = {moment_cap}, "
+        f"dim^2+1 = {cap}), moment drift {drift:.3e} (tol 1e-11)",
     )
 
 

@@ -11,6 +11,7 @@ from torusobs.cli import (
     SCHEDULE_BLOCK,
     SERIES_HEADER,
     _fmt,
+    _read_time_columns,
     _schedule_lines,
     main,
 )
@@ -176,6 +177,22 @@ def test_schedule_lines_match_micro_intervals(cap):
     assert list(_schedule_lines(schedule, cap)) == expected
 
 
+def test_solver_design_file_is_reproducible(tmp_path):
+    config = write_config(
+        tmp_path,
+        design={"method": "solver", "cutoff": 3, "candidate_kind": "random",
+                "candidates": 96, "candidate_seed": 4},
+    )
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    for out in (out1, out2):
+        assert main(["design", "--config", str(config), "--out", str(out)]) == 0
+    first = (out1 / "design_K3.json").read_bytes()
+    assert first == (out2 / "design_K3.json").read_bytes()
+    payload = json.loads(first)
+    assert len(payload["atoms"]) <= 4 * 3 + 1
+    assert payload["residual"] <= 1e-10
+
+
 def test_experiment_is_reproducible(tmp_path):
     config = write_config(tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -250,3 +267,43 @@ def test_calibrate_command(tmp_path):
     payload = json.loads((out / "calibration.json").read_text())
     assert payload["lower"] == pytest.approx(0.5)
     assert payload["upper"] == pytest.approx(1.0)
+
+
+def late_schedule(tmp_path):
+    """Schedule CSV of interval 200, so t runs from 199 to 200."""
+    config = write_config(
+        tmp_path, interval_count=200, schedule={"interval": 200, "csv_row_cap": 5000}
+    )
+    out = tmp_path / "out"
+    assert main(["schedule", "--config", str(config), "--out", str(out)]) == 0
+    return config, out, out / "schedule_m200.csv"
+
+
+def test_verify_reads_the_late_schedule_csv_exactly(tmp_path, capsys):
+    config, out, path = late_schedule(tmp_path)
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 0
+    assert "verify: ok" in capsys.readouterr().out
+    _, header, rows = read_csv(path)
+    times = _read_time_columns(path, header)
+    assert times.shape == (len(rows), 2)
+    assert times[0, 0] >= 199.0 and times[-1, 1] <= 200.0
+    assert times.tolist() == [[float(r[0]), float(r[1])] for r in rows]
+
+
+def test_verify_detects_schedule_slot_order_tampering(tmp_path, capsys):
+    config, out, path = late_schedule(tmp_path)
+    lines = path.read_text().splitlines()
+    lines[5], lines[6] = lines[6], lines[5]
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
+    assert "schedule_m200.csv: slots out of order" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", ["199.5,abc,0,0.0", "199.5"])
+def test_verify_reports_a_malformed_schedule_row(tmp_path, capsys, row):
+    config, out, path = late_schedule(tmp_path)
+    lines = path.read_text().splitlines()
+    lines[4] = row
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
+    assert "schedule_m200.csv: unreadable" in capsys.readouterr().err

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusobs import (
     ConvexDesign,
@@ -18,11 +20,14 @@ from torusobs import (
     default_candidates,
     design_gammas,
     equispaced_design,
+    gamma_matrix,
     moment_matrix,
+    moment_points,
     moment_residual,
     solve_design,
     verify_design,
 )
+from test_spectral import shifted_box_unions
 
 T1 = TorusSpace(1)
 T2 = TorusSpace(2)
@@ -87,9 +92,7 @@ def test_full_torus_needs_a_single_atom():
     )
     assert residual_of(single, basis, w) <= 1e-14
 
-    reduced = caratheodory_reduce(
-        equispaced_design(basis, w), design_gammas(equispaced_design(basis, w), basis, w)
-    )
+    reduced = caratheodory_reduce(equispaced_design(basis, w), basis, w)
     assert len(reduced) == 1
     assert reduced.weights[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -150,7 +153,7 @@ def test_reduction_keeps_a_minimal_design_unchanged():
     basis = build_basis(T1, 1)
     w = interval(0, "1/4")
     design = equispaced_design(basis, w)
-    reduced = caratheodory_reduce(design, design_gammas(design, basis, w))
+    reduced = caratheodory_reduce(design, basis, w)
     assert reduced.shifts == design.shifts
     assert np.array_equal(reduced.weights, design.weights)
 
@@ -168,7 +171,7 @@ def test_reduction_merges_duplicate_shifts():
     )
     gammas = design_gammas(design, basis, w)
     before = moment_matrix(np.array(design.weights), gammas)
-    reduced = caratheodory_reduce(design, gammas)
+    reduced = caratheodory_reduce(design, basis, w)
     assert len(reduced) == 2
     assert set(reduced.shifts) == {g, h}
     merged = dict(zip(reduced.shifts, reduced.weights))
@@ -192,8 +195,9 @@ def test_reduction_caps_the_atom_count():
     before = moment_matrix(np.array(fat.weights), gammas)
     assert moment_residual(np.array(fat.weights), gammas, 0.25) <= 1e-12
 
-    reduced = caratheodory_reduce(fat, gammas)
+    reduced = caratheodory_reduce(fat, basis, w)
     assert len(reduced) <= basis.dim**2 + 1
+    assert len(reduced) <= 4 * basis.cutoff + 1
     after = moment_matrix(np.array(reduced.weights), design_gammas(reduced, basis, w))
     assert np.max(np.abs(after - before)) <= 1e-11
     weights = np.array(reduced.weights)
@@ -290,3 +294,107 @@ def test_design_weight_validation():
             cutoff=1,
             residual=0.0,
         )
+
+
+def random_shifts(rng, count, dim):
+    return [
+        GroupElement(tuple(Fraction(int(v), 2**20) for v in rng.integers(0, 2**20, size=dim)))
+        for _ in range(count)
+    ]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(shifted_box_unions(), st.sampled_from([1, 2]), st.integers(0, 2**32 - 1))
+def test_solver_design_identity_on_random_box_unions(case, cutoff, seed):
+    # default candidates always hold an exact design; random shifts crowd them
+    _, prototype, _ = case
+    space = prototype.space
+    basis = build_basis(space, cutoff)
+    rng = np.random.default_rng(seed)
+    candidates = default_candidates(basis) + random_shifts(rng, 16, space.dim)
+    design = solve_design(basis, prototype, candidates, tol=1e-10)
+    fresh = moment_residual(
+        design.weights, design_gammas(design, basis, prototype), prototype.measure
+    )
+    assert fresh <= 1e-10
+    assert len(design) <= (4 * cutoff + 1) ** space.dim
+    assert abs(design.residual - fresh) <= 1e-13
+    # the moment-space norm is the Frobenius residual for any convex weights
+    weights = rng.dirichlet(np.ones(len(candidates)))
+    gammas = [gamma_matrix(basis, prototype, g) for g in candidates]
+    points = moment_points(basis, prototype, candidates)
+    assert abs(
+        np.linalg.norm(weights @ points) - moment_residual(weights, gammas, prototype.measure)
+    ) <= 1e-13
+
+
+def test_solver_survives_duplicate_candidates():
+    # repeated points make corrals affinely dependent; the solver must still
+    # stop, strictly decrease, and never return one shift twice
+    basis = build_basis(T1, 2)
+    w = interval("1/3", "3/5")
+    rng = np.random.default_rng(3)
+    base = random_shifts(rng, 12, 1) + default_candidates(basis)
+    candidates = base + base[::-1] + base
+    history: list[float] = []
+    design = solve_design(basis, w, candidates, tol=1e-10, max_iter=200, history=history)
+    assert residual_of(design, basis, w) <= 1e-10
+    assert len(set(design.shifts)) == len(design) <= 9
+    assert np.all(np.diff(history) < 0.0)
+    assert len(history) - 1 <= 200
+    with pytest.raises(DesignInfeasible):
+        solve_design(basis, w, [GroupElement.of("1/7")] * 10, tol=1e-8)
+
+
+def test_frequencies_where_the_prototype_coefficient_vanishes_drop_out():
+    # [0, 1/4) has Gamma(0)(m) = 0 at m = +-4, so at K = 2 the 4-point grid
+    # already averages exactly although the moment at m = 4 does not vanish
+    basis = build_basis(T1, 2)
+    w = interval(0, "1/4")
+    assert abs(w.fourier_table(4)[8]) <= 1e-16
+    quarter = [GroupElement.of(Fraction(j, 4)) for j in range(4)]
+    design = solve_design(basis, w, quarter, tol=1e-12)
+    assert design.shifts == quarter
+    assert np.allclose(design.weights, 0.25, rtol=0.0, atol=1e-12)
+    assert residual_of(design, basis, w) <= 1e-14
+    rng = np.random.default_rng(11)
+    mixed = solve_design(basis, w, random_shifts(rng, 40, 1) + quarter, tol=1e-10)
+    assert residual_of(mixed, basis, w) <= 1e-10
+    reduced = caratheodory_reduce(design, basis, w)
+    assert reduced.shifts == quarter
+
+
+def test_unreachable_tolerance_raises_within_the_cycle_cap():
+    basis = build_basis(T1, 2)
+    w = interval(0, "1/4")
+    history: list[float] = []
+    with pytest.raises(DesignInfeasible):
+        solve_design(basis, w, default_candidates(basis), tol=1e-30, max_iter=50,
+                     history=history)
+    assert 1 <= len(history) <= 51
+    assert history[-1] <= 1e-13  # exact to rounding, still above 1e-30
+    history.clear()
+    with pytest.raises(DesignInfeasible):
+        solve_design(basis, w, default_candidates(basis), tol=1e-10, max_iter=2,
+                     history=history)
+    assert len(history) == 3
+
+
+def test_an_infeasible_candidate_set_stops_at_its_optimum():
+    # the 7x7 grid with 11 points missing cannot flatten this box at K = 1;
+    # at the optimum a further major cycle gains nothing at rounding level,
+    # and the solver must stop there instead of running out its cycle cap
+    missing = {(0, 4), (2, 2), (2, 3), (2, 4), (2, 6), (4, 2), (4, 5), (5, 2), (5, 6),
+               (6, 5), (6, 6)}
+    w = PrototypeSet.from_boxes(T2, [[("5/8", "5/4"), (0, "3/8")]])
+    candidates = [
+        GroupElement.of(Fraction(a, 7), Fraction(b, 7))
+        for a in range(7) for b in range(7) if (a, b) not in missing
+    ]
+    history: list[float] = []
+    with pytest.raises(DesignInfeasible):
+        solve_design(build_basis(T2, 1), w, candidates, tol=1e-10, max_iter=2000,
+                     history=history)
+    assert len(history) <= 100
+    assert np.all(np.diff(history) < 0.0)
+    assert history[-1] > 1e-4
