@@ -81,15 +81,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_lines(path: Path, version: str, header: str, lines) -> int:
-    """Write the version and header lines, then every formatted line."""
+def _write_lines(path: Path, version: str, header: str, chunks) -> int:
+    """Write the version and header lines, then every chunk of formatted
+    lines; returns the number of data rows (lines, not chunks)."""
     count = 0
     with path.open("w", newline="\n") as fh:
         fh.write(version + "\n")
         fh.write(header + "\n")
-        for line in lines:
-            fh.write(line)
-            count += 1
+        for chunk in chunks:
+            fh.write(chunk)
+            count += chunk.count("\n")
     return count
 
 
@@ -203,15 +204,18 @@ def cmd_calibrate(config: RunConfig, out: Path, args) -> int:
 
 
 #: micro slots formatted per block of the schedule CSV writer
-SCHEDULE_BLOCK = 8192
+SCHEDULE_BLOCK = 2048
 
 
 def _schedule_lines(schedule, cap: int):
-    """CSV lines of the first `cap` micro slots, in (macro, atom) order.
+    """CSV text of the first `cap` micro slots, in (macro, atom) order, as
+    one chunk per macro repetition.
 
-    Slot ends are (t_start + r tau) + cum_j tau, the same floating-point
-    operations as `SwitchingSchedule.micro_interval`, evaluated for a block
-    of macro repetitions at a time.
+    Macro r has the slot boundaries (t_start + r tau) + cum_k tau, k = 0..J,
+    the same floating-point operations as `SwitchingSchedule.micro_interval`.
+    A slot's end is the next slot's start, so each boundary is formatted
+    once and shared by the two rows; only the macros holding the first
+    `cap` slots are formatted, a block of them at a time.
     """
     tau = schedule.macro_length
     atoms = schedule.atom_count
@@ -219,16 +223,23 @@ def _schedule_lines(schedule, cap: int):
         f",{j}," + ",".join(repr(v) for v in s.as_floats().tolist()) + "\n"
         for j, s in enumerate(schedule.design.shifts)
     ]
+
+    def template(count: int) -> str:
+        # rows 0..count-1 of a macro, boundary k filling field {k}
+        return "".join(f"{{{j}}},{{{j + 1}}}{suffixes[j]}" for j in range(count))
+
+    whole = template(atoms)
     rows = min(cap, schedule.micro_count)
+    used = -(-rows // atoms)
     macros = max(1, SCHEDULE_BLOCK // atoms)
-    for first in range(0, -(-rows // atoms), macros):
-        r = np.arange(first, min(first + macros, schedule.macro_count))
+    for first in range(0, used, macros):
+        r = np.arange(first, min(first + macros, used))
         base = (schedule.t_start + r * tau)[:, None]
-        starts = (base + schedule.cum[None, :-1] * tau).ravel().tolist()
-        ends = (base + schedule.cum[None, 1:] * tau).ravel().tolist()
-        count = min(len(starts), rows - first * atoms)
-        for k in range(count):
-            yield repr(starts[k]) + "," + repr(ends[k]) + suffixes[k % atoms]
+        cells = list(map(repr, (base + schedule.cum[None, :] * tau).ravel().tolist()))
+        for i in range(len(r)):
+            row = cells[i * (atoms + 1):(i + 1) * (atoms + 1)]
+            left = rows - (first + i) * atoms
+            yield (whole if left >= atoms else template(left)).format(*row)
 
 
 def _write_schedule(config: RunConfig, out: Path, index: int, schedule) -> Path:

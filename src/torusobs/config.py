@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Any
 
@@ -316,11 +317,16 @@ class RunConfig:
         return TorusSpace(self.dim)
 
     def prototype(self) -> PrototypeSet:
+        return self._prototype
+
+    @cached_property
+    def _prototype(self) -> PrototypeSet:
+        # built from the exact boxes once per config, not per call
         return PrototypeSet.from_boxes(self.space(), self.boxes)
 
-    @property
+    @cached_property
     def measure(self) -> float:
-        return self.prototype().measure
+        return self._prototype.measure
 
     @property
     def seed(self) -> int:

@@ -111,11 +111,6 @@ class ObservationMatrix:
     def dim(self) -> int:
         return self.basis.dim
 
-    def restricted_energy(self, coefficients: np.ndarray) -> float:
-        """Energy of sum_n v_n e_n over the translated set: Re(v^H Gamma v)."""
-        v = np.asarray(coefficients, dtype=complex)
-        return float(np.real(np.vdot(v, self.entries @ v)))
-
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.entries)
 

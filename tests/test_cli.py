@@ -2,10 +2,22 @@
 and verification of tampered outputs."""
 
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from torusobs import PrototypeSet, TorusSpace, build_basis, build_switching, equispaced_design
+from torusobs import (
+    ConvexDesign,
+    DesignAtom,
+    GroupElement,
+    PrototypeSet,
+    TorusSpace,
+    build_basis,
+    build_switching,
+    equispaced_design,
+)
 from torusobs.cli import (
     CONTINUOUS_HEADER,
     SCHEDULE_BLOCK,
@@ -159,10 +171,11 @@ def test_schedule_row_cap(tmp_path):
     assert main(["verify", "--config", str(config), "--out", str(out)]) == 0
 
 
-@pytest.mark.parametrize("cap", [7, 3 * SCHEDULE_BLOCK + 11, 10**9])
+@pytest.mark.parametrize("cap", [3, 7, 3 * SCHEDULE_BLOCK + 11, 10**9])
 def test_schedule_lines_match_micro_intervals(cap):
     # the block writer must reproduce the slot-by-slot text exactly, also
-    # late in time, across block boundaries and at partial macro intervals
+    # late in time, across block boundaries, at partial macro intervals and
+    # inside the first one
     space = TorusSpace(1)
     design = equispaced_design(
         build_basis(space, 1), PrototypeSet.from_boxes(space, [(0, "1/4")])
@@ -174,7 +187,64 @@ def test_schedule_lines_match_micro_intervals(cap):
         ",".join(_fmt(v) for v in (t0, t1, j, *shifts[j])) + "\n"
         for t0, t1, j in schedule.micro_intervals()[:cap]
     ]
-    assert list(_schedule_lines(schedule, cap)) == expected
+    assert "".join(_schedule_lines(schedule, cap)) == "".join(expected)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.floats(0.0, 200.0),
+    st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8),
+    st.floats(1.0, 1e4),
+    st.integers(1, 400),
+)
+def test_schedule_slot_ends_telescope(t_start, raw_weights, speed, cap):
+    # inside a macro interval a slot ends exactly where the next one starts,
+    # textually, and the cells at macro boundaries are micro_interval's own;
+    # the observer's speed enters as the Lipschitz bound that sets R
+    total = sum(raw_weights)
+    atoms = tuple(
+        DesignAtom(GroupElement.of(Fraction(j, 11)), w / total)
+        for j, w in enumerate(raw_weights)
+    )
+    design = ConvexDesign(atoms=atoms, measure=0.25, cutoff=1, residual=0.0)
+    schedule = build_switching(design, (t_start, 1.0), speed, 0.01)
+    rows = [line.split(",") for line in "".join(_schedule_lines(schedule, cap)).splitlines()]
+    assert len(rows) == min(cap, schedule.micro_count)
+    J = schedule.atom_count
+    for k, row in enumerate(rows):
+        r, j = divmod(k, J)
+        assert row[2] == str(j)
+        if j + 1 < J and k + 1 < len(rows):
+            assert row[1] == rows[k + 1][0]
+        if j == 0:
+            assert row[0] == _fmt(schedule.micro_interval(r, 0)[0])
+        if j == J - 1:
+            assert row[1] == _fmt(schedule.micro_interval(r, j)[1])
+
+
+@pytest.mark.parametrize(
+    "interval, cap",
+    [(200, 3), (200, SCHEDULE_BLOCK // 2 + 1), (200, 2 * SCHEDULE_BLOCK + 5), (1, 10**9)],
+    ids=["first-macro", "one-block", "across-blocks", "above-micro-count"],
+)
+def test_sidecar_counts_rows_not_chunks(tmp_path, interval, cap):
+    config = write_config(
+        tmp_path,
+        interval_count=200,
+        schedule={"interval": interval, "csv_row_cap": cap},
+    )
+    out = tmp_path / "out"
+    assert main(["schedule", "--config", str(config), "--out", str(out)]) == 0
+    sidecar = json.loads((out / f"schedule_m{interval}.json").read_text())
+    _, _, rows = read_csv(out / f"schedule_m{interval}.csv")
+    assert sidecar["emitted_rows"] == len(rows) == min(cap, sidecar["total_rows"])
+    where = {
+        3: cap < sidecar["atom_count"],
+        SCHEDULE_BLOCK // 2 + 1: sidecar["atom_count"] < cap < SCHEDULE_BLOCK,
+        2 * SCHEDULE_BLOCK + 5: SCHEDULE_BLOCK < cap < sidecar["total_rows"],
+        10**9: cap > sidecar["total_rows"],
+    }
+    assert where[cap]
 
 
 def test_solver_design_file_is_reproducible(tmp_path):

@@ -269,6 +269,35 @@ def test_verification_flags_perturbed_weights():
     assert report.max_scalar_deviation > 1e-6
 
 
+def test_batched_verification_matches_per_trial_draws():
+    # trial t draws its real parts, then its imaginary parts, from one seeded
+    # stream; the stacked contraction must give the per-atom energy sums
+    basis = build_basis(T1, 2)
+    w = interval(0, "1/3")
+    atoms = tuple(
+        DesignAtom(GroupElement.of(Fraction(j, 7)), wt)
+        for j, wt in enumerate([0.1, 0.3, 0.25, 0.35])
+    )
+    design = ConvexDesign(atoms=atoms, measure=w.measure, cutoff=2, residual=0.0)
+    gammas = design_gammas(design, basis, w)
+    rng = np.random.default_rng(3)
+    worst = 0.0
+    for _ in range(20):
+        re = rng.standard_normal(basis.dim)
+        im = rng.standard_normal(basis.dim)
+        xi = (re + 1j * im) / np.sqrt(2.0)
+        norm_sq = float(np.real(np.vdot(xi, xi)))
+        lhs = sum(
+            wt * np.real(np.vdot(xi, g.entries @ xi))
+            for wt, g in zip(design.weights, gammas)
+        )
+        worst = max(worst, abs(lhs - w.measure * norm_sq) / norm_sq)
+    report = verify_design(design, basis, w, trials=20, seed=3)
+    assert worst > 1e-3
+    assert report.max_scalar_deviation == pytest.approx(worst, rel=1e-12)
+    assert verify_design(design, basis, w, trials=0).max_scalar_deviation == 0.0
+
+
 def test_design_round_trips_through_plain_dicts():
     basis = build_basis(T1, 1)
     design = equispaced_design(basis, interval(0, "1/4"))
