@@ -69,7 +69,6 @@ from .schedule import (
     build_switching,
     continuous_loss,
     cycle_length,
-    observer_at,
     torus_displacement,
 )
 from .spectral import (
@@ -129,7 +128,6 @@ __all__ = [
     "moment_matrix",
     "moment_points",
     "moment_residual",
-    "observer_at",
     "output_expansion",
     "output_kind_for",
     "path_observation_energy",

@@ -4,7 +4,8 @@ Subcommands
 -----------
 design      build + reduce + verify one convex design, write design_K{K}.json
 calibrate   write calibration.json with the per-frequency Gram table
-schedule    build one switching schedule, write schedule_m{m}.csv (+ summary)
+schedule    write interval m's switching schedule, schedule_m{m}.csv (+ summary),
+            the same file `experiment` writes for m
 experiment  full protocol + tail checks: series.csv, designs, calibration,
             run_meta.json, schedule CSVs for selected intervals
 continuous  speed-ladder rerun with continuous paths: continuous.csv + report
@@ -23,7 +24,6 @@ import json
 import sys
 import warnings
 from fractions import Fraction
-from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +32,7 @@ from .config import ConfigError, RunConfig
 from .design import (
     DesignError,
     ConvexDesign,
+    _grid_shifts,
     caratheodory_reduce,
     default_candidates,
     design_gammas,
@@ -45,12 +46,13 @@ from .experiment import (
     WindowExceedsSimulation,
     calibration,
     continuous_protocol_delta,
+    prepare_protocol,
     run_protocol,
     tail_reduction_check,
 )
 from .geometry import GroupElement
-from .schedule import OutOfInterval, SpeedTooLow, build_switching
-from .spectral import build_basis, trajectory_lipschitz_bound
+from .schedule import OutOfInterval, SpeedTooLow
+from .spectral import build_basis
 
 SERIES_HEADER = "m,K_m,eps_m,Q_m,A_N,E_leK"
 SERIES_VERSION = "# torusobs series v1"
@@ -133,10 +135,7 @@ def _candidates(config: RunConfig, basis) -> list[GroupElement]:
     if opts.candidate_kind == "grid":
         if opts.grid_per_axis == 0:
             return default_candidates(basis)
-        return [
-            GroupElement(tuple(Fraction(c, opts.grid_per_axis) for c in combo))
-            for combo in product(range(opts.grid_per_axis), repeat=config.dim)
-        ]
+        return _grid_shifts(opts.grid_per_axis, config.dim)
     rng = np.random.default_rng(opts.candidate_seed)
     denom = 1 << 20
     return [
@@ -150,10 +149,8 @@ def _candidates(config: RunConfig, basis) -> list[GroupElement]:
     ]
 
 
-def _build_design(config: RunConfig) -> ConvexDesign:
+def _build_design(config: RunConfig, basis, prototype) -> ConvexDesign:
     """Design per config options: exact grid, or solver + reduction."""
-    basis = build_basis(config.space(), config.design.cutoff)
-    prototype = config.prototype()
     if config.design.method == "equispaced":
         design = equispaced_design(basis, prototype)
     else:
@@ -168,9 +165,9 @@ def _build_design(config: RunConfig) -> ConvexDesign:
 
 
 def cmd_design(config: RunConfig, out: Path, args) -> int:
-    design = _build_design(config)
     basis = build_basis(config.space(), config.design.cutoff)
     prototype = config.prototype()
+    design = _build_design(config, basis, prototype)
     verification = verify_design(design, basis, prototype)
     payload = {
         "schema": "torusobs-design/1",
@@ -266,25 +263,9 @@ def _write_schedule(config: RunConfig, out: Path, index: int, schedule) -> Path:
     return path
 
 
-def _emit_schedule(config: RunConfig, out: Path, index: int) -> Path:
-    basis = build_basis(config.space(), config.design.cutoff)
-    prototype = config.prototype()
-    design = equispaced_design(basis, prototype)
-    bound = trajectory_lipschitz_bound(
-        basis, config.model, config.mass, config.duration
-    )
-    schedule = build_switching(
-        design,
-        ((index - 1) * config.duration, config.duration),
-        bound,
-        config.tolerance_at(index),
-    )
-    return _write_schedule(config, out, index, schedule)
-
-
 def cmd_schedule(config: RunConfig, out: Path, args) -> int:
     index = config.schedule.interval
-    path = _emit_schedule(config, out, index)
+    path = _write_schedule(config, out, index, prepare_protocol(config).schedule(index))
     print(f"schedule interval={index} -> {path}")
     if args.check:
         return _verify_out(config, out)
@@ -300,8 +281,8 @@ def cmd_experiment(config: RunConfig, out: Path, args) -> int:
         out / "calibration.json",
         {"schema": "torusobs-calibration/1", **series.constants.to_dict()},
     )
-    for window in sorted(series.designs):
-        design = series.designs[window]
+    setup = series.setup
+    for window, design in sorted(setup.designs.items()):
         basis = build_basis(config.space(), window)
         verification = verify_design(design, basis, config.prototype())
         _write_json(
@@ -313,8 +294,7 @@ def cmd_experiment(config: RunConfig, out: Path, args) -> int:
             },
         )
     for index in config.schedule.emit_intervals:
-        if 1 <= index <= config.interval_count:
-            _write_schedule(config, out, index, series.schedule_for(index))
+        _write_schedule(config, out, index, setup.schedule(index))
 
     final_ratio = series.final_mean / series.reference_bound
     _write_json(

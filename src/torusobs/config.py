@@ -3,8 +3,8 @@
 A config file is a single JSON object.  Unknown keys are rejected at every
 nesting level so that typos fail loudly instead of silently running defaults;
 all cross-field constraints (window below the simulation cutoff, tolerances
-inside (0, measure), model/mass pairing) are validated before any pipeline
-work starts.
+inside (0, measure), model/mass pairing, schedule intervals inside the run)
+are validated before any pipeline work starts.
 """
 
 from __future__ import annotations
@@ -17,11 +17,10 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any
 
+from .evolve import MODELS, check_model_mass
 from .geometry import PrototypeSet, TorusSpace
 
 SCHEMA_VERSION = 1
-
-MODELS = ("wave", "klein_gordon", "schrodinger")
 
 
 class ConfigError(Exception):
@@ -270,8 +269,6 @@ class ScheduleOptions:
             _as_int(v, f"{path}.emit_intervals[{i}]") for i, v in enumerate(raw_emit)
         )
         interval = _as_int(mapping.get("interval", 1), f"{path}.interval")
-        if interval < 1:
-            raise ConfigError(f"{path}.interval: must be >= 1")
         return cls(speeds=speeds, csv_row_cap=cap, emit_intervals=emit,
                    interval=interval)
 
@@ -454,12 +451,19 @@ class RunConfig:
             raise ConfigError("config.sim_window: must be >= 0")
         if self.interval_count < 1:
             raise ConfigError("config.interval_count: must be >= 1")
-        if self.model == "wave" and self.mass != 0.0:
-            raise ConfigError("config.mass: the wave model requires mass 0")
-        if self.model == "klein_gordon" and self.mass == 0.0:
-            raise ConfigError("config.mass: klein_gordon requires a nonzero mass")
-        if self.model == "schrodinger" and self.mass != 0.0:
-            raise ConfigError("config.mass: schrodinger carries no mass term")
+        try:
+            check_model_mass(self.model, self.mass)
+        except ValueError as exc:
+            raise ConfigError(f"config.mass: {exc}") from exc
+        for key, indices in (
+            ("interval", (self.schedule.interval,)),
+            ("emit_intervals", self.schedule.emit_intervals),
+        ):
+            if any(not 1 <= m <= self.interval_count for m in indices):
+                raise ConfigError(
+                    f"config.schedule.{key}: intervals must lie in "
+                    f"1..interval_count = 1..{self.interval_count}"
+                )
         if self.datum.window > self.sim_window:
             raise ConfigError(
                 "config.datum.window: must not exceed config.sim_window"

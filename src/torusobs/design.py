@@ -109,11 +109,7 @@ class ConvexDesign:
         per_axis = round(len(self) ** (1.0 / dim))
         if per_axis**dim != len(self):
             return None
-        grid = product(range(per_axis), repeat=dim)
-        for atom, combo in zip(self.atoms, grid):
-            if atom.shift.shift != tuple(Fraction(c, per_axis) for c in combo):
-                return None
-        return per_axis
+        return per_axis if self.shifts == _grid_shifts(per_axis, dim) else None
 
     def to_dict(self) -> dict:
         return {
@@ -212,11 +208,7 @@ def equispaced_design(basis: ModalBasis, prototype: PrototypeSet) -> ConvexDesig
     design identity holds exactly (to rounding).
     """
     k = basis.cutoff
-    j_axis = 4 * k + 1
-    shifts = [
-        GroupElement(tuple(Fraction(c, j_axis) for c in combo))
-        for combo in product(range(j_axis), repeat=basis.space.dim)
-    ]
+    shifts = _grid_shifts(4 * k + 1, basis.space.dim)
     weight = 1.0 / len(shifts)
     atoms = tuple(DesignAtom(shift=s, weight=weight) for s in shifts)
     points = moment_points(basis, prototype, shifts)
@@ -233,10 +225,14 @@ def default_candidates(basis: ModalBasis) -> list[GroupElement]:
     exact design is always inside the candidate simplex and the solver's
     feasibility is guaranteed.
     """
-    per_axis = 4 * basis.cutoff + 2
+    return _grid_shifts(4 * basis.cutoff + 2, basis.space.dim)
+
+
+def _grid_shifts(per_axis: int, dim: int) -> list[GroupElement]:
+    """The shifts (c_0, ..., c_{dim-1}) / per_axis in lexicographic order."""
     return [
         GroupElement(tuple(Fraction(c, per_axis) for c in combo))
-        for combo in product(range(per_axis), repeat=basis.space.dim)
+        for combo in product(range(per_axis), repeat=dim)
     ]
 
 

@@ -75,6 +75,19 @@ class BasisMismatch(Exception):
     """Gram matrices and datum are built on different bases."""
 
 
+def check_model_mass(model: str, mass: float) -> None:
+    """Raise ValueError unless `model` is known and `mass` suits it: the wave
+    and Schrodinger models take mass 0, Klein-Gordon a nonzero mass."""
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}")
+    if model == "schrodinger" and mass != 0.0:
+        raise ValueError("schrodinger model carries no mass term")
+    if model == "wave" and mass != 0.0:
+        raise ValueError("wave model has mass 0; use klein_gordon otherwise")
+    if model == "klein_gordon" and mass == 0.0:
+        raise ValueError("klein_gordon needs a nonzero mass")
+
+
 @dataclass(frozen=True, eq=False)
 class ModalDatum:
     """Modal coefficients of one datum on a simulation basis.
@@ -91,21 +104,14 @@ class ModalDatum:
     c: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.model not in MODELS:
-            raise ValueError(f"unknown model {self.model!r}")
+        check_model_mass(self.model, self.mass)
         d = self.basis.dim
         if self.model == "schrodinger":
-            if self.mass != 0.0:
-                raise ValueError("schrodinger model carries no mass term")
             if self.c is None or self.a is not None or self.b is not None:
                 raise ValueError("schrodinger datum needs exactly the c array")
             if self.c.shape != (d,):
                 raise ValueError("c has the wrong shape")
         else:
-            if self.model == "wave" and self.mass != 0.0:
-                raise ValueError("wave model has mass 0; use klein_gordon otherwise")
-            if self.model == "klein_gordon" and self.mass == 0.0:
-                raise ValueError("klein_gordon needs a nonzero mass")
             if self.a is None or self.b is None or self.c is not None:
                 raise ValueError("wave/klein_gordon datum needs the (a, b) arrays")
             if self.a.shape != (d,) or self.b.shape != (d,):
@@ -153,6 +159,9 @@ def random_datum(
     """
     if decay not in ("flat", "power"):
         raise ValueError(f"unknown decay profile {decay!r}")
+    if mass is None:
+        mass = 1.0 if model == "klein_gordon" else 0.0
+    check_model_mass(model, mass)
     if window < 0 or window > basis.cutoff:
         raise ValueError(f"window must lie in [0, {basis.cutoff}]")
     rng = np.random.default_rng(seed)
@@ -167,16 +176,8 @@ def random_datum(
         return (re + 1j * im) / math.sqrt(2.0)
 
     if model == "schrodinger":
-        if mass not in (None, 0.0):
-            raise ValueError("schrodinger model carries no mass term")
         c = draw() * scale * mask
         return ModalDatum(model=model, mass=0.0, basis=basis, c=c)
-    if model == "wave":
-        if mass not in (None, 0.0):
-            raise ValueError("wave model has mass 0; use klein_gordon otherwise")
-        mass = 0.0
-    elif mass is None:
-        mass = 1.0
     xi_a = draw()
     xi_b = draw()
     rho = np.sqrt(basis.eigenvalues + mass * mass)
@@ -395,11 +396,18 @@ def windowed_observation_energy(
 def interval_output_energy(
     datum: ModalDatum, t_start: float, duration: float, kind: str
 ) -> float:
-    """Full-torus output energy over one interval (Gram = identity).
+    """Full-torus output energy over one interval (Gram = identity)."""
+    coeff, alpha = output_expansion(datum, kind)
+    return expansion_interval_energy(coeff, alpha, t_start, duration)
+
+
+def expansion_interval_energy(
+    coeff: np.ndarray, alpha: np.ndarray, t_start: float, duration: float
+) -> float:
+    """`interval_output_energy` of an output expansion (C, alpha).
 
     Only branches of one mode interact, so the kernel is (dim, P, P).
     """
-    coeff, alpha = output_expansion(datum, kind)
     diff = alpha[:, None, :] - alpha[:, :, None]
     base = phase_integral(diff, t_start, duration)
     return float(np.real(np.einsum("ip,ipq,iq->", coeff.conj(), base, coeff)))

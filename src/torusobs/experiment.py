@@ -12,6 +12,9 @@ with continuous speed-bounded paths in place of switching.
 Every interval's energy comes from one observation matrix, Gamma(0) on the
 simulation basis, built once per run: shifted matrices are phase products of
 it, and the atoms of the equal-weight grid designs are summed in closed form.
+One `ProtocolSetup` holds everything the intervals share, and each interval's
+switching kernel is built once: the observed, windowed and tail energies are
+three quadratic forms of it.
 """
 
 from __future__ import annotations
@@ -21,18 +24,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import RunConfig
 from .design import ConvexDesign, equispaced_design
 from .evolve import (
     ModalDatum,
+    check_model_mass,
     conserved_energy,
-    interval_output_energy,
+    expansion_interval_energy,
     kernel_energy,
     output_expansion,
     output_kind_for,
     path_kernel,
     random_datum,
     switching_kernel,
-    windowed_observation_energy,
 )
 from .schedule import (
     SwitchingSchedule,
@@ -144,9 +148,8 @@ def calibration(
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
+    check_model_mass(model, mass)
     if model == "schrodinger":
-        if mass != 0.0:
-            raise ValueError("schrodinger model carries no mass term")
         return CalibrationConstants(
             model=model,
             mass=0.0,
@@ -157,13 +160,9 @@ def calibration(
             gram_minima=(),
             gram_maxima=(),
         )
-    if model not in ("wave", "klein_gordon"):
-        raise ValueError(f"unknown model {model!r}")
-    if model == "wave" and mass != 0.0:
-        raise ValueError("wave model has mass 0; use klein_gordon otherwise")
-    if model == "klein_gordon" and mass == 0.0:
-        raise ValueError("klein_gordon needs a nonzero mass")
-    rhos = np.unique(np.sqrt(basis.eigenvalues + mass * mass))
+    # sorted distinct frequencies; np.unique would import numpy.ma
+    rhos = np.sort(np.sqrt(basis.eigenvalues + mass * mass))
+    rhos = rhos[np.concatenate(([True], rhos[1:] != rhos[:-1]))]
     minima: list[float] = []
     maxima: list[float] = []
     lower = math.inf
@@ -200,17 +199,15 @@ class IntervalRecord:
     observed: float        # observation energy along the schedule
     running_mean: float    # mean of `observed` over intervals 1..index
     windowed_energy: float # conserved energy of the datum below `window`
+    truncated: float       # observation energy of the datum below `window`
+    tail: float            # observation energy of the datum above `window`
 
 
 @dataclass(eq=False)
 class CesaroSeries:
-    """Protocol output: interval records plus the context to re-derive them.
+    """Protocol output: interval records and the setup they were run on."""
 
-    The context (datum, designs, the unshifted observation matrix) is kept so
-    the verification reports can recompute interval energies for truncated
-    data or alternative realizations without re-running the pipeline.
-    """
-
+    setup: ProtocolSetup
     model: str
     mass: float
     measure: float
@@ -218,11 +215,6 @@ class CesaroSeries:
     energy: float
     constants: CalibrationConstants
     records: tuple[IntervalRecord, ...]
-    datum: ModalDatum
-    basis: ModalBasis
-    designs: dict[int, ConvexDesign]
-    design_bounds: dict[int, float]
-    gamma_base: ObservationMatrix
 
     @property
     def reference_bound(self) -> float:
@@ -248,20 +240,6 @@ class CesaroSeries:
         count = max(1, len(self.records) // 4)
         return float(self.running_means[-count:].min())
 
-    def interval(self, index: int) -> tuple[float, float]:
-        """(start, duration) of interval `index` (1-based)."""
-        return (index - 1) * self.duration, self.duration
-
-    def schedule_for(self, index: int) -> SwitchingSchedule:
-        """Rebuild the switching schedule used on interval `index`."""
-        rec = self.records[index - 1]
-        return build_switching(
-            self.designs[rec.window],
-            self.interval(index),
-            self.design_bounds[rec.window],
-            rec.tolerance,
-        )
-
     def to_rows(self) -> list[tuple]:
         return [
             (
@@ -278,20 +256,44 @@ class CesaroSeries:
 
 @dataclass(frozen=True, eq=False)
 class ProtocolSetup:
-    """What every protocol run shares: the datum on the simulation basis, the
-    equal-weight design and Lipschitz bound of each window the intervals
-    use, and the one unshifted observation matrix."""
+    """The protocol state every command reads.
 
+    It holds the datum on the simulation basis with its output expansion
+    (coeff, alpha); for each window the intervals use, the equal-weight
+    design, its Lipschitz bound and the output coefficients of the datum
+    below (`windowed`) and above (`tails`) that window; and the one
+    unshifted observation matrix.  Windowing masks coefficients only, so
+    every part shares `alpha`.  `schedule` is the one place an interval's
+    switching schedule is built.
+    """
+
+    config: RunConfig
     datum: ModalDatum
     basis: ModalBasis
-    measure: float
+    coeff: np.ndarray
+    alpha: np.ndarray
     designs: dict[int, ConvexDesign]
     design_bounds: dict[int, float]
+    windowed: dict[int, np.ndarray]
+    tails: dict[int, np.ndarray]
     gamma_base: ObservationMatrix
 
+    def schedule(self, index: int) -> SwitchingSchedule:
+        """Switching schedule of interval `index` (1-based): the design of the
+        interval's window, sized to the interval's loss target."""
+        duration = self.config.duration
+        window = self.config.window_at(index)
+        return build_switching(
+            self.designs[window],
+            ((index - 1) * duration, duration),
+            self.design_bounds[window],
+            self.config.tolerance_at(index),
+        )
 
-def prepare_protocol(config) -> ProtocolSetup:
-    """Build the datum, the per-window designs and bounds, and Gamma(0).
+
+def prepare_protocol(config: RunConfig) -> ProtocolSetup:
+    """Build the datum and its expansions, the per-window designs and bounds,
+    and Gamma(0).
 
     Windows are prepared in interval order, so a window at or above the
     simulation cutoff is reported for the first interval that uses it.
@@ -324,70 +326,65 @@ def prepare_protocol(config) -> ProtocolSetup:
         design_bounds[window] = trajectory_lipschitz_bound(
             design_basis, config.model, config.mass, config.duration
         )
+    kind = output_kind_for(config.model)
+    coeff, alpha = output_expansion(datum, kind)
     return ProtocolSetup(
+        config=config,
         datum=datum,
         basis=sim_basis,
-        measure=prototype.measure,
+        coeff=coeff,
+        alpha=alpha,
         designs=designs,
         design_bounds=design_bounds,
+        windowed={k: output_expansion(datum.windowed(k), kind)[0] for k in designs},
+        tails={k: output_expansion(datum.tail(k), kind)[0] for k in designs},
         gamma_base=gamma_matrix(sim_basis, prototype, space.identity()),
     )
 
 
-def run_protocol(config) -> CesaroSeries:
+def run_protocol(config: RunConfig) -> CesaroSeries:
     """Run the full switching protocol described by the config.
 
-    For each interval: take the equal-weight design for the interval's
-    cutoff, build the switching schedule hitting the interval's loss target,
-    and integrate the observed energy of the evolving datum in closed form.
-    Designs and Lipschitz bounds are shared across intervals with equal
-    cutoffs; every interval uses the one unshifted observation matrix on the
-    simulation basis.
+    For each interval: build the switching schedule of the interval's window
+    and loss target, build its kernel once, and take three quadratic forms
+    of it in closed form: the observed energy of the evolving datum and the
+    energies of its parts below and above the window.
     """
     setup = prepare_protocol(config)
-    datum = setup.datum
-    energy = conserved_energy(datum)
+    energy = conserved_energy(setup.datum)
     constants = calibration(config.model, setup.basis, config.mass, config.duration)
-    kind = output_kind_for(config.model)
 
     records: list[IntervalRecord] = []
     total = 0.0
     for m in range(1, config.interval_count + 1):
         window = config.window_at(m)
-        tolerance = config.tolerance_at(m)
-        schedule = build_switching(
-            setup.designs[window],
-            ((m - 1) * config.duration, config.duration),
-            setup.design_bounds[window],
-            tolerance,
-        )
-        value = windowed_observation_energy(datum, schedule, kind, setup.gamma_base)
+        schedule = setup.schedule(m)
+        kernel = switching_kernel(schedule, setup.alpha, setup.gamma_base)
+        value = kernel_energy(kernel, setup.coeff)
         total += value
         records.append(
             IntervalRecord(
                 index=m,
                 window=window,
-                tolerance=tolerance,
+                tolerance=config.tolerance_at(m),
                 macro_count=schedule.macro_count,
                 observed=value,
                 running_mean=total / m,
                 windowed_energy=energy.below(window),
+                truncated=kernel_energy(kernel, setup.windowed[window]),
+                tail=kernel_energy(kernel, setup.tails[window]),
             )
         )
 
     return CesaroSeries(
+        setup=setup,
         model=config.model,
         mass=config.mass,
-        measure=setup.measure,
+        measure=config.measure,
         duration=config.duration,
         energy=energy.total,
         constants=constants,
         records=tuple(records),
-        datum=datum,
-        basis=setup.basis,
-        designs=setup.designs,
-        design_bounds=setup.design_bounds,
-        gamma_base=setup.gamma_base,
     )
 
 
@@ -395,8 +392,8 @@ def run_protocol(config) -> CesaroSeries:
 class TailReductionReport:
     """Numerical check of the hypotheses that discard the spectral tail.
 
-    For each interval the observed energy is recomputed for the datum
-    truncated at the interval's cutoff and for the complementary tail; the
+    For each interval the protocol records the observed energy of the datum
+    truncated at the interval's cutoff and of the complementary tail; the
     report verifies the uniform upper bound, the windowed lower bound, and
     the split inequality
 
@@ -443,24 +440,13 @@ def tail_reduction_check(
     """Verify the tail-discarding hypotheses on a finished protocol run."""
     if any(eta <= 0.0 or eta >= 1.0 for eta in etas):
         raise ValueError("split parameters must lie in (0, 1)")
-    kind = output_kind_for(series.model)
-    _, alpha = output_expansion(series.datum, kind)
     observed = series.observed
-    truncated = np.empty(len(series.records))
-    tail = np.empty(len(series.records))
-    floors = np.empty(len(series.records))
-    for i, rec in enumerate(series.records):
-        # windowing masks coefficients only, so both parts share one kernel
-        kernel = switching_kernel(series.schedule_for(rec.index), alpha, series.gamma_base)
-        inside, _ = output_expansion(series.datum.windowed(rec.window), kind)
-        outside, _ = output_expansion(series.datum.tail(rec.window), kind)
-        truncated[i] = kernel_energy(kernel, inside)
-        tail[i] = kernel_energy(kernel, outside)
-        floors[i] = (
-            series.constants.lower
-            * (series.measure - rec.tolerance)
-            * rec.windowed_energy
-        )
+    truncated = np.array([r.truncated for r in series.records])
+    tail = np.array([r.tail for r in series.records])
+    floors = np.array([
+        series.constants.lower * (series.measure - r.tolerance) * r.windowed_energy
+        for r in series.records
+    ])
 
     scale = series.constants.upper * series.energy
     upper_margin = float(observed.max() / scale)
@@ -555,7 +541,7 @@ class ContinuousReport:
         }
 
 
-def continuous_protocol_delta(config, speeds) -> ContinuousReport:
+def continuous_protocol_delta(config: RunConfig, speeds) -> ContinuousReport:
     """Rerun the protocol with continuous paths for each speed in the ladder.
 
     The realized-bound check is evaluated on the datum truncated at each
@@ -569,8 +555,6 @@ def continuous_protocol_delta(config, speeds) -> ContinuousReport:
     if not speeds:
         raise ValueError("at least one speed is required")
     setup = prepare_protocol(config)
-    kind = output_kind_for(config.model)
-    coeff, alpha = output_expansion(setup.datum, kind)
     windows = [config.window_at(m) for m in range(1, config.interval_count + 1)]
 
     records: dict[float, tuple[ContinuousIntervalRecord, ...]] = {}
@@ -591,17 +575,16 @@ def continuous_protocol_delta(config, speeds) -> ContinuousReport:
         worst_factor = math.inf
         for m, window in enumerate(windows, start=1):
             path = replace(paths[window], t_start=(m - 1) * config.duration)
-            # the windowed part masks coefficients only: one kernel serves both
-            kernel = path_kernel(path, alpha, setup.gamma_base)
-            value = kernel_energy(kernel, coeff)
+            kernel = path_kernel(path, setup.alpha, setup.gamma_base)
+            value = kernel_energy(kernel, setup.coeff)
             total += value
-            factor = max(setup.measure - path.certified_loss, 0.0)
+            factor = max(config.measure - path.certified_loss, 0.0)
             worst_factor = min(worst_factor, factor)
             if factor > 0.0:
-                part = setup.datum.windowed(window)
-                part_value = kernel_energy(kernel, output_expansion(part, kind)[0])
-                reference = interval_output_energy(
-                    part, path.t_start, config.duration, kind
+                part = setup.windowed[window]
+                part_value = kernel_energy(kernel, part)
+                reference = expansion_interval_energy(
+                    part, setup.alpha, path.t_start, config.duration
                 )
                 if reference > 0.0:
                     ratio = part_value / (factor * reference)

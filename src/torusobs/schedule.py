@@ -138,10 +138,6 @@ def build_switching(
     )
 
 
-def observer_at(schedule: SwitchingSchedule, t: float) -> int:
-    return schedule.observer_at(t)
-
-
 def torus_displacement(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Shortest signed per-axis displacement from a to b on the unit torus."""
     return (b - a + 0.5) % 1.0 - 0.5

@@ -2,12 +2,17 @@
 and verification of tampered outputs."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import torusobs
 from torusobs import (
     ConvexDesign,
     DesignAtom,
@@ -169,6 +174,45 @@ def test_schedule_row_cap(tmp_path):
     assert len(rows) == 7
     assert sidecar["total_rows"] > 7
     assert main(["verify", "--config", str(config), "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("last", [False, True], ids=["first", "last"])
+def test_schedule_and_experiment_write_the_same_schedule_files(tmp_path, last):
+    # design.cutoff 3 matches no interval's window: only `design` reads it
+    index = 4 if last else 1
+    overrides = {"design": {"cutoff": 3}, "interval_count": 4}
+    config = write_config(
+        tmp_path, "exp.json", schedule={"emit_intervals": [1, 4]}, **overrides
+    )
+    single = write_config(
+        tmp_path, "one.json", schedule={"interval": index}, **overrides
+    )
+    assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "e")]) == 0
+    assert main(["schedule", "--config", str(single), "--out", str(tmp_path / "s")]) == 0
+    for suffix in ("csv", "json"):
+        name = f"schedule_m{index}.{suffix}"
+        assert (tmp_path / "s" / name).read_bytes() == (tmp_path / "e" / name).read_bytes()
+
+
+def test_experiment_process_does_not_import_numpy_ma(tmp_path):
+    config = write_config(tmp_path, model="wave", datum={"window": 3, "seed": 2})
+    code = (
+        "import sys\n"
+        "from torusobs.cli import main\n"
+        f"assert main(['experiment', '--config', {str(config)!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(torusobs.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 @pytest.mark.parametrize("cap", [3, 7, 3 * SCHEDULE_BLOCK + 11, 10**9])

@@ -124,6 +124,18 @@ def test_cross_field_guards():
         RunConfig.from_dict(minimal(sim_window=True))
 
 
+@pytest.mark.parametrize("key", ["interval", "emit_intervals"])
+@pytest.mark.parametrize("index", [0, 4])
+def test_schedule_intervals_lie_inside_the_run(key, index):
+    def config(m):
+        value = m if key == "interval" else [1, m]
+        return minimal(interval_count=3, schedule={key: value})
+
+    with pytest.raises(ConfigError, match=f"config\\.schedule\\.{key}: "):
+        RunConfig.from_dict(config(index))
+    assert RunConfig.from_dict(config(3)).interval_count == 3
+
+
 def test_window_schedules():
     stride = RunConfig.from_dict(
         minimal(

@@ -164,22 +164,22 @@ def test_protocol_records_are_internally_consistent():
     assert [r.window for r in series.records] == [1, 1, 2, 2]
     for r in series.records:
         assert r.tolerance == pytest.approx(0.25 / (r.index + 1), rel=1e-15)
-        rate = series.design_bounds[r.window]
+        rate = series.setup.design_bounds[r.window]
         expected_macros = max(1, math.ceil((0.25 + 1.0) * rate / r.tolerance))
         assert r.macro_count == expected_macros
-        assert series.schedule_for(r.index).macro_count == r.macro_count
+        assert series.setup.schedule(r.index).macro_count == r.macro_count
     observed = series.observed
     means = np.cumsum(observed) / np.arange(1, 5)
     assert np.max(np.abs(series.running_means - means)) <= 1e-15
     assert series.final_mean == series.records[-1].running_mean
     assert series.final_quarter_minimum == series.running_means[-1:].min()
 
-    energy = conserved_energy(series.datum)
+    energy = conserved_energy(series.setup.datum)
     assert series.energy == energy.total
     for r in series.records:
         assert r.windowed_energy == energy.below(r.window)
-    assert set(series.designs) == {1, 2}
-    for design in series.designs.values():
+    assert set(series.setup.designs) == {1, 2}
+    for design in series.setup.designs.values():
         assert design.residual <= 1e-12
     assert series.reference_bound == pytest.approx(
         0.25 * series.constants.lower * series.energy, rel=1e-15
@@ -267,6 +267,56 @@ def test_tail_reduction_on_a_run_with_a_genuine_tail():
     assert report.tail_fraction == report.tail_mean / series.energy
     assert report.tail_mean > 0.0
     json.dumps(report.to_dict())
+
+
+def test_experiment_builds_one_switching_kernel_per_interval(monkeypatch):
+    from torusobs import evolve
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].t_start)
+        return real(*args, **kwargs)
+
+    real = evolve.switching_kernel
+    monkeypatch.setattr(evolve, "switching_kernel", counted)
+    monkeypatch.setattr(experiment, "switching_kernel", counted)
+    config = quick_config()
+    tail_reduction_check(run_protocol(config))
+    assert calls == [float(m) for m in range(config.interval_count)]
+
+
+@pytest.mark.parametrize(
+    "model,mass", [("schrodinger", 0.0), ("wave", 0.0), ("klein_gordon", 1.0)]
+)
+def test_tail_report_equals_a_fresh_kernel_on_the_rebuilt_schedule(model, mass):
+    from torusobs.evolve import (
+        kernel_energy,
+        output_expansion,
+        output_kind_for,
+        switching_kernel,
+    )
+    from torusobs.schedule import build_switching
+
+    config = quick_config(model=model, mass=mass)
+    series = run_protocol(config)
+    report = tail_reduction_check(series)
+    setup = series.setup
+    kind = output_kind_for(model)
+    _, alpha = output_expansion(setup.datum, kind)
+    for i, r in enumerate(series.records):
+        schedule = build_switching(
+            setup.designs[r.window],
+            ((r.index - 1) * config.duration, config.duration),
+            setup.design_bounds[r.window],
+            r.tolerance,
+        )
+        kernel = switching_kernel(schedule, alpha, setup.gamma_base)
+        inside, _ = output_expansion(setup.datum.windowed(r.window), kind)
+        outside, _ = output_expansion(setup.datum.tail(r.window), kind)
+        assert report.truncated[i] == kernel_energy(kernel, inside)
+        assert report.tail[i] == kernel_energy(kernel, outside)
+        assert report.observed[i] == r.observed
 
 
 def test_tail_reduction_without_a_tail_is_exact():
