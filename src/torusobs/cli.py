@@ -127,7 +127,17 @@ def _read_time_columns(path: Path, header: str) -> np.ndarray:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    # a non-finite float has no JSON spelling: fail rather than write one
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def _read_json(path: Path) -> dict:
+    """Parse a JSON artifact strictly: NaN and Infinity are rejected."""
+    return json.loads(path.read_text(), parse_constant=_reject_constant)
 
 
 def _candidates(config: RunConfig, basis) -> list[GroupElement]:
@@ -372,15 +382,16 @@ def verify_artifacts(config: RunConfig, out: Path) -> list[str]:
 
     Checks are recomputations, not file comparisons: design residuals are
     rebuilt from fresh observation matrices, calibration constants are
-    recomputed, and the series running means are re-derived from the stored
-    per-interval energies.
+    recomputed, the series and continuous running means are re-derived from
+    the stored per-interval energies, and continuous_report.json is checked
+    against continuous.csv.  JSON artifacts are parsed strictly.
     """
     problems: list[str] = []
     prototype = config.prototype()
 
     for path in sorted(out.glob("design_K*.json")):
         try:
-            data = json.loads(path.read_text())
+            data = _read_json(path)
             design = ConvexDesign.from_dict(data)
             basis = build_basis(config.space(), design.cutoff)
             gammas = design_gammas(design, basis, prototype)
@@ -399,7 +410,7 @@ def verify_artifacts(config: RunConfig, out: Path) -> list[str]:
     cal_path = out / "calibration.json"
     if cal_path.exists():
         try:
-            data = json.loads(cal_path.read_text())
+            data = _read_json(cal_path)
             basis = build_basis(config.space(), config.sim_window)
             fresh = calibration(config.model, basis, config.mass, config.duration)
             if abs(data["lower"] - fresh.lower) > 1e-12 * max(1.0, fresh.lower):
@@ -424,7 +435,7 @@ def verify_artifacts(config: RunConfig, out: Path) -> list[str]:
             if np.any(observed < 0):
                 problems.append("series.csv: negative interval energy")
             if meta_path.exists():
-                meta = json.loads(meta_path.read_text())
+                meta = _read_json(meta_path)
                 ceiling = meta["upper_constant"] * meta["energy"] * (1.0 + 1e-10)
                 if np.any(observed > ceiling):
                     problems.append("series.csv: interval energy above upper bound")
@@ -434,9 +445,7 @@ def verify_artifacts(config: RunConfig, out: Path) -> list[str]:
     for path in sorted(out.glob("schedule_m*.csv")):
         try:
             times = _read_time_columns(path, schedule_header(config.dim))
-            sidecar = json.loads(
-                (out / (path.stem + ".json")).read_text()
-            )
+            sidecar = _read_json(out / (path.stem + ".json"))
         except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
             problems.append(f"{path.name}: unreadable ({exc})")
             continue
@@ -470,7 +479,47 @@ def verify_artifacts(config: RunConfig, out: Path) -> list[str]:
                     )
         except (ValueError, KeyError) as exc:
             problems.append(f"continuous.csv: unreadable ({exc})")
+        else:
+            try:
+                report = _read_json(out / "continuous_report.json")
+                problems.extend(_check_continuous_report(config, report, by_speed))
+            except (OSError, ValueError, KeyError, TypeError) as exc:
+                problems.append(f"continuous_report.json: unreadable ({exc})")
 
+    return problems
+
+
+def _check_continuous_report(
+    config: RunConfig, report: dict, by_speed: dict[str, list[list[str]]]
+) -> list[str]:
+    """Check continuous_report.json against the continuous.csv rows grouped
+    by speed: per speed the record count and the final running mean, the
+    monotone flag recomputed from the certified losses in sorted-speed
+    order, and the realized margin's floor."""
+    problems: list[str] = []
+    name = "continuous_report.json"
+    if {_fmt(float(v)) for v in report["speeds"]} != set(by_speed):
+        return [f"{name}: speeds differ from continuous.csv"]
+    for speed, group in by_speed.items():
+        if len(group) != config.interval_count:
+            problems.append(
+                f"{name}: speed {speed} has {len(group)} records, not "
+                f"{config.interval_count}"
+            )
+        if report["final_means"][speed] != float(group[-1][6]):
+            problems.append(f"{name}: final mean at speed {speed} disagrees with the CSV")
+    ladder = sorted(by_speed, key=float)
+    losses = {v: [float(r[4]) for r in by_speed[v]] for v in ladder}
+    monotone = all(
+        hi <= lo * (1.0 + 1e-12)
+        for slow, fast in zip(ladder, ladder[1:])
+        for lo, hi in zip(losses[slow], losses[fast])
+    )
+    if report["monotone_ok"] != monotone:
+        problems.append(f"{name}: monotone_ok does not recompute from the CSV")
+    margin = report["realized_margin"]
+    if margin is not None and margin < 1.0 - 1e-9:
+        problems.append(f"{name}: realized margin {margin!r} below 1")
     return problems
 
 

@@ -49,6 +49,9 @@ affine in every grid coordinate.  Dwells and each class of legs then sum
 like the switching slots: the whole template costs d + 1 segment integrals
 times per-axis Dirichlet sums, O(d^2) kernel-sized operations whatever the
 atom count (`grid_tour_sum`).  Any other design is summed segment by segment.
+Neither that template sum nor the repeat sum depends on where the path
+starts (`path_template`); one phase e^{i D t_start} moves them to an interval
+(`shifted_kernel`), so paths that differ only in their start share them.
 """
 
 from __future__ import annotations
@@ -362,8 +365,21 @@ def switching_kernel(
     else:
         atoms = grid_atom_sum(diff, gamma_base.basis, per_axis, tau)
     repeats = geometric_phase_sum(diff, tau, schedule.macro_count)
-    start = np.exp(1j * diff * schedule.t_start)
-    return gamma_base.entries[:, None, :, None] * (start * repeats * atoms)
+    return shifted_kernel(gamma_base, diff, schedule.t_start, repeats, atoms)
+
+
+def shifted_kernel(
+    gamma_base: ObservationMatrix,
+    diff: np.ndarray,
+    t_start: float,
+    repeats: np.ndarray,
+    body: np.ndarray,
+) -> np.ndarray:
+    """Gamma(0) times e^{i D t_start} times the repeat sum times the macro
+    sum `body`: the one step of a kernel that depends on where the interval
+    starts."""
+    start = np.exp(1j * diff * t_start)
+    return gamma_base.entries[:, None, :, None] * ((start * repeats) * body)
 
 
 def _check_gamma_base(datum: ModalDatum, gamma_base: ObservationMatrix) -> None:
@@ -491,28 +507,40 @@ def grid_tour_sum(
     return total
 
 
-def path_kernel(
-    path: ContinuousPath, alpha: np.ndarray, gamma_base: ObservationMatrix
-) -> np.ndarray:
-    """Lifted kernel of the observation energy along a continuous path.
+def path_template(
+    path: ContinuousPath, diff: np.ndarray, mode_differences: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The start-free factors (repeats, segments) of a path kernel.
 
-    Gamma(0) times e^{i D t_start} times the Dirichlet sum over the R macro
-    repetitions times the segment sum of one macro template.  For an
-    equal-weight grid design that sum is closed-form (`grid_tour_sum`): the
-    dwells and each carry level's class of legs are one segment integral
-    times per-axis Dirichlet sums.  Any other design is summed segment by
-    segment (`per_segment_sum`).
+    `repeats` is the Dirichlet sum over the R macro repetitions, `segments`
+    the segment sum of one macro template: closed-form for an equal-weight
+    grid design (`grid_tour_sum`), segment by segment otherwise
+    (`per_segment_sum`).  Neither reads `path.t_start`, so paths that differ
+    only in their start share them.
     """
-    diff = frequency_differences(alpha)
-    mode_differences = gamma_base.basis.mode_differences
     per_axis = path.design.grid_per_axis
     if per_axis is None:
         segments = per_segment_sum(diff, mode_differences, path)
     else:
         segments = grid_tour_sum(diff, mode_differences, per_axis, path)
     repeats = geometric_phase_sum(diff, path.macro_length, path.macro_count)
-    start = np.exp(1j * diff * path.t_start)
-    return gamma_base.entries[:, None, :, None] * (start * repeats * segments)
+    return repeats, segments
+
+
+def path_kernel(
+    path: ContinuousPath, alpha: np.ndarray, gamma_base: ObservationMatrix
+) -> np.ndarray:
+    """Lifted kernel of the observation energy along a continuous path.
+
+    Gamma(0) times e^{i D t_start} times the Dirichlet sum over the R macro
+    repetitions times the segment sum of one macro template.  Only the first
+    phase depends on the start, so the kernel is the path's template
+    (`path_template`, built once per window and speed by the continuous
+    rerun) moved to `path.t_start` by one phase (`shifted_kernel`).
+    """
+    diff = frequency_differences(alpha)
+    repeats, segments = path_template(path, diff, gamma_base.basis.mode_differences)
+    return shifted_kernel(gamma_base, diff, path.t_start, repeats, segments)
 
 
 def path_observation_energy(

@@ -14,13 +14,15 @@ simulation basis, built once per run: shifted matrices are phase products of
 it, and the atoms of the equal-weight grid designs are summed in closed form.
 One `ProtocolSetup` holds everything the intervals share, and each interval's
 switching kernel is built once: the observed, windowed and tail energies are
-three quadratic forms of it.
+three quadratic forms of it.  In the continuous rerun every interval of one
+window runs the same path at a given speed, so that path's template is built
+once per (window, speed) and moved to each interval by one phase e^{i D t}.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,11 +33,13 @@ from .evolve import (
     check_model_mass,
     conserved_energy,
     expansion_interval_energy,
+    frequency_differences,
     kernel_energy,
     output_expansion,
     output_kind_for,
-    path_kernel,
+    path_template,
     random_datum,
+    shifted_kernel,
     switching_kernel,
 )
 from .schedule import (
@@ -388,6 +392,11 @@ def run_protocol(config: RunConfig) -> CesaroSeries:
     )
 
 
+def _finite_or_none(value: float) -> float | None:
+    """A margin for JSON: None (null) when no interval bounds it."""
+    return value if math.isfinite(value) else None
+
+
 @dataclass(eq=False)
 class TailReductionReport:
     """Numerical check of the hypotheses that discard the spectral tail.
@@ -409,7 +418,7 @@ class TailReductionReport:
     tail: np.ndarray
     upper_margin: float            # max over m of observed / (upper * E)
     upper_ok: bool
-    lower_margin: float            # min over m of truncated / windowed floor
+    lower_margin: float            # min over m of truncated / positive floor; inf if none
     lower_ok: bool
     split_ok: dict[float, bool]
     eta_bounds: dict[float, float] # final-mean floor implied by each eta
@@ -423,7 +432,7 @@ class TailReductionReport:
             "etas": list(self.etas),
             "upper_margin": self.upper_margin,
             "upper_ok": self.upper_ok,
-            "lower_margin": self.lower_margin,
+            "lower_margin": _finite_or_none(self.lower_margin),
             "lower_ok": self.lower_ok,
             "split_ok": {str(k): v for k, v in self.split_ok.items()},
             "eta_bounds": {str(k): v for k, v in self.eta_bounds.items()},
@@ -513,7 +522,7 @@ class ContinuousReport:
     certified_factors: dict[float, float]  # worst certified factor per speed
     monotone_ok: bool
     realized_ok: bool
-    realized_margin: float
+    realized_margin: float  # inf when no interval leaves a positive factor
     final_means: dict[float, float]
 
     def to_dict(self) -> dict:
@@ -522,7 +531,7 @@ class ContinuousReport:
             "certified_factors": {str(v): f for v, f in self.certified_factors.items()},
             "monotone_ok": self.monotone_ok,
             "realized_ok": self.realized_ok,
-            "realized_margin": self.realized_margin,
+            "realized_margin": _finite_or_none(self.realized_margin),
             "final_means": {str(v): f for v, f in self.final_means.items()},
             "records": {
                 str(v): [
@@ -544,6 +553,12 @@ class ContinuousReport:
 def continuous_protocol_delta(config: RunConfig, speeds) -> ContinuousReport:
     """Rerun the protocol with continuous paths for each speed in the ladder.
 
+    At one speed every interval of a window runs the same path, started at
+    (m - 1) * duration: its template (`path_template`) is built once per run
+    of intervals on that window, and each interval's kernel is that template
+    moved to its start by one phase (`shifted_kernel`), entry for entry the
+    `path_kernel` of the started path.
+
     The realized-bound check is evaluated on the datum truncated at each
     interval's cutoff (the certificate covers the windowed part; the tail
     only adds energy), and only where the certified loss leaves a positive
@@ -556,6 +571,8 @@ def continuous_protocol_delta(config: RunConfig, speeds) -> ContinuousReport:
         raise ValueError("at least one speed is required")
     setup = prepare_protocol(config)
     windows = [config.window_at(m) for m in range(1, config.interval_count + 1)]
+    diff = frequency_differences(setup.alpha)
+    mode_differences = setup.gamma_base.basis.mode_differences
 
     records: dict[float, tuple[ContinuousIntervalRecord, ...]] = {}
     certified: dict[float, float] = {}
@@ -563,7 +580,7 @@ def continuous_protocol_delta(config: RunConfig, speeds) -> ContinuousReport:
     realized_ok = True
     realized_margin = math.inf
     for speed in speeds:
-        # paths of one window differ only in t_start
+        # paths of one window differ only in t_start; each is built at 0
         paths = {
             k: build_continuous(
                 setup.designs[k], (0.0, config.duration), speed, setup.design_bounds[k]
@@ -573,9 +590,17 @@ def continuous_protocol_delta(config: RunConfig, speeds) -> ContinuousReport:
         recs: list[ContinuousIntervalRecord] = []
         total = 0.0
         worst_factor = math.inf
+        current = None
         for m, window in enumerate(windows, start=1):
-            path = replace(paths[window], t_start=(m - 1) * config.duration)
-            kernel = path_kernel(path, setup.alpha, setup.gamma_base)
+            path = paths[window]
+            if window != current:
+                # release the last window's template and kernel before the
+                # next template's temporaries are allocated
+                repeats = segments = kernel = None
+                repeats, segments = path_template(path, diff, mode_differences)
+                current = window
+            t_start = (m - 1) * config.duration
+            kernel = shifted_kernel(setup.gamma_base, diff, t_start, repeats, segments)
             value = kernel_energy(kernel, setup.coeff)
             total += value
             factor = max(config.measure - path.certified_loss, 0.0)
@@ -584,7 +609,7 @@ def continuous_protocol_delta(config: RunConfig, speeds) -> ContinuousReport:
                 part = setup.windowed[window]
                 part_value = kernel_energy(kernel, part)
                 reference = expansion_interval_energy(
-                    part, setup.alpha, path.t_start, config.duration
+                    part, setup.alpha, t_start, config.duration
                 )
                 if reference > 0.0:
                     ratio = part_value / (factor * reference)

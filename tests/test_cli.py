@@ -30,6 +30,7 @@ from torusobs.cli import (
     _fmt,
     _read_time_columns,
     _schedule_lines,
+    _write_json,
     main,
 )
 from test_experiment import config_dict
@@ -372,6 +373,81 @@ def test_continuous_command(tmp_path, capsys):
     assert report["monotone_ok"] and report["realized_ok"]
     assert report["certified_factors"]["10000.0"] > 0.0
     assert main(["verify", "--config", str(config), "--out", str(out)]) == 0
+
+
+def strict_json(path):
+    def reject(name):
+        raise ValueError(f"{name} in {path.name}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def continuous_run(tmp_path):
+    config = write_config(
+        tmp_path,
+        model="wave",
+        datum={"window": 2, "seed": 2},
+        schedule={"speeds": [200.0, 10000.0], "interval": 1},
+    )
+    out = tmp_path / "out"
+    assert main(["continuous", "--config", str(config), "--out", str(out)]) == 0
+    return config, out
+
+
+def test_verify_detects_continuous_report_final_mean_tampering(tmp_path, capsys):
+    config, out = continuous_run(tmp_path)
+    path = out / "continuous_report.json"
+    report = strict_json(path)
+    report["final_means"]["10000.0"] *= 1.0 + 1e-9
+    path.write_text(json.dumps(report))
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "continuous_report.json: final mean at speed 10000.0" in err
+
+
+def test_verify_detects_a_realized_margin_below_one(tmp_path, capsys):
+    config, out = continuous_run(tmp_path)
+    path = out / "continuous_report.json"
+    report = strict_json(path)
+    report["realized_margin"] = 0.5
+    path.write_text(json.dumps(report))
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
+    assert "realized margin 0.5 below 1" in capsys.readouterr().err
+
+
+def test_verify_detects_a_certified_loss_that_breaks_monotonicity(tmp_path, capsys):
+    config, out = continuous_run(tmp_path)
+    path = out / "continuous.csv"
+    lines = path.read_text().splitlines()
+    slow = next(line.split(",") for line in lines[2:] if line.startswith("200.0,"))
+    for i, line in enumerate(lines):
+        cells = line.split(",")
+        if cells[0] == "10000.0" and cells[1] == slow[1]:
+            cells[4] = repr(2.0 * float(slow[4]))
+            lines[i] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
+    assert "monotone_ok does not recompute" in capsys.readouterr().err
+
+
+def test_continuous_report_writes_null_when_no_speed_certifies(tmp_path):
+    # on the committed quick config neither speed leaves a positive factor,
+    # so no interval bounds the realized margin
+    out = tmp_path / "out"
+    quick = Path(__file__).resolve().parents[1] / "configs" / "quick.json"
+    for command in ("experiment", "continuous"):
+        assert main([command, "--config", str(quick), "--out", str(out)]) == 0
+    report = strict_json(out / "continuous_report.json")
+    assert set(report["certified_factors"].values()) == {0.0}
+    assert report["realized_margin"] is None
+    for path in out.glob("*.json"):
+        strict_json(path)
+    assert main(["verify", "--config", str(quick), "--out", str(out)]) == 0
+
+
+def test_json_artifacts_refuse_non_finite_values(tmp_path):
+    with pytest.raises(ValueError):
+        _write_json(tmp_path / "bad.json", {"margin": float("inf")})
 
 
 def test_calibrate_command(tmp_path):

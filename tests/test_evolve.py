@@ -42,9 +42,12 @@ from torusobs.evolve import (
     kernel_energy,
     output_expansion,
     output_kind_for,
+    path_kernel,
+    path_template,
     per_atom_sum,
     per_segment_sum,
     phase_integral,
+    shifted_kernel,
 )
 
 T1 = TorusSpace(1)
@@ -559,6 +562,34 @@ def test_non_grid_paths_take_the_segment_loop(monkeypatch, weights, shifts):
     q = path_observation_energy(datum, path, TIME_DERIVATIVE, gamma0)
     dense = oracles.simpson_path_energy(datum, path, gamma0.entries)
     assert q == pytest.approx(dense, rel=1e-8)
+
+
+def test_template_shifted_to_a_late_start_is_the_path_kernel():
+    # a non-grid design takes the segment loop; its template, built from a
+    # path at t = 0 and moved to t = 199 by one phase, must be the kernel of
+    # the path started at 199 entry for entry
+    basis = build_basis(T1, 2)
+    w = PrototypeSet.from_boxes(T1, [(0, "1/4")])
+    design = ConvexDesign(
+        atoms=tuple(
+            DesignAtom(GroupElement.of(g), t)
+            for g, t in zip(("0", "1/7", "2/5", "5/6"), (0.4, 0.1, 0.3, 0.2))
+        ),
+        measure=0.25,
+        cutoff=1,
+        residual=0.0,
+    )
+    assert design.grid_per_axis is None
+    gamma0 = gamma_matrix(basis, w, GroupElement.of(0))
+    _, alpha = output_expansion(make_datum("wave", 0.0, basis, seed=31), TIME_DERIVATIVE)
+    rate = trajectory_lipschitz_bound(basis, "wave", 0.0, 1.0)
+    early = build_continuous(design, (0.0, 1.0), 40.0, rate)
+    late = build_continuous(design, (199.0, 1.0), 40.0, rate)
+    assert late.macro_count == early.macro_count > 1
+    diff = frequency_differences(alpha)
+    repeats, segments = path_template(early, diff, basis.mode_differences)
+    shifted = shifted_kernel(gamma0, diff, 199.0, repeats, segments)
+    assert np.array_equal(shifted, path_kernel(late, alpha, gamma0))
 
 
 @pytest.mark.parametrize(

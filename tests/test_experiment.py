@@ -331,6 +331,16 @@ def test_tail_reduction_without_a_tail_is_exact():
     assert report.tail_mean == 0.0
 
 
+def test_unbounded_margins_are_written_as_null():
+    series = run_protocol(quick_config())
+    report = tail_reduction_check(series)
+    assert math.isfinite(report.lower_margin)
+    assert report.to_dict()["lower_margin"] == report.lower_margin
+    unbounded = dataclasses.replace(report, lower_margin=math.inf)
+    assert unbounded.to_dict()["lower_margin"] is None
+    json.dumps(unbounded.to_dict(), allow_nan=False)
+
+
 def test_tail_reduction_eta_validation():
     series = run_protocol(quick_config(interval_count=1))
     with pytest.raises(ValueError):
@@ -388,6 +398,90 @@ def test_monotone_check_compares_speeds_in_sorted_order(monkeypatch):
     fast = {r.index: r.certified_loss for r in report.records[1000.0]}
     assert all(mid[m] < fast[m] < slow[m] for m in fast)
     assert not report.monotone_ok
+
+
+def started_path_energies(config, speed):
+    """Observed energy per interval by the direct route: build the window's
+    path, start it at the interval, and take `path_kernel` of that path."""
+    from torusobs.evolve import kernel_energy, path_kernel
+    from torusobs.schedule import build_continuous
+
+    setup = experiment.prepare_protocol(config)
+    values = []
+    for m in range(1, config.interval_count + 1):
+        window = config.window_at(m)
+        path = build_continuous(
+            setup.designs[window], (0.0, config.duration), speed,
+            setup.design_bounds[window],
+        )
+        started = dataclasses.replace(path, t_start=(m - 1) * config.duration)
+        kernel = path_kernel(started, setup.alpha, setup.gamma_base)
+        values.append((path, kernel_energy(kernel, setup.coeff)))
+    return values
+
+
+@pytest.mark.parametrize(
+    "model,mass", [("schrodinger", 0.0), ("wave", 0.0), ("klein_gordon", 1.0)]
+)
+def test_continuous_records_equal_the_started_path_kernel(model, mass):
+    # the template is built once per window and shifted to each interval;
+    # every observed value must be bitwise the kernel of the started path
+    config = quick_config(
+        model=model,
+        mass=mass,
+        interval_count=7,
+        windows={"kind": "stride", "stride": 3, "cap": 2},
+    )
+    speeds = (300.0, 10000.0)
+    report = continuous_protocol_delta(config, speeds=speeds)
+    for speed in speeds:
+        direct = started_path_energies(config, speed)
+        recs = report.records[speed]
+        assert len(recs) == len(direct) == 7
+        for r, (path, value) in zip(recs, direct):
+            assert r.observed == value
+            assert r.macro_count == path.macro_count
+            assert r.certified_loss == path.certified_loss
+
+
+def test_2d_continuous_records_equal_the_started_path_kernel():
+    config = quick_config(
+        space={"dim": 2},
+        prototype={"boxes": [[[0, "1/2"], ["1/8", "5/8"]]]},
+        model="wave",
+        sim_window=2,
+        interval_count=3,
+        windows={"kind": "explicit", "values": [1, 1, 0]},
+        datum={"window": 2, "seed": 3},
+    )
+    report = continuous_protocol_delta(config, speeds=(1e4,))
+    direct = started_path_energies(config, 1e4)
+    assert [r.observed for r in report.records[1e4]] == [v for _, v in direct]
+
+
+@pytest.mark.parametrize(
+    "windows,runs",
+    [
+        ({"kind": "stride", "stride": 4, "cap": 3}, 3),
+        ({"kind": "explicit", "values": [1, 1, 2, 2, 2, 1, 1, 3, 3, 3, 3, 1]}, 5),
+    ],
+    ids=["stride", "revisited"],
+)
+def test_continuous_rerun_builds_one_template_per_window_run(monkeypatch, windows, runs):
+    from torusobs import evolve
+
+    calls = []
+    real = evolve.grid_tour_sum
+
+    def counted(*args):
+        calls.append(args[3].speed)
+        return real(*args)
+
+    monkeypatch.setattr(evolve, "grid_tour_sum", counted)
+    config = quick_config(sim_window=4, interval_count=12, windows=windows)
+    speeds = (300.0, 10000.0)
+    continuous_protocol_delta(config, speeds=speeds)
+    assert calls == [speed for speed in speeds for _ in range(runs)]
 
 
 def test_continuous_rerun_needs_a_speed():
