@@ -259,6 +259,9 @@ class ScheduleOptions:
         )
         if any(v <= 0 for v in speeds):
             raise ConfigError(f"{path}.speeds: entries must be > 0")
+        for i, v in enumerate(speeds):
+            if v in speeds[:i]:
+                raise ConfigError(f"{path}.speeds[{i}]: repeats {v!r}")
         cap = _as_int(mapping.get("csv_row_cap", 200_000), f"{path}.csv_row_cap")
         if cap < 1:
             raise ConfigError(f"{path}.csv_row_cap: must be >= 1")

@@ -52,6 +52,20 @@ atom count (`grid_tour_sum`).  Any other design is summed segment by segment.
 Neither that template sum nor the repeat sum depends on where the path
 starts (`path_template`); one phase e^{i D t_start} moves them to an interval
 (`shifted_kernel`), so paths that differ only in their start share them.
+
+Every factor of a grid kernel is a function of the frequency difference
+D = alpha_k - alpha_i alone (start phase, repeat sum, slot integral), of a
+pair (D, m_a) with one component of the mode difference (the per-axis
+Dirichlet sums), or of a pair (D, sum_{b>=a} m_b) (the leg integral of carry
+level a).  A run has far fewer distinct keys than kernel entries: the 2D
+box with 81 modes has 26,244 entries but 354 distinct D and 2,971 distinct
+(D, m_0).  A `DifferenceTable`, built once per run, holds the distinct keys
+and, for each kind, the index of every entry's key; a kernel evaluates each
+factor once per key and gathers it back with that index.  The distinct D are
+keyed on their bit patterns, so every gathered entry is the dense formula's
+floating-point operation on the same operands, and kernels are bitwise
+those of the dense evaluation.  Only the products of factors of different
+keys stay dense.
 """
 
 from __future__ import annotations
@@ -300,15 +314,92 @@ def frequency_differences(alpha: np.ndarray) -> np.ndarray:
     return alpha[None, None, :, :] - alpha[:, :, None, None]
 
 
+@dataclass(frozen=True, eq=False)
+class PairKeys:
+    """The distinct pairs (D, m) of one mode-difference component m, and
+    the pair of every kernel entry: the entry's D and m are
+    `diff[inverse]` and `modes[inverse]`."""
+
+    diff: np.ndarray
+    modes: np.ndarray
+    inverse: np.ndarray
+
+
+def _compact(index: np.ndarray, count: int) -> np.ndarray:
+    """`index` in the narrowest unsigned integer type that holds 0..count-1."""
+    return index.astype(np.min_scalar_type(max(count - 1, 0)))
+
+
+@dataclass(frozen=True, eq=False)
+class DifferenceTable:
+    """The frequency differences D of one expansion, deduplicated.
+
+    `values` holds the distinct D and `inverse` the index of each entry's D
+    on the lifted axes, so the dense D is `values[inverse]` (`diff`).
+    `axes[a]` holds the distinct pairs (D, m_a) of the mode differences
+    m = n_i - n_k, and `carries[a]` those of (D, sum_{b>=a} m_b) for the
+    carry levels a < d - 1; level d - 1 is the pair (D, m_{d-1}) itself
+    (`carry`).  `mode_differences` is the integer (dim, dim, d) array m the
+    pairs were read from.  Only the index arrays are kernel-sized, and each
+    is stored in the narrowest unsigned type that holds it.
+    """
+
+    values: np.ndarray
+    inverse: np.ndarray
+    axes: tuple[PairKeys, ...]
+    carries: tuple[PairKeys, ...]
+    mode_differences: np.ndarray
+
+    @classmethod
+    def build(cls, alpha: np.ndarray, mode_differences: np.ndarray) -> "DifferenceTable":
+        """Deduplicate the D of the expansion frequencies `alpha` (dim, P)
+        and their pairs with every component of `mode_differences`."""
+        diff = frequency_differences(alpha)
+        # keyed on the bit pattern, so -0.0 and 0.0 stay distinct operands
+        bits, inverse = np.unique(diff.ravel().view(np.int64), return_inverse=True)
+        values = bits.view(np.float64)
+
+        def pairs(m: np.ndarray) -> PairKeys:
+            # one integer code per (D, m): the D index times the span of m
+            low = int(m.min())
+            span = int(m.max()) - low + 1
+            code = inverse.reshape(diff.shape) * span + (m - low)[:, None, :, None]
+            keys, pair_inverse = np.unique(code.ravel(), return_inverse=True)
+            return PairKeys(
+                diff=values[keys // span],
+                # |m| < span, so the narrowest type holding -span holds m
+                modes=(keys % span + low).astype(np.min_scalar_type(-span)),
+                inverse=_compact(pair_inverse, keys.size).reshape(diff.shape),
+            )
+
+        dim = mode_differences.shape[-1]
+        return cls(
+            values=values,
+            inverse=_compact(inverse, values.size).reshape(diff.shape),
+            axes=tuple(pairs(mode_differences[..., a]) for a in range(dim)),
+            carries=tuple(
+                pairs(mode_differences[..., a:].sum(axis=-1)) for a in range(dim - 1)
+            ),
+            mode_differences=mode_differences,
+        )
+
+    @property
+    def diff(self) -> np.ndarray:
+        """The dense D on the lifted axes, as `frequency_differences` gives it."""
+        return self.values[self.inverse]
+
+    def carry(self, level: int) -> PairKeys:
+        """The pairs (D, sum_{b>=level} m_b)."""
+        return self.carries[level] if level < len(self.carries) else self.axes[-1]
+
+
 def kernel_energy(kernel: np.ndarray, coeff: np.ndarray) -> float:
     """Re sum conj(C[i, p]) K[i, p, k, q] C[k, q] for a kernel on the lifted axes."""
     flat = coeff.ravel()
     return float(np.real(np.vdot(flat, kernel.reshape(flat.size, flat.size) @ flat)))
 
 
-def grid_atom_sum(
-    diff: np.ndarray, basis: ModalBasis, per_axis: int, tau: float
-) -> np.ndarray:
+def grid_atom_sum(table: DifferenceTable, per_axis: int, tau: float) -> np.ndarray:
     """Slot integrals of one macro interval summed over an equal-weight grid.
 
     Atom j = sum_a j_a J1^(d-1-a) sits at shift (j_0, .., j_{d-1})/J1 and
@@ -317,15 +408,14 @@ def grid_atom_sum(
     e^{i D j w} are both affine in every j_a, so the sum over all J1^d atoms
     factors into one Dirichlet sum per axis, of
     D w J1^(d-1-a) - 2 pi m_a / J1 over j_a = 0..J1-1, times the shared
-    slot integral over [0, w).
+    slot integral over [0, w).  The slot integral is evaluated on the
+    distinct D and each axis sum on the distinct (D, m_a) of `table`.
     """
-    dim = basis.space.dim
-    width = tau / per_axis**dim
-    mdiff = basis.mode_differences[:, None, :, None, :]
-    total = phase_integral(diff, 0.0, width)
-    for a in range(dim):
-        arg = diff * (tau / per_axis ** (a + 1)) - (TWO_PI / per_axis) * mdiff[..., a]
-        total = total * geometric_phase_sum(arg, 1.0, per_axis)
+    width = tau / per_axis ** len(table.axes)
+    total = phase_integral(table.values, 0.0, width)[table.inverse]
+    for a, keys in enumerate(table.axes):
+        arg = keys.diff * (tau / per_axis ** (a + 1)) - (TWO_PI / per_axis) * keys.modes
+        total = total * geometric_phase_sum(arg, 1.0, per_axis)[keys.inverse]
     return total
 
 
@@ -348,7 +438,7 @@ def per_atom_sum(
 
 
 def switching_kernel(
-    schedule: SwitchingSchedule, alpha: np.ndarray, gamma_base: ObservationMatrix
+    schedule: SwitchingSchedule, table: DifferenceTable, gamma_base: ObservationMatrix
 ) -> np.ndarray:
     """Lifted kernel of the observation energy along a switching schedule.
 
@@ -356,30 +446,33 @@ def switching_kernel(
     repetitions times the atom sum of one macro interval (closed form for
     the equal-weight grid, atom by atom otherwise).  Its quadratic form in
     the output coefficients (`kernel_energy`) is the observed energy.
+    `table` holds the frequency differences of the output expansion.
     """
-    diff = frequency_differences(alpha)
     tau = schedule.macro_length
     per_axis = schedule.design.grid_per_axis
     if per_axis is None:
-        atoms = per_atom_sum(diff, gamma_base.basis, schedule)
+        atoms = per_atom_sum(table.diff, gamma_base.basis, schedule)
     else:
-        atoms = grid_atom_sum(diff, gamma_base.basis, per_axis, tau)
-    repeats = geometric_phase_sum(diff, tau, schedule.macro_count)
-    return shifted_kernel(gamma_base, diff, schedule.t_start, repeats, atoms)
+        atoms = grid_atom_sum(table, per_axis, tau)
+    repeats = geometric_phase_sum(table.values, tau, schedule.macro_count)
+    return shifted_kernel(gamma_base, table, schedule.t_start, repeats, atoms)
 
 
 def shifted_kernel(
     gamma_base: ObservationMatrix,
-    diff: np.ndarray,
+    table: DifferenceTable,
     t_start: float,
     repeats: np.ndarray,
     body: np.ndarray,
 ) -> np.ndarray:
     """Gamma(0) times e^{i D t_start} times the repeat sum times the macro
     sum `body`: the one step of a kernel that depends on where the interval
-    starts."""
-    start = np.exp(1j * diff * t_start)
-    return gamma_base.entries[:, None, :, None] * ((start * repeats) * body)
+    starts.  The start phase and `repeats` are functions of D alone, given
+    on the distinct D of `table`; `body` is on the lifted axes."""
+    start = np.exp(1j * table.values * t_start)
+    return gamma_base.entries[:, None, :, None] * (
+        (start * repeats)[table.inverse] * body
+    )
 
 
 def _check_gamma_base(datum: ModalDatum, gamma_base: ObservationMatrix) -> None:
@@ -406,7 +499,8 @@ def windowed_observation_energy(
     """
     _check_gamma_base(datum, gamma_base)
     coeff, alpha = output_expansion(datum, kind)
-    return kernel_energy(switching_kernel(schedule, alpha, gamma_base), coeff)
+    table = DifferenceTable.build(alpha, gamma_base.basis.mode_differences)
+    return kernel_energy(switching_kernel(schedule, table, gamma_base), coeff)
 
 
 def interval_output_energy(
@@ -459,7 +553,7 @@ def per_segment_sum(
 
 
 def grid_tour_sum(
-    diff: np.ndarray, mode_differences: np.ndarray, per_axis: int, path: ContinuousPath
+    table: DifferenceTable, per_axis: int, path: ContinuousPath
 ) -> np.ndarray:
     """Segment integrals of one macro template summed over the grid tour.
 
@@ -478,57 +572,61 @@ def grid_tour_sum(
     axes b < a over J1 values, axis a over J1-1 values (J1 at level 0), the
     later axes fixed at J1-1.  Each class is one moving-phase integral over
     [0, l_a) times at most d Dirichlet sums, O(d^2) kernel-sized operations
-    for the whole template whatever J is.
+    for the whole template whatever J is.  Slot phases are evaluated on the
+    distinct D of `table`, the dwell sums on the distinct (D, m_b) and the
+    level-a leg integrals on the distinct (D, sum_{b>=a} m_b).
     """
-    dim = mode_differences.shape[-1]
-    mdiff = mode_differences[:, None, :, None, :]
+    dim = len(table.axes)
     dwell = path.design.atoms[0].weight * (path.macro_length - path.cycle / path.speed)
-    total = phase_integral(diff, 0.0, dwell)
+    total = phase_integral(table.values, 0.0, dwell)[table.inverse]
     if per_axis == 1:
         return total
     step = float(torus_displacement(0.0, 1.0 / per_axis))
     legs = [abs(step) * math.sqrt(dim - a) / path.speed for a in range(dim)]
     full, short, fixed = [], [], []
-    for b in range(dim):
+    for b, keys in enumerate(table.axes):
         offset = dwell * per_axis ** (dim - 1 - b) + legs[b]
         for a in range(b + 1, dim):
             offset += legs[a] * (per_axis - 1) * per_axis ** (a - 1 - b)
-        arg = diff * offset - (TWO_PI / per_axis) * mdiff[..., b]
-        full.append(geometric_phase_sum(arg, 1.0, per_axis))
-        short.append(geometric_phase_sum(arg, 1.0, per_axis - 1))
-        fixed.append(np.exp(1j * (per_axis - 1) * arg))
+        arg = keys.diff * offset - (TWO_PI / per_axis) * keys.modes
+        full.append(geometric_phase_sum(arg, 1.0, per_axis)[keys.inverse])
+        short.append(geometric_phase_sum(arg, 1.0, per_axis - 1)[keys.inverse])
+        fixed.append(np.exp(1j * (per_axis - 1) * arg)[keys.inverse])
     total = total * math.prod(full)
-    after_dwell = np.exp(1j * diff * dwell)
+    after_dwell = np.exp(1j * table.values * dwell)[table.inverse]
     for a in range(dim):
         along = (full if a == 0 else short)[a]
         atoms = math.prod(full[:a]) * along * math.prod(fixed[a + 1 :])
-        rate = -(TWO_PI * step / legs[a]) * mdiff[..., a:].sum(axis=-1)
-        total = total + atoms * after_dwell * phase_integral(diff + rate, 0.0, legs[a])
+        keys = table.carry(a)
+        rate = -(TWO_PI * step / legs[a]) * keys.modes
+        leg = phase_integral(keys.diff + rate, 0.0, legs[a])[keys.inverse]
+        total = total + atoms * after_dwell * leg
     return total
 
 
 def path_template(
-    path: ContinuousPath, diff: np.ndarray, mode_differences: np.ndarray
+    path: ContinuousPath, table: DifferenceTable
 ) -> tuple[np.ndarray, np.ndarray]:
     """The start-free factors (repeats, segments) of a path kernel.
 
-    `repeats` is the Dirichlet sum over the R macro repetitions, `segments`
-    the segment sum of one macro template: closed-form for an equal-weight
-    grid design (`grid_tour_sum`), segment by segment otherwise
-    (`per_segment_sum`).  Neither reads `path.t_start`, so paths that differ
-    only in their start share them.
+    `repeats` is the Dirichlet sum over the R macro repetitions, on the
+    distinct D of `table`; `segments` the segment sum of one macro template
+    on the lifted axes: closed-form for an equal-weight grid design
+    (`grid_tour_sum`), segment by segment otherwise (`per_segment_sum`).
+    Neither reads `path.t_start`, so paths that differ only in their start
+    share them.
     """
     per_axis = path.design.grid_per_axis
     if per_axis is None:
-        segments = per_segment_sum(diff, mode_differences, path)
+        segments = per_segment_sum(table.diff, table.mode_differences, path)
     else:
-        segments = grid_tour_sum(diff, mode_differences, per_axis, path)
-    repeats = geometric_phase_sum(diff, path.macro_length, path.macro_count)
+        segments = grid_tour_sum(table, per_axis, path)
+    repeats = geometric_phase_sum(table.values, path.macro_length, path.macro_count)
     return repeats, segments
 
 
 def path_kernel(
-    path: ContinuousPath, alpha: np.ndarray, gamma_base: ObservationMatrix
+    path: ContinuousPath, table: DifferenceTable, gamma_base: ObservationMatrix
 ) -> np.ndarray:
     """Lifted kernel of the observation energy along a continuous path.
 
@@ -538,9 +636,8 @@ def path_kernel(
     (`path_template`, built once per window and speed by the continuous
     rerun) moved to `path.t_start` by one phase (`shifted_kernel`).
     """
-    diff = frequency_differences(alpha)
-    repeats, segments = path_template(path, diff, gamma_base.basis.mode_differences)
-    return shifted_kernel(gamma_base, diff, path.t_start, repeats, segments)
+    repeats, segments = path_template(path, table)
+    return shifted_kernel(gamma_base, table, path.t_start, repeats, segments)
 
 
 def path_observation_energy(
@@ -555,4 +652,5 @@ def path_observation_energy(
     """
     _check_gamma_base(datum, gamma_base)
     coeff, alpha = output_expansion(datum, kind)
-    return kernel_energy(path_kernel(path, alpha, gamma_base), coeff)
+    table = DifferenceTable.build(alpha, gamma_base.basis.mode_differences)
+    return kernel_energy(path_kernel(path, table, gamma_base), coeff)

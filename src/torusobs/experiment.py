@@ -17,23 +17,26 @@ switching kernel is built once: the observed, windowed and tail energies are
 three quadratic forms of it.  In the continuous rerun every interval of one
 window runs the same path at a given speed, so that path's template is built
 once per (window, speed) and moved to each interval by one phase e^{i D t}.
+Every kernel of a run reads one table of the distinct frequency differences
+D of the datum's expansion (`ProtocolSetup.differences`), built once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .config import RunConfig
 from .design import ConvexDesign, equispaced_design
 from .evolve import (
+    DifferenceTable,
     ModalDatum,
     check_model_mass,
     conserved_energy,
     expansion_interval_energy,
-    frequency_differences,
     kernel_energy,
     output_expansion,
     output_kind_for,
@@ -262,25 +265,72 @@ class CesaroSeries:
 class ProtocolSetup:
     """The protocol state every command reads.
 
-    It holds the datum on the simulation basis with its output expansion
-    (coeff, alpha); for each window the intervals use, the equal-weight
-    design, its Lipschitz bound and the output coefficients of the datum
-    below (`windowed`) and above (`tails`) that window; and the one
-    unshifted observation matrix.  Windowing masks coefficients only, so
-    every part shares `alpha`.  `schedule` is the one place an interval's
-    switching schedule is built.
+    It holds, for each window the intervals use, the equal-weight design and
+    its Lipschitz bound.  Built on first use: the datum on the simulation
+    basis with its output expansion (coeff, alpha); the output coefficients
+    of the datum below (`windowed`) and above (`tails`) each window; the one
+    unshifted observation matrix; and the frequency differences of `alpha`
+    (`differences`), which every kernel of the run reads.  Windowing masks
+    coefficients only, so every part shares `alpha`.  `schedule` is the one
+    place an interval's switching schedule is built, and reads none of the
+    lazy parts.
     """
 
     config: RunConfig
-    datum: ModalDatum
     basis: ModalBasis
-    coeff: np.ndarray
-    alpha: np.ndarray
     designs: dict[int, ConvexDesign]
     design_bounds: dict[int, float]
-    windowed: dict[int, np.ndarray]
-    tails: dict[int, np.ndarray]
-    gamma_base: ObservationMatrix
+
+    @cached_property
+    def datum(self) -> ModalDatum:
+        config = self.config
+        return random_datum(
+            config.model,
+            self.basis,
+            window=config.datum_window,
+            decay=config.datum_decay,
+            decay_power=config.datum_decay_power,
+            seed=config.seed,
+            mass=config.mass,
+        )
+
+    @property
+    def kind(self) -> str:
+        return output_kind_for(self.config.model)
+
+    @cached_property
+    def _expansion(self) -> tuple[np.ndarray, np.ndarray]:
+        return output_expansion(self.datum, self.kind)
+
+    @property
+    def coeff(self) -> np.ndarray:
+        return self._expansion[0]
+
+    @property
+    def alpha(self) -> np.ndarray:
+        return self._expansion[1]
+
+    @cached_property
+    def windowed(self) -> dict[int, np.ndarray]:
+        return {
+            k: output_expansion(self.datum.windowed(k), self.kind)[0]
+            for k in self.designs
+        }
+
+    @cached_property
+    def tails(self) -> dict[int, np.ndarray]:
+        return {
+            k: output_expansion(self.datum.tail(k), self.kind)[0] for k in self.designs
+        }
+
+    @cached_property
+    def gamma_base(self) -> ObservationMatrix:
+        space = self.config.space()
+        return gamma_matrix(self.basis, self.config.prototype(), space.identity())
+
+    @cached_property
+    def differences(self) -> DifferenceTable:
+        return DifferenceTable.build(self.alpha, self.basis.mode_differences)
 
     def schedule(self, index: int) -> SwitchingSchedule:
         """Switching schedule of interval `index` (1-based): the design of the
@@ -296,24 +346,14 @@ class ProtocolSetup:
 
 
 def prepare_protocol(config: RunConfig) -> ProtocolSetup:
-    """Build the datum and its expansions, the per-window designs and bounds,
-    and Gamma(0).
+    """Build the per-window designs and bounds; the rest of the setup is
+    built when first read.
 
     Windows are prepared in interval order, so a window at or above the
     simulation cutoff is reported for the first interval that uses it.
     """
     space = config.space()
     prototype = config.prototype()
-    sim_basis = build_basis(space, config.sim_window)
-    datum = random_datum(
-        config.model,
-        sim_basis,
-        window=config.datum_window,
-        decay=config.datum_decay,
-        decay_power=config.datum_decay_power,
-        seed=config.seed,
-        mass=config.mass,
-    )
     designs: dict[int, ConvexDesign] = {}
     design_bounds: dict[int, float] = {}
     for m in range(1, config.interval_count + 1):
@@ -330,19 +370,11 @@ def prepare_protocol(config: RunConfig) -> ProtocolSetup:
         design_bounds[window] = trajectory_lipschitz_bound(
             design_basis, config.model, config.mass, config.duration
         )
-    kind = output_kind_for(config.model)
-    coeff, alpha = output_expansion(datum, kind)
     return ProtocolSetup(
         config=config,
-        datum=datum,
-        basis=sim_basis,
-        coeff=coeff,
-        alpha=alpha,
+        basis=build_basis(space, config.sim_window),
         designs=designs,
         design_bounds=design_bounds,
-        windowed={k: output_expansion(datum.windowed(k), kind)[0] for k in designs},
-        tails={k: output_expansion(datum.tail(k), kind)[0] for k in designs},
-        gamma_base=gamma_matrix(sim_basis, prototype, space.identity()),
     )
 
 
@@ -363,7 +395,7 @@ def run_protocol(config: RunConfig) -> CesaroSeries:
     for m in range(1, config.interval_count + 1):
         window = config.window_at(m)
         schedule = setup.schedule(m)
-        kernel = switching_kernel(schedule, setup.alpha, setup.gamma_base)
+        kernel = switching_kernel(schedule, setup.differences, setup.gamma_base)
         value = kernel_energy(kernel, setup.coeff)
         total += value
         records.append(
@@ -571,8 +603,7 @@ def continuous_protocol_delta(config: RunConfig, speeds) -> ContinuousReport:
         raise ValueError("at least one speed is required")
     setup = prepare_protocol(config)
     windows = [config.window_at(m) for m in range(1, config.interval_count + 1)]
-    diff = frequency_differences(setup.alpha)
-    mode_differences = setup.gamma_base.basis.mode_differences
+    table = setup.differences
 
     records: dict[float, tuple[ContinuousIntervalRecord, ...]] = {}
     certified: dict[float, float] = {}
@@ -597,10 +628,10 @@ def continuous_protocol_delta(config: RunConfig, speeds) -> ContinuousReport:
                 # release the last window's template and kernel before the
                 # next template's temporaries are allocated
                 repeats = segments = kernel = None
-                repeats, segments = path_template(path, diff, mode_differences)
+                repeats, segments = path_template(path, table)
                 current = window
             t_start = (m - 1) * config.duration
-            kernel = shifted_kernel(setup.gamma_base, diff, t_start, repeats, segments)
+            kernel = shifted_kernel(setup.gamma_base, table, t_start, repeats, segments)
             value = kernel_energy(kernel, setup.coeff)
             total += value
             factor = max(config.measure - path.certified_loss, 0.0)

@@ -216,6 +216,35 @@ def test_experiment_process_does_not_import_numpy_ma(tmp_path):
     assert done.stdout.splitlines()[-1] == "False"
 
 
+def test_schedule_process_builds_neither_datum_nor_kernels(tmp_path):
+    # the schedule command reads the designs and their bounds only: no
+    # seeded datum (so no numpy.random), no Gamma(0), no difference table
+    config = write_config(tmp_path, model="wave", datum={"window": 3, "seed": 2})
+    code = (
+        "import sys\n"
+        "from torusobs import evolve, experiment\n"
+        "def refuse(*args):\n"
+        "    raise AssertionError('schedule built a kernel input')\n"
+        "evolve.DifferenceTable.build = classmethod(refuse)\n"
+        "experiment.gamma_matrix = refuse\n"
+        "from torusobs.cli import main\n"
+        f"assert main(['schedule', '--config', {str(config)!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(torusobs.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+    assert (tmp_path / "out" / "schedule_m1.csv").exists()
+
+
 @pytest.mark.parametrize("cap", [3, 7, 3 * SCHEDULE_BLOCK + 11, 10**9])
 def test_schedule_lines_match_micro_intervals(cap):
     # the block writer must reproduce the slot-by-slot text exactly, also

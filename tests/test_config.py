@@ -136,6 +136,20 @@ def test_schedule_intervals_lie_inside_the_run(key, index):
     assert RunConfig.from_dict(config(3)).interval_count == 3
 
 
+@pytest.mark.parametrize(
+    "speeds,index,value",
+    [([100.0, 100.0], 1, "100.0"), ([10, 100.0, 10.0], 2, "10.0")],
+)
+def test_speed_ladder_entries_are_distinct(speeds, index, value):
+    # a repeated speed would write its continuous records twice
+    with pytest.raises(
+        ConfigError, match=rf"config\.schedule\.speeds\[{index}\]: repeats {value}"
+    ):
+        RunConfig.from_dict(minimal(schedule={"speeds": speeds}))
+    distinct = RunConfig.from_dict(minimal(schedule={"speeds": [100.0, 10.0]}))
+    assert distinct.schedule.speeds == (100.0, 10.0)
+
+
 def test_window_schedules():
     stride = RunConfig.from_dict(
         minimal(

@@ -35,6 +35,7 @@ from torusobs import evolve
 from torusobs.evolve import (
     FIELD,
     TIME_DERIVATIVE,
+    DifferenceTable,
     frequency_differences,
     geometric_phase_sum,
     grid_atom_sum,
@@ -48,7 +49,9 @@ from torusobs.evolve import (
     per_segment_sum,
     phase_integral,
     shifted_kernel,
+    switching_kernel,
 )
+from torusobs.schedule import torus_displacement
 
 T1 = TorusSpace(1)
 T2 = TorusSpace(2)
@@ -383,7 +386,8 @@ def grid_and_atom_energies(datum, schedule, kind, gamma0):
         * geometric_phase_sum(diff, tau, schedule.macro_count)
     )
     per_axis = schedule.design.grid_per_axis
-    grid = grid_atom_sum(diff, datum.basis, per_axis, tau)
+    table = DifferenceTable.build(alpha, datum.basis.mode_differences)
+    grid = grid_atom_sum(table, per_axis, tau)
     atoms = per_atom_sum(diff, datum.basis, schedule)
     return kernel_energy(shared * grid, coeff), kernel_energy(shared * atoms, coeff)
 
@@ -527,9 +531,148 @@ def test_grid_tour_sum_matches_the_segment_loop(dim, per_axis, model, mass):
     modes = np.array(list(product(range(-cut, cut + 1), repeat=dim)))
     diff = frequency_differences(model_frequencies(model, mass, modes))
     mdiff = modes[:, None, :] - modes[None, :, :]
-    tour = grid_tour_sum(diff, mdiff, per_axis, path)
+    table = DifferenceTable.build(model_frequencies(model, mass, modes), mdiff)
+    tour = grid_tour_sum(table, per_axis, path)
     loop = per_segment_sum(diff, mdiff, path)
     assert np.max(np.abs(tour - loop)) <= 1e-12 * np.max(np.abs(loop))
+
+
+def bits(x):
+    """The bit patterns of a float or complex array: equal bits, equal
+    floating-point values, signed zeros included."""
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+def lift(m, shape):
+    """A (dim, dim) mode matrix broadcast onto the lifted kernel axes."""
+    return np.broadcast_to(m[:, None, :, None], shape)
+
+
+@pytest.mark.parametrize("model,mass", MODELS)
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_difference_table_reproduces_its_keys(dim, model, mass):
+    # every gather reproduces the dense keys bit for bit (the massless wave
+    # has a -0.0 difference, which must not merge with 0.0), and no key
+    # repeats
+    cut = {1: 5, 2: 3, 3: 1}[dim]
+    modes = np.array(list(product(range(-cut, cut + 1), repeat=dim)))
+    mdiff = modes[:, None, :] - modes[None, :, :]
+    alpha = model_frequencies(model, mass, modes)
+    diff = frequency_differences(alpha)
+    table = DifferenceTable.build(alpha, mdiff)
+    assert np.array_equal(bits(table.values[table.inverse]), bits(diff))
+    assert np.array_equal(bits(table.diff), bits(diff))
+    assert np.unique(bits(table.values)).size == table.values.size
+    assert len(table.axes) == dim and len(table.carries) == dim - 1
+    expected = [(table.axes[a], mdiff[..., a]) for a in range(dim)]
+    expected += [(table.carry(a), mdiff[..., a:].sum(axis=-1)) for a in range(dim)]
+    for keys, m in expected:
+        assert np.array_equal(bits(keys.diff[keys.inverse]), bits(diff))
+        assert np.array_equal(keys.modes[keys.inverse], lift(m, diff.shape))
+        pairs = set(zip(bits(keys.diff).tolist(), keys.modes.tolist()))
+        assert len(pairs) == keys.diff.size
+        assert keys.inverse.dtype.itemsize <= 2
+    assert table.carry(dim - 1) is table.axes[dim - 1]
+    if model == "wave":
+        assert np.any((diff == 0.0) & np.signbit(diff))
+
+
+# The dense formulas the table replaces, one transcendental per entry.
+
+
+def dense_grid_atom_sum(diff, mode_differences, per_axis, tau):
+    dim = mode_differences.shape[-1]
+    width = tau / per_axis**dim
+    mdiff = mode_differences[:, None, :, None, :]
+    total = phase_integral(diff, 0.0, width)
+    for a in range(dim):
+        arg = diff * (tau / per_axis ** (a + 1)) - (2.0 * math.pi / per_axis) * mdiff[..., a]
+        total = total * geometric_phase_sum(arg, 1.0, per_axis)
+    return total
+
+
+def dense_grid_tour_sum(diff, mode_differences, per_axis, path):
+    two_pi = 2.0 * math.pi
+    dim = mode_differences.shape[-1]
+    mdiff = mode_differences[:, None, :, None, :]
+    dwell = path.design.atoms[0].weight * (path.macro_length - path.cycle / path.speed)
+    total = phase_integral(diff, 0.0, dwell)
+    step = float(torus_displacement(0.0, 1.0 / per_axis))
+    legs = [abs(step) * math.sqrt(dim - a) / path.speed for a in range(dim)]
+    full, short, fixed = [], [], []
+    for b in range(dim):
+        offset = dwell * per_axis ** (dim - 1 - b) + legs[b]
+        for a in range(b + 1, dim):
+            offset += legs[a] * (per_axis - 1) * per_axis ** (a - 1 - b)
+        arg = diff * offset - (two_pi / per_axis) * mdiff[..., b]
+        full.append(geometric_phase_sum(arg, 1.0, per_axis))
+        short.append(geometric_phase_sum(arg, 1.0, per_axis - 1))
+        fixed.append(np.exp(1j * (per_axis - 1) * arg))
+    total = total * math.prod(full)
+    after_dwell = np.exp(1j * diff * dwell)
+    for a in range(dim):
+        along = (full if a == 0 else short)[a]
+        atoms = math.prod(full[:a]) * along * math.prod(fixed[a + 1 :])
+        rate = -(two_pi * step / legs[a]) * mdiff[..., a:].sum(axis=-1)
+        total = total + atoms * after_dwell * phase_integral(diff + rate, 0.0, legs[a])
+    return total
+
+
+def dense_shifted(gamma0, diff, t_start, repeats, body):
+    start = np.exp(1j * diff * t_start)
+    return gamma0.entries[:, None, :, None] * ((start * repeats) * body)
+
+
+def late_grid_setup(dim, model, mass):
+    """A grid design with 5 atoms per axis, Gamma(0) and an output
+    expansion on a simulation basis past the design cutoff."""
+    if dim == 1:
+        space, boxes, sim = T1, [(0, "1/4")], 3
+    else:
+        space, boxes, sim = T2, [[(0, "1/2"), ("1/8", "5/8")]], 2
+    w = PrototypeSet.from_boxes(space, boxes)
+    design = equispaced_design(build_basis(space, 1), w)
+    assert design.grid_per_axis == 5
+    basis = build_basis(space, sim)
+    gamma0 = gamma_matrix(basis, w, space.identity())
+    _, alpha = output_expansion(make_datum(model, mass, basis, seed=37), output_kind_for(model))
+    return design, basis, gamma0, alpha
+
+
+@pytest.mark.parametrize("model,mass", MODELS)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_table_kernels_are_bitwise_the_dense_formulas(dim, model, mass):
+    # a late interval (t_start = 199) with R ~ 10^5 macro repetitions
+    design, basis, gamma0, alpha = late_grid_setup(dim, model, mass)
+    table = DifferenceTable.build(alpha, basis.mode_differences)
+    diff = frequency_differences(alpha)
+    mdiff = basis.mode_differences
+
+    rate = trajectory_lipschitz_bound(build_basis(basis.space, 1), model, mass, 1.0)
+    schedule = build_switching(design, (199.0, 1.0), rate, 1.25 * rate / 1e5)
+    assert schedule.macro_count >= 10**5
+    tau = schedule.macro_length
+    atoms = dense_grid_atom_sum(diff, mdiff, 5, tau)
+    assert np.array_equal(bits(grid_atom_sum(table, 5, tau)), bits(atoms))
+    repeats = geometric_phase_sum(diff, tau, schedule.macro_count)
+    assert np.array_equal(
+        bits(geometric_phase_sum(table.values, tau, schedule.macro_count)[table.inverse]),
+        bits(repeats),
+    )
+    kernel = dense_shifted(gamma0, diff, 199.0, repeats, atoms)
+    assert np.array_equal(bits(switching_kernel(schedule, table, gamma0)), bits(kernel))
+
+    path = build_continuous(design, (199.0, 1.0), 1e5, 1e5)
+    assert path.macro_count >= 10**4
+    segments = dense_grid_tour_sum(diff, mdiff, 5, path)
+    assert np.array_equal(bits(grid_tour_sum(table, 5, path)), bits(segments))
+    repeats = geometric_phase_sum(diff, path.macro_length, path.macro_count)
+    template = path_template(path, table)
+    assert np.array_equal(bits(template[0][table.inverse]), bits(repeats))
+    assert np.array_equal(bits(template[1]), bits(segments))
+    kernel = dense_shifted(gamma0, diff, 199.0, repeats, segments)
+    assert np.array_equal(bits(shifted_kernel(gamma0, table, 199.0, *template)), bits(kernel))
+    assert np.array_equal(bits(path_kernel(path, table, gamma0)), bits(kernel))
 
 
 @pytest.mark.parametrize(
@@ -586,10 +729,10 @@ def test_template_shifted_to_a_late_start_is_the_path_kernel():
     early = build_continuous(design, (0.0, 1.0), 40.0, rate)
     late = build_continuous(design, (199.0, 1.0), 40.0, rate)
     assert late.macro_count == early.macro_count > 1
-    diff = frequency_differences(alpha)
-    repeats, segments = path_template(early, diff, basis.mode_differences)
-    shifted = shifted_kernel(gamma0, diff, 199.0, repeats, segments)
-    assert np.array_equal(shifted, path_kernel(late, alpha, gamma0))
+    table = DifferenceTable.build(alpha, basis.mode_differences)
+    repeats, segments = path_template(early, table)
+    shifted = shifted_kernel(gamma0, table, 199.0, repeats, segments)
+    assert np.array_equal(shifted, path_kernel(late, table, gamma0))
 
 
 @pytest.mark.parametrize(

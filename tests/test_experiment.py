@@ -287,10 +287,40 @@ def test_experiment_builds_one_switching_kernel_per_interval(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "run",
+    [run_protocol, lambda config: continuous_protocol_delta(config, (300.0, 1e4))],
+    ids=["run_protocol", "continuous_protocol_delta"],
+)
+def test_a_run_builds_one_difference_table(monkeypatch, run):
+    from torusobs import evolve
+
+    differences = []
+    tables = []
+    real_differences = evolve.frequency_differences
+    real_build = evolve.DifferenceTable.build
+
+    def counted_differences(alpha):
+        differences.append(alpha.shape)
+        return real_differences(alpha)
+
+    def counted_build(cls, *args):
+        tables.append(len(args))
+        return real_build(*args)
+
+    monkeypatch.setattr(evolve, "frequency_differences", counted_differences)
+    monkeypatch.setattr(evolve.DifferenceTable, "build", classmethod(counted_build))
+    config = quick_config(interval_count=6, windows={"kind": "stride", "stride": 2, "cap": 2})
+    run(config)
+    assert len(differences) == 1
+    assert len(tables) == 1
+
+
+@pytest.mark.parametrize(
     "model,mass", [("schrodinger", 0.0), ("wave", 0.0), ("klein_gordon", 1.0)]
 )
 def test_tail_report_equals_a_fresh_kernel_on_the_rebuilt_schedule(model, mass):
     from torusobs.evolve import (
+        DifferenceTable,
         kernel_energy,
         output_expansion,
         output_kind_for,
@@ -311,7 +341,8 @@ def test_tail_report_equals_a_fresh_kernel_on_the_rebuilt_schedule(model, mass):
             setup.design_bounds[r.window],
             r.tolerance,
         )
-        kernel = switching_kernel(schedule, alpha, setup.gamma_base)
+        table = DifferenceTable.build(alpha, setup.basis.mode_differences)
+        kernel = switching_kernel(schedule, table, setup.gamma_base)
         inside, _ = output_expansion(setup.datum.windowed(r.window), kind)
         outside, _ = output_expansion(setup.datum.tail(r.window), kind)
         assert report.truncated[i] == kernel_energy(kernel, inside)
@@ -415,7 +446,7 @@ def started_path_energies(config, speed):
             setup.design_bounds[window],
         )
         started = dataclasses.replace(path, t_start=(m - 1) * config.duration)
-        kernel = path_kernel(started, setup.alpha, setup.gamma_base)
+        kernel = path_kernel(started, setup.differences, setup.gamma_base)
         values.append((path, kernel_energy(kernel, setup.coeff)))
     return values
 
@@ -474,7 +505,7 @@ def test_continuous_rerun_builds_one_template_per_window_run(monkeypatch, window
     real = evolve.grid_tour_sum
 
     def counted(*args):
-        calls.append(args[3].speed)
+        calls.append(args[2].speed)
         return real(*args)
 
     monkeypatch.setattr(evolve, "grid_tour_sum", counted)
