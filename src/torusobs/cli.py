@@ -112,18 +112,19 @@ def _read_csv(path: Path, version: str, header: str) -> list[list[str]]:
 def _read_time_columns(path: Path, header: str) -> np.ndarray:
     """(t_start, t_end) of every schedule CSV row, as an (n, 2) float array.
 
-    The two layout lines are checked as in `_read_csv`; the rows are parsed
-    in one vectorised pass that reads only the two time columns.
+    The two layout lines are checked as in `_read_csv`; then one
+    `np.loadtxt` over the path itself skips them and parses only the two
+    time columns of every row, in one vectorised pass.
     """
     with path.open() as fh:
         if [fh.readline().rstrip("\r\n") for _ in range(2)] != [SCHEDULE_VERSION, header]:
             raise ValueError(f"{path.name}: unrecognized layout")
-        with warnings.catch_warnings():
-            # an empty body is left to the caller's row-count check
-            warnings.simplefilter("ignore", UserWarning)
-            return np.loadtxt(
-                fh, delimiter=",", usecols=(0, 1), ndmin=2, comments=None
-            )
+    with warnings.catch_warnings():
+        # an empty body is left to the caller's row-count check
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(
+            path, delimiter=",", usecols=(0, 1), ndmin=2, comments=None, skiprows=2
+        )
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -215,14 +216,20 @@ SCHEDULE_BLOCK = 2048
 
 
 def _schedule_lines(schedule, cap: int):
-    """CSV text of the first `cap` micro slots, in (macro, atom) order, as
-    one chunk per macro repetition.
+    """CSV text of the first `cap` micro slots, in (macro, atom) order, one
+    chunk of at most `SCHEDULE_BLOCK` rows at a time.
 
     Macro r has the slot boundaries (t_start + r tau) + cum_k tau, k = 0..J,
     the same floating-point operations as `SwitchingSchedule.micro_interval`.
-    A slot's end is the next slot's start, so each boundary is formatted
-    once and shared by the two rows; only the macros holding the first
-    `cap` slots are formatted, a block of them at a time.
+    A slot's end is the next slot's start, so each block of whole macros
+    forms its boundary grid once and `repr`s each boundary once.  The row
+    starts are that list with each macro's last cell deleted, the row ends
+    the list from its second cell with each next macro's first cell
+    deleted; start, ",", end and the atom's suffix are interleaved by slice
+    assignment into one list of pieces and the block is one join.  Only the
+    macros holding the first `cap` slots are formatted; a macro of more than
+    `SCHEDULE_BLOCK` atoms is its own block, joined in `SCHEDULE_BLOCK`-row
+    pieces.
     """
     tau = schedule.macro_length
     atoms = schedule.atom_count
@@ -230,12 +237,6 @@ def _schedule_lines(schedule, cap: int):
         f",{j}," + ",".join(repr(v) for v in s.as_floats().tolist()) + "\n"
         for j, s in enumerate(schedule.design.shifts)
     ]
-
-    def template(count: int) -> str:
-        # rows 0..count-1 of a macro, boundary k filling field {k}
-        return "".join(f"{{{j}}},{{{j + 1}}}{suffixes[j]}" for j in range(count))
-
-    whole = template(atoms)
     rows = min(cap, schedule.micro_count)
     used = -(-rows // atoms)
     macros = max(1, SCHEDULE_BLOCK // atoms)
@@ -243,10 +244,15 @@ def _schedule_lines(schedule, cap: int):
         r = np.arange(first, min(first + macros, used))
         base = (schedule.t_start + r * tau)[:, None]
         cells = list(map(repr, (base + schedule.cum[None, :] * tau).ravel().tolist()))
-        for i in range(len(r)):
-            row = cells[i * (atoms + 1):(i + 1) * (atoms + 1)]
-            left = rows - (first + i) * atoms
-            yield (whole if left >= atoms else template(left)).format(*row)
+        count = min(len(r) * atoms, rows - first * atoms)
+        ends = cells[1:]
+        del cells[atoms :: atoms + 1], ends[atoms :: atoms + 1]
+        pieces = [","] * (4 * count)
+        pieces[0::4] = cells[:count]
+        pieces[2::4] = ends[:count]
+        pieces[3::4] = (suffixes * len(r))[:count]
+        for at in range(0, len(pieces), 4 * SCHEDULE_BLOCK):
+            yield "".join(pieces[at : at + 4 * SCHEDULE_BLOCK])
 
 
 def _write_schedule(config: RunConfig, out: Path, index: int, schedule) -> Path:

@@ -36,6 +36,9 @@ from .spectral import ModalBasis, ObservationMatrix, gamma_matrix, phase_table
 #: atoms with weight below this are pruned and the rest renormalized
 WEIGHT_FLOOR = 1e-13
 
+#: atoms whose observation matrices `verify_design` holds at once
+VERIFY_CHUNK = 16
+
 #: Wolfe's optimality test: ||x||^2 - min_j <x, p_j> <= OPTIMALITY_GAP ||x|| max_j ||p_j||
 OPTIMALITY_GAP = 1e-12
 
@@ -156,12 +159,15 @@ def moment_matrix(weights: np.ndarray, gammas: Sequence[ObservationMatrix]) -> n
     return acc
 
 
+def _identity_residual(moment: np.ndarray, measure: float) -> float:
+    return float(np.linalg.norm(moment - measure * np.eye(moment.shape[0]), "fro"))
+
+
 def moment_residual(
     weights: np.ndarray, gammas: Sequence[ObservationMatrix], measure: float
 ) -> float:
     """||sum_j theta_j Gamma(g_j) - L Id||_F from the matrices themselves."""
-    m = moment_matrix(weights, gammas)
-    return float(np.linalg.norm(m - measure * np.eye(m.shape[0]), "fro"))
+    return _identity_residual(moment_matrix(weights, gammas), measure)
 
 
 def moment_points(
@@ -464,18 +470,29 @@ def verify_design(
     Draws complex Gaussian coefficient vectors (trial t uses the t-th pair of
     real and imaginary parts of one seeded stream) and reports the worst
     relative deviation, together with the Frobenius residual of the matrix
-    identity.  Every trial's per-atom energies Re(xi^H Gamma_j xi) come from
-    one stacked contraction over the design's matrices.
+    identity.  The atoms' matrices are built `VERIFY_CHUNK` at a time: each
+    chunk is added into the moment matrix in atom order, as `moment_matrix`
+    does, and its per-atom energies Re(xi^H Gamma_j xi) for every trial come
+    from one stacked contraction.
     """
-    gammas = design_gammas(design, basis, prototype)
     weights = design.weights
-    resid = moment_residual(weights, gammas, design.measure)
     draws = np.random.default_rng(seed).standard_normal((trials, 2, basis.dim))
     xi = (draws[:, 0] + 1j * draws[:, 1]) / math.sqrt(2.0)
-    stack = np.stack([g.entries for g in gammas])
-    energies = np.einsum("ti,jik,tk->tj", xi.conj(), stack, xi).real
+    moment = np.zeros((basis.dim, basis.dim), dtype=complex)
+    # complex, so that `forms.real` is the strided view a single stacked
+    # contraction would give: the matmul below then rounds the same way
+    forms = np.empty((trials, len(design)), dtype=complex)
+    for lo in range(0, len(design), VERIFY_CHUNK):
+        atoms = design.atoms[lo : lo + VERIFY_CHUNK]
+        chunk = [gamma_matrix(basis, prototype, a.shift).entries for a in atoms]
+        for w, g in zip(weights[lo : lo + VERIFY_CHUNK], chunk):
+            moment = moment + w * g
+        forms[:, lo : lo + len(atoms)] = np.einsum(
+            "ti,jik,tk->tj", xi.conj(), np.stack(chunk), xi
+        )
+    resid = _identity_residual(moment, design.measure)
     norm_sq = np.einsum("ti,ti->t", xi.conj(), xi).real
-    deviation = np.abs(energies @ weights - design.measure * norm_sq) / norm_sq
+    deviation = np.abs(forms.real @ weights - design.measure * norm_sq) / norm_sq
     return DesignVerification(
         trials=trials,
         seed=seed,

@@ -583,15 +583,18 @@ def grid_tour_sum(
         return total
     step = float(torus_displacement(0.0, 1.0 / per_axis))
     legs = [abs(step) * math.sqrt(dim - a) / path.speed for a in range(dim)]
-    full, short, fixed = [], [], []
+    # level 0 runs axis 0 over all J1 values and no level fixes axis 0, so
+    # the short and fixed factors exist from axis 1 on
+    full, short, fixed = [], [None], [None]
     for b, keys in enumerate(table.axes):
         offset = dwell * per_axis ** (dim - 1 - b) + legs[b]
         for a in range(b + 1, dim):
             offset += legs[a] * (per_axis - 1) * per_axis ** (a - 1 - b)
         arg = keys.diff * offset - (TWO_PI / per_axis) * keys.modes
         full.append(geometric_phase_sum(arg, 1.0, per_axis)[keys.inverse])
-        short.append(geometric_phase_sum(arg, 1.0, per_axis - 1)[keys.inverse])
-        fixed.append(np.exp(1j * (per_axis - 1) * arg)[keys.inverse])
+        if b > 0:
+            short.append(geometric_phase_sum(arg, 1.0, per_axis - 1)[keys.inverse])
+            fixed.append(np.exp(1j * (per_axis - 1) * arg)[keys.inverse])
     total = total * math.prod(full)
     after_dwell = np.exp(1j * table.values * dwell)[table.inverse]
     for a in range(dim):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torusobs
+from torusobs import cli
 from torusobs import (
     ConvexDesign,
     DesignAtom,
@@ -262,6 +263,27 @@ def test_schedule_lines_match_micro_intervals(cap):
         for t0, t1, j in schedule.micro_intervals()[:cap]
     ]
     assert "".join(_schedule_lines(schedule, cap)) == "".join(expected)
+
+
+@pytest.mark.parametrize("block", [3, 5, 12, None], ids=["3", "5", "12", "module-block"])
+@pytest.mark.parametrize("cap", [4, 5 * 40 + 2, 10**9])
+def test_schedule_chunks_hold_at_most_a_block_of_rows(monkeypatch, block, cap):
+    # the writer holds one chunk of text at a time, whatever the block is
+    # against the macro's 5 atoms, and the chunks join to the same text
+    space = TorusSpace(1)
+    design = equispaced_design(
+        build_basis(space, 1), PrototypeSet.from_boxes(space, [(0, "1/4")])
+    )
+    schedule = build_switching(design, (199.0, 1.0), 10.0, 10.0 * 1.25 / 500)
+    assert schedule.atom_count == 5 and schedule.micro_count > 5 * 40 + 2
+    text = "".join(_schedule_lines(schedule, cap))
+    if block is not None:
+        monkeypatch.setattr(cli, "SCHEDULE_BLOCK", block)
+    limit = cli.SCHEDULE_BLOCK
+    chunks = list(_schedule_lines(schedule, cap))
+    assert all(0 < chunk.count("\n") <= limit for chunk in chunks)
+    assert "".join(chunks) == text
+    assert text.count("\n") == min(cap, schedule.micro_count)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -526,3 +548,10 @@ def test_verify_reports_a_malformed_schedule_row(tmp_path, capsys, row):
     path.write_text("\n".join(lines) + "\n")
     assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
     assert "schedule_m200.csv: unreadable" in capsys.readouterr().err
+
+
+def test_verify_reports_a_schedule_csv_without_rows(tmp_path, capsys):
+    config, out, path = late_schedule(tmp_path)
+    path.write_text("\n".join(path.read_text().splitlines()[:2]) + "\n")
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
+    assert "schedule_m200.csv: row count disagrees with summary" in capsys.readouterr().err

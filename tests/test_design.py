@@ -2,11 +2,14 @@
 
 from fractions import Fraction
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torusobs import design as design_module
 from torusobs import (
     ConvexDesign,
     DesignAtom,
@@ -296,6 +299,55 @@ def test_batched_verification_matches_per_trial_draws():
     assert worst > 1e-3
     assert report.max_scalar_deviation == pytest.approx(worst, rel=1e-12)
     assert verify_design(design, basis, w, trials=0).max_scalar_deviation == 0.0
+
+
+def stacked_verification(design, basis, w, trials, seed):
+    """The design check with every atom's Gamma held at once, as one
+    stacked contraction: the reference for the chunked `verify_design`."""
+    gammas = design_gammas(design, basis, w)
+    weights = design.weights
+    resid = moment_residual(weights, gammas, design.measure)
+    draws = np.random.default_rng(seed).standard_normal((trials, 2, basis.dim))
+    xi = (draws[:, 0] + 1j * draws[:, 1]) / math.sqrt(2.0)
+    stack = np.stack([g.entries for g in gammas])
+    energies = np.einsum("ti,jik,tk->tj", xi.conj(), stack, xi).real
+    norm_sq = np.einsum("ti,ti->t", xi.conj(), xi).real
+    deviation = np.abs(energies @ weights - design.measure * norm_sq) / norm_sq
+    return resid, float(deviation.max(initial=0.0))
+
+
+def solver_design_on_the_circle():
+    basis = build_basis(T1, 3)
+    w = interval(0, "1/4")
+    rng = np.random.default_rng(11)
+    candidates = [
+        GroupElement.of(Fraction(int(v), 2**20))
+        for v in rng.integers(0, 2**20, size=96)
+    ]
+    return solve_design(basis, w, candidates, tol=1e-9), basis, w
+
+
+@pytest.mark.parametrize("chunk", [1, 5, None], ids=["chunk-1", "chunk-5", "module-chunk"])
+@pytest.mark.parametrize("case", ["grid-1d", "grid-2d", "solver"])
+def test_chunked_verification_is_bitwise_the_stacked_formula(monkeypatch, case, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(design_module, "VERIFY_CHUNK", chunk)
+    if case == "grid-1d":
+        w = interval(0, "1/4")
+        basis = build_basis(T1, 7)
+        design = equispaced_design(basis, w)
+    elif case == "grid-2d":
+        w = PrototypeSet.from_boxes(T2, [[(0, "1/2"), ("1/8", "5/8")]])
+        basis = build_basis(T2, 2)
+        design = equispaced_design(basis, w)
+    else:
+        design, basis, w = solver_design_on_the_circle()
+    if case != "solver":
+        assert len(design) > design_module.VERIFY_CHUNK
+    report = verify_design(design, basis, w, trials=50, seed=4)
+    resid, worst = stacked_verification(design, basis, w, 50, 4)
+    assert report.matrix_residual.hex() == resid.hex()
+    assert report.max_scalar_deviation.hex() == worst.hex()
 
 
 def test_design_round_trips_through_plain_dicts():

@@ -675,6 +675,24 @@ def test_table_kernels_are_bitwise_the_dense_formulas(dim, model, mass):
     assert np.array_equal(bits(path_kernel(path, table, gamma0)), bits(kernel))
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_grid_tour_sum_makes_one_dirichlet_sum_less_than_two_per_axis(monkeypatch, dim):
+    # level 0 reads only the full sum on axis 0, so no short sum is formed there
+    design, basis, _, alpha = late_grid_setup(dim, "wave", 0.0)
+    table = DifferenceTable.build(alpha, basis.mode_differences)
+    path = build_continuous(design, (199.0, 1.0), 1e5, 1e5)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return geometric_phase_sum(*args)
+
+    monkeypatch.setattr(evolve, "geometric_phase_sum", counted)
+    grid_tour_sum(table, 5, path)
+    assert len(calls) == 2 * dim - 1
+    assert calls.count(5) == dim and calls.count(4) == dim - 1
+
+
 @pytest.mark.parametrize(
     "weights,shifts",
     [
