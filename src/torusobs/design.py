@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -152,9 +152,12 @@ def design_gammas(
     return [gamma_matrix(basis, prototype, a.shift) for a in design.atoms]
 
 
-def moment_matrix(weights: np.ndarray, gammas: Sequence[ObservationMatrix]) -> np.ndarray:
-    acc = np.zeros_like(gammas[0].entries)
+def moment_matrix(weights: np.ndarray, gammas: Iterable[ObservationMatrix]) -> np.ndarray:
+    """sum_j theta_j Gamma_j, added in atom order.  `gammas` may be a
+    generator, so that one atom's matrix is held at a time."""
+    acc = 0.0
     for w, g in zip(weights, gammas):
+        # 0.0 + x is x, bit for bit, as from a zero matrix
         acc = acc + w * g.entries
     return acc
 
@@ -164,7 +167,7 @@ def _identity_residual(moment: np.ndarray, measure: float) -> float:
 
 
 def moment_residual(
-    weights: np.ndarray, gammas: Sequence[ObservationMatrix], measure: float
+    weights: np.ndarray, gammas: Iterable[ObservationMatrix], measure: float
 ) -> float:
     """||sum_j theta_j Gamma(g_j) - L Id||_F from the matrices themselves."""
     return _identity_residual(moment_matrix(weights, gammas), measure)

@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,14 +28,18 @@ from torusobs import (
 from torusobs.cli import (
     CONTINUOUS_HEADER,
     SCHEDULE_BLOCK,
+    SCHEDULE_VERSION,
     SERIES_HEADER,
     _fmt,
     _read_time_columns,
+    _schedule_blocks,
     _schedule_lines,
     _write_json,
     main,
+    schedule_header,
 )
-from test_experiment import config_dict
+from torusobs.experiment import prepare_protocol
+from test_experiment import config_dict, quick_config
 
 
 def write_config(tmp_path, name="run.json", **overrides):
@@ -510,14 +515,21 @@ def test_calibrate_command(tmp_path):
     assert payload["upper"] == pytest.approx(1.0)
 
 
-def late_schedule(tmp_path):
-    """Schedule CSV of interval 200, so t runs from 199 to 200."""
+def late_schedule_config(tmp_path):
+    """Config of a schedule CSV of interval 200, so t runs from 199 to 200:
+    5000 rows, three blocks."""
     config = write_config(
         tmp_path, interval_count=200, schedule={"interval": 200, "csv_row_cap": 5000}
     )
     out = tmp_path / "out"
-    assert main(["schedule", "--config", str(config), "--out", str(out)]) == 0
     return config, out, out / "schedule_m200.csv"
+
+
+def late_schedule(tmp_path):
+    """The schedule CSV of `late_schedule_config`, written."""
+    config, out, path = late_schedule_config(tmp_path)
+    assert main(["schedule", "--config", str(config), "--out", str(out)]) == 0
+    return config, out, path
 
 
 def test_verify_reads_the_late_schedule_csv_exactly(tmp_path, capsys):
@@ -555,3 +567,214 @@ def test_verify_reports_a_schedule_csv_without_rows(tmp_path, capsys):
     path.write_text("\n".join(path.read_text().splitlines()[:2]) + "\n")
     assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
     assert "schedule_m200.csv: row count disagrees with summary" in capsys.readouterr().err
+
+
+# ------------------------------------------------- schedule files on two cores
+
+
+def count_forks(monkeypatch):
+    """Calls of os.fork while the test runs, one entry per call."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(None)
+        return fork()
+
+    monkeypatch.setattr(cli.os, "fork", counted)
+    return calls
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("block", [3, 5, 12])
+@pytest.mark.parametrize(
+    "extent", ["inside-first-block", "one-block", "odd-block-count", "above-micro-count"]
+)
+def test_split_schedule_file_is_the_serial_text(tmp_path, monkeypatch, block, extent):
+    # with a small block, small files span several blocks: the parent's
+    # half, the child's part and the layout lines join to the serial text
+    monkeypatch.setattr(cli, "SCHEDULE_BLOCK", block)
+    schedule = prepare_protocol(quick_config(interval_count=200)).schedule(1)
+    atoms = schedule.atom_count
+    block_rows = _schedule_blocks(schedule.micro_count, atoms)[0] * atoms
+    cap, blocks = {
+        "inside-first-block": (atoms - 2, 1),
+        "one-block": (block_rows, 1),
+        "odd-block-count": (5 * block_rows - 2, 5),
+        "above-micro-count": (10**9, -(-schedule.micro_count // block_rows)),
+    }[extent]
+    assert _schedule_blocks(min(cap, schedule.micro_count), atoms)[1] == blocks
+    config = write_config(
+        tmp_path, interval_count=200, schedule={"interval": 1, "csv_row_cap": cap}
+    )
+    out = tmp_path / "out"
+    forks = count_forks(monkeypatch)
+    assert main(["schedule", "--config", str(config), "--out", str(out)]) == 0
+    assert len(forks) == (blocks > 1)
+    serial = "".join(_schedule_lines(schedule, cap))
+    text = (out / "schedule_m1.csv").read_text()
+    assert text == f"{SCHEDULE_VERSION}\n{schedule_header(1)}\n" + serial
+    sidecar = json.loads((out / "schedule_m1.json").read_text())
+    assert sidecar["emitted_rows"] == serial.count("\n") == min(cap, schedule.micro_count)
+    assert sorted(path.name for path in out.iterdir()) == ["schedule_m1.csv", "schedule_m1.json"]
+    assert_no_child_left()
+
+
+def test_one_block_files_make_no_fork(tmp_path, monkeypatch):
+    # 2000 rows of 5-atom macros fit in one block: neither writing nor
+    # verifying them forks, and a 2-block file forks once each way
+    config = write_config(
+        tmp_path, interval_count=200,
+        schedule={"emit_intervals": [1], "csv_row_cap": 2000},
+    )
+    out = tmp_path / "out"
+    forks = count_forks(monkeypatch)
+    assert main(["experiment", "--config", str(config), "--out", str(out), "--check"]) == 0
+    assert forks == []
+    config = write_config(
+        tmp_path, interval_count=200,
+        schedule={"emit_intervals": [1], "csv_row_cap": SCHEDULE_BLOCK + 5},
+    )
+    assert main(["experiment", "--config", str(config), "--out", str(out), "--check"]) == 0
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+def test_a_failing_writer_child_fails_the_command(tmp_path, monkeypatch, capsys):
+    lines = cli._schedule_lines
+
+    def failing(schedule, cap, macros=None):
+        if macros is not None and macros.start > 0:
+            raise OSError("no space left on the device")
+        return lines(schedule, cap, macros)
+
+    monkeypatch.setattr(cli, "_schedule_lines", failing)
+    config, out, path = late_schedule_config(tmp_path)
+    assert main(["schedule", "--config", str(config), "--out", str(out)]) == 3
+    assert "ChildFailed" in capsys.readouterr().err
+    assert not path.with_name(path.name + ".part").exists()
+    assert not (out / "schedule_m200.json").exists()
+    assert_no_child_left()
+
+
+def test_a_failing_reader_child_fails_verify(tmp_path, monkeypatch, capsys):
+    config, out, path = late_schedule(tmp_path)
+    load = cli._load_times
+
+    def failing(path, skip, rows=None):
+        if skip > 2:
+            raise MemoryError
+        return load(path, skip, rows)
+
+    monkeypatch.setattr(cli, "_load_times", failing)
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
+    assert "schedule_m200.csv: unreadable" in capsys.readouterr().err
+    assert_no_child_left()
+
+
+def test_split_read_is_the_single_read(tmp_path, monkeypatch):
+    config, out, path = late_schedule(tmp_path)
+    sidecar = json.loads((out / "schedule_m200.json").read_text())
+    header = schedule_header(1)
+    rows, atoms = sidecar["emitted_rows"], sidecar["atom_count"]
+    assert _schedule_blocks(rows, atoms)[1] > 1
+    forks = count_forks(monkeypatch)
+    split = _read_time_columns(path, header, rows, atoms)
+    assert len(forks) == 1
+    assert split.tolist() == _read_time_columns(path, header).tolist()
+    assert split.shape == (rows, 2)
+    # a row count other than the sidecar's reads as what the file holds
+    for expected in (rows - 7, rows + 7):
+        assert _read_time_columns(path, header, expected, atoms).tolist() == split.tolist()
+    assert_no_child_left()
+
+
+def tamper_second_half(path, edit):
+    """Apply `edit` to the data rows of the child's half of the file."""
+    lines = path.read_text().splitlines()
+    rows = lines[2:]
+    half = len(rows) // 2
+    rows[half:] = edit(rows[half:])
+    path.write_text("\n".join(lines[:2] + rows) + "\n")
+
+
+def bump_one_ulp(rows):
+    cells = rows[1234].split(",")
+    cells[0] = repr(float(np.nextafter(float(cells[0]), np.inf)))
+    rows[1234] = ",".join(cells)
+    return rows
+
+
+def swap_two_rows(rows):
+    rows[1234], rows[1235] = rows[1235], rows[1234]
+    return rows
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (bump_one_ulp, "times differ from the rebuilt schedule"),
+        (swap_two_rows, "slots out of order"),
+    ],
+    ids=["one-ulp", "swapped-rows"],
+)
+def test_verify_detects_tampering_in_the_childs_half(tmp_path, monkeypatch, capsys, edit, message):
+    config, out, path = late_schedule(tmp_path)
+    tamper_second_half(path, edit)
+    forks = count_forks(monkeypatch)
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
+    assert len(forks) == 1
+    err = capsys.readouterr().err
+    assert f"schedule_m200.csv: {message}" in err
+    assert "schedule_m200.csv: times differ from the rebuilt schedule" in err
+    assert_no_child_left()
+
+
+def test_verify_reports_a_malformed_row_in_the_childs_half(tmp_path, capsys):
+    config, out, path = late_schedule(tmp_path)
+    tamper_second_half(path, lambda rows: rows[:10] + ["199.5,abc,0,0.0"] + rows[11:])
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
+    assert "schedule_m200.csv: unreadable" in capsys.readouterr().err
+    assert_no_child_left()
+
+
+def test_verify_detects_a_one_ulp_change_in_one_block_files(tmp_path, capsys):
+    config = write_config(tmp_path, schedule={"interval": 1})
+    out = tmp_path / "out"
+    assert main(["schedule", "--config", str(config), "--out", str(out), "--check"]) == 0
+    path = out / "schedule_m1.csv"
+    lines = path.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[1] = repr(float(np.nextafter(float(cells[1]), -np.inf)))
+    lines[3] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
+    assert "schedule_m1.csv: times differ from the rebuilt schedule" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("certified_loss", "next-ulp", "schedule_m200.json: summary differs"),
+        ("macro_count", "plus-one", "schedule_m200.json: summary differs"),
+        ("interval", 201, "schedule_m200.csv: unreadable (interval 201 is not in the run)"),
+        ("interval", "200", "schedule_m200.csv: unreadable (interval '200' is not in the run)"),
+    ],
+    ids=["certified-loss", "macro-count", "interval-past-the-run", "interval-as-text"],
+)
+def test_verify_rebuilds_the_schedule_summary(tmp_path, capsys, key, value, message):
+    config, out, path = late_schedule(tmp_path)
+    sidecar_path = out / "schedule_m200.json"
+    sidecar = strict_json(sidecar_path)
+    if value == "next-ulp":
+        value = float(np.nextafter(sidecar[key], np.inf))
+    elif value == "plus-one":
+        value = sidecar[key] + 1
+    sidecar[key] = value
+    _write_json(sidecar_path, sidecar)
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err

@@ -350,6 +350,30 @@ def test_chunked_verification_is_bitwise_the_stacked_formula(monkeypatch, case, 
     assert report.max_scalar_deviation.hex() == worst.hex()
 
 
+@pytest.mark.parametrize("case", ["grid-2d", "solver"])
+def test_streamed_moment_matrix_is_bitwise_the_held_list(case):
+    # verify adds each atom's Gamma into the moment matrix as it is built:
+    # the same sums, in the same order, from a zero matrix
+    if case == "grid-2d":
+        w = PrototypeSet.from_boxes(T2, [[(0, "1/2"), ("1/8", "5/8")]])
+        basis = build_basis(T2, 2)
+        design = equispaced_design(basis, w)
+    else:
+        design, basis, w = solver_design_on_the_circle()
+    gammas = design_gammas(design, basis, w)
+    held = np.zeros_like(gammas[0].entries)
+    for weight, g in zip(design.weights, gammas):
+        held = held + weight * g.entries
+    stream = (gamma_matrix(basis, w, a.shift) for a in design.atoms)
+    streamed = moment_matrix(design.weights, stream)
+    assert streamed.dtype == held.dtype and streamed.tobytes() == held.tobytes()
+    fresh = (gamma_matrix(basis, w, a.shift) for a in design.atoms)
+    assert (
+        moment_residual(design.weights, fresh, design.measure).hex()
+        == moment_residual(design.weights, gammas, design.measure).hex()
+    )
+
+
 def test_design_round_trips_through_plain_dicts():
     basis = build_basis(T1, 1)
     design = equispaced_design(basis, interval(0, "1/4"))
