@@ -4,10 +4,10 @@ Subcommands
 -----------
 design      build + reduce + verify one convex design, write design_K{K}.json
 calibrate   write calibration.json with the per-frequency Gram table
-schedule    write interval m's switching schedule, schedule_m{m}.csv (+ summary),
-            the same file `experiment` writes for m
+schedule    write interval m's switching schedule, schedule_m{m}.csv, beside
+            its sidecar schedule_m{m}.json
 experiment  full protocol + tail checks: series.csv, designs, calibration,
-            run_meta.json, schedule CSVs for selected intervals
+            run_meta.json, schedule sidecars for selected intervals
 continuous  speed-ladder rerun with continuous paths: continuous.csv + report
 verify      re-read artifacts in --out and revalidate them against the config
 
@@ -24,7 +24,6 @@ import json
 import os
 import sys
 import warnings
-from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -66,12 +65,7 @@ CONTINUOUS_HEADER = "speed,interval,window,macro_count,certified_loss,observed,r
 CONTINUOUS_VERSION = "# torusobs continuous v1"
 
 
-class ChildFailed(Exception):
-    """The forked child that handles a schedule file's second half failed."""
-
-
 _NUMERIC_ERRORS = (
-    ChildFailed,
     DesignError,
     SpeedTooLow,
     OutOfInterval,
@@ -90,26 +84,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_chunks(fh, chunks) -> int:
-    """Write every chunk of formatted lines; returns the number of lines."""
-    count = 0
-    for chunk in chunks:
-        fh.write(chunk)
-        count += chunk.count("\n")
-    return count
-
-
-def _write_lines(path: Path, version: str, header: str, chunks) -> int:
-    """Write the version and header lines, then every chunk of formatted
-    lines; returns the number of data rows (lines, not chunks)."""
+def _write_lines(path: Path, version: str, header: str, chunks) -> None:
+    """Write the version and header lines, then every chunk of formatted lines."""
     with path.open("w", newline="\n") as fh:
-        fh.write(version + "\n")
-        fh.write(header + "\n")
-        return _write_chunks(fh, chunks)
+        fh.write(f"{version}\n{header}\n")
+        fh.writelines(chunks)
 
 
-def _write_csv(path: Path, version: str, header: str, rows) -> int:
-    return _write_lines(
+def _write_csv(path: Path, version: str, header: str, rows) -> None:
+    _write_lines(
         path, version, header, (",".join(_fmt(v) for v in row) + "\n" for row in rows)
     )
 
@@ -121,84 +104,23 @@ def _read_csv(path: Path, version: str, header: str) -> list[list[str]]:
     return [line.split(",") for line in lines[2:] if line]
 
 
-@contextmanager
-def _in_child(task):
-    """Run `task()` in one forked child while the body runs in the parent.
-
-    The child leaves through `os._exit` (0 if the task returned), so no
-    exit handler, buffered output or test-runner hook of the parent runs
-    twice; tasks call no BLAS, whose threads a forked child does not have.
-    The parent reaps the child when the body ends, on every path, and
-    raises `ChildFailed` after a body that returned if the child did not
-    exit 0.
-    """
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            task()
-            code = 0
-        except Exception as exc:
-            os.write(2, f"schedule child: {type(exc).__name__}: {exc}\n".encode())
-        finally:
-            os._exit(code)
-    try:
-        yield
-    finally:
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code != 0:
-        raise ChildFailed(f"the forked child exited with code {code}")
-
-
-def _load_times(path: Path, skip: int, rows: int | None = None) -> np.ndarray:
-    with warnings.catch_warnings():
-        # an empty body is left to the caller's row-count check
-        warnings.simplefilter("ignore", UserWarning)
-        return np.loadtxt(
-            path, delimiter=",", usecols=(0, 1), ndmin=2, comments=None,
-            skiprows=skip, max_rows=rows,
-        )
-
-
-def _read_time_columns(path: Path, header: str, rows: int = 0, atoms: int = 1) -> np.ndarray:
+def _read_time_columns(path: Path, header: str) -> np.ndarray:
     """(t_start, t_end) of every schedule CSV row, as an (n, 2) float array.
 
-    `rows` and `atoms` are the row count the sidecar expects and its atoms
-    per macro.  The two layout lines are checked as in `_read_csv`; then
-    `np.loadtxt` over the path itself skips them and parses only the two
-    time columns.  A file that spans more than one `SCHEDULE_BLOCK` block
-    is parsed on two cores: one forked child parses the rows from
-    h = rows // 2 on and sends their float64 bytes back through a pipe,
-    while the parent parses the first h rows; a file of one block is one
-    parse in the parent.  Either way every row past the layout lines is
-    read, so a wrong row count shows in the result's length.
+    The two layout lines are checked as in `_read_csv`; then `np.loadtxt`
+    over the path itself skips them and parses only the two time columns.
+    Every row past the layout lines is read, so a wrong row count shows in
+    the result's length.
     """
     with path.open() as fh:
         if [fh.readline().rstrip("\r\n") for _ in range(2)] != [SCHEDULE_VERSION, header]:
             raise ValueError(f"{path.name}: unrecognized layout")
-    if _schedule_blocks(rows, atoms)[1] <= 1:
-        return _load_times(path, 2)
-    half = rows // 2
-    read_end, write_end = os.pipe()
-
-    def send_second_half():
-        os.close(read_end)
-        with os.fdopen(write_end, "wb") as sink:
-            sink.write(_load_times(path, 2 + half).data)
-
-    with _in_child(send_second_half):
-        os.close(write_end)
-        # closed before the child is reaped, so a child blocked on a full
-        # pipe sees it broken when the parent's own parse fails
-        with os.fdopen(read_end, "rb") as source:
-            head = _load_times(path, 2, half)
-            times = np.empty((len(head) + rows - half, 2))
-            times[: len(head)] = head
-            got = len(head) + source.readinto(times[len(head) :]) // times.strides[0]
-            rest = source.read()
-    if rest:  # a longer file than the sidecar's: more than the expected rows
-        return np.concatenate([times[:got], np.frombuffer(rest).reshape(-1, 2)])
-    return times[:got]
+    with warnings.catch_warnings():
+        # an empty body is left to the caller's row-count check
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(
+            path, delimiter=",", usecols=(0, 1), ndmin=2, comments=None, skiprows=2
+        )
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -289,20 +211,15 @@ def cmd_calibrate(config: RunConfig, out: Path, args) -> int:
 SCHEDULE_BLOCK = 2048
 
 
-def _schedule_blocks(rows: int, atoms: int) -> tuple[int, int]:
-    """(macros per block, block count) of a schedule CSV of `rows` rows of
-    `atoms`-slot macros: a block is the whole macros that fit in
-    `SCHEDULE_BLOCK` rows, or one macro if none fits."""
-    per_block = max(1, SCHEDULE_BLOCK // atoms)
-    macros = -(-rows // atoms)
-    return per_block, -(-macros // per_block)
+def _macros_per_block(atoms: int) -> int:
+    """Macros of `atoms` slots per block of the schedule CSV writer: the
+    whole macros that fit in `SCHEDULE_BLOCK` rows, or one if none fits."""
+    return max(1, SCHEDULE_BLOCK // atoms)
 
 
-def _schedule_lines(schedule, cap: int, macros: range | None = None):
+def _schedule_lines(schedule, cap: int):
     """CSV text of the first `cap` micro slots, in (macro, atom) order, one
-    chunk of at most `SCHEDULE_BLOCK` rows at a time; only the slots of the
-    macros in `macros` (all of them by default), whose start is a block
-    boundary.
+    chunk of at most `SCHEDULE_BLOCK` rows at a time.
 
     Macro r has the slot boundaries (t_start + r tau) + cum_k tau, k = 0..J,
     the same floating-point operations as `SwitchingSchedule.micro_interval`.
@@ -324,12 +241,9 @@ def _schedule_lines(schedule, cap: int, macros: range | None = None):
     ]
     rows = min(cap, schedule.micro_count)
     used = -(-rows // atoms)
-    if macros is None:
-        macros = range(used)
-    stop = min(macros.stop, used)
-    per_block = _schedule_blocks(rows, atoms)[0]
-    for first in range(macros.start, stop, per_block):
-        r = np.arange(first, min(first + per_block, stop))
+    per_block = _macros_per_block(atoms)
+    for first in range(0, used, per_block):
+        r = np.arange(first, min(first + per_block, used))
         base = (schedule.t_start + r * tau)[:, None]
         cells = list(map(repr, (base + schedule.cum[None, :] * tau).ravel().tolist()))
         count = min(len(r) * atoms, rows - first * atoms)
@@ -343,61 +257,45 @@ def _schedule_lines(schedule, cap: int, macros: range | None = None):
             yield "".join(pieces[at : at + 4 * SCHEDULE_BLOCK])
 
 
-def _write_schedule(config: RunConfig, out: Path, index: int, schedule) -> Path:
-    """Write schedule_m{index}.csv (capped rows) and its JSON sidecar.
-
-    A file of n > 1 `SCHEDULE_BLOCK` blocks is formatted on two cores: one
-    forked child writes blocks [ceil(n/2), n) to schedule_m{index}.csv.part
-    beside the target, while the parent writes the layout lines and blocks
-    [0, ceil(n/2)); the parent then appends the part and removes it.  A file
-    of one block has an empty second half and is written without a fork.
-    The text is the same either way.
-    """
-    path = out / f"schedule_m{index}.csv"
-    part = path.with_name(path.name + ".part")
-    cap = config.schedule.csv_row_cap
-    per_block, blocks = _schedule_blocks(
-        min(cap, schedule.micro_count), schedule.atom_count
-    )
-    split = -(-blocks // 2) * per_block
-    rest = range(split, blocks * per_block)
-
-    def write_rest():
-        with part.open("w", newline="\n") as fh:
-            _write_chunks(fh, _schedule_lines(schedule, cap, rest))
-
-    try:
-        with _in_child(write_rest) if rest else nullcontext():
-            emitted = _write_lines(
-                path, SCHEDULE_VERSION, schedule_header(config.dim),
-                _schedule_lines(schedule, cap, range(split)),
-            )
-        if rest:
-            with path.open("ab") as fh, part.open("rb") as src:
-                while piece := src.read(1 << 16):
-                    fh.write(piece)
-                    emitted += piece.count(b"\n")
-    finally:
-        part.unlink(missing_ok=True)
-    _write_json(
-        out / f"schedule_m{index}.json",
-        {**_schedule_summary(index, schedule), "emitted_rows": emitted},
-    )
-    return path
-
-
 def _schedule_summary(index: int, schedule) -> dict:
-    """The sidecar of schedule_m{index}.csv, but for its emitted rows."""
+    """The sidecar schedule_m{index}.json: with R and t_start, the design's
+    exact shifts, its weights and tau fix every slot of the interval."""
     return {
-        "schema": "torusobs-schedule/1",
+        "schema": "torusobs-schedule/2",
         "interval": index,
+        "window": schedule.design.cutoff,
         "t_start": schedule.t_start,
         "duration": schedule.duration,
         "macro_count": schedule.macro_count,
+        "macro_length": schedule.macro_length,
         "atom_count": schedule.atom_count,
+        "atoms": schedule.design.to_dict()["atoms"],
         "certified_loss": schedule.certified_loss,
-        "total_rows": schedule.macro_count * schedule.atom_count,
+        "total_rows": schedule.micro_count,
     }
+
+
+def _write_sidecar(out: Path, index: int, schedule) -> None:
+    _write_json(out / f"schedule_m{index}.json", _schedule_summary(index, schedule))
+
+
+def _write_schedule(config: RunConfig, out: Path, index: int, schedule) -> Path:
+    """Write schedule_m{index}.csv (its first `csv_row_cap` rows), then its
+    sidecar.  The text goes to a temporary file in `out`, which replaces the
+    CSV only after the last row; on any error it is removed, so a CSV and
+    sidecar from an earlier run stay as they were."""
+    path = out / f"schedule_m{index}.csv"
+    temporary = path.with_name(path.name + ".tmp")
+    try:
+        _write_lines(
+            temporary, SCHEDULE_VERSION, schedule_header(config.dim),
+            _schedule_lines(schedule, config.schedule.csv_row_cap),
+        )
+        os.replace(temporary, path)
+    finally:
+        temporary.unlink(missing_ok=True)
+    _write_sidecar(out, index, schedule)
+    return path
 
 
 def cmd_schedule(config: RunConfig, out: Path, args) -> int:
@@ -431,7 +329,7 @@ def cmd_experiment(config: RunConfig, out: Path, args) -> int:
             },
         )
     for index in config.schedule.emit_intervals:
-        _write_schedule(config, out, index, setup.schedule(index))
+        _write_sidecar(out, index, setup.schedule(index))
 
     final_ratio = series.final_mean / series.reference_bound
     _write_json(
@@ -511,9 +409,9 @@ def verify_artifacts(config: RunConfig, out: Path) -> list[str]:
     rebuilt from fresh observation matrices, one atom at a time,
     calibration constants are recomputed, the series and continuous running
     means are re-derived from the stored per-interval energies, each
-    schedule sidecar and the time columns of its CSV must equal the
-    interval's rebuilt schedule bit for bit, and continuous_report.json is
-    checked against continuous.csv.  JSON artifacts are parsed strictly.
+    schedule sidecar, and the time columns of any CSV beside it, must equal
+    the interval's rebuilt schedule bit for bit, and continuous_report.json
+    is checked against continuous.csv.  JSON artifacts are parsed strictly.
     """
     problems: list[str] = []
     prototype = config.prototype()
@@ -573,36 +471,33 @@ def verify_artifacts(config: RunConfig, out: Path) -> list[str]:
             problems.append(f"series.csv: unreadable ({exc})")
 
     setup = None
-    for path in sorted(out.glob("schedule_m*.csv")):
+    for path in sorted(out.glob("schedule_m*.json")):
         try:
-            sidecar = _read_json(out / (path.stem + ".json"))
+            sidecar = _read_json(path)
             index = sidecar["interval"]
             if type(index) is not int or not 1 <= index <= config.interval_count:
                 raise ValueError(f"interval {index!r} is not in the run")
+            if path.stem != f"schedule_m{index}":
+                raise ValueError(f"interval {index} is not the one its file name gives")
             if setup is None:
                 setup = prepare_protocol(config)
             schedule = setup.schedule(index)
-            expected = min(sidecar["total_rows"], config.schedule.csv_row_cap)
-            times = _read_time_columns(
-                path, schedule_header(config.dim), expected, schedule.atom_count
-            )
-        except (OSError, ValueError, KeyError, TypeError, ChildFailed) as exc:
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             problems.append(f"{path.name}: unreadable ({exc})")
             continue
         summary = _schedule_summary(index, schedule)
-        if {key: sidecar.get(key) for key in summary} != summary:
-            problems.append(f"{path.stem}.json: summary differs from the rebuilt schedule")
-        starts, ends = times[:, 0], times[:, 1]
-        if len(times) != expected:
-            problems.append(f"{path.name}: row count disagrees with summary")
-        elif not _times_match(schedule, times):
-            problems.append(f"{path.name}: times differ from the rebuilt schedule")
-        if np.any(ends < starts) or np.any(starts[1:] < ends[:-1] - 1e-12):
-            problems.append(f"{path.name}: slots out of order")
-        lo = sidecar["t_start"]
-        hi = sidecar["t_start"] + sidecar["duration"]
-        if len(times) and (starts[0] < lo - 1e-12 or ends[-1] > hi + 1e-12):
-            problems.append(f"{path.name}: slots outside the interval")
+        differ = [key for key in summary if sidecar.get(key) != summary[key]]
+        if differ:
+            problems.append(
+                f"{path.name}: summary differs from the rebuilt schedule "
+                f"({', '.join(differ)})"
+            )
+        csv = path.with_suffix(".csv")
+        if csv.exists():
+            problems.extend(_check_schedule_csv(config, csv, schedule))
+    for csv in sorted(out.glob("schedule_m*.csv")):
+        if not csv.with_suffix(".json").exists():
+            problems.append(f"{csv.name}: unreadable (no sidecar {csv.stem}.json)")
 
     cont_path = out / "continuous.csv"
     if cont_path.exists():
@@ -634,6 +529,28 @@ def verify_artifacts(config: RunConfig, out: Path) -> list[str]:
     return problems
 
 
+def _check_schedule_csv(config: RunConfig, path: Path, schedule) -> list[str]:
+    """Check a schedule CSV against its interval's rebuilt schedule: the
+    first `csv_row_cap` slots, with their time columns equal bit for bit."""
+    try:
+        times = _read_time_columns(path, schedule_header(config.dim))
+    except (OSError, ValueError) as exc:
+        return [f"{path.name}: unreadable ({exc})"]
+    problems = []
+    starts, ends = times[:, 0], times[:, 1]
+    if len(times) != min(schedule.micro_count, config.schedule.csv_row_cap):
+        problems.append(f"{path.name}: row count disagrees with summary")
+    elif not _times_match(schedule, times):
+        problems.append(f"{path.name}: times differ from the rebuilt schedule")
+    if np.any(ends < starts) or np.any(starts[1:] < ends[:-1] - 1e-12):
+        problems.append(f"{path.name}: slots out of order")
+    if len(times) and (
+        starts[0] < schedule.t_start - 1e-12 or ends[-1] > schedule.t_end + 1e-12
+    ):
+        problems.append(f"{path.name}: slots outside the interval")
+    return problems
+
+
 def _times_match(schedule, times: np.ndarray) -> bool:
     """Whether `times` holds the (t_start, t_end) of the schedule's first
     len(times) slots bit for bit.  Macro r's boundaries are
@@ -642,10 +559,8 @@ def _times_match(schedule, times: np.ndarray) -> bool:
     The grid is formed one writer block of macros at a time, so the check
     holds one block's grid, not the whole file's."""
     rows, atoms = len(times), schedule.atom_count
-    if rows > schedule.micro_count:
-        return False
     tau = schedule.macro_length
-    step = _schedule_blocks(rows, atoms)[0]
+    step = _macros_per_block(atoms)
     for first in range(0, -(-rows // atoms), step):
         r = np.arange(first, first + step)
         grid = (schedule.t_start + r * tau)[:, None] + schedule.cum[None, :] * tau

@@ -36,9 +36,6 @@ from .spectral import ModalBasis, ObservationMatrix, gamma_matrix, phase_table
 #: atoms with weight below this are pruned and the rest renormalized
 WEIGHT_FLOOR = 1e-13
 
-#: atoms whose observation matrices `verify_design` holds at once
-VERIFY_CHUNK = 16
-
 #: Wolfe's optimality test: ||x||^2 - min_j <x, p_j> <= OPTIMALITY_GAP ||x|| max_j ||p_j||
 OPTIMALITY_GAP = 1e-12
 
@@ -473,32 +470,22 @@ def verify_design(
     Draws complex Gaussian coefficient vectors (trial t uses the t-th pair of
     real and imaginary parts of one seeded stream) and reports the worst
     relative deviation, together with the Frobenius residual of the matrix
-    identity.  The atoms' matrices are built `VERIFY_CHUNK` at a time: each
-    chunk is added into the moment matrix in atom order, as `moment_matrix`
-    does, and its per-atom energies Re(xi^H Gamma_j xi) for every trial come
-    from one stacked contraction.
+    identity.  The weighted energy sum of trial xi is xi^H M xi with
+    M = sum_j theta_j Gamma_j, built one atom at a time by `moment_matrix`,
+    so each deviation is |Re xi^H E xi| / |xi|^2 with E = M - L * Id, which
+    is at most ||E||_2 <= `matrix_residual`.
     """
-    weights = design.weights
     draws = np.random.default_rng(seed).standard_normal((trials, 2, basis.dim))
     xi = (draws[:, 0] + 1j * draws[:, 1]) / math.sqrt(2.0)
-    moment = np.zeros((basis.dim, basis.dim), dtype=complex)
-    # complex, so that `forms.real` is the strided view a single stacked
-    # contraction would give: the matmul below then rounds the same way
-    forms = np.empty((trials, len(design)), dtype=complex)
-    for lo in range(0, len(design), VERIFY_CHUNK):
-        atoms = design.atoms[lo : lo + VERIFY_CHUNK]
-        chunk = [gamma_matrix(basis, prototype, a.shift).entries for a in atoms]
-        for w, g in zip(weights[lo : lo + VERIFY_CHUNK], chunk):
-            moment = moment + w * g
-        forms[:, lo : lo + len(atoms)] = np.einsum(
-            "ti,jik,tk->tj", xi.conj(), np.stack(chunk), xi
-        )
-    resid = _identity_residual(moment, design.measure)
+    moment = moment_matrix(
+        design.weights, (gamma_matrix(basis, prototype, a.shift) for a in design.atoms)
+    )
+    excess = moment - design.measure * np.eye(basis.dim)
+    forms = np.einsum("ti,ik,tk->t", xi.conj(), excess, xi, optimize=True).real
     norm_sq = np.einsum("ti,ti->t", xi.conj(), xi).real
-    deviation = np.abs(forms.real @ weights - design.measure * norm_sq) / norm_sq
     return DesignVerification(
         trials=trials,
         seed=seed,
-        matrix_residual=resid,
-        max_scalar_deviation=float(deviation.max(initial=0.0)),
+        matrix_residual=float(np.linalg.norm(excess, "fro")),
+        max_scalar_deviation=float((np.abs(forms) / norm_sq).max(initial=0.0)),
     )

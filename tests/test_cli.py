@@ -31,8 +31,8 @@ from torusobs.cli import (
     SCHEDULE_VERSION,
     SERIES_HEADER,
     _fmt,
+    _macros_per_block,
     _read_time_columns,
-    _schedule_blocks,
     _schedule_lines,
     _write_json,
     main,
@@ -142,11 +142,11 @@ def test_experiment_artifacts(tmp_path, capsys):
         "calibration.json",
         "design_K1.json",
         "design_K2.json",
-        "schedule_m1.csv",
         "schedule_m1.json",
         "run_meta.json",
     ):
         assert (out / name).exists(), name
+    assert not list(out.glob("schedule_m*.csv"))
 
     version, header, rows = read_csv(out / "series.csv")
     assert version.startswith("# torusobs series v1")
@@ -161,11 +161,15 @@ def test_experiment_artifacts(tmp_path, capsys):
     assert meta["final_ratio"] > 0
 
     sidecar = json.loads((out / "schedule_m1.json").read_text())
-    _, sched_header, sched_rows = read_csv(out / "schedule_m1.csv")
-    assert sched_header == "t_start,t_end,atom,shift_0"
-    assert len(sched_rows) == sidecar["emitted_rows"] == sidecar["total_rows"]
-    starts = [float(r[0]) for r in sched_rows]
-    assert starts == sorted(starts)
+    assert sidecar["schema"] == "torusobs-schedule/2"
+    assert sorted(sidecar) == [
+        "atom_count", "atoms", "certified_loss", "duration", "interval",
+        "macro_count", "macro_length", "schema", "t_start", "total_rows", "window",
+    ]
+    design = json.loads((out / f"design_K{sidecar['window']}.json").read_text())
+    assert sidecar["atoms"] == design["atoms"]
+    assert sidecar["macro_length"] == sidecar["duration"] / sidecar["macro_count"]
+    assert sidecar["total_rows"] == sidecar["macro_count"] * sidecar["atom_count"]
 
 
 def test_schedule_row_cap(tmp_path):
@@ -177,9 +181,7 @@ def test_schedule_row_cap(tmp_path):
     assert main(["schedule", "--config", str(config), "--out", str(out)]) == 0
     sidecar = json.loads((out / "schedule_m1.json").read_text())
     _, _, rows = read_csv(out / "schedule_m1.csv")
-    assert sidecar["emitted_rows"] == 7
-    assert len(rows) == 7
-    assert sidecar["total_rows"] > 7
+    assert len(rows) == min(7, sidecar["total_rows"]) == 7
     assert main(["verify", "--config", str(config), "--out", str(out)]) == 0
 
 
@@ -196,9 +198,9 @@ def test_schedule_and_experiment_write_the_same_schedule_files(tmp_path, last):
     )
     assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "e")]) == 0
     assert main(["schedule", "--config", str(single), "--out", str(tmp_path / "s")]) == 0
-    for suffix in ("csv", "json"):
-        name = f"schedule_m{index}.{suffix}"
-        assert (tmp_path / "s" / name).read_bytes() == (tmp_path / "e" / name).read_bytes()
+    name = f"schedule_m{index}.json"
+    assert (tmp_path / "s" / name).read_bytes() == (tmp_path / "e" / name).read_bytes()
+    assert (tmp_path / "s" / f"schedule_m{index}.csv").exists()
 
 
 def test_experiment_process_does_not_import_numpy_ma(tmp_path):
@@ -338,7 +340,7 @@ def test_sidecar_counts_rows_not_chunks(tmp_path, interval, cap):
     assert main(["schedule", "--config", str(config), "--out", str(out)]) == 0
     sidecar = json.loads((out / f"schedule_m{interval}.json").read_text())
     _, _, rows = read_csv(out / f"schedule_m{interval}.csv")
-    assert sidecar["emitted_rows"] == len(rows) == min(cap, sidecar["total_rows"])
+    assert len(rows) == min(cap, sidecar["total_rows"])
     where = {
         3: cap < sidecar["atom_count"],
         SCHEDULE_BLOCK // 2 + 1: sidecar["atom_count"] < cap < SCHEDULE_BLOCK,
@@ -515,21 +517,15 @@ def test_calibrate_command(tmp_path):
     assert payload["upper"] == pytest.approx(1.0)
 
 
-def late_schedule_config(tmp_path):
-    """Config of a schedule CSV of interval 200, so t runs from 199 to 200:
-    5000 rows, three blocks."""
+def late_schedule(tmp_path):
+    """A schedule CSV of interval 200, so t runs from 199 to 200: 5000 rows,
+    three blocks, written with its sidecar."""
     config = write_config(
         tmp_path, interval_count=200, schedule={"interval": 200, "csv_row_cap": 5000}
     )
     out = tmp_path / "out"
-    return config, out, out / "schedule_m200.csv"
-
-
-def late_schedule(tmp_path):
-    """The schedule CSV of `late_schedule_config`, written."""
-    config, out, path = late_schedule_config(tmp_path)
     assert main(["schedule", "--config", str(config), "--out", str(out)]) == 0
-    return config, out, path
+    return config, out, out / "schedule_m200.csv"
 
 
 def test_verify_reads_the_late_schedule_csv_exactly(tmp_path, capsys):
@@ -569,25 +565,7 @@ def test_verify_reports_a_schedule_csv_without_rows(tmp_path, capsys):
     assert "schedule_m200.csv: row count disagrees with summary" in capsys.readouterr().err
 
 
-# ------------------------------------------------- schedule files on two cores
-
-
-def count_forks(monkeypatch):
-    """Calls of os.fork while the test runs, one entry per call."""
-    calls = []
-    fork = os.fork
-
-    def counted():
-        calls.append(None)
-        return fork()
-
-    monkeypatch.setattr(cli.os, "fork", counted)
-    return calls
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+# ------------------------------------------------- multi-block schedule files
 
 
 @pytest.mark.parametrize("block", [3, 5, 12])
@@ -595,106 +573,55 @@ def assert_no_child_left():
     "extent", ["inside-first-block", "one-block", "odd-block-count", "above-micro-count"]
 )
 def test_split_schedule_file_is_the_serial_text(tmp_path, monkeypatch, block, extent):
-    # with a small block, small files span several blocks: the parent's
-    # half, the child's part and the layout lines join to the serial text
+    # with a small block, small files are split into several blocks: the
+    # layout lines and the block writer's chunks join to the serial text of
+    # `_schedule_lines`, and only the CSV and its sidecar are left
     monkeypatch.setattr(cli, "SCHEDULE_BLOCK", block)
     schedule = prepare_protocol(quick_config(interval_count=200)).schedule(1)
     atoms = schedule.atom_count
-    block_rows = _schedule_blocks(schedule.micro_count, atoms)[0] * atoms
+    block_rows = _macros_per_block(atoms) * atoms
     cap, blocks = {
         "inside-first-block": (atoms - 2, 1),
         "one-block": (block_rows, 1),
         "odd-block-count": (5 * block_rows - 2, 5),
         "above-micro-count": (10**9, -(-schedule.micro_count // block_rows)),
     }[extent]
-    assert _schedule_blocks(min(cap, schedule.micro_count), atoms)[1] == blocks
+    assert -(-min(cap, schedule.micro_count) // block_rows) == blocks
     config = write_config(
         tmp_path, interval_count=200, schedule={"interval": 1, "csv_row_cap": cap}
     )
     out = tmp_path / "out"
-    forks = count_forks(monkeypatch)
     assert main(["schedule", "--config", str(config), "--out", str(out)]) == 0
-    assert len(forks) == (blocks > 1)
     serial = "".join(_schedule_lines(schedule, cap))
     text = (out / "schedule_m1.csv").read_text()
     assert text == f"{SCHEDULE_VERSION}\n{schedule_header(1)}\n" + serial
-    sidecar = json.loads((out / "schedule_m1.json").read_text())
-    assert sidecar["emitted_rows"] == serial.count("\n") == min(cap, schedule.micro_count)
+    assert serial.count("\n") == min(cap, schedule.micro_count)
     assert sorted(path.name for path in out.iterdir()) == ["schedule_m1.csv", "schedule_m1.json"]
-    assert_no_child_left()
 
 
-def test_one_block_files_make_no_fork(tmp_path, monkeypatch):
-    # 2000 rows of 5-atom macros fit in one block: neither writing nor
-    # verifying them forks, and a 2-block file forks once each way
-    config = write_config(
-        tmp_path, interval_count=200,
-        schedule={"emit_intervals": [1], "csv_row_cap": 2000},
-    )
-    out = tmp_path / "out"
-    forks = count_forks(monkeypatch)
-    assert main(["experiment", "--config", str(config), "--out", str(out), "--check"]) == 0
-    assert forks == []
-    config = write_config(
-        tmp_path, interval_count=200,
-        schedule={"emit_intervals": [1], "csv_row_cap": SCHEDULE_BLOCK + 5},
-    )
-    assert main(["experiment", "--config", str(config), "--out", str(out), "--check"]) == 0
-    assert len(forks) == 2
-    assert_no_child_left()
-
-
-def test_a_failing_writer_child_fails_the_command(tmp_path, monkeypatch, capsys):
+def test_a_failing_schedule_write_leaves_the_earlier_files(tmp_path, monkeypatch, capsys):
+    # the text is written under a temporary name and moved into place after
+    # its last row: a write that fails mid-file leaves the files of an
+    # earlier run in the same --out byte for byte, and no temporary file
+    config, out, path = late_schedule(tmp_path)
+    sidecar = out / "schedule_m200.json"
+    before = path.read_bytes(), sidecar.read_bytes()
     lines = cli._schedule_lines
 
-    def failing(schedule, cap, macros=None):
-        if macros is not None and macros.start > 0:
-            raise OSError("no space left on the device")
-        return lines(schedule, cap, macros)
+    def failing(schedule, cap):
+        chunks = lines(schedule, cap)
+        yield next(chunks)
+        raise ValueError("the formatter failed mid-file")
 
     monkeypatch.setattr(cli, "_schedule_lines", failing)
-    config, out, path = late_schedule_config(tmp_path)
     assert main(["schedule", "--config", str(config), "--out", str(out)]) == 3
-    assert "ChildFailed" in capsys.readouterr().err
-    assert not path.with_name(path.name + ".part").exists()
-    assert not (out / "schedule_m200.json").exists()
-    assert_no_child_left()
-
-
-def test_a_failing_reader_child_fails_verify(tmp_path, monkeypatch, capsys):
-    config, out, path = late_schedule(tmp_path)
-    load = cli._load_times
-
-    def failing(path, skip, rows=None):
-        if skip > 2:
-            raise MemoryError
-        return load(path, skip, rows)
-
-    monkeypatch.setattr(cli, "_load_times", failing)
-    assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
-    assert "schedule_m200.csv: unreadable" in capsys.readouterr().err
-    assert_no_child_left()
-
-
-def test_split_read_is_the_single_read(tmp_path, monkeypatch):
-    config, out, path = late_schedule(tmp_path)
-    sidecar = json.loads((out / "schedule_m200.json").read_text())
-    header = schedule_header(1)
-    rows, atoms = sidecar["emitted_rows"], sidecar["atom_count"]
-    assert _schedule_blocks(rows, atoms)[1] > 1
-    forks = count_forks(monkeypatch)
-    split = _read_time_columns(path, header, rows, atoms)
-    assert len(forks) == 1
-    assert split.tolist() == _read_time_columns(path, header).tolist()
-    assert split.shape == (rows, 2)
-    # a row count other than the sidecar's reads as what the file holds
-    for expected in (rows - 7, rows + 7):
-        assert _read_time_columns(path, header, expected, atoms).tolist() == split.tolist()
-    assert_no_child_left()
+    assert "the formatter failed mid-file" in capsys.readouterr().err
+    assert (path.read_bytes(), sidecar.read_bytes()) == before
+    assert sorted(p.name for p in out.iterdir()) == ["schedule_m200.csv", "schedule_m200.json"]
 
 
 def tamper_second_half(path, edit):
-    """Apply `edit` to the data rows of the child's half of the file."""
+    """Apply `edit` to the data rows of the later half of the file."""
     lines = path.read_text().splitlines()
     rows = lines[2:]
     half = len(rows) // 2
@@ -722,16 +649,13 @@ def swap_two_rows(rows):
     ],
     ids=["one-ulp", "swapped-rows"],
 )
-def test_verify_detects_tampering_in_the_childs_half(tmp_path, monkeypatch, capsys, edit, message):
+def test_verify_detects_tampering_in_the_childs_half(tmp_path, capsys, edit, message):
     config, out, path = late_schedule(tmp_path)
     tamper_second_half(path, edit)
-    forks = count_forks(monkeypatch)
     assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
-    assert len(forks) == 1
     err = capsys.readouterr().err
     assert f"schedule_m200.csv: {message}" in err
     assert "schedule_m200.csv: times differ from the rebuilt schedule" in err
-    assert_no_child_left()
 
 
 def test_verify_reports_a_malformed_row_in_the_childs_half(tmp_path, capsys):
@@ -739,7 +663,6 @@ def test_verify_reports_a_malformed_row_in_the_childs_half(tmp_path, capsys):
     tamper_second_half(path, lambda rows: rows[:10] + ["199.5,abc,0,0.0"] + rows[11:])
     assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
     assert "schedule_m200.csv: unreadable" in capsys.readouterr().err
-    assert_no_child_left()
 
 
 def test_verify_detects_a_one_ulp_change_in_one_block_files(tmp_path, capsys):
@@ -756,25 +679,66 @@ def test_verify_detects_a_one_ulp_change_in_one_block_files(tmp_path, capsys):
     assert "schedule_m1.csv: times differ from the rebuilt schedule" in capsys.readouterr().err
 
 
+def nudge_one_shift(sidecar):
+    # the second atom's shift moved by 1/2^40, still an exact fraction
+    shift = sidecar["atoms"][1]["shift"]
+    shift[0] = str(Fraction(shift[0]) + Fraction(1, 2**40))
+
+
+def nudge_one_weight(sidecar):
+    atom = sidecar["atoms"][1]
+    atom["weight"] = float(np.nextafter(atom["weight"], np.inf))
+
+
 @pytest.mark.parametrize(
     "key, value, message",
     [
         ("certified_loss", "next-ulp", "schedule_m200.json: summary differs"),
         ("macro_count", "plus-one", "schedule_m200.json: summary differs"),
-        ("interval", 201, "schedule_m200.csv: unreadable (interval 201 is not in the run)"),
-        ("interval", "200", "schedule_m200.csv: unreadable (interval '200' is not in the run)"),
+        ("macro_length", "next-ulp", "schedule_m200.json: summary differs"),
+        ("atoms", nudge_one_shift, "schedule_m200.json: summary differs"),
+        ("atoms", nudge_one_weight, "schedule_m200.json: summary differs"),
+        ("interval", 201, "schedule_m200.json: unreadable (interval 201 is not in the run)"),
+        ("interval", "200", "schedule_m200.json: unreadable (interval '200' is not in the run)"),
     ],
-    ids=["certified-loss", "macro-count", "interval-past-the-run", "interval-as-text"],
+    ids=[
+        "certified-loss", "macro-count", "macro-length", "atom-shift", "atom-weight",
+        "interval-past-the-run", "interval-as-text",
+    ],
 )
 def test_verify_rebuilds_the_schedule_summary(tmp_path, capsys, key, value, message):
     config, out, path = late_schedule(tmp_path)
     sidecar_path = out / "schedule_m200.json"
     sidecar = strict_json(sidecar_path)
     if value == "next-ulp":
-        value = float(np.nextafter(sidecar[key], np.inf))
+        sidecar[key] = float(np.nextafter(sidecar[key], np.inf))
     elif value == "plus-one":
-        value = sidecar[key] + 1
-    sidecar[key] = value
+        sidecar[key] += 1
+    elif callable(value):
+        value(sidecar)
+    else:
+        sidecar[key] = value
     _write_json(sidecar_path, sidecar)
     assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    if "differs" in message:
+        assert f"({key})" in err
+
+
+def test_verify_checks_the_file_name_against_the_sidecar(tmp_path, capsys):
+    # a renamed pair would otherwise pass: the sidecar rebuilds its own interval
+    config = write_config(tmp_path, schedule={"interval": 1})
+    out = tmp_path / "out"
+    assert main(["schedule", "--config", str(config), "--out", str(out), "--check"]) == 0
+    for suffix in ("csv", "json"):
+        (out / f"schedule_m1.{suffix}").rename(out / f"schedule_m2.{suffix}")
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
+    assert "schedule_m2.json: unreadable (interval 1 is not" in capsys.readouterr().err
+
+
+def test_verify_reports_a_schedule_csv_without_its_sidecar(tmp_path, capsys):
+    config, out, path = late_schedule(tmp_path)
+    (out / "schedule_m200.json").unlink()
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
+    assert "schedule_m200.csv: unreadable (no sidecar" in capsys.readouterr().err
