@@ -349,6 +349,50 @@ def test_moment_matrix_verification_matches_the_stacked_formula(case):
     assert report.max_scalar_deviation <= report.matrix_residual + 1e-15
 
 
+def chunked_verification(design, basis, w, trials, seed, chunk):
+    """The moment-matrix check with the atoms' Gammas held `chunk` at a time
+    as one stack (every atom at once for None), each stack added into M in
+    atom order: `verify_design`, which holds one Gamma at a time, must give
+    the same bits for every chunk size."""
+    gammas = [g.entries for g in design_gammas(design, basis, w)]
+    weights = design.weights
+    step = chunk or len(design)
+    moment = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for lo in range(0, len(design), step):
+        stack = np.stack(gammas[lo : lo + step])
+        for wt, g in zip(weights[lo : lo + step], stack):
+            moment = moment + wt * g
+    excess = moment - design.measure * np.eye(basis.dim)
+    draws = np.random.default_rng(seed).standard_normal((trials, 2, basis.dim))
+    xi = (draws[:, 0] + 1j * draws[:, 1]) / math.sqrt(2.0)
+    forms = np.einsum("ti,ik,tk->t", xi.conj(), excess, xi, optimize=True).real
+    norm_sq = np.einsum("ti,ti->t", xi.conj(), xi).real
+    resid = float(np.linalg.norm(excess, "fro"))
+    return resid, float((np.abs(forms) / norm_sq).max(initial=0.0))
+
+
+# chunk None (id "module-chunk") holds every atom's Gamma in one stack
+@pytest.mark.parametrize("chunk", [1, 5, None], ids=["chunk-1", "chunk-5", "module-chunk"])
+@pytest.mark.parametrize("case", ["grid-1d", "grid-2d", "solver"])
+def test_chunked_verification_is_bitwise_the_stacked_formula(case, chunk):
+    if case == "grid-1d":
+        w = interval(0, "1/4")
+        basis = build_basis(T1, 7)
+        design = equispaced_design(basis, w)
+    elif case == "grid-2d":
+        w = PrototypeSet.from_boxes(T2, [[(0, "1/2"), ("1/8", "5/8")]])
+        basis = build_basis(T2, 2)
+        design = equispaced_design(basis, w)
+    else:
+        design, basis, w = solver_design_on_the_circle()
+    if case != "solver":
+        assert len(design) > 5
+    report = verify_design(design, basis, w, trials=50, seed=4)
+    resid, worst = chunked_verification(design, basis, w, 50, 4, chunk)
+    assert report.matrix_residual.hex() == resid.hex()
+    assert report.max_scalar_deviation.hex() == worst.hex()
+
+
 @pytest.mark.parametrize("case", ["grid-2d", "solver"])
 def test_streamed_moment_matrix_is_bitwise_the_held_list(case):
     # verify adds each atom's Gamma into the moment matrix as it is built:
