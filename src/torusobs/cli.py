@@ -20,10 +20,10 @@ error, 3 numeric/infeasibility failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
-import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -102,25 +102,6 @@ def _read_csv(path: Path, version: str, header: str) -> list[list[str]]:
     if len(lines) < 2 or lines[0] != version or lines[1] != header:
         raise ValueError(f"{path.name}: unrecognized layout")
     return [line.split(",") for line in lines[2:] if line]
-
-
-def _read_time_columns(path: Path, header: str) -> np.ndarray:
-    """(t_start, t_end) of every schedule CSV row, as an (n, 2) float array.
-
-    The two layout lines are checked as in `_read_csv`; then `np.loadtxt`
-    over the path itself skips them and parses only the two time columns.
-    Every row past the layout lines is read, so a wrong row count shows in
-    the result's length.
-    """
-    with path.open() as fh:
-        if [fh.readline().rstrip("\r\n") for _ in range(2)] != [SCHEDULE_VERSION, header]:
-            raise ValueError(f"{path.name}: unrecognized layout")
-    with warnings.catch_warnings():
-        # an empty body is left to the caller's row-count check
-        warnings.simplefilter("ignore", UserWarning)
-        return np.loadtxt(
-            path, delimiter=",", usecols=(0, 1), ndmin=2, comments=None, skiprows=2
-        )
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -211,29 +192,21 @@ def cmd_calibrate(config: RunConfig, out: Path, args) -> int:
 SCHEDULE_BLOCK = 2048
 
 
-def _macros_per_block(atoms: int) -> int:
-    """Macros of `atoms` slots per block of the schedule CSV writer: the
-    whole macros that fit in `SCHEDULE_BLOCK` rows, or one if none fits."""
-    return max(1, SCHEDULE_BLOCK // atoms)
-
-
 def _schedule_lines(schedule, cap: int):
     """CSV text of the first `cap` micro slots, in (macro, atom) order, one
-    chunk of at most `SCHEDULE_BLOCK` rows at a time.
+    chunk of at most `SCHEDULE_BLOCK` rows at a time: the text `schedule`
+    writes below the layout lines and `verify` compares a schedule CSV with.
 
-    Macro r has the slot boundaries (t_start + r tau) + cum_k tau, k = 0..J,
-    the same floating-point operations as `SwitchingSchedule.micro_interval`.
-    A slot's end is the next slot's start, so each block of whole macros
-    forms its boundary grid once and `repr`s each boundary once.  The row
-    starts are that list with each macro's last cell deleted, the row ends
-    the list from its second cell with each next macro's first cell
-    deleted; start, ",", end and the atom's suffix are interleaved by slice
-    assignment into one list of pieces and the block is one join.  Only the
-    macros holding the first `cap` slots are formatted; a macro of more than
-    `SCHEDULE_BLOCK` atoms is its own block, joined in `SCHEDULE_BLOCK`-row
-    pieces.
+    A block is the whole macros that fit in `SCHEDULE_BLOCK` rows, or one
+    macro if none fits; its slot times are one `SwitchingSchedule.boundaries`
+    grid, each `repr`ed once, since a slot's end is the next slot's start.  The row starts are the grid with each macro's last cell
+    deleted, the row ends the grid from its second cell with each next
+    macro's first cell deleted; start, ",", end and the atom's suffix are
+    interleaved by slice assignment into one list of pieces and the block is
+    one join.  Only the macros holding the first `cap` slots are formatted;
+    a macro of more than `SCHEDULE_BLOCK` atoms is its own block, joined in
+    `SCHEDULE_BLOCK`-row pieces.
     """
-    tau = schedule.macro_length
     atoms = schedule.atom_count
     suffixes = [
         f",{j}," + ",".join(repr(v) for v in s.as_floats().tolist()) + "\n"
@@ -241,18 +214,17 @@ def _schedule_lines(schedule, cap: int):
     ]
     rows = min(cap, schedule.micro_count)
     used = -(-rows // atoms)
-    per_block = _macros_per_block(atoms)
+    per_block = max(1, SCHEDULE_BLOCK // atoms)
     for first in range(0, used, per_block):
-        r = np.arange(first, min(first + per_block, used))
-        base = (schedule.t_start + r * tau)[:, None]
-        cells = list(map(repr, (base + schedule.cum[None, :] * tau).ravel().tolist()))
-        count = min(len(r) * atoms, rows - first * atoms)
+        macros = min(per_block, used - first)
+        cells = list(map(repr, schedule.boundaries(first, macros).ravel().tolist()))
+        count = min(macros * atoms, rows - first * atoms)
         ends = cells[1:]
         del cells[atoms :: atoms + 1], ends[atoms :: atoms + 1]
         pieces = [","] * (4 * count)
         pieces[0::4] = cells[:count]
         pieces[2::4] = ends[:count]
-        pieces[3::4] = (suffixes * len(r))[:count]
+        pieces[3::4] = (suffixes * macros)[:count]
         for at in range(0, len(pieces), 4 * SCHEDULE_BLOCK):
             yield "".join(pieces[at : at + 4 * SCHEDULE_BLOCK])
 
@@ -394,6 +366,11 @@ def cmd_continuous(config: RunConfig, out: Path, args) -> int:
     return 0
 
 
+def _near(stored: float, fresh: float) -> bool:
+    """Whether a stored constant is a recomputed one up to rounding."""
+    return abs(stored - fresh) <= 1e-12 * max(1.0, abs(fresh))
+
+
 def _verify_out(config: RunConfig, out: Path) -> int:
     problems = verify_artifacts(config, out)
     for p in problems:
@@ -405,13 +382,15 @@ def _verify_out(config: RunConfig, out: Path) -> int:
 def verify_artifacts(config: RunConfig, out: Path) -> list[str]:
     """Revalidate every recognized artifact in `out` against the config.
 
-    Checks are recomputations, not file comparisons: design residuals are
-    rebuilt from fresh observation matrices, one atom at a time,
-    calibration constants are recomputed, the series and continuous running
-    means are re-derived from the stored per-interval energies, each
-    schedule sidecar, and the time columns of any CSV beside it, must equal
-    the interval's rebuilt schedule bit for bit, and continuous_report.json
-    is checked against continuous.csv.  JSON artifacts are parsed strictly.
+    Checks are recomputations: design residuals are rebuilt one atom at a
+    time, at the cutoff the file name gives; calibration.json is recomputed
+    field by field; series.csv must list the config's intervals, windows
+    and tolerances, its running means re-derived from the stored energies,
+    with run_meta.json's interval count and final mean; each schedule
+    sidecar must equal the interval's rebuilt schedule bit for bit, and any
+    CSV beside it the text `schedule` writes for it; continuous running
+    means are re-derived and continuous_report.json is checked against
+    continuous.csv.  JSON artifacts are parsed strictly.
     """
     problems: list[str] = []
     prototype = config.prototype()
@@ -420,6 +399,8 @@ def verify_artifacts(config: RunConfig, out: Path) -> list[str]:
         try:
             data = _read_json(path)
             design = ConvexDesign.from_dict(data)
+            if path.stem != f"design_K{design.cutoff}":
+                raise ValueError(f"cutoff {design.cutoff} is not the one its file name gives")
             basis = build_basis(config.space(), design.cutoff)
             # one atom's matrix at a time, added in atom order
             gammas = (gamma_matrix(basis, prototype, a.shift) for a in design.atoms)
@@ -440,14 +421,19 @@ def verify_artifacts(config: RunConfig, out: Path) -> list[str]:
         try:
             data = _read_json(cal_path)
             basis = build_basis(config.space(), config.sim_window)
-            fresh = calibration(config.model, basis, config.mass, config.duration)
-            if abs(data["lower"] - fresh.lower) > 1e-12 * max(1.0, fresh.lower):
-                problems.append("calibration.json: lower constant mismatch")
-            if abs(data["upper"] - fresh.upper) > 1e-12 * max(1.0, fresh.upper):
-                problems.append("calibration.json: upper constant mismatch")
-            if len(data["mode_table"]) != len(fresh.mode_frequencies):
-                problems.append("calibration.json: mode table size mismatch")
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
+            fresh = calibration(config.model, basis, config.mass, config.duration).to_dict()
+            differ = [key for key in ("model", "mass", "duration") if data[key] != fresh[key]]
+            differ += [key for key in ("lower", "upper") if not _near(data[key], fresh[key])]
+            for i, (row, want) in enumerate(zip(data["mode_table"], fresh["mode_table"])):
+                differ += [f"mode_table[{i}].{key}" for key in want if not _near(row[key], want[key])]
+            if len(data["mode_table"]) != len(fresh["mode_table"]):
+                differ.append("mode_table size")
+            if differ:
+                problems.append(
+                    f"calibration.json: differs from the recomputed calibration "
+                    f"({', '.join(differ)})"
+                )
+        except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
             problems.append(f"calibration.json: unreadable ({exc})")
 
     series_path = out / "series.csv"
@@ -455,6 +441,13 @@ def verify_artifacts(config: RunConfig, out: Path) -> list[str]:
     if series_path.exists():
         try:
             rows = _read_csv(series_path, SERIES_VERSION, SERIES_HEADER)
+            count = config.interval_count
+            if len(rows) != count:
+                problems.append(f"series.csv: {len(rows)} rows for {count} intervals")
+            for m, row in zip(range(1, count + 1), rows):
+                if row[:3] != [str(m), _fmt(config.window_at(m)), _fmt(config.tolerance_at(m))]:
+                    problems.append(f"series.csv: row {m} is not interval {m} of the config")
+                    break
             observed = np.array([float(r[3]) for r in rows])
             means = np.array([float(r[4]) for r in rows])
             recomputed = np.cumsum(observed) / np.arange(1, len(observed) + 1)
@@ -467,7 +460,14 @@ def verify_artifacts(config: RunConfig, out: Path) -> list[str]:
                 ceiling = meta["upper_constant"] * meta["energy"] * (1.0 + 1e-10)
                 if np.any(observed > ceiling):
                     problems.append("series.csv: interval energy above upper bound")
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
+                if meta["interval_count"] != count:
+                    problems.append(
+                        f"run_meta.json: interval_count {meta['interval_count']!r} is not "
+                        f"the config's {count}"
+                    )
+                if meta["final_mean"] != means[-1]:
+                    problems.append("run_meta.json: final_mean is not the last A_N of series.csv")
+        except (ValueError, KeyError, IndexError, json.JSONDecodeError) as exc:
             problems.append(f"series.csv: unreadable ({exc})")
 
     setup = None
@@ -530,47 +530,34 @@ def verify_artifacts(config: RunConfig, out: Path) -> list[str]:
 
 
 def _check_schedule_csv(config: RunConfig, path: Path, schedule) -> list[str]:
-    """Check a schedule CSV against its interval's rebuilt schedule: the
-    first `csv_row_cap` slots, with their time columns equal bit for bit."""
+    """Check a schedule CSV against the text `schedule` writes for its
+    interval's rebuilt schedule, one writer chunk at a time: equal text
+    means every cell, the row count and the line ends agree.  Reports the
+    first data row that differs, a file that ends early or runs on past
+    the last row, or a file that cannot be read."""
+    cap = config.schedule.csv_row_cap
+    rows = min(schedule.micro_count, cap)
+    layout = f"{SCHEDULE_VERSION}\n{schedule_header(config.dim)}\n"
+    done = -2  # data rows before the chunk; the layout lines are rows -1 and 0
     try:
-        times = _read_time_columns(path, schedule_header(config.dim))
-    except (OSError, ValueError) as exc:
+        # the writer's text is ASCII; no newline translation, so line ends count
+        with path.open(encoding="ascii", newline="") as fh:
+            for chunk in itertools.chain([layout], _schedule_lines(schedule, cap)):
+                text = fh.read(len(chunk))
+                if text != chunk:
+                    at = len(os.path.commonprefix([text, chunk]))
+                    row = done + chunk.count("\n", 0, at) + 1
+                    if row <= 0:
+                        return [f"{path.name}: unrecognized layout"]
+                    if at == len(text):
+                        return [f"{path.name}: file ends after {row - 1} of {rows} rows"]
+                    return [f"{path.name}: row {row} differs from the rebuilt schedule"]
+                done += chunk.count("\n")
+            if fh.read(1):
+                return [f"{path.name}: file runs on past its {rows} rows"]
+    except (OSError, UnicodeDecodeError) as exc:
         return [f"{path.name}: unreadable ({exc})"]
-    problems = []
-    starts, ends = times[:, 0], times[:, 1]
-    if len(times) != min(schedule.micro_count, config.schedule.csv_row_cap):
-        problems.append(f"{path.name}: row count disagrees with summary")
-    elif not _times_match(schedule, times):
-        problems.append(f"{path.name}: times differ from the rebuilt schedule")
-    if np.any(ends < starts) or np.any(starts[1:] < ends[:-1] - 1e-12):
-        problems.append(f"{path.name}: slots out of order")
-    if len(times) and (
-        starts[0] < schedule.t_start - 1e-12 or ends[-1] > schedule.t_end + 1e-12
-    ):
-        problems.append(f"{path.name}: slots outside the interval")
-    return problems
-
-
-def _times_match(schedule, times: np.ndarray) -> bool:
-    """Whether `times` holds the (t_start, t_end) of the schedule's first
-    len(times) slots bit for bit.  Macro r's boundaries are
-    (t_start + r tau) + cum_k tau, as `SwitchingSchedule.micro_interval`
-    forms them, and slot (r, j) runs from boundary j to boundary j + 1.
-    The grid is formed one writer block of macros at a time, so the check
-    holds one block's grid, not the whole file's."""
-    rows, atoms = len(times), schedule.atom_count
-    tau = schedule.macro_length
-    step = _macros_per_block(atoms)
-    for first in range(0, -(-rows // atoms), step):
-        r = np.arange(first, first + step)
-        grid = (schedule.t_start + r * tau)[:, None] + schedule.cum[None, :] * tau
-        block = times[first * atoms : (first + step) * atoms]
-        if not (
-            np.array_equal(block[:, 0], grid[:, :-1].ravel()[: len(block)])
-            and np.array_equal(block[:, 1], grid[:, 1:].ravel()[: len(block)])
-        ):
-            return False
-    return True
+    return []
 
 
 def _check_continuous_report(

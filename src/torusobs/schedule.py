@@ -73,13 +73,21 @@ class SwitchingSchedule:
     def micro_count(self) -> int:
         return self.macro_count * self.atom_count
 
+    def boundaries(self, first: int, count: int) -> np.ndarray:
+        """Slot boundaries of macros first .. first + count - 1 as a
+        (count, J + 1) grid: macro r's row is (t_start + r tau) + cum_k tau,
+        k = 0..J, and slot (r, j) runs from cell j to cell j + 1.  Every slot
+        time of the schedule is formed here."""
+        tau = self.macro_length
+        r = np.arange(first, first + count)
+        return (self.t_start + r * tau)[:, None] + self.cum[None, :] * tau
+
     def micro_interval(self, r: int, j: int) -> tuple[float, float, int]:
         """Slot (macro r, atom j) as (t_start, t_end, atom_index)."""
         if not (0 <= r < self.macro_count and 0 <= j < self.atom_count):
             raise IndexError(f"no micro slot ({r}, {j})")
-        tau = self.macro_length
-        base = self.t_start + r * tau
-        return (base + self.cum[j] * tau, base + self.cum[j + 1] * tau, j)
+        start, end = self.boundaries(r, 1)[0, j : j + 2].tolist()
+        return (start, end, j)
 
     def iter_micro(self) -> Iterator[tuple[float, float, int]]:
         for r in range(self.macro_count):

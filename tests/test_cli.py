@@ -31,8 +31,6 @@ from torusobs.cli import (
     SCHEDULE_VERSION,
     SERIES_HEADER,
     _fmt,
-    _macros_per_block,
-    _read_time_columns,
     _schedule_lines,
     _write_json,
     main,
@@ -272,6 +270,23 @@ def test_schedule_lines_match_micro_intervals(cap):
     assert "".join(_schedule_lines(schedule, cap)) == "".join(expected)
 
 
+def test_boundaries_are_the_slot_times_of_micro_interval():
+    # the first and the last macros of interval 200, t from 199 to 200: each
+    # grid row is the scalar formula bit for bit, whatever block it sits in,
+    # and micro_interval's slots run from cell to cell
+    schedule = prepare_protocol(quick_config(interval_count=200)).schedule(200)
+    R, J, tau = schedule.macro_count, schedule.atom_count, schedule.macro_length
+    for first in (0, R - 3):
+        grid = schedule.boundaries(first, 3)
+        assert grid.shape == (3, J + 1)
+        for r, row in zip(range(first, first + 3), grid.tolist()):
+            assert row == [(schedule.t_start + r * tau) + float(c) * tau for c in schedule.cum]
+            assert schedule.boundaries(r, 1).tolist() == [row]
+            assert [schedule.micro_interval(r, j) for j in range(J)] == [
+                (row[j], row[j + 1], j) for j in range(J)
+            ]
+
+
 @pytest.mark.parametrize("block", [3, 5, 12, None], ids=["3", "5", "12", "module-block"])
 @pytest.mark.parametrize("cap", [4, 5 * 40 + 2, 10**9])
 def test_schedule_chunks_hold_at_most_a_block_of_rows(monkeypatch, block, cap):
@@ -412,6 +427,73 @@ def test_verify_detects_design_tampering(tmp_path, capsys):
     assert "design_K1.json" in capsys.readouterr().err
 
 
+def test_verify_checks_the_design_file_name_against_its_cutoff(tmp_path, capsys):
+    # a renamed design would otherwise pass: it rebuilds at its own cutoff
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(config), "--out", str(out)]) == 0
+    (out / "design_K2.json").rename(out / "design_K5.json")
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "design_K5.json: unreadable (cutoff 2 is not the one its file name gives)" in err
+
+
+def set_series_cell(row, column, value):
+    def edit(out):
+        path = out / "series.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[2 + row].split(",")
+        cells[column] = value
+        lines[2 + row] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+
+    return edit
+
+
+def drop_last_series_row(out):
+    path = out / "series.csv"
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+
+
+def cut_first_series_row(out):
+    path = out / "series.csv"
+    lines = path.read_text().splitlines()
+    lines[2] = "1,1"
+    path.write_text("\n".join(lines) + "\n")
+
+
+def set_meta(key, scale=None, value=None):
+    def edit(out):
+        path = out / "run_meta.json"
+        meta = strict_json(path)
+        meta[key] = meta[key] * scale if scale is not None else value
+        _write_json(path, meta)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (drop_last_series_row, "series.csv: 3 rows for 4 intervals"),
+        (set_series_cell(0, 1, "7"), "series.csv: row 1 is not interval 1 of the config"),
+        (set_series_cell(0, 2, "0.001"), "series.csv: row 1 is not interval 1 of the config"),
+        (set_series_cell(2, 0, "2"), "series.csv: row 3 is not interval 3 of the config"),
+        (cut_first_series_row, "series.csv: unreadable"),
+        (set_meta("final_mean", scale=2.0), "run_meta.json: final_mean is not the last A_N"),
+        (set_meta("interval_count", value=99), "run_meta.json: interval_count 99 is not the config's 4"),
+    ],
+    ids=["last-row-dropped", "K_m", "eps_m", "m", "short-row", "final-mean", "interval-count"],
+)
+def test_verify_checks_series_and_run_meta_against_the_config(tmp_path, capsys, edit, message):
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(config), "--out", str(out)]) == 0
+    edit(out)
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_continuous_command(tmp_path, capsys):
     config = write_config(
         tmp_path,
@@ -517,6 +599,41 @@ def test_calibrate_command(tmp_path):
     assert payload["upper"] == pytest.approx(1.0)
 
 
+def set_mode_row(index, key, scale=None, value=None):
+    def edit(cal):
+        row = cal["mode_table"][index]
+        row[key] = row[key] * scale if scale is not None else value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (lambda cal: cal.update(model="schrodinger"), "model"),
+        (lambda cal: cal.update(mass=0.5), "mass"),
+        (lambda cal: cal.update(duration=9.0), "duration"),
+        (lambda cal: cal.update(lower=cal["lower"] * (1.0 + 1e-9)), "lower"),
+        (set_mode_row(1, "gram_min", scale=0.5), "mode_table[1].gram_min"),
+        (set_mode_row(3, "gram_max", scale=1.0 + 1e-9), "mode_table[3].gram_max"),
+        (set_mode_row(2, "frequency", value=1.0), "mode_table[2].frequency"),
+    ],
+    ids=["model", "mass", "duration", "lower", "gram-min", "gram-max", "frequency"],
+)
+def test_verify_recomputes_every_calibration_field(tmp_path, capsys, edit, key):
+    config = write_config(tmp_path, model="wave", datum={"window": 2, "seed": 2})
+    out = tmp_path / "out"
+    assert main(["calibrate", "--config", str(config), "--out", str(out), "--check"]) == 0
+    path = out / "calibration.json"
+    calibration = strict_json(path)
+    assert len(calibration["mode_table"]) == 4
+    edit(calibration)
+    _write_json(path, calibration)
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"calibration.json: differs from the recomputed calibration ({key})" in err
+
+
 def late_schedule(tmp_path):
     """A schedule CSV of interval 200, so t runs from 199 to 200: 5000 rows,
     three blocks, written with its sidecar."""
@@ -532,11 +649,9 @@ def test_verify_reads_the_late_schedule_csv_exactly(tmp_path, capsys):
     config, out, path = late_schedule(tmp_path)
     assert main(["verify", "--config", str(config), "--out", str(out)]) == 0
     assert "verify: ok" in capsys.readouterr().out
-    _, header, rows = read_csv(path)
-    times = _read_time_columns(path, header)
-    assert times.shape == (len(rows), 2)
-    assert times[0, 0] >= 199.0 and times[-1, 1] <= 200.0
-    assert times.tolist() == [[float(r[0]), float(r[1])] for r in rows]
+    schedule = prepare_protocol(quick_config(interval_count=200)).schedule(200)
+    serial = "".join(_schedule_lines(schedule, 5000))
+    assert path.read_text() == f"{SCHEDULE_VERSION}\n{schedule_header(1)}\n" + serial
 
 
 def test_verify_detects_schedule_slot_order_tampering(tmp_path, capsys):
@@ -545,7 +660,7 @@ def test_verify_detects_schedule_slot_order_tampering(tmp_path, capsys):
     lines[5], lines[6] = lines[6], lines[5]
     path.write_text("\n".join(lines) + "\n")
     assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
-    assert "schedule_m200.csv: slots out of order" in capsys.readouterr().err
+    assert "schedule_m200.csv: row 4 differs from the rebuilt schedule" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("row", ["199.5,abc,0,0.0", "199.5"])
@@ -555,14 +670,69 @@ def test_verify_reports_a_malformed_schedule_row(tmp_path, capsys, row):
     lines[4] = row
     path.write_text("\n".join(lines) + "\n")
     assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
-    assert "schedule_m200.csv: unreadable" in capsys.readouterr().err
+    assert "schedule_m200.csv: row 3 differs from the rebuilt schedule" in capsys.readouterr().err
 
 
 def test_verify_reports_a_schedule_csv_without_rows(tmp_path, capsys):
     config, out, path = late_schedule(tmp_path)
     path.write_text("\n".join(path.read_text().splitlines()[:2]) + "\n")
     assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
-    assert "schedule_m200.csv: row count disagrees with summary" in capsys.readouterr().err
+    assert "schedule_m200.csv: file ends after 0 of 5000 rows" in capsys.readouterr().err
+
+
+def next_atom(cells):
+    cells[2] = str(int(cells[2]) + 1)
+
+
+def shift_moved(cells):
+    cells[3] = repr(float(cells[3]) + 0.5)
+
+
+def extra_field(cells):
+    cells.append("junk")
+
+
+@pytest.mark.parametrize(
+    "edit", [next_atom, shift_moved, extra_field], ids=["atom", "shift", "extra-field"]
+)
+def test_verify_compares_every_column_of_the_schedule_csv(tmp_path, capsys, edit):
+    # the time columns stay as written: only the cell the edit touches differs
+    config, out, path = late_schedule(tmp_path)
+    lines = path.read_text().splitlines()
+    cells = lines[2 + 4099].split(",")
+    edit(cells)
+    lines[2 + 4099] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
+    assert "schedule_m200.csv: row 4100 differs from the rebuilt schedule" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cut, message",
+    [
+        (lambda text: "".join(text.splitlines(keepends=True)[: 2 + 4499]) + "199.",
+         "file ends after 4499 of 5000 rows"),
+        (lambda text: text + text.splitlines(keepends=True)[-1],
+         "file runs on past its 5000 rows"),
+        (lambda text: text.replace("\n", "\r\n", 1), "unrecognized layout"),
+        (lambda text: "", "unrecognized layout"),
+    ],
+    ids=["cut-mid-row", "one-extra-row", "crlf-layout", "empty"],
+)
+def test_verify_requires_the_schedule_csv_to_end_with_its_last_row(
+    tmp_path, capsys, cut, message
+):
+    config, out, path = late_schedule(tmp_path)
+    path.write_text(cut(path.read_text()), newline="")
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
+    assert f"schedule_m200.csv: {message}" in capsys.readouterr().err
+
+
+def test_verify_reports_an_unreadable_schedule_csv(tmp_path, capsys):
+    config, out, path = late_schedule(tmp_path)
+    path.write_bytes(path.read_bytes()[:-40] + b"\xff\xfe\n")
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
+    assert "schedule_m200.csv: unreadable" in capsys.readouterr().err
 
 
 # ------------------------------------------------- multi-block schedule files
@@ -579,7 +749,7 @@ def test_split_schedule_file_is_the_serial_text(tmp_path, monkeypatch, block, ex
     monkeypatch.setattr(cli, "SCHEDULE_BLOCK", block)
     schedule = prepare_protocol(quick_config(interval_count=200)).schedule(1)
     atoms = schedule.atom_count
-    block_rows = _macros_per_block(atoms) * atoms
+    block_rows = max(1, block // atoms) * atoms
     cap, blocks = {
         "inside-first-block": (atoms - 2, 1),
         "one-block": (block_rows, 1),
@@ -641,28 +811,20 @@ def swap_two_rows(rows):
     return rows
 
 
-@pytest.mark.parametrize(
-    "edit, message",
-    [
-        (bump_one_ulp, "times differ from the rebuilt schedule"),
-        (swap_two_rows, "slots out of order"),
-    ],
-    ids=["one-ulp", "swapped-rows"],
-)
-def test_verify_detects_tampering_in_the_childs_half(tmp_path, capsys, edit, message):
+@pytest.mark.parametrize("edit", [bump_one_ulp, swap_two_rows], ids=["one-ulp", "swapped-rows"])
+def test_verify_detects_tampering_in_the_childs_half(tmp_path, capsys, edit):
     config, out, path = late_schedule(tmp_path)
     tamper_second_half(path, edit)
     assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert f"schedule_m200.csv: {message}" in err
-    assert "schedule_m200.csv: times differ from the rebuilt schedule" in err
+    assert "schedule_m200.csv: row 3735 differs from the rebuilt schedule" in err
 
 
 def test_verify_reports_a_malformed_row_in_the_childs_half(tmp_path, capsys):
     config, out, path = late_schedule(tmp_path)
     tamper_second_half(path, lambda rows: rows[:10] + ["199.5,abc,0,0.0"] + rows[11:])
     assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
-    assert "schedule_m200.csv: unreadable" in capsys.readouterr().err
+    assert "schedule_m200.csv: row 2511 differs from the rebuilt schedule" in capsys.readouterr().err
 
 
 def test_verify_detects_a_one_ulp_change_in_one_block_files(tmp_path, capsys):
@@ -676,7 +838,7 @@ def test_verify_detects_a_one_ulp_change_in_one_block_files(tmp_path, capsys):
     lines[3] = ",".join(cells)
     path.write_text("\n".join(lines) + "\n")
     assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
-    assert "schedule_m1.csv: times differ from the rebuilt schedule" in capsys.readouterr().err
+    assert "schedule_m1.csv: row 2 differs from the rebuilt schedule" in capsys.readouterr().err
 
 
 def nudge_one_shift(sidecar):
