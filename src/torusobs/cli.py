@@ -51,7 +51,7 @@ from .experiment import (
     tail_reduction_check,
 )
 from .geometry import GroupElement
-from .schedule import OutOfInterval, SpeedTooLow
+from .schedule import OutOfInterval, SpeedTooLow, build_continuous
 from .spectral import build_basis, gamma_matrix
 
 SERIES_HEADER = "m,K_m,eps_m,Q_m,A_N,E_leK"
@@ -352,7 +352,7 @@ def cmd_continuous(config: RunConfig, out: Path, args) -> int:
     _write_csv(out / "continuous.csv", CONTINUOUS_VERSION, CONTINUOUS_HEADER, rows)
     _write_json(
         out / "continuous_report.json",
-        {"schema": "torusobs-continuous/1", **report.to_dict()},
+        {"schema": "torusobs-continuous/2", **report.to_dict()},
     )
     print(
         f"continuous speeds={list(report.speeds)} "
@@ -386,14 +386,20 @@ def verify_artifacts(config: RunConfig, out: Path) -> list[str]:
     time, at the cutoff the file name gives; calibration.json is recomputed
     field by field; series.csv must list the config's intervals, windows
     and tolerances, its running means re-derived from the stored energies,
-    with run_meta.json's interval count and final mean; each schedule
-    sidecar must equal the interval's rebuilt schedule bit for bit, and any
-    CSV beside it the text `schedule` writes for it; continuous running
-    means are re-derived and continuous_report.json is checked against
-    continuous.csv.  JSON artifacts are parsed strictly.
+    with run_meta.json's interval count, final mean and final-quarter
+    minimum; run_meta.json is checked against the config and the
+    calibration (`_check_run_meta`); each schedule sidecar must equal the
+    interval's rebuilt schedule bit for bit, and any CSV beside it the text
+    `schedule` writes for it; continuous.csv rows are checked against the
+    config and the rebuilt paths (`_check_continuous_rows`), their running
+    means re-derived, and continuous_report.json is checked against them.
+    The stored energies themselves are not recomputed.  JSON artifacts are
+    parsed strictly.
     """
     problems: list[str] = []
     prototype = config.prototype()
+    constants = None  # the recomputed calibration, built on first use
+    setup = None  # the protocol's designs and bounds, built on first use
 
     for path in sorted(out.glob("design_K*.json")):
         try:
@@ -420,8 +426,8 @@ def verify_artifacts(config: RunConfig, out: Path) -> list[str]:
     if cal_path.exists():
         try:
             data = _read_json(cal_path)
-            basis = build_basis(config.space(), config.sim_window)
-            fresh = calibration(config.model, basis, config.mass, config.duration).to_dict()
+            constants = _calibration(config)
+            fresh = constants.to_dict()
             differ = [key for key in ("model", "mass", "duration") if data[key] != fresh[key]]
             differ += [key for key in ("lower", "upper") if not _near(data[key], fresh[key])]
             for i, (row, want) in enumerate(zip(data["mode_table"], fresh["mode_table"])):
@@ -467,10 +473,22 @@ def verify_artifacts(config: RunConfig, out: Path) -> list[str]:
                     )
                 if meta["final_mean"] != means[-1]:
                     problems.append("run_meta.json: final_mean is not the last A_N of series.csv")
+                if meta["final_quarter_minimum"] != means[-max(1, len(means) // 4) :].min():
+                    problems.append(
+                        "run_meta.json: final_quarter_minimum is not the least A_N of the "
+                        "last quarter of series.csv"
+                    )
         except (ValueError, KeyError, IndexError, json.JSONDecodeError) as exc:
             problems.append(f"series.csv: unreadable ({exc})")
 
-    setup = None
+    if meta_path.exists():
+        try:
+            if constants is None:
+                constants = _calibration(config)
+            problems.extend(_check_run_meta(config, _read_json(meta_path), constants))
+        except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+            problems.append(f"run_meta.json: unreadable ({exc})")
+
     for path in sorted(out.glob("schedule_m*.json")):
         try:
             sidecar = _read_json(path)
@@ -503,6 +521,13 @@ def verify_artifacts(config: RunConfig, out: Path) -> list[str]:
     if cont_path.exists():
         try:
             rows = _read_csv(cont_path, CONTINUOUS_VERSION, CONTINUOUS_HEADER)
+            width = len(CONTINUOUS_HEADER.split(","))
+            for i, row in enumerate(rows, start=1):
+                if len(row) != width:
+                    raise ValueError(f"row {i} has {len(row)} cells, not {width}")
+            if setup is None:
+                setup = prepare_protocol(config)
+            problems.extend(_check_continuous_rows(config, setup, rows))
             by_speed: dict[str, list[list[str]]] = {}
             for r in rows:
                 by_speed.setdefault(r[0], []).append(r)
@@ -517,15 +542,84 @@ def verify_artifacts(config: RunConfig, out: Path) -> list[str]:
                         f"continuous.csv: running means do not recompute at "
                         f"speed {speed}"
                     )
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, SpeedTooLow) as exc:
             problems.append(f"continuous.csv: unreadable ({exc})")
         else:
             try:
                 report = _read_json(out / "continuous_report.json")
-                problems.extend(_check_continuous_report(config, report, by_speed))
+                problems.extend(_check_continuous_report(report, by_speed))
             except (OSError, ValueError, KeyError, TypeError) as exc:
                 problems.append(f"continuous_report.json: unreadable ({exc})")
 
+    return problems
+
+
+def _calibration(config: RunConfig):
+    basis = build_basis(config.space(), config.sim_window)
+    return calibration(config.model, basis, config.mass, config.duration)
+
+
+def _check_run_meta(config: RunConfig, meta: dict, constants) -> list[str]:
+    """Check run_meta.json's model, mass, measure and duration against the
+    config exactly, its lower and upper constants against the recomputed
+    calibration `constants`, and its reference bound and final ratio by
+    redoing `experiment`'s arithmetic on its own stored energy, constants
+    and final mean.  The energy is taken as stored."""
+    exact = {
+        "model": config.model,
+        "mass": config.mass,
+        "measure": config.measure,
+        "duration": config.duration,
+    }
+    near = {"lower_constant": constants.lower, "upper_constant": constants.upper}
+    differ = [key for key, value in exact.items() if meta[key] != value]
+    differ += [key for key, value in near.items() if not _near(meta[key], value)]
+    if meta["reference_bound"] != meta["measure"] * meta["lower_constant"] * meta["energy"]:
+        differ.append("reference_bound")
+    if meta["final_ratio"] != meta["final_mean"] / meta["reference_bound"]:
+        differ.append("final_ratio")
+    if differ:
+        return [
+            f"run_meta.json: differs from the config and the recomputed calibration "
+            f"({', '.join(differ)})"
+        ]
+    return []
+
+
+def _check_continuous_rows(config: RunConfig, setup, rows: list[list[str]]) -> list[str]:
+    """Check the first five columns of every continuous.csv row.  Row
+    (speed, m), in the order of the config's speed ladder and intervals,
+    must read that speed, interval m, the config's window at m, and the
+    macro count and certified loss of the path `build_continuous` rebuilds
+    for that window and speed, in the text the writer gives them.  Reports
+    a row count other than speeds x intervals and the first row that
+    differs, with its columns."""
+    count = config.interval_count
+    speeds = config.schedule.speeds
+    problems: list[str] = []
+    if len(rows) != len(speeds) * count:
+        problems.append(
+            f"continuous.csv: {len(rows)} rows for {len(speeds)} speeds of {count} intervals"
+        )
+    columns = CONTINUOUS_HEADER.split(",")
+    expected = ((speed, m) for speed in speeds for m in range(1, count + 1))
+    paths = {}
+    for i, (row, (speed, m)) in enumerate(zip(rows, expected), start=1):
+        window = config.window_at(m)
+        if (window, speed) not in paths:
+            paths[window, speed] = build_continuous(
+                setup.designs[window], (0.0, config.duration), speed,
+                setup.design_bounds[window],
+            )
+        path = paths[window, speed]
+        want = (speed, m, window, path.macro_count, path.certified_loss)
+        differ = [name for name, cell, value in zip(columns, row, want) if cell != _fmt(value)]
+        if differ:
+            problems.append(
+                f"continuous.csv: row {i} differs from the config's ladder and its "
+                f"rebuilt path ({', '.join(differ)})"
+            )
+            break
     return problems
 
 
@@ -560,23 +654,16 @@ def _check_schedule_csv(config: RunConfig, path: Path, schedule) -> list[str]:
     return []
 
 
-def _check_continuous_report(
-    config: RunConfig, report: dict, by_speed: dict[str, list[list[str]]]
-) -> list[str]:
+def _check_continuous_report(report: dict, by_speed: dict[str, list[list[str]]]) -> list[str]:
     """Check continuous_report.json against the continuous.csv rows grouped
-    by speed: per speed the record count and the final running mean, the
-    monotone flag recomputed from the certified losses in sorted-speed
-    order, and the realized margin's floor."""
+    by speed, whose row count `_check_continuous_rows` checks: per speed the
+    final running mean, the monotone flag recomputed from the certified
+    losses in sorted-speed order, and the realized margin's floor."""
     problems: list[str] = []
     name = "continuous_report.json"
     if {_fmt(float(v)) for v in report["speeds"]} != set(by_speed):
         return [f"{name}: speeds differ from continuous.csv"]
     for speed, group in by_speed.items():
-        if len(group) != config.interval_count:
-            problems.append(
-                f"{name}: speed {speed} has {len(group)} records, not "
-                f"{config.interval_count}"
-            )
         if report["final_means"][speed] != float(group[-1][6]):
             problems.append(f"{name}: final mean at speed {speed} disagrees with the CSV")
     ladder = sorted(by_speed, key=float)

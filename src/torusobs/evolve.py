@@ -52,6 +52,11 @@ atom count (`grid_tour_sum`).  Any other design is summed segment by segment.
 Neither that template sum nor the repeat sum depends on where the path
 starts (`path_template`); one phase e^{i D t_start} moves them to an interval
 (`shifted_kernel`), so paths that differ only in their start share them.
+Since that phase and the repeat sum are functions of D alone, an energy
+along any of those paths is Re sum_D e^{i D t_start} repeats(D) W(D), with
+W(D) the coefficient-weighted template summed over the entries of
+difference D: one reduction of the template per coefficient vector serves
+every start (`shifted_energies`), and no kernel is formed.
 
 Every factor of a grid kernel is a function of the frequency difference
 D = alpha_k - alpha_i alone (start phase, repeat sum, slot integral), of a
@@ -475,6 +480,39 @@ def shifted_kernel(
     )
 
 
+def shifted_energies(
+    gamma_base: ObservationMatrix,
+    table: DifferenceTable,
+    starts: np.ndarray,
+    repeats: np.ndarray,
+    body: np.ndarray,
+    coeffs: list[np.ndarray],
+) -> np.ndarray:
+    """`kernel_energy` of `shifted_kernel(gamma_base, table, t, repeats,
+    body)` for every start t in `starts` and every output coefficient vector
+    in `coeffs`, shape (len(starts), len(coeffs)), with no kernel formed.
+
+    The start phase and `repeats` depend on an entry's D alone, so each
+    energy is Re sum_D e^{i D t} repeats(D) W(D), where W(D) sums
+    conj(C_i) Gamma(0) body C_k over the entries of difference D: one
+    `np.bincount` over `table.inverse` per coefficient vector and part
+    (real, imaginary), whatever the number of starts.  Only the order of
+    summation differs from `kernel_energy`, so the two agree to rounding.
+    """
+    index = table.inverse.ravel()
+    size = table.values.size
+    reduced = np.empty((size, len(coeffs)), dtype=complex)
+    for j, coeff in enumerate(coeffs):
+        # one kernel-sized product at a time, scaled in place
+        density = gamma_base.entries[:, None, :, None] * body
+        density *= coeff.conj()[:, :, None, None]
+        density *= coeff
+        reduced[:, j].real = np.bincount(index, density.real.ravel(), size)
+        reduced[:, j].imag = np.bincount(index, density.imag.ravel(), size)
+    phases = np.exp(1j * np.outer(starts, table.values)) * repeats
+    return (phases @ reduced).real
+
+
 def _check_gamma_base(datum: ModalDatum, gamma_base: ObservationMatrix) -> None:
     if gamma_base.basis.modes != datum.basis.modes:
         raise BasisMismatch(
@@ -508,19 +546,22 @@ def interval_output_energy(
 ) -> float:
     """Full-torus output energy over one interval (Gram = identity)."""
     coeff, alpha = output_expansion(datum, kind)
-    return expansion_interval_energy(coeff, alpha, t_start, duration)
+    return float(expansion_interval_energy(coeff, alpha, t_start, duration))
 
 
 def expansion_interval_energy(
-    coeff: np.ndarray, alpha: np.ndarray, t_start: float, duration: float
-) -> float:
-    """`interval_output_energy` of an output expansion (C, alpha).
+    coeff: np.ndarray, alpha: np.ndarray, t_start, duration: float
+) -> np.ndarray:
+    """`interval_output_energy` of an output expansion (C, alpha) over
+    [t, t + duration] for every start t in `t_start`, a float or an array;
+    the result has the shape of `t_start`.
 
     Only branches of one mode interact, so the kernel is (dim, P, P).
     """
+    starts = np.asarray(t_start, dtype=float)
     diff = alpha[:, None, :] - alpha[:, :, None]
-    base = phase_integral(diff, t_start, duration)
-    return float(np.real(np.einsum("ip,ipq,iq->", coeff.conj(), base, coeff)))
+    base = phase_integral(diff, starts[..., None, None, None], duration)
+    return np.real(np.einsum("ip,...ipq,iq->...", coeff.conj(), base, coeff))
 
 
 def per_segment_sum(
@@ -595,15 +636,18 @@ def grid_tour_sum(
         if b > 0:
             short.append(geometric_phase_sum(arg, 1.0, per_axis - 1)[keys.inverse])
             fixed.append(np.exp(1j * (per_axis - 1) * arg)[keys.inverse])
-    total = total * math.prod(full)
+    # products are taken in place on fresh arrays, to hold fewer
+    # kernel-sized temporaries at once; the operations are unchanged
+    total *= math.prod(full)
     after_dwell = np.exp(1j * table.values * dwell)[table.inverse]
     for a in range(dim):
         along = (full if a == 0 else short)[a]
         atoms = math.prod(full[:a]) * along * math.prod(fixed[a + 1 :])
         keys = table.carry(a)
         rate = -(TWO_PI * step / legs[a]) * keys.modes
-        leg = phase_integral(keys.diff + rate, 0.0, legs[a])[keys.inverse]
-        total = total + atoms * after_dwell * leg
+        atoms *= after_dwell
+        atoms *= phase_integral(keys.diff + rate, 0.0, legs[a])[keys.inverse]
+        total += atoms
     return total
 
 

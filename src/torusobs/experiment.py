@@ -42,7 +42,7 @@ from .evolve import (
     output_kind_for,
     path_template,
     random_datum,
-    shifted_kernel,
+    shifted_energies,
     switching_kernel,
 )
 from .schedule import (
@@ -565,20 +565,6 @@ class ContinuousReport:
             "realized_ok": self.realized_ok,
             "realized_margin": _finite_or_none(self.realized_margin),
             "final_means": {str(v): f for v, f in self.final_means.items()},
-            "records": {
-                str(v): [
-                    {
-                        "interval": r.index,
-                        "window": r.window,
-                        "macro_count": r.macro_count,
-                        "certified_loss": r.certified_loss,
-                        "observed": r.observed,
-                        "running_mean": r.running_mean,
-                    }
-                    for r in recs
-                ]
-                for v, recs in self.records.items()
-            },
         }
 
 
@@ -586,15 +572,19 @@ def continuous_protocol_delta(config: RunConfig, speeds) -> ContinuousReport:
     """Rerun the protocol with continuous paths for each speed in the ladder.
 
     At one speed every interval of a window runs the same path, started at
-    (m - 1) * duration: its template (`path_template`) is built once per run
-    of intervals on that window, and each interval's kernel is that template
-    moved to its start by one phase (`shifted_kernel`), entry for entry the
-    `path_kernel` of the started path.
+    (m - 1) * duration.  Its template (`path_template`) is built once per
+    (window, speed), and `shifted_energies` reduces it once onto the
+    distinct frequency differences: every interval of the window then gets
+    its observed energy, and where needed its windowed one, from one phase
+    product over its start, with no kernel formed.  The energies are those
+    of the started path's `path_kernel` up to rounding, and the running
+    means are sequential sums of them.
 
     The realized-bound check is evaluated on the datum truncated at each
     interval's cutoff (the certificate covers the windowed part; the tail
     only adds energy), and only where the certified loss leaves a positive
-    factor.  Certified losses must not grow from one speed to the next
+    factor.  Its full-torus references are computed once per interval for
+    all speeds.  Certified losses must not grow from one speed to the next
     faster one, compared in sorted-speed order; the report keeps the
     ladder's order.
     """
@@ -602,8 +592,16 @@ def continuous_protocol_delta(config: RunConfig, speeds) -> ContinuousReport:
     if not speeds:
         raise ValueError("at least one speed is required")
     setup = prepare_protocol(config)
-    windows = [config.window_at(m) for m in range(1, config.interval_count + 1)]
+    count = config.interval_count
+    windows = np.array([config.window_at(m) for m in range(1, count + 1)])
+    starts = np.arange(count) * config.duration
+    members = {k: np.flatnonzero(windows == k) for k in setup.designs}
     table = setup.differences
+    references = np.empty(count)
+    for k, at in members.items():
+        references[at] = expansion_interval_energy(
+            setup.windowed[k], setup.alpha, starts[at], config.duration
+        )
 
     records: dict[float, tuple[ContinuousIntervalRecord, ...]] = {}
     certified: dict[float, float] = {}
@@ -618,48 +616,43 @@ def continuous_protocol_delta(config: RunConfig, speeds) -> ContinuousReport:
             )
             for k in setup.designs
         }
-        recs: list[ContinuousIntervalRecord] = []
-        total = 0.0
-        worst_factor = math.inf
-        current = None
-        for m, window in enumerate(windows, start=1):
-            path = paths[window]
-            if window != current:
-                # release the last window's template and kernel before the
-                # next template's temporaries are allocated
-                repeats = segments = kernel = None
-                repeats, segments = path_template(path, table)
-                current = window
-            t_start = (m - 1) * config.duration
-            kernel = shifted_kernel(setup.gamma_base, table, t_start, repeats, segments)
-            value = kernel_energy(kernel, setup.coeff)
-            total += value
-            factor = max(config.measure - path.certified_loss, 0.0)
-            worst_factor = min(worst_factor, factor)
-            if factor > 0.0:
-                part = setup.windowed[window]
-                part_value = kernel_energy(kernel, part)
-                reference = expansion_interval_energy(
-                    part, setup.alpha, t_start, config.duration
-                )
-                if reference > 0.0:
-                    ratio = part_value / (factor * reference)
-                    realized_margin = min(realized_margin, ratio)
-                    if part_value < factor * reference * (1.0 - 1e-9):
-                        realized_ok = False
-            recs.append(
-                ContinuousIntervalRecord(
-                    index=m,
-                    window=window,
-                    macro_count=path.macro_count,
-                    certified_loss=path.certified_loss,
-                    observed=value,
-                    running_mean=total / m,
-                )
+        factors = {k: max(config.measure - path.certified_loss, 0.0) for k, path in paths.items()}
+        observed = np.empty(count)
+        for k, at in members.items():
+            factor = factors[k]
+            parts = [setup.coeff, setup.windowed[k]] if factor > 0.0 else [setup.coeff]
+            # built before Gamma(0) is first read, and released before the
+            # next window's: the run's memory peak is a template's build
+            repeats, segments = path_template(paths[k], table)
+            energies = shifted_energies(
+                setup.gamma_base, table, starts[at], repeats, segments, parts
             )
-        records[speed] = tuple(recs)
-        certified[speed] = worst_factor
-        final_means[speed] = recs[-1].running_mean
+            repeats = segments = None
+            observed[at] = energies[:, 0]
+            if factor > 0.0:
+                bounded = references[at] > 0.0
+                part = energies[bounded, 1]
+                floors = factor * references[at][bounded]
+                ratio = float(np.min(part / floors, initial=math.inf))
+                realized_margin = min(realized_margin, ratio)
+                if np.any(part < floors * (1.0 - 1e-9)):
+                    realized_ok = False
+        means = np.cumsum(observed) / np.arange(1, count + 1)
+        records[speed] = tuple(
+            ContinuousIntervalRecord(
+                index=m,
+                window=window,
+                macro_count=paths[window].macro_count,
+                certified_loss=paths[window].certified_loss,
+                observed=value,
+                running_mean=mean,
+            )
+            for m, window, value, mean in zip(
+                range(1, count + 1), windows.tolist(), observed.tolist(), means.tolist()
+            )
+        )
+        certified[speed] = min(factors.values())
+        final_means[speed] = records[speed][-1].running_mean
 
     ladder = sorted(set(speeds))
     monotone_ok = all(

@@ -259,7 +259,15 @@ def build_continuous(
         raise ValueError("speed must be positive")
     measure = design.measure
     shifts = [a.shift.as_floats() for a in design.atoms]
-    cycle = cycle_length(shifts)
+    # leg j runs from atom j to atom j + 1, the last one back to atom 0; a
+    # single atom's only leg has length 0.  The cycle adds the legs in
+    # order from 0.0, as `cycle_length` does
+    points = np.array(shifts)
+    deltas = torus_displacement(points, np.roll(points, -1, axis=0))
+    legs = [float(np.linalg.norm(delta)) for delta in deltas]
+    cycle = 0.0
+    for leg in legs:
+        cycle += leg
 
     balance = speed * duration * lipschitz_bound * (measure + 1.0) * duration / measure
     if cycle == 0.0:
@@ -287,9 +295,8 @@ def build_continuous(
 
     segments: list[PathSegment] = []
     offset = 0.0
-    n = len(design)
     dim = design.atoms[0].shift.dim
-    for j in range(n):
+    for j in range(len(design)):
         dwell_len = design.atoms[j].weight * dwell_total
         segments.append(
             PathSegment(
@@ -302,22 +309,19 @@ def build_continuous(
             )
         )
         offset += dwell_len
-        if n > 1:
-            delta = torus_displacement(shifts[j], shifts[(j + 1) % n])
-            leg = float(np.linalg.norm(delta))
-            if leg > 0.0:
-                leg_time = leg / speed
-                segments.append(
-                    PathSegment(
-                        offset_start=offset,
-                        offset_end=offset + leg_time,
-                        kind="transit",
-                        atom_index=j,
-                        position=tuple(shifts[j]),
-                        velocity=tuple(delta / leg_time),
-                    )
+        if legs[j] > 0.0:
+            leg_time = legs[j] / speed
+            segments.append(
+                PathSegment(
+                    offset_start=offset,
+                    offset_end=offset + leg_time,
+                    kind="transit",
+                    atom_index=j,
+                    position=tuple(shifts[j]),
+                    velocity=tuple(deltas[j] / leg_time),
                 )
-                offset += leg_time
+            )
+            offset += leg_time
     # absorb rounding: last segment ends exactly at the macro boundary
     last = segments[-1]
     segments[-1] = PathSegment(

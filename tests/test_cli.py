@@ -462,6 +462,9 @@ def cut_first_series_row(out):
     path.write_text("\n".join(lines) + "\n")
 
 
+META_DIFFERS = "run_meta.json: differs from the config and the recomputed calibration"
+
+
 def set_meta(key, scale=None, value=None):
     def edit(out):
         path = out / "run_meta.json"
@@ -482,8 +485,23 @@ def set_meta(key, scale=None, value=None):
         (cut_first_series_row, "series.csv: unreadable"),
         (set_meta("final_mean", scale=2.0), "run_meta.json: final_mean is not the last A_N"),
         (set_meta("interval_count", value=99), "run_meta.json: interval_count 99 is not the config's 4"),
+        (set_meta("final_quarter_minimum", scale=0.5), "run_meta.json: final_quarter_minimum"),
+        (set_meta("model", value="wave"), f"{META_DIFFERS} (model)"),
+        (set_meta("mass", value=0.5), f"{META_DIFFERS} (mass)"),
+        (set_meta("measure", scale=2.0), f"{META_DIFFERS} (measure, reference_bound)"),
+        (set_meta("duration", value=2.0), f"{META_DIFFERS} (duration)"),
+        (set_meta("lower_constant", scale=1.0 + 1e-9), f"{META_DIFFERS} (lower_constant,"),
+        (set_meta("upper_constant", scale=3.0), f"{META_DIFFERS} (upper_constant)"),
+        (set_meta("energy", scale=1e6), f"{META_DIFFERS} (reference_bound)"),
+        (set_meta("reference_bound", scale=3.0), f"{META_DIFFERS} (reference_bound, final_ratio)"),
+        (set_meta("final_ratio", value=0.5), f"{META_DIFFERS} (final_ratio)"),
+        (set_meta("reference_bound", value=0.0), "run_meta.json: unreadable"),
     ],
-    ids=["last-row-dropped", "K_m", "eps_m", "m", "short-row", "final-mean", "interval-count"],
+    ids=[
+        "last-row-dropped", "K_m", "eps_m", "m", "short-row", "final-mean", "interval-count",
+        "final-quarter-minimum", "model", "mass", "measure", "duration", "lower-constant",
+        "upper-constant", "energy", "reference-bound", "final-ratio", "zero-reference-bound",
+    ],
 )
 def test_verify_checks_series_and_run_meta_against_the_config(tmp_path, capsys, edit, message):
     config = write_config(tmp_path)
@@ -510,6 +528,9 @@ def test_continuous_command(tmp_path, capsys):
     assert len(rows) == 8  # two speeds x four intervals
 
     report = json.loads((out / "continuous_report.json").read_text())
+    assert report["schema"] == "torusobs-continuous/2"
+    # the per-interval records live in continuous.csv only
+    assert "records" not in report
     assert report["monotone_ok"] and report["realized_ok"]
     assert report["certified_factors"]["10000.0"] > 0.0
     assert main(["verify", "--config", str(config), "--out", str(out)]) == 0
@@ -568,6 +589,53 @@ def test_verify_detects_a_certified_loss_that_breaks_monotonicity(tmp_path, caps
     path.write_text("\n".join(lines) + "\n")
     assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
     assert "monotone_ok does not recompute" in capsys.readouterr().err
+
+
+def set_continuous_cell(row, column, change):
+    def edit(out):
+        path = out / "continuous.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[1 + row].split(",")
+        cells[column] = change(cells[column])
+        lines[1 + row] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "row, column, change",
+    [
+        (1, "speed", lambda v: "300.0"),
+        (1, "interval", lambda v: "9"),
+        (3, "window", lambda v: "1"),
+        (2, "macro_count", lambda v: str(int(v) + 1)),
+        (6, "certified_loss", lambda v: repr(float(v) * (1.0 + 1e-12))),
+    ],
+    ids=["speed", "interval", "window", "macro-count", "certified-loss"],
+)
+def test_verify_checks_every_continuous_row_against_its_rebuilt_path(
+    tmp_path, capsys, row, column, change
+):
+    config, out = continuous_run(tmp_path)
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 0
+    set_continuous_cell(row, CONTINUOUS_HEADER.split(",").index(column), change)(out)
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert (
+        f"continuous.csv: row {row} differs from the config's ladder and its rebuilt "
+        f"path ({column})" in err
+    )
+
+
+def test_verify_reports_a_short_continuous_row(tmp_path, capsys):
+    config, out = continuous_run(tmp_path)
+    path = out / "continuous.csv"
+    lines = path.read_text().splitlines()
+    lines[4] = ",".join(lines[4].split(",")[:5])
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
+    assert "continuous.csv: unreadable (row 3 has 5 cells, not 7)" in capsys.readouterr().err
 
 
 def test_continuous_report_writes_null_when_no_speed_certifies(tmp_path):

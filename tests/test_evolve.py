@@ -36,6 +36,7 @@ from torusobs.evolve import (
     FIELD,
     TIME_DERIVATIVE,
     DifferenceTable,
+    expansion_interval_energy,
     frequency_differences,
     geometric_phase_sum,
     grid_atom_sum,
@@ -48,6 +49,7 @@ from torusobs.evolve import (
     per_atom_sum,
     per_segment_sum,
     phase_integral,
+    shifted_energies,
     shifted_kernel,
     switching_kernel,
 )
@@ -751,6 +753,41 @@ def test_template_shifted_to_a_late_start_is_the_path_kernel():
     repeats, segments = path_template(early, table)
     shifted = shifted_kernel(gamma0, table, 199.0, repeats, segments)
     assert np.array_equal(shifted, path_kernel(late, table, gamma0))
+
+
+@pytest.mark.parametrize("model,mass", MODELS)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_shifted_energies_are_the_quadratic_forms_of_the_shifted_kernels(dim, model, mass):
+    # one reduction of the template per coefficient vector gives the energy
+    # at every start, up to late ones with R ~ 10^4 macro repetitions; only
+    # the summation order differs from the kernel's quadratic form
+    design, basis, gamma0, alpha = late_grid_setup(dim, model, mass)
+    datum = make_datum(model, mass, basis, seed=37)
+    kind = output_kind_for(model)
+    coeffs = [output_expansion(part, kind)[0] for part in (datum, datum.windowed(1))]
+    table = DifferenceTable.build(alpha, basis.mode_differences)
+    path = build_continuous(design, (0.0, 1.0), 1e5, 1e5)
+    assert path.macro_count >= 10**4
+    repeats, segments = path_template(path, table)
+    starts = np.array([0.0, 1.0, 57.0, 199.0])
+    energies = shifted_energies(gamma0, table, starts, repeats, segments, coeffs)
+    assert energies.shape == (4, 2)
+    for t, row in zip(starts, energies):
+        kernel = shifted_kernel(gamma0, table, t, repeats, segments)
+        dense = [kernel_energy(kernel, coeff) for coeff in coeffs]
+        assert row == pytest.approx(dense, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("model,mass", MODELS)
+def test_interval_energy_over_an_array_of_starts(model, mass):
+    basis = build_basis(T1, 3)
+    datum = make_datum(model, mass, basis, seed=41)
+    coeff, alpha = output_expansion(datum, output_kind_for(model))
+    starts = np.array([0.0, 0.15, 57.0, 199.0])
+    energies = expansion_interval_energy(coeff, alpha, starts, 1.3)
+    assert energies.shape == (4,)
+    each = [interval_output_energy(datum, t, 1.3, output_kind_for(model)) for t in starts]
+    assert energies == pytest.approx(each, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize(

@@ -209,6 +209,31 @@ def test_position_is_periodic_across_macro_intervals():
         path.position_at(1.5)
 
 
+@pytest.mark.parametrize("dim,cutoff", [(1, 0), (1, 1), (1, 3), (2, 1), (2, 2)])
+def test_each_tour_leg_is_computed_once(monkeypatch, dim, cutoff):
+    # the cycle is bitwise `cycle_length`, and the legs' displacements are
+    # formed once, in one call, and shared by the cycle and the transits
+    from torusobs import schedule
+
+    space = TorusSpace(dim)
+    boxes = [(0, "1/4")] if dim == 1 else [[(0, "1/2"), ("1/8", "5/8")]]
+    design = equispaced_design(build_basis(space, cutoff), PrototypeSet.from_boxes(space, boxes))
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return torus_displacement(a, b)
+
+    monkeypatch.setattr(schedule, "torus_displacement", counted)
+    path = build_continuous(design, (0.0, 1.0), 1e4, WAVE_RATE)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    shifts = [a.shift.as_floats() for a in design.atoms]
+    assert path.cycle == cycle_length(shifts)
+    transits = [seg for seg in path.template if seg.kind == "transit"]
+    assert len(transits) == (len(design) if len(design) > 1 else 0)
+
+
 def test_single_atom_path_never_moves():
     basis0 = build_basis(T1, 0)
     w = PrototypeSet.from_boxes(T1, [(0, "1/4")])
