@@ -8,137 +8,99 @@ evolution with closed-form observation energies (`evolve`), and the
 interval-by-interval running-average protocol with its verification reports
 (`experiment`).  The `cli` module wires everything into a deterministic
 batch front-end.
+
+The names in `__all__` are resolved on first access (PEP 562): importing
+the package imports no submodule, and `torusobs.gamma_matrix` imports
+`spectral` and what it needs, no more.
 """
 
-from .config import ConfigError, RunConfig
-from .design import (
-    ConvexDesign,
-    DesignAtom,
-    DesignError,
-    DesignInfeasible,
-    EmptyCandidates,
-    NumericalRankFailure,
-    caratheodory_reduce,
-    default_candidates,
-    design_gammas,
-    equispaced_design,
-    moment_matrix,
-    moment_points,
-    moment_residual,
-    solve_design,
-    verify_design,
-)
-from .evolve import (
-    BasisMismatch,
-    EnergyDecomposition,
-    ModalDatum,
-    conserved_energy,
-    evolve_to,
-    interval_output_energy,
-    output_expansion,
-    output_kind_for,
-    path_observation_energy,
-    random_datum,
-    windowed_observation_energy,
-)
-from .experiment import (
-    CalibrationConstants,
-    CesaroSeries,
-    ContinuousReport,
-    IntervalRecord,
-    TailReductionReport,
-    WindowExceedsSimulation,
-    calibration,
-    continuous_protocol_delta,
-    run_protocol,
-    tail_reduction_check,
-    temporal_gram,
-)
-from .geometry import (
-    GroupElement,
-    PrototypeSet,
-    TorusSpace,
-)
-from .schedule import (
-    ContinuousPath,
-    OutOfInterval,
-    PathSegment,
-    SpeedTooLow,
-    SwitchingSchedule,
-    build_continuous,
-    build_switching,
-    continuous_loss,
-    cycle_length,
-    torus_displacement,
-)
-from .spectral import (
-    ModalBasis,
-    ObservationMatrix,
-    build_basis,
-    gamma_matrix,
-    temporal_gram_min_eigenvalue,
-    trajectory_lipschitz_bound,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BasisMismatch",
-    "CalibrationConstants",
-    "CesaroSeries",
-    "ConfigError",
-    "ContinuousPath",
-    "ContinuousReport",
-    "ConvexDesign",
-    "DesignAtom",
-    "DesignError",
-    "DesignInfeasible",
-    "EmptyCandidates",
-    "EnergyDecomposition",
-    "GroupElement",
-    "IntervalRecord",
-    "ModalBasis",
-    "ModalDatum",
-    "NumericalRankFailure",
-    "ObservationMatrix",
-    "OutOfInterval",
-    "PathSegment",
-    "PrototypeSet",
-    "RunConfig",
-    "SpeedTooLow",
-    "SwitchingSchedule",
-    "TailReductionReport",
-    "TorusSpace",
-    "WindowExceedsSimulation",
-    "build_basis",
-    "build_continuous",
-    "build_switching",
-    "calibration",
-    "caratheodory_reduce",
-    "conserved_energy",
-    "continuous_loss",
-    "continuous_protocol_delta",
-    "cycle_length",
-    "default_candidates",
-    "design_gammas",
-    "equispaced_design",
-    "evolve_to",
-    "gamma_matrix",
-    "interval_output_energy",
-    "moment_matrix",
-    "moment_points",
-    "moment_residual",
-    "output_expansion",
-    "output_kind_for",
-    "path_observation_energy",
-    "random_datum",
-    "run_protocol",
-    "solve_design",
-    "tail_reduction_check",
-    "temporal_gram",
-    "temporal_gram_min_eigenvalue",
-    "torus_displacement",
-    "trajectory_lipschitz_bound",
-    "verify_design",
-    "windowed_observation_energy",
-]
+# submodule -> the public names it defines
+_EXPORTS = {
+    "config": ("ConfigError", "RunConfig"),
+    "design": (
+        "ConvexDesign",
+        "DesignAtom",
+        "DesignError",
+        "DesignInfeasible",
+        "EmptyCandidates",
+        "NumericalRankFailure",
+        "caratheodory_reduce",
+        "default_candidates",
+        "design_gammas",
+        "equispaced_design",
+        "moment_matrix",
+        "moment_points",
+        "moment_residual",
+        "solve_design",
+        "verify_design",
+    ),
+    "evolve": (
+        "BasisMismatch",
+        "EnergyDecomposition",
+        "ModalDatum",
+        "conserved_energy",
+        "evolve_to",
+        "interval_output_energy",
+        "output_expansion",
+        "output_kind_for",
+        "path_observation_energy",
+        "random_datum",
+        "windowed_observation_energy",
+    ),
+    "experiment": (
+        "CalibrationConstants",
+        "CesaroSeries",
+        "ContinuousReport",
+        "IntervalRecord",
+        "TailReductionReport",
+        "WindowExceedsSimulation",
+        "calibration",
+        "continuous_protocol_delta",
+        "run_protocol",
+        "tail_reduction_check",
+        "temporal_gram",
+    ),
+    "geometry": ("GroupElement", "PrototypeSet", "TorusSpace"),
+    "schedule": (
+        "ContinuousPath",
+        "OutOfInterval",
+        "PathSegment",
+        "SpeedTooLow",
+        "SwitchingSchedule",
+        "build_continuous",
+        "build_switching",
+        "continuous_loss",
+        "cycle_length",
+        "torus_displacement",
+    ),
+    "spectral": (
+        "ModalBasis",
+        "ObservationMatrix",
+        "build_basis",
+        "gamma_matrix",
+        "temporal_gram_min_eigenvalue",
+        "trajectory_lipschitz_bound",
+    ),
+}
+
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    # Any other name fails without importing: `from . import design` probes
+    # the package with hasattr before it imports the submodule.
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -26,33 +26,17 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import ConfigError, RunConfig
-from .design import (
-    DesignError,
-    ConvexDesign,
-    _grid_shifts,
-    caratheodory_reduce,
-    default_candidates,
-    equispaced_design,
-    moment_residual,
-    solve_design,
-    verify_design,
-)
-from .evolve import BasisMismatch
-from .experiment import (
-    WindowExceedsSimulation,
-    calibration,
-    continuous_protocol_delta,
-    prepare_protocol,
-    run_protocol,
-    tail_reduction_check,
-)
-from .geometry import GroupElement
-from .schedule import OutOfInterval, SpeedTooLow, build_continuous
-from .spectral import build_basis, gamma_matrix
+# Only the config is imported here: each command imports the modules it
+# calls, so a process loads no more of the package than its command runs.
+from .config import ConfigError, NumericError, RunConfig
+
+if TYPE_CHECKING:
+    from .design import ConvexDesign
+    from .geometry import GroupElement
 
 SERIES_HEADER = "m,K_m,eps_m,Q_m,A_N,E_leK"
 SERIES_VERSION = "# torusobs series v1"
@@ -63,16 +47,6 @@ def schedule_header(dim: int) -> str:
     return "t_start,t_end,atom," + ",".join(f"shift_{i}" for i in range(dim))
 CONTINUOUS_HEADER = "speed,interval,window,macro_count,certified_loss,observed,running_mean"
 CONTINUOUS_VERSION = "# torusobs continuous v1"
-
-
-_NUMERIC_ERRORS = (
-    DesignError,
-    SpeedTooLow,
-    OutOfInterval,
-    WindowExceedsSimulation,
-    BasisMismatch,
-    ValueError,
-)
 
 
 def _fmt(value) -> str:
@@ -119,6 +93,9 @@ def _read_json(path: Path) -> dict:
 
 
 def _candidates(config: RunConfig, basis) -> list[GroupElement]:
+    from .design import _grid_shifts, default_candidates
+    from .geometry import GroupElement
+
     opts = config.design
     if opts.candidate_kind == "grid":
         if opts.grid_per_axis == 0:
@@ -139,6 +116,8 @@ def _candidates(config: RunConfig, basis) -> list[GroupElement]:
 
 def _build_design(config: RunConfig, basis, prototype) -> ConvexDesign:
     """Design per config options: exact grid, or solver + reduction."""
+    from .design import caratheodory_reduce, equispaced_design, solve_design
+
     if config.design.method == "equispaced":
         design = equispaced_design(basis, prototype)
     else:
@@ -153,6 +132,9 @@ def _build_design(config: RunConfig, basis, prototype) -> ConvexDesign:
 
 
 def cmd_design(config: RunConfig, out: Path, args) -> int:
+    from .design import verify_design
+    from .spectral import build_basis
+
     basis = build_basis(config.space(), config.design.cutoff)
     prototype = config.prototype()
     design = _build_design(config, basis, prototype)
@@ -174,8 +156,7 @@ def cmd_design(config: RunConfig, out: Path, args) -> int:
 
 
 def cmd_calibrate(config: RunConfig, out: Path, args) -> int:
-    basis = build_basis(config.space(), config.sim_window)
-    constants = calibration(config.model, basis, config.mass, config.duration)
+    constants = _calibration(config)
     payload = {"schema": "torusobs-calibration/1", **constants.to_dict()}
     path = out / "calibration.json"
     _write_json(path, payload)
@@ -271,6 +252,8 @@ def _write_schedule(config: RunConfig, out: Path, index: int, schedule) -> Path:
 
 
 def cmd_schedule(config: RunConfig, out: Path, args) -> int:
+    from .experiment import prepare_protocol
+
     index = config.schedule.interval
     path = _write_schedule(config, out, index, prepare_protocol(config).schedule(index))
     print(f"schedule interval={index} -> {path}")
@@ -280,6 +263,10 @@ def cmd_schedule(config: RunConfig, out: Path, args) -> int:
 
 
 def cmd_experiment(config: RunConfig, out: Path, args) -> int:
+    from .design import verify_design
+    from .experiment import run_protocol, tail_reduction_check
+    from .spectral import build_basis
+
     series = run_protocol(config)
     report = tail_reduction_check(series)
 
@@ -334,6 +321,8 @@ def cmd_experiment(config: RunConfig, out: Path, args) -> int:
 
 
 def cmd_continuous(config: RunConfig, out: Path, args) -> int:
+    from .experiment import continuous_protocol_delta
+
     report = continuous_protocol_delta(config, config.schedule.speeds)
     rows = []
     for speed in report.speeds:
@@ -371,6 +360,19 @@ def _near(stored: float, fresh: float) -> bool:
     return abs(stored - fresh) <= 1e-12 * max(1.0, abs(fresh))
 
 
+#: the artifacts `verify_artifacts` checks; any one of them makes a directory
+#: worth verifying (continuous_report.json is checked with continuous.csv)
+VERIFIED_ARTIFACTS = (
+    "design_K*.json",
+    "calibration.json",
+    "series.csv",
+    "run_meta.json",
+    "schedule_m*.json",
+    "schedule_m*.csv",
+    "continuous.csv",
+)
+
+
 def _verify_out(config: RunConfig, out: Path) -> int:
     problems = verify_artifacts(config, out)
     for p in problems:
@@ -394,33 +396,19 @@ def verify_artifacts(config: RunConfig, out: Path) -> list[str]:
     config and the rebuilt paths (`_check_continuous_rows`), their running
     means re-derived, and continuous_report.json is checked against them.
     The stored energies themselves are not recomputed.  JSON artifacts are
-    parsed strictly.
+    parsed strictly.  A missing directory, or one holding none of these
+    artifacts, is a problem: there is nothing to vouch for.
     """
+    if not out.is_dir():
+        return [f"{out}: no such directory"]
+    if not any(next(out.glob(pattern), None) for pattern in VERIFIED_ARTIFACTS):
+        return [f"{out}: no artifact to verify"]
     problems: list[str] = []
-    prototype = config.prototype()
     constants = None  # the recomputed calibration, built on first use
     setup = None  # the protocol's designs and bounds, built on first use
 
     for path in sorted(out.glob("design_K*.json")):
-        try:
-            data = _read_json(path)
-            design = ConvexDesign.from_dict(data)
-            if path.stem != f"design_K{design.cutoff}":
-                raise ValueError(f"cutoff {design.cutoff} is not the one its file name gives")
-            basis = build_basis(config.space(), design.cutoff)
-            # one atom's matrix at a time, added in atom order
-            gammas = (gamma_matrix(basis, prototype, a.shift) for a in design.atoms)
-            fresh = moment_residual(design.weights, gammas, design.measure)
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
-            problems.append(f"{path.name}: unreadable ({exc})")
-            continue
-        if abs(design.measure - prototype.measure) > 1e-12:
-            problems.append(f"{path.name}: measure differs from config prototype")
-        if fresh > design.residual + 1e-9:
-            problems.append(
-                f"{path.name}: residual recomputes to {fresh:.3e}, stored "
-                f"{design.residual:.3e}"
-            )
+        problems.extend(_check_design_file(config, path))
 
     cal_path = out / "calibration.json"
     if cal_path.exists():
@@ -498,6 +486,8 @@ def verify_artifacts(config: RunConfig, out: Path) -> list[str]:
             if path.stem != f"schedule_m{index}":
                 raise ValueError(f"interval {index} is not the one its file name gives")
             if setup is None:
+                from .experiment import prepare_protocol
+
                 setup = prepare_protocol(config)
             schedule = setup.schedule(index)
         except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -519,6 +509,8 @@ def verify_artifacts(config: RunConfig, out: Path) -> list[str]:
 
     cont_path = out / "continuous.csv"
     if cont_path.exists():
+        from .schedule import SpeedTooLow
+
         try:
             rows = _read_csv(cont_path, CONTINUOUS_VERSION, CONTINUOUS_HEADER)
             width = len(CONTINUOUS_HEADER.split(","))
@@ -526,6 +518,8 @@ def verify_artifacts(config: RunConfig, out: Path) -> list[str]:
                 if len(row) != width:
                     raise ValueError(f"row {i} has {len(row)} cells, not {width}")
             if setup is None:
+                from .experiment import prepare_protocol
+
                 setup = prepare_protocol(config)
             problems.extend(_check_continuous_rows(config, setup, rows))
             by_speed: dict[str, list[list[str]]] = {}
@@ -554,7 +548,38 @@ def verify_artifacts(config: RunConfig, out: Path) -> list[str]:
     return problems
 
 
+def _check_design_file(config: RunConfig, path: Path) -> list[str]:
+    """Check a design_K*.json: its name gives its cutoff, its measure is the
+    config prototype's, and its residual, rebuilt one atom's Gamma at a time
+    in atom order, is no larger than the stored one."""
+    from .design import ConvexDesign, moment_residual
+    from .spectral import build_basis, gamma_matrix
+
+    prototype = config.prototype()
+    try:
+        design = ConvexDesign.from_dict(_read_json(path))
+        if path.stem != f"design_K{design.cutoff}":
+            raise ValueError(f"cutoff {design.cutoff} is not the one its file name gives")
+        basis = build_basis(config.space(), design.cutoff)
+        gammas = (gamma_matrix(basis, prototype, a.shift) for a in design.atoms)
+        fresh = moment_residual(design.weights, gammas, design.measure)
+    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+        return [f"{path.name}: unreadable ({exc})"]
+    problems = []
+    if abs(design.measure - prototype.measure) > 1e-12:
+        problems.append(f"{path.name}: measure differs from config prototype")
+    if fresh > design.residual + 1e-9:
+        problems.append(
+            f"{path.name}: residual recomputes to {fresh:.3e}, stored "
+            f"{design.residual:.3e}"
+        )
+    return problems
+
+
 def _calibration(config: RunConfig):
+    from .experiment import calibration
+    from .spectral import build_basis
+
     basis = build_basis(config.space(), config.sim_window)
     return calibration(config.model, basis, config.mass, config.duration)
 
@@ -594,6 +619,8 @@ def _check_continuous_rows(config: RunConfig, setup, rows: list[list[str]]) -> l
     for that window and speed, in the text the writer gives them.  Reports
     a row count other than speeds x intervals and the first row that
     differs, with its columns."""
+    from .schedule import build_continuous
+
     count = config.interval_count
     speeds = config.schedule.speeds
     problems: list[str] = []
@@ -716,10 +743,11 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    if args.command != "verify":  # verify reads --out, never makes it
+        out.mkdir(parents=True, exist_ok=True)
     try:
         return COMMANDS[args.command](config, out, args)
-    except _NUMERIC_ERRORS as exc:
+    except (NumericError, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

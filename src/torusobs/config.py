@@ -5,6 +5,11 @@ nesting level so that typos fail loudly instead of silently running defaults;
 all cross-field constraints (window below the simulation cutoff, tolerances
 inside (0, measure), model/mass pairing, schedule intervals inside the run)
 are validated before any pipeline work starts.
+
+The rules the config shares with the pipeline live here too: the model/mass
+rule (`MODELS`, `check_model_mass`) and `NumericError`, the base of the
+failures a command exits 3 on.  This module imports only `geometry`, so
+loading a config loads no pipeline module.
 """
 
 from __future__ import annotations
@@ -17,14 +22,34 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any
 
-from .evolve import MODELS, check_model_mass
 from .geometry import PrototypeSet, TorusSpace
 
 SCHEMA_VERSION = 1
 
+MODELS = ("wave", "klein_gordon", "schrodinger")
+
 
 class ConfigError(Exception):
     """A config file is malformed; the message names the offending field."""
+
+
+class NumericError(Exception):
+    """Base class of the numeric and infeasibility failures a command exits 3
+    on: design construction, speed and interval bounds, window cutoffs and
+    basis mismatches."""
+
+
+def check_model_mass(model: str, mass: float) -> None:
+    """Raise ValueError unless `model` is known and `mass` suits it: the wave
+    and Schrodinger models take mass 0, Klein-Gordon a nonzero mass."""
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}")
+    if model == "schrodinger" and mass != 0.0:
+        raise ValueError("schrodinger model carries no mass term")
+    if model == "wave" and mass != 0.0:
+        raise ValueError("wave model has mass 0; use klein_gordon otherwise")
+    if model == "klein_gordon" and mass == 0.0:
+        raise ValueError("klein_gordon needs a nonzero mass")
 
 
 def _require_mapping(value: Any, path: str) -> dict:

@@ -30,6 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .config import NumericError
 from .geometry import GroupElement, PrototypeSet
 from .spectral import ModalBasis, ObservationMatrix, gamma_matrix, phase_table
 
@@ -43,7 +44,7 @@ OPTIMALITY_GAP = 1e-12
 ZERO_NORM = 64 * np.finfo(float).eps
 
 
-class DesignError(Exception):
+class DesignError(NumericError):
     """Base class for design construction failures."""
 
 

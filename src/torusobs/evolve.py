@@ -81,33 +81,19 @@ from functools import cached_property
 
 import numpy as np
 
+from .config import NumericError, check_model_mass
 from .schedule import ContinuousPath, SwitchingSchedule, torus_displacement
 from .spectral import ModalBasis, ObservationMatrix, shift_phase
 
 TWO_PI = 2.0 * math.pi
-
-MODELS = ("wave", "klein_gordon", "schrodinger")
 
 #: output kinds per model
 FIELD = "field"
 TIME_DERIVATIVE = "time_derivative"
 
 
-class BasisMismatch(Exception):
+class BasisMismatch(NumericError):
     """Gram matrices and datum are built on different bases."""
-
-
-def check_model_mass(model: str, mass: float) -> None:
-    """Raise ValueError unless `model` is known and `mass` suits it: the wave
-    and Schrodinger models take mass 0, Klein-Gordon a nonzero mass."""
-    if model not in MODELS:
-        raise ValueError(f"unknown model {model!r}")
-    if model == "schrodinger" and mass != 0.0:
-        raise ValueError("schrodinger model carries no mass term")
-    if model == "wave" and mass != 0.0:
-        raise ValueError("wave model has mass 0; use klein_gordon otherwise")
-    if model == "klein_gordon" and mass == 0.0:
-        raise ValueError("klein_gordon needs a nonzero mass")
 
 
 @dataclass(frozen=True, eq=False)

@@ -29,12 +29,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import RunConfig
+from .config import NumericError, RunConfig, check_model_mass
 from .design import ConvexDesign, equispaced_design
 from .evolve import (
     DifferenceTable,
     ModalDatum,
-    check_model_mass,
     conserved_energy,
     expansion_interval_energy,
     kernel_energy,
@@ -75,7 +74,7 @@ __all__ = [
 ]
 
 
-class WindowExceedsSimulation(Exception):
+class WindowExceedsSimulation(NumericError):
     """A requested window cutoff reaches or exceeds the simulation cutoff."""
 
 

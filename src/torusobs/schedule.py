@@ -23,14 +23,15 @@ from typing import Iterator
 
 import numpy as np
 
+from .config import NumericError
 from .design import ConvexDesign
 
 
-class OutOfInterval(Exception):
+class OutOfInterval(NumericError):
     """Query time outside the scheduled interval."""
 
 
-class SpeedTooLow(Exception):
+class SpeedTooLow(NumericError):
     """The speed bound cannot traverse the atom cycle within one macro interval."""
 
 

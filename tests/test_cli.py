@@ -46,6 +46,19 @@ def write_config(tmp_path, name="run.json", **overrides):
     return path
 
 
+def fresh_python(*args):
+    """Run a new interpreter on this checkout's package: modules that earlier
+    tests imported in this process cannot mask a missing import there."""
+    src = str(Path(torusobs.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+
+
 def read_csv(path):
     lines = path.read_text().strip().splitlines()
     return lines[0], lines[1], [line.split(",") for line in lines[2:]]
@@ -210,14 +223,7 @@ def test_experiment_process_does_not_import_numpy_ma(tmp_path):
         f"'--out', {str(tmp_path / 'out')!r}]) == 0\n"
         "print('numpy.ma' in sys.modules)\n"
     )
-    src = str(Path(torusobs.__file__).resolve().parents[1])
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    done = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-    )
+    done = fresh_python("-c", code)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "False"
 
@@ -238,17 +244,74 @@ def test_schedule_process_builds_neither_datum_nor_kernels(tmp_path):
         f"'--out', {str(tmp_path / 'out')!r}]) == 0\n"
         "print('numpy.random' in sys.modules)\n"
     )
-    src = str(Path(torusobs.__file__).resolve().parents[1])
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    done = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-    )
+    done = fresh_python("-c", code)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "False"
     assert (tmp_path / "out" / "schedule_m1.csv").exists()
+
+
+PRINT_TORUSOBS_MODULES = (
+    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'torusobs'))\n"
+)
+
+
+def test_config_loading_imports_only_the_config_modules(tmp_path):
+    config = write_config(tmp_path)
+    code = (
+        "import sys, torusobs, torusobs.cli\n"
+        f"torusobs.cli.RunConfig.from_file({str(config)!r})\n" + PRINT_TORUSOBS_MODULES
+    )
+    done = fresh_python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == str(
+        ["torusobs", "torusobs.cli", "torusobs.config", "torusobs.geometry"]
+    )
+
+
+def test_design_process_imports_no_dynamics(tmp_path):
+    config = write_config(tmp_path)
+    code = (
+        "import sys\n"
+        "from torusobs.cli import main\n"
+        f"assert main(['design', '--config', {str(config)!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}]) == 0\n" + PRINT_TORUSOBS_MODULES
+    )
+    done = fresh_python("-c", code)
+    assert done.returncode == 0, done.stderr
+    loaded = done.stdout.splitlines()[-1]
+    assert "torusobs.design" in loaded
+    for name in ("torusobs.evolve", "torusobs.schedule", "torusobs.experiment"):
+        assert repr(name) not in loaded
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_every_command_checks_in_a_fresh_process(tmp_path, command):
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    if command == "verify":
+        assert main(["design", "--config", str(config), "--out", str(out)]) == 0
+    done = fresh_python(
+        "-m", "torusobs.cli", command, "--config", str(config), "--out", str(out), "--check"
+    )
+    assert done.returncode == 0, done.stderr
+    assert f"verify: ok in {out}" in done.stdout
+
+
+def test_verify_refuses_a_missing_directory(tmp_path, capsys):
+    config = write_config(tmp_path)
+    out = tmp_path / "does_not_exist"
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
+    assert f"{out}: no such directory" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_refuses_a_directory_without_artifacts(tmp_path, capsys):
+    config = write_config(tmp_path)
+    out = tmp_path / "empty"
+    out.mkdir()
+    (out / "notes.txt").write_text("not an artifact\n")
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
+    assert f"{out}: no artifact to verify" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cap", [3, 7, 3 * SCHEDULE_BLOCK + 11, 10**9])
