@@ -49,20 +49,16 @@ _EXPORTS = {
         "output_kind_for",
         "path_observation_energy",
         "random_datum",
-        "windowed_observation_energy",
     ),
     "experiment": (
-        "CalibrationConstants",
         "CesaroSeries",
         "ContinuousReport",
         "IntervalRecord",
         "TailReductionReport",
         "WindowExceedsSimulation",
-        "calibration",
         "continuous_protocol_delta",
         "run_protocol",
         "tail_reduction_check",
-        "temporal_gram",
     ),
     "geometry": ("GroupElement", "PrototypeSet", "TorusSpace"),
     "schedule": (
@@ -78,10 +74,13 @@ _EXPORTS = {
         "torus_displacement",
     ),
     "spectral": (
+        "CalibrationConstants",
         "ModalBasis",
         "ObservationMatrix",
         "build_basis",
+        "calibration",
         "gamma_matrix",
+        "temporal_gram",
         "temporal_gram_min_eigenvalue",
         "trajectory_lipschitz_bound",
     ),

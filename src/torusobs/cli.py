@@ -577,8 +577,7 @@ def _check_design_file(config: RunConfig, path: Path) -> list[str]:
 
 
 def _calibration(config: RunConfig):
-    from .experiment import calibration
-    from .spectral import build_basis
+    from .spectral import build_basis, calibration
 
     basis = build_basis(config.space(), config.sim_window)
     return calibration(config.model, basis, config.mass, config.duration)

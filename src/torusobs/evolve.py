@@ -34,29 +34,31 @@ makes 10^6-macro schedules affordable.
 Observation matrices enter only through Gamma(0): the matrix at shift g is
 Gamma(0) times the entrywise phase e^{-2 pi i (n_i - n_k).g}.  Kernels live on
 (mode, branch, mode, branch) axes, and mode matrices are lifted onto them by
-broadcasting.  For the equal-weight grid design (J1 shifts c/J1 per axis,
-J = J1^d atoms, slot width w = tau/J) both the slot start j*w and the shift
-phase are affine in each grid coordinate j_a of the atom index, so the sum
-over all J atoms is the same Dirichlet ratio once per axis: each interval
-costs O((dim*P)^2) whatever the atom count.  Any other design is summed atom
-by atom.
+broadcasting.
 
-A continuous path through that grid repeats one macro template: dwells at
-the atoms in lexicographic order, joined by constant-speed legs.  A leg's
-carry level a (the slowest axis it moves) fixes both its direction and its
-duration, so the legs fall into d classes, and the dwell start offsets are
-affine in every grid coordinate.  Dwells and each class of legs then sum
-like the switching slots: the whole template costs d + 1 segment integrals
-times per-axis Dirichlet sums, O(d^2) kernel-sized operations whatever the
-atom count (`grid_tour_sum`).  Any other design is summed segment by segment.
-Neither that template sum nor the repeat sum depends on where the path
-starts (`path_template`); one phase e^{i D t_start} moves them to an interval
-(`shifted_kernel`), so paths that differ only in their start share them.
-Since that phase and the repeat sum are functions of D alone, an energy
-along any of those paths is Re sum_D e^{i D t_start} repeats(D) W(D), with
-W(D) the coefficient-weighted template summed over the entries of
-difference D: one reduction of the template per coefficient vector serves
-every start (`shifted_energies`), and no kernel is formed.
+Both realizations of a design repeat one macro template R times.  A
+continuous path dwells at the atoms in design order, joined by
+constant-speed legs; a switching schedule is the same tour with legs that
+take no time (`SwitchingSchedule` has cycle 0 and infinite speed, and its
+template lists dwells only), so one set of sums serves both.  For the
+equal-weight grid design (J1 shifts c/J1 per axis, J = J1^d atoms, the
+tour in lexicographic order) a leg's carry level a (the slowest axis it
+moves) fixes both its direction and its duration, so the legs fall into d
+classes, and the dwell start offsets are affine in every grid coordinate.
+The dwells then sum to one slot integral times one Dirichlet ratio per
+axis, and each class of legs likewise: the whole template costs d + 1
+segment integrals times per-axis Dirichlet sums, O(d^2) kernel-sized
+operations whatever the atom count, and a switching template (no leg
+classes) d of them (`grid_tour_sum`).  Any other design is summed segment
+by segment (`per_segment_sum`).  Neither that template sum nor the repeat
+sum depends on where the realization starts (`path_template`); one phase
+e^{i D t_start} moves them to an interval (`shifted_kernel`), so
+realizations that differ only in their start share them.  Since that phase
+and the repeat sum are functions of D alone, an energy along any of them is
+Re sum_D e^{i D t_start} repeats(D) W(D), with W(D) the
+coefficient-weighted template summed over the entries of difference D: one
+reduction of the template per coefficient vector serves every start
+(`shifted_energies`), and no kernel is formed.
 
 Every factor of a grid kernel is a function of the frequency difference
 D = alpha_k - alpha_i alone (start phase, repeat sum, slot integral), of a
@@ -68,9 +70,13 @@ box with 81 modes has 26,244 entries but 354 distinct D and 2,971 distinct
 and, for each kind, the index of every entry's key; a kernel evaluates each
 factor once per key and gathers it back with that index.  The distinct D are
 keyed on their bit patterns, so every gathered entry is the dense formula's
-floating-point operation on the same operands, and kernels are bitwise
-those of the dense evaluation.  Only the products of factors of different
-keys stay dense.
+floating-point operation on the same operands.  Only the products of
+factors of different keys stay dense, and they are bitwise those of the
+dense evaluation when the two take them in the same operand order with the
+same temporaries: for a product `a * b` of 256 KiB or more whose right
+operand is a temporary, numpy reuses that temporary and evaluates `b * a`,
+and complex multiplication under FMA rounds `b * a` differently from
+`a * b` (a 26,244-entry kernel is 410 KiB).
 """
 
 from __future__ import annotations
@@ -83,7 +89,7 @@ import numpy as np
 
 from .config import NumericError, check_model_mass
 from .schedule import ContinuousPath, SwitchingSchedule, torus_displacement
-from .spectral import ModalBasis, ObservationMatrix, shift_phase
+from .spectral import ModalBasis, ObservationMatrix
 
 TWO_PI = 2.0 * math.pi
 
@@ -390,65 +396,6 @@ def kernel_energy(kernel: np.ndarray, coeff: np.ndarray) -> float:
     return float(np.real(np.vdot(flat, kernel.reshape(flat.size, flat.size) @ flat)))
 
 
-def grid_atom_sum(table: DifferenceTable, per_axis: int, tau: float) -> np.ndarray:
-    """Slot integrals of one macro interval summed over an equal-weight grid.
-
-    Atom j = sum_a j_a J1^(d-1-a) sits at shift (j_0, .., j_{d-1})/J1 and
-    dwells on [j w, (j+1) w) of the macro interval, w = tau / J1^d.  Its
-    shift phase e^{-2 pi i m.g_j} (m = n_i - n_k) and its slot phase
-    e^{i D j w} are both affine in every j_a, so the sum over all J1^d atoms
-    factors into one Dirichlet sum per axis, of
-    D w J1^(d-1-a) - 2 pi m_a / J1 over j_a = 0..J1-1, times the shared
-    slot integral over [0, w).  The slot integral is evaluated on the
-    distinct D and each axis sum on the distinct (D, m_a) of `table`.
-    """
-    width = tau / per_axis ** len(table.axes)
-    total = phase_integral(table.values, 0.0, width)[table.inverse]
-    for a, keys in enumerate(table.axes):
-        arg = keys.diff * (tau / per_axis ** (a + 1)) - (TWO_PI / per_axis) * keys.modes
-        total = total * geometric_phase_sum(arg, 1.0, per_axis)[keys.inverse]
-    return total
-
-
-def per_atom_sum(
-    diff: np.ndarray, basis: ModalBasis, schedule: SwitchingSchedule
-) -> np.ndarray:
-    """Slot integrals of one macro interval summed atom by atom.
-
-    Atom j contributes phase(g_j) times the integral over its slot, which
-    starts at cum_j tau and is (cum_{j+1} - cum_j) tau wide; any design.
-    """
-    tau = schedule.macro_length
-    cum = schedule.cum
-    total = np.zeros_like(diff, dtype=complex)
-    for j, atom in enumerate(schedule.design.atoms):
-        phase = shift_phase(basis, atom.shift)[:, None, :, None]
-        width = (cum[j + 1] - cum[j]) * tau
-        total += phase * phase_integral(diff, cum[j] * tau, width)
-    return total
-
-
-def switching_kernel(
-    schedule: SwitchingSchedule, table: DifferenceTable, gamma_base: ObservationMatrix
-) -> np.ndarray:
-    """Lifted kernel of the observation energy along a switching schedule.
-
-    Gamma(0) times e^{i D t_start} times the Dirichlet sum over the R macro
-    repetitions times the atom sum of one macro interval (closed form for
-    the equal-weight grid, atom by atom otherwise).  Its quadratic form in
-    the output coefficients (`kernel_energy`) is the observed energy.
-    `table` holds the frequency differences of the output expansion.
-    """
-    tau = schedule.macro_length
-    per_axis = schedule.design.grid_per_axis
-    if per_axis is None:
-        atoms = per_atom_sum(table.diff, gamma_base.basis, schedule)
-    else:
-        atoms = grid_atom_sum(table, per_axis, tau)
-    repeats = geometric_phase_sum(table.values, tau, schedule.macro_count)
-    return shifted_kernel(gamma_base, table, schedule.t_start, repeats, atoms)
-
-
 def shifted_kernel(
     gamma_base: ObservationMatrix,
     table: DifferenceTable,
@@ -508,25 +455,6 @@ def _check_gamma_base(datum: ModalDatum, gamma_base: ObservationMatrix) -> None:
         raise ValueError("gamma_base must be the unshifted observation matrix")
 
 
-def windowed_observation_energy(
-    datum: ModalDatum,
-    schedule: SwitchingSchedule,
-    kind: str,
-    gamma_base: ObservationMatrix,
-) -> float:
-    """Observation energy of the datum along a switching schedule.
-
-    Equals the sum over micro slots of v(t)^H Gamma(g_j) v(t) integrated in
-    closed form, with Gamma(g_j) = Gamma(0) * phase(g_j).  `gamma_base` is
-    Gamma at shift 0 on the datum's basis; tail modes of the datum above
-    the design cutoff are included.
-    """
-    _check_gamma_base(datum, gamma_base)
-    coeff, alpha = output_expansion(datum, kind)
-    table = DifferenceTable.build(alpha, gamma_base.basis.mode_differences)
-    return kernel_energy(switching_kernel(schedule, table, gamma_base), coeff)
-
-
 def interval_output_energy(
     datum: ModalDatum, t_start: float, duration: float, kind: str
 ) -> float:
@@ -550,15 +478,20 @@ def expansion_interval_energy(
     return np.real(np.einsum("ip,...ipq,iq->...", coeff.conj(), base, coeff))
 
 
+#: either realization of a design: a switching schedule is the path whose
+#: legs take no time
+Realization = ContinuousPath | SwitchingSchedule
+
+
 def per_segment_sum(
-    diff: np.ndarray, mode_differences: np.ndarray, path: ContinuousPath
+    diff: np.ndarray, mode_differences: np.ndarray, path: Realization
 ) -> np.ndarray:
     """Segment integrals of one macro template summed segment by segment.
 
     On a transit leg the position is affine in t, so the shift phase stays
     a complex exponential e^{i rate (t - t1)} that folds into the slot
-    integral; any design.  `mode_differences` holds n_i - n_k, shape
-    (dim, dim, d).
+    integral; any design, and either realization (a switching template has
+    dwells only).  `mode_differences` holds n_i - n_k, shape (dim, dim, d).
     """
     # 2 pi (n_i - n_k), lifted to the (mode, branch, mode, branch) axes
     mdiff = TWO_PI * mode_differences[:, None, :, None, :]
@@ -579,19 +512,17 @@ def per_segment_sum(
     return total
 
 
-def grid_tour_sum(
-    table: DifferenceTable, per_axis: int, path: ContinuousPath
-) -> np.ndarray:
+def grid_tour_sum(table: DifferenceTable, per_axis: int, path: Realization) -> np.ndarray:
     """Segment integrals of one macro template summed over the grid tour.
 
     The tour visits the J = J1^d grid atoms in lexicographic order.  The leg
     leaving atom j has carry level a when j_{a+1..d-1} = J1-1 and j_a < J1-1
     (the closing leg from atom J-1 has level 0): it moves axes a..d-1 by the
     step s = torus_displacement(0, 1/J1) and lasts l_a = |s| sqrt(d-a)/speed.
-    With dwell w = theta (tau - D/speed), atom j's dwell starts at the offset
-    sum_b c_b j_b,
+    The dwells share the span S = tau - cycle/speed of the macro interval,
+    w = S / J1^d each, and atom j's dwell starts at the offset sum_b c_b j_b,
 
-        c_b = w J1^(d-1-b) + l_b + sum_{a>b} l_a (J1-1) J1^(a-1-b),
+        c_b = S / J1^(b+1) + l_b + sum_{a>b} l_a (J1-1) J1^(a-1-b),
 
     so its slot phase and its shift phase are both affine in every j_b, and
     the dwells sum to one slot integral times one Dirichlet sum per axis.
@@ -602,52 +533,64 @@ def grid_tour_sum(
     for the whole template whatever J is.  Slot phases are evaluated on the
     distinct D of `table`, the dwell sums on the distinct (D, m_b) and the
     level-a leg integrals on the distinct (D, sum_{b>=a} m_b).
+
+    Where the legs take no time there are no leg classes: a switching
+    schedule (infinite speed, so S = tau and c_b = tau / J1^(b+1)) and a
+    one-atom tour (s = 0) are their dwells alone.  The dwell product keeps
+    the expression `total = total * factor[keys.inverse]`, a fresh gathered
+    right operand, that switching kernels have always been built with: from
+    256 KiB numpy evaluates it as `factor * total` (see the module
+    docstring), and any other shape moves switching energies in the last
+    bit.
     """
     dim = len(table.axes)
-    dwell = path.design.atoms[0].weight * (path.macro_length - path.cycle / path.speed)
+    span = path.macro_length - path.cycle / path.speed
+    dwell = span / per_axis**dim
     total = phase_integral(table.values, 0.0, dwell)[table.inverse]
-    if per_axis == 1:
-        return total
     step = float(torus_displacement(0.0, 1.0 / per_axis))
     legs = [abs(step) * math.sqrt(dim - a) / path.speed for a in range(dim)]
+    moving = min(legs) > 0.0
     # level 0 runs axis 0 over all J1 values and no level fixes axis 0, so
     # the short and fixed factors exist from axis 1 on
     full, short, fixed = [], [None], [None]
     for b, keys in enumerate(table.axes):
-        offset = dwell * per_axis ** (dim - 1 - b) + legs[b]
+        offset = span / per_axis ** (b + 1) + legs[b]
         for a in range(b + 1, dim):
             offset += legs[a] * (per_axis - 1) * per_axis ** (a - 1 - b)
         arg = keys.diff * offset - (TWO_PI / per_axis) * keys.modes
-        full.append(geometric_phase_sum(arg, 1.0, per_axis)[keys.inverse])
-        if b > 0:
-            short.append(geometric_phase_sum(arg, 1.0, per_axis - 1)[keys.inverse])
-            fixed.append(np.exp(1j * (per_axis - 1) * arg)[keys.inverse])
-    # products are taken in place on fresh arrays, to hold fewer
-    # kernel-sized temporaries at once; the operations are unchanged
-    total *= math.prod(full)
-    after_dwell = np.exp(1j * table.values * dwell)[table.inverse]
+        full.append(geometric_phase_sum(arg, 1.0, per_axis))
+        total = total * full[b][keys.inverse]
+        if moving and b > 0:
+            short.append(geometric_phase_sum(arg, 1.0, per_axis - 1))
+            fixed.append(np.exp(1j * (per_axis - 1) * arg))
+    if not moving:
+        return total
+    after_dwell = np.exp(1j * table.values * dwell)
     for a in range(dim):
-        along = (full if a == 0 else short)[a]
-        atoms = math.prod(full[:a]) * along * math.prod(fixed[a + 1 :])
         keys = table.carry(a)
         rate = -(TWO_PI * step / legs[a]) * keys.modes
-        atoms *= after_dwell
-        atoms *= phase_integral(keys.diff + rate, 0.0, legs[a])[keys.inverse]
+        leg = phase_integral(keys.diff + rate, 0.0, legs[a])
+        # in-place products on a fresh array: one kernel-sized temporary at
+        # a time, and the operand order is fixed whatever the size
+        atoms = leg[keys.inverse]
+        atoms *= after_dwell[table.inverse]
+        factors = full[:a] + [(full if a == 0 else short)[a]] + fixed[a + 1 :]
+        for factor, axis in zip(factors, table.axes):
+            atoms *= factor[axis.inverse]
         total += atoms
     return total
 
 
-def path_template(
-    path: ContinuousPath, table: DifferenceTable
-) -> tuple[np.ndarray, np.ndarray]:
-    """The start-free factors (repeats, segments) of a path kernel.
+def path_template(path: Realization, table: DifferenceTable) -> tuple[np.ndarray, np.ndarray]:
+    """The start-free factors (repeats, segments) of a kernel along a path
+    or a switching schedule.
 
     `repeats` is the Dirichlet sum over the R macro repetitions, on the
     distinct D of `table`; `segments` the segment sum of one macro template
     on the lifted axes: closed-form for an equal-weight grid design
     (`grid_tour_sum`), segment by segment otherwise (`per_segment_sum`).
-    Neither reads `path.t_start`, so paths that differ only in their start
-    share them.
+    Neither reads `path.t_start`, so realizations that differ only in their
+    start share them.
     """
     per_axis = path.design.grid_per_axis
     if per_axis is None:
@@ -659,15 +602,18 @@ def path_template(
 
 
 def path_kernel(
-    path: ContinuousPath, table: DifferenceTable, gamma_base: ObservationMatrix
+    path: Realization, table: DifferenceTable, gamma_base: ObservationMatrix
 ) -> np.ndarray:
-    """Lifted kernel of the observation energy along a continuous path.
+    """Lifted kernel of the observation energy along a path or a switching
+    schedule.
 
     Gamma(0) times e^{i D t_start} times the Dirichlet sum over the R macro
     repetitions times the segment sum of one macro template.  Only the first
-    phase depends on the start, so the kernel is the path's template
+    phase depends on the start, so the kernel is the template
     (`path_template`, built once per window and speed by the continuous
-    rerun) moved to `path.t_start` by one phase (`shifted_kernel`).
+    rerun) moved to `path.t_start` by one phase (`shifted_kernel`).  Its
+    quadratic form in the output coefficients (`kernel_energy`) is the
+    observed energy.
     """
     repeats, segments = path_template(path, table)
     return shifted_kernel(gamma_base, table, path.t_start, repeats, segments)
@@ -675,13 +621,18 @@ def path_kernel(
 
 def path_observation_energy(
     datum: ModalDatum,
-    path: ContinuousPath,
+    path: Realization,
     kind: str,
     gamma_base: ObservationMatrix,
 ) -> float:
-    """Observation energy along a continuous path (see `path_kernel`).
+    """Observation energy of the datum along a continuous path or a
+    switching schedule (see `path_kernel`).
 
-    `gamma_base` is Gamma at shift 0 on the datum's basis.
+    For a switching schedule this is the sum over micro slots of
+    v(t)^H Gamma(g_j) v(t) integrated in closed form, with
+    Gamma(g_j) = Gamma(0) * phase(g_j).  `gamma_base` is Gamma at shift 0
+    on the datum's basis; tail modes of the datum above the design cutoff
+    are included.
     """
     _check_gamma_base(datum, gamma_base)
     coeff, alpha = output_expansion(datum, kind)

@@ -12,13 +12,16 @@ with continuous speed-bounded paths in place of switching.
 Every interval's energy comes from one observation matrix, Gamma(0) on the
 simulation basis, built once per run: shifted matrices are phase products of
 it, and the atoms of the equal-weight grid designs are summed in closed form.
-One `ProtocolSetup` holds everything the intervals share, and each interval's
-switching kernel is built once: the observed, windowed and tail energies are
-three quadratic forms of it.  In the continuous rerun every interval of one
-window runs the same path at a given speed, so that path's template is built
-once per (window, speed) and moved to each interval by one phase e^{i D t}.
-Every kernel of a run reads one table of the distinct frequency differences
-D of the datum's expansion (`ProtocolSetup.differences`), built once.
+A switching schedule is summed as the path whose legs take no time, by the
+same `path_template` as the continuous paths.  One `ProtocolSetup` holds
+everything the intervals share, and each interval's kernel is built once:
+the observed, windowed and tail energies are three quadratic forms of it.
+In the continuous rerun every interval of one window runs the same path at
+a given speed, so that path's template is built once per (window, speed)
+and moved to each interval by one phase e^{i D t}.  Every kernel of a run
+reads one table of the distinct frequency differences D of the datum's
+expansion (`ProtocolSetup.differences`), built once.  The full-torus
+calibration constants come from `spectral.calibration`.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import NumericError, RunConfig, check_model_mass
+from .config import NumericError, RunConfig
 from .design import ConvexDesign, equispaced_design
 from .evolve import (
     DifferenceTable,
@@ -42,7 +45,7 @@ from .evolve import (
     path_template,
     random_datum,
     shifted_energies,
-    switching_kernel,
+    shifted_kernel,
 )
 from .schedule import (
     SwitchingSchedule,
@@ -50,148 +53,31 @@ from .schedule import (
     build_switching,
 )
 from .spectral import (
+    CalibrationConstants,
     ModalBasis,
     ObservationMatrix,
     build_basis,
+    calibration,
     gamma_matrix,
     trajectory_lipschitz_bound,
 )
 
 __all__ = [
-    "CalibrationConstants",
     "CesaroSeries",
     "ContinuousReport",
     "IntervalRecord",
     "ProtocolSetup",
     "TailReductionReport",
     "WindowExceedsSimulation",
-    "calibration",
     "continuous_protocol_delta",
     "prepare_protocol",
     "run_protocol",
     "tail_reduction_check",
-    "temporal_gram",
 ]
 
 
 class WindowExceedsSimulation(NumericError):
     """A requested window cutoff reaches or exceeds the simulation cutoff."""
-
-
-def temporal_gram(rho: float, t_start: float, duration: float) -> np.ndarray:
-    """Gram matrix of {sin(rho t), cos(rho t)} over [t_start, t_start+duration].
-
-    Closed form via product-to-sum identities; the zero-frequency pair
-    degenerates to {0, 1} whose Gram is diag(0, duration).
-    """
-    if rho == 0.0:
-        return np.array([[0.0, 0.0], [0.0, duration]])
-    phase = rho * (2.0 * t_start + duration)
-    swing = math.sin(rho * duration) / (2.0 * rho)
-    ss = duration / 2.0 - math.cos(phase) * swing
-    cc = duration / 2.0 + math.cos(phase) * swing
-    sc = math.sin(phase) * swing
-    return np.array([[ss, sc], [sc, cc]])
-
-
-def gram_eigenvalue_band(rho: float, duration: float) -> tuple[float, float]:
-    """Predicted temporal Gram eigenvalues duration/2 -+ |sin(rho T)|/(2 rho);
-    the off-diagonal block is a reflection, so the band is offset-independent.
-    At rho = 0 the analytic limit gives (0, duration)."""
-    if rho == 0.0:
-        return 0.0, duration
-    swing = abs(math.sin(rho * duration)) / (2.0 * rho)
-    return duration / 2.0 - swing, duration / 2.0 + swing
-
-
-@dataclass(frozen=True, eq=False)
-class CalibrationConstants:
-    """Full-torus per-interval observation constants.
-
-    lower * E <= interval output energy <= upper * E for every datum built on
-    the calibrated basis and every interval of the given duration.  For the
-    second-order models the table lists one row per distinct temporal
-    frequency: (frequency, smallest and largest temporal Gram eigenvalue).
-    """
-
-    model: str
-    mass: float
-    duration: float
-    lower: float
-    upper: float
-    mode_frequencies: tuple[float, ...]
-    gram_minima: tuple[float, ...]
-    gram_maxima: tuple[float, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "mass": self.mass,
-            "duration": self.duration,
-            "lower": self.lower,
-            "upper": self.upper,
-            "mode_table": [
-                {"frequency": f, "gram_min": lo, "gram_max": hi}
-                for f, lo, hi in zip(
-                    self.mode_frequencies, self.gram_minima, self.gram_maxima
-                )
-            ],
-        }
-
-
-def calibration(
-    model: str, basis: ModalBasis, mass: float, duration: float, t_start: float = 0.0
-) -> CalibrationConstants:
-    """Compute the interval observation constants over the simulated spectrum.
-
-    The first-order model conserves the output norm pointwise in time, so both
-    constants equal the interval length exactly.  For the second-order models
-    each frequency contributes the eigenvalue band of its temporal Gram matrix
-    (computed numerically from the closed-form entries); the zero-frequency
-    mode carries velocity only and contributes the full interval length.  The
-    lower constant is the infimum over the simulated spectrum only, which is
-    exact for data supported on the calibrated basis.
-    """
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    check_model_mass(model, mass)
-    if model == "schrodinger":
-        return CalibrationConstants(
-            model=model,
-            mass=0.0,
-            duration=duration,
-            lower=duration,
-            upper=duration,
-            mode_frequencies=(),
-            gram_minima=(),
-            gram_maxima=(),
-        )
-    # sorted distinct frequencies; np.unique would import numpy.ma
-    rhos = np.sort(np.sqrt(basis.eigenvalues + mass * mass))
-    rhos = rhos[np.concatenate(([True], rhos[1:] != rhos[:-1]))]
-    minima: list[float] = []
-    maxima: list[float] = []
-    lower = math.inf
-    for rho in rhos:
-        eigs = np.linalg.eigvalsh(temporal_gram(float(rho), t_start, duration))
-        minima.append(float(eigs[0]))
-        maxima.append(float(eigs[1]))
-        # the zero-frequency displacement is quotiented out, so that mode's
-        # reachable output is the constant velocity: it contributes duration
-        contribution = duration if rho == 0.0 else float(eigs[0])
-        lower = min(lower, contribution)
-    if lower <= 0.0:
-        raise ValueError("degenerate calibration: lower constant is not positive")
-    return CalibrationConstants(
-        model=model,
-        mass=mass,
-        duration=duration,
-        lower=lower,
-        upper=duration,
-        mode_frequencies=tuple(float(r) for r in rhos),
-        gram_minima=tuple(minima),
-        gram_maxima=tuple(maxima),
-    )
 
 
 @dataclass(frozen=True)
@@ -381,9 +267,10 @@ def run_protocol(config: RunConfig) -> CesaroSeries:
     """Run the full switching protocol described by the config.
 
     For each interval: build the switching schedule of the interval's window
-    and loss target, build its kernel once, and take three quadratic forms
-    of it in closed form: the observed energy of the evolving datum and the
-    energies of its parts below and above the window.
+    and loss target, build its kernel once (its legless template moved to
+    the interval's start), and take three quadratic forms of it in closed
+    form: the observed energy of the evolving datum and the energies of its
+    parts below and above the window.
     """
     setup = prepare_protocol(config)
     energy = conserved_energy(setup.datum)
@@ -394,7 +281,10 @@ def run_protocol(config: RunConfig) -> CesaroSeries:
     for m in range(1, config.interval_count + 1):
         window = config.window_at(m)
         schedule = setup.schedule(m)
-        kernel = switching_kernel(schedule, setup.differences, setup.gamma_base)
+        template = path_template(schedule, setup.differences)
+        kernel = shifted_kernel(
+            setup.gamma_base, setup.differences, schedule.t_start, *template
+        )
         value = kernel_energy(kernel, setup.coeff)
         total += value
         records.append(

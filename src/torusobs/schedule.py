@@ -9,7 +9,10 @@ most (L+1) * Lambda * T0^2 / R of the exact design identity.
 
 A continuous path replaces the jumps with transit legs run at one fixed speed
 along shortest torus arcs, trading dwell time for motion; its certified loss
-adds the transit deficit L*D*R/(speed*T0) to the oscillation term.
+adds the transit deficit L*D*R/(speed*T0) to the oscillation term.  Read the
+other way, a switching schedule is that path with legs that take no time: it
+supplies the same macro template (dwell segments only), a zero cycle and an
+infinite speed, so the closed-form energies in `evolve` take either.
 
 Schedules can be astronomically fine (R ~ 10^6 at desk scale), so the micro
 structure is generated on demand instead of being materialized.
@@ -19,7 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from functools import cached_property
+from typing import ClassVar, Iterator
 
 import numpy as np
 
@@ -48,6 +52,10 @@ class SwitchingSchedule:
     Micro slot (r, j) is [t_start + (r + cum_j) * tau, t_start + (r + cum_{j+1}) * tau)
     with tau = duration / macro_count; the final endpoint belongs to the last
     slot.  Slots are half-open and generated on demand.
+
+    As a path it has no legs: `cycle` is 0 and `speed` infinite, so none of
+    the macro interval goes to transit, and `template` lists one dwell per
+    atom.
     """
 
     design: ConvexDesign
@@ -57,6 +65,9 @@ class SwitchingSchedule:
     lipschitz_bound: float
     certified_loss: float
     cum: np.ndarray
+
+    cycle: ClassVar[float] = 0.0
+    speed: ClassVar[float] = math.inf
 
     @property
     def t_end(self) -> float:
@@ -101,6 +112,24 @@ class SwitchingSchedule:
                 f"{self.micro_count} micro slots exceed the materialization cap {max_slots}"
             )
         return list(self.iter_micro())
+
+    @cached_property
+    def template(self) -> tuple["PathSegment", ...]:
+        """The dwells of one macro interval, slot j on [cum_j tau, cum_{j+1} tau)."""
+        tau = self.macro_length
+        offsets = (self.cum * tau).tolist()
+        dim = self.design.atoms[0].shift.dim
+        return tuple(
+            PathSegment(
+                offset_start=offsets[j],
+                offset_end=offsets[j + 1],
+                kind="dwell",
+                atom_index=j,
+                position=tuple(atom.shift.as_floats().tolist()),
+                velocity=(0.0,) * dim,
+            )
+            for j, atom in enumerate(self.design.atoms)
+        )
 
     def observer_at(self, t: float) -> int:
         """Atom index active at time t (binary search; endpoint -> last slot)."""

@@ -16,6 +16,12 @@ Translation multiplies that coefficient by e^{-2 pi i (n_i - n_j).g}, so
     Gamma(g) = D_g Gamma(0) D_g^*,      D_g = diag(e^{-2 pi i n.g}),
 
 and every shifted matrix is the cached Gamma(0) times one entrywise phase.
+
+In time, a second-order mode of frequency rho contributes the 2x2 Gram
+matrix of {sin(rho t), cos(rho t)} over an interval (`temporal_gram`); its
+eigenvalue band over the simulated spectrum gives the full-torus
+calibration constants (`calibration`) and the Lipschitz bound of the
+observation densities (`trajectory_lipschitz_bound`).
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from itertools import product
 
 import numpy as np
 
+from .config import check_model_mass
 from .geometry import GroupElement, PrototypeSet, TorusSpace
 
 FOUR_PI_SQ = 4.0 * math.pi**2
@@ -194,6 +201,122 @@ def temporal_gram_min_eigenvalue(rho: float, duration: float) -> float:
     if rho == 0.0:
         return duration
     return duration / 2.0 - abs(math.sin(rho * duration)) / (2.0 * rho)
+
+
+def temporal_gram(rho: float, t_start: float, duration: float) -> np.ndarray:
+    """Gram matrix of {sin(rho t), cos(rho t)} over [t_start, t_start+duration].
+
+    Closed form via product-to-sum identities; the zero-frequency pair
+    degenerates to {0, 1} whose Gram is diag(0, duration).
+    """
+    if rho == 0.0:
+        return np.array([[0.0, 0.0], [0.0, duration]])
+    phase = rho * (2.0 * t_start + duration)
+    swing = math.sin(rho * duration) / (2.0 * rho)
+    ss = duration / 2.0 - math.cos(phase) * swing
+    cc = duration / 2.0 + math.cos(phase) * swing
+    sc = math.sin(phase) * swing
+    return np.array([[ss, sc], [sc, cc]])
+
+
+def gram_eigenvalue_band(rho: float, duration: float) -> tuple[float, float]:
+    """Predicted temporal Gram eigenvalues duration/2 -+ |sin(rho T)|/(2 rho);
+    the off-diagonal block is a reflection, so the band is offset-independent.
+    At rho = 0 the analytic limit gives (0, duration)."""
+    if rho == 0.0:
+        return 0.0, duration
+    swing = abs(math.sin(rho * duration)) / (2.0 * rho)
+    return duration / 2.0 - swing, duration / 2.0 + swing
+
+
+@dataclass(frozen=True, eq=False)
+class CalibrationConstants:
+    """Full-torus per-interval observation constants.
+
+    lower * E <= interval output energy <= upper * E for every datum built on
+    the calibrated basis and every interval of the given duration.  For the
+    second-order models the table lists one row per distinct temporal
+    frequency: (frequency, smallest and largest temporal Gram eigenvalue).
+    """
+
+    model: str
+    mass: float
+    duration: float
+    lower: float
+    upper: float
+    mode_frequencies: tuple[float, ...]
+    gram_minima: tuple[float, ...]
+    gram_maxima: tuple[float, ...]
+
+    def to_dict(self) -> dict:
+        return {
+            "model": self.model,
+            "mass": self.mass,
+            "duration": self.duration,
+            "lower": self.lower,
+            "upper": self.upper,
+            "mode_table": [
+                {"frequency": f, "gram_min": lo, "gram_max": hi}
+                for f, lo, hi in zip(
+                    self.mode_frequencies, self.gram_minima, self.gram_maxima
+                )
+            ],
+        }
+
+
+def calibration(
+    model: str, basis: ModalBasis, mass: float, duration: float, t_start: float = 0.0
+) -> CalibrationConstants:
+    """Compute the interval observation constants over the simulated spectrum.
+
+    The first-order model conserves the output norm pointwise in time, so both
+    constants equal the interval length exactly.  For the second-order models
+    each frequency contributes the eigenvalue band of its temporal Gram matrix
+    (computed numerically from the closed-form entries); the zero-frequency
+    mode carries velocity only and contributes the full interval length.  The
+    lower constant is the infimum over the simulated spectrum only, which is
+    exact for data supported on the calibrated basis.
+    """
+    if duration <= 0:
+        raise ValueError("duration must be positive")
+    check_model_mass(model, mass)
+    if model == "schrodinger":
+        return CalibrationConstants(
+            model=model,
+            mass=0.0,
+            duration=duration,
+            lower=duration,
+            upper=duration,
+            mode_frequencies=(),
+            gram_minima=(),
+            gram_maxima=(),
+        )
+    # sorted distinct frequencies; np.unique would import numpy.ma
+    rhos = np.sort(np.sqrt(basis.eigenvalues + mass * mass))
+    rhos = rhos[np.concatenate(([True], rhos[1:] != rhos[:-1]))]
+    minima: list[float] = []
+    maxima: list[float] = []
+    lower = math.inf
+    for rho in rhos:
+        eigs = np.linalg.eigvalsh(temporal_gram(float(rho), t_start, duration))
+        minima.append(float(eigs[0]))
+        maxima.append(float(eigs[1]))
+        # the zero-frequency displacement is quotiented out, so that mode's
+        # reachable output is the constant velocity: it contributes duration
+        contribution = duration if rho == 0.0 else float(eigs[0])
+        lower = min(lower, contribution)
+    if lower <= 0.0:
+        raise ValueError("degenerate calibration: lower constant is not positive")
+    return CalibrationConstants(
+        model=model,
+        mass=mass,
+        duration=duration,
+        lower=lower,
+        upper=duration,
+        mode_frequencies=tuple(float(r) for r in rhos),
+        gram_minima=tuple(minima),
+        gram_maxima=tuple(maxima),
+    )
 
 
 def trajectory_lipschitz_bound(

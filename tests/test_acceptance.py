@@ -37,10 +37,9 @@ from torusobs import (
     tail_reduction_check,
     temporal_gram,
     trajectory_lipschitz_bound,
-    windowed_observation_energy,
 )
 from torusobs.evolve import output_kind_for, phase_integral
-from torusobs.experiment import gram_eigenvalue_band
+from torusobs.spectral import gram_eigenvalue_band
 
 import oracles
 
@@ -138,9 +137,7 @@ def test_criterion_3_switching_realization_band(capsys):
             gamma0 = gamma_matrix(basis, QUARTER, GroupElement.of(0))
             for seed in range(100):
                 datum = seeded_datum(model, mass, basis, cutoff, seed)
-                observed = windowed_observation_energy(
-                    datum, schedule, kind, gamma0
-                )
+                observed = path_observation_energy(datum, schedule, kind, gamma0)
                 full = interval_output_energy(datum, 0.0, duration, kind)
                 worst = min(worst, observed / full)
     report(
@@ -183,7 +180,7 @@ def test_criterion_5_first_order_full_torus_identity(capsys):
         schedule = build_switching(design, (0.0, duration), rate, 0.5)
         gamma0 = gamma_matrix(basis, full, GroupElement.of(0))
         datum = random_datum("schrodinger", basis, 3, seed=11)
-        observed = windowed_observation_energy(datum, schedule, kind, gamma0)
+        observed = path_observation_energy(datum, schedule, kind, gamma0)
         expected = duration * conserved_energy(datum).total
         worst = max(worst, abs(observed - expected) / expected)
     report(
@@ -362,7 +359,7 @@ def test_criterion_9_closed_forms_match_dense_quadrature(capsys):
         datum = seeded_datum(model, mass, basis, 1, seed=17)
 
         schedule = build_switching(design, (0.3, 1.0), rate, 0.24)
-        q = windowed_observation_energy(datum, schedule, kind, gamma0)
+        q = path_observation_energy(datum, schedule, kind, gamma0)
         dense = oracles.simpson_schedule_energy(datum, schedule, gammas)
         worst_time = max(worst_time, abs(q - dense) / abs(dense))
 

@@ -284,6 +284,28 @@ def test_design_process_imports_no_dynamics(tmp_path):
         assert repr(name) not in loaded
 
 
+def test_calibrate_process_imports_only_the_spectral_modules(tmp_path):
+    # the calibration and its check in verify live in spectral
+    config = write_config(tmp_path, model="wave")
+    code = (
+        "import sys\n"
+        "from torusobs.cli import main\n"
+        f"assert main(['calibrate', '--config', {str(config)!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}, '--check']) == 0\n" + PRINT_TORUSOBS_MODULES
+    )
+    done = fresh_python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == str(
+        [
+            "torusobs",
+            "torusobs.cli",
+            "torusobs.config",
+            "torusobs.geometry",
+            "torusobs.spectral",
+        ]
+    )
+
+
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
 def test_every_command_checks_in_a_fresh_process(tmp_path, command):
     config = write_config(tmp_path)

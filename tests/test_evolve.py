@@ -29,7 +29,6 @@ from torusobs import (
     random_datum,
     temporal_gram,
     trajectory_lipschitz_bound,
-    windowed_observation_energy,
 )
 from torusobs import evolve
 from torusobs.evolve import (
@@ -39,19 +38,16 @@ from torusobs.evolve import (
     expansion_interval_energy,
     frequency_differences,
     geometric_phase_sum,
-    grid_atom_sum,
     grid_tour_sum,
     kernel_energy,
     output_expansion,
     output_kind_for,
     path_kernel,
     path_template,
-    per_atom_sum,
     per_segment_sum,
     phase_integral,
     shifted_energies,
     shifted_kernel,
-    switching_kernel,
 )
 from torusobs.schedule import torus_displacement
 
@@ -283,7 +279,7 @@ def test_full_torus_first_order_energy_is_flat():
     datum = random_datum("schrodinger", basis, 2, seed=14)
     for t_start, duration in ((0.0, 1.0), (0.4, 0.7)):
         schedule = build_switching(design, (t_start, duration), 0.0, 0.5)
-        q = windowed_observation_energy(datum, schedule, FIELD, gamma0)
+        q = path_observation_energy(datum, schedule, FIELD, gamma0)
         norm_sq = conserved_energy(datum).total
         assert q == pytest.approx(duration * norm_sq, rel=1e-12)
         assert q == pytest.approx(
@@ -317,7 +313,7 @@ def test_observation_energy_is_bounded_by_the_full_output(model, mass):
     kind = output_kind_for(model)
     for seed in range(5):
         datum = make_datum(model, mass, basis, seed=seed)
-        q = windowed_observation_energy(datum, schedule, kind, gamma0)
+        q = path_observation_energy(datum, schedule, kind, gamma0)
         full = interval_output_energy(datum, 0.0, 1.0, kind)
         assert q >= -1e-12 * full
         assert q <= full * (1.0 + 1e-12)
@@ -332,7 +328,7 @@ def test_switching_energy_matches_dense_quadrature(model, mass):
     schedule = build_switching(design, (0.3, 1.0), rate, 0.24)
     kind = output_kind_for(model)
     datum = make_datum(model, mass, basis, seed=2)
-    q = windowed_observation_energy(datum, schedule, kind, gamma0)
+    q = path_observation_energy(datum, schedule, kind, gamma0)
     dense = oracles.simpson_schedule_energy(datum, schedule, gammas)
     assert q == pytest.approx(dense, rel=1e-8)
 
@@ -344,7 +340,7 @@ def test_macro_aggregation_matches_an_explicit_slot_loop():
     schedule = build_switching(design, (0.0, 1.0), 8.0 * math.pi, 0.2)
     assert schedule.macro_count > 10
     datum = make_datum("wave", 0.0, basis, seed=3)
-    q = windowed_observation_energy(datum, schedule, TIME_DERIVATIVE, gamma0)
+    q = path_observation_energy(datum, schedule, TIME_DERIVATIVE, gamma0)
 
     coeff, alpha = output_expansion(datum, TIME_DERIVATIVE)
     flat_c = coeff.ravel()
@@ -364,34 +360,16 @@ def test_gamma_bookkeeping_is_enforced():
     schedule = build_switching(design, (0.0, 1.0), 1.0, 0.2)
     fine = random_datum("wave", build_basis(T1, 2), 2, seed=0)
     with pytest.raises(BasisMismatch):
-        windowed_observation_energy(fine, schedule, TIME_DERIVATIVE, gamma0)
+        path_observation_energy(fine, schedule, TIME_DERIVATIVE, gamma0)
     datum = random_datum("wave", basis, 1, seed=0)
     shifted = gamma_matrix(basis, w, design.shifts[1])
     with pytest.raises(ValueError):
-        windowed_observation_energy(datum, schedule, TIME_DERIVATIVE, shifted)
+        path_observation_energy(datum, schedule, TIME_DERIVATIVE, shifted)
     with pytest.raises(ValueError):
-        windowed_observation_energy(datum, schedule, FIELD, gamma0)
+        path_observation_energy(datum, schedule, FIELD, gamma0)
     sdatum = random_datum("schrodinger", basis, 1, seed=0)
     with pytest.raises(ValueError):
-        windowed_observation_energy(sdatum, schedule, TIME_DERIVATIVE, gamma0)
-
-
-def grid_and_atom_energies(datum, schedule, kind, gamma0):
-    """Energies from the closed-form grid sum and from the atom-by-atom sum,
-    composed with the shared Gamma(0), start-phase and macro-repeat factors."""
-    coeff, alpha = output_expansion(datum, kind)
-    diff = frequency_differences(alpha)
-    tau = schedule.macro_length
-    shared = (
-        gamma0.entries[:, None, :, None]
-        * np.exp(1j * diff * schedule.t_start)
-        * geometric_phase_sum(diff, tau, schedule.macro_count)
-    )
-    per_axis = schedule.design.grid_per_axis
-    table = DifferenceTable.build(alpha, datum.basis.mode_differences)
-    grid = grid_atom_sum(table, per_axis, tau)
-    atoms = per_atom_sum(diff, datum.basis, schedule)
-    return kernel_energy(shared * grid, coeff), kernel_energy(shared * atoms, coeff)
+        path_observation_energy(sdatum, schedule, TIME_DERIVATIVE, gamma0)
 
 
 @pytest.mark.parametrize("model,mass", MODELS)
@@ -406,10 +384,7 @@ def test_grid_closed_form_at_desk_scale(model, mass):
     kind = output_kind_for(model)
     datum = make_datum(model, mass, basis, seed=19)
     gamma0 = gamma_matrix(basis, w, GroupElement.of(0))
-    q = windowed_observation_energy(datum, schedule, kind, gamma0)
-    q_grid, q_atoms = grid_and_atom_energies(datum, schedule, kind, gamma0)
-    assert q == pytest.approx(q_grid, rel=1e-14)
-    assert q_atoms == pytest.approx(q, rel=1e-12)
+    q = path_observation_energy(datum, schedule, kind, gamma0)
     gammas = [gamma_matrix(basis, w, s) for s in design.shifts]
     dense = oracles.simpson_schedule_energy(datum, schedule, gammas, nodes_per_slot=5)
     assert q == pytest.approx(dense, rel=1e-12)
@@ -427,10 +402,7 @@ def test_grid_closed_form_in_2d_with_aliased_frequencies():
     schedule = build_switching(design, (3.0, 1.0), rate, 0.2)
     datum = random_datum("wave", basis, 3, seed=4)
     gamma0 = gamma_matrix(basis, w, GroupElement.of(0, 0))
-    q = windowed_observation_energy(datum, schedule, TIME_DERIVATIVE, gamma0)
-    q_grid, q_atoms = grid_and_atom_energies(datum, schedule, TIME_DERIVATIVE, gamma0)
-    assert q == pytest.approx(q_grid, rel=1e-14)
-    assert q_atoms == pytest.approx(q, rel=1e-12)
+    q = path_observation_energy(datum, schedule, TIME_DERIVATIVE, gamma0)
     gammas = [gamma_matrix(basis, w, s) for s in design.shifts]
     dense = oracles.simpson_schedule_energy(datum, schedule, gammas, nodes_per_slot=9)
     assert q == pytest.approx(dense, rel=1e-10)
@@ -461,9 +433,7 @@ def test_single_atom_path_equals_single_atom_switching():
     gamma0 = gamma_matrix(basis, w, GroupElement.of(0))
     datum = random_datum("wave", basis, 1, seed=12)
     q_path = path_observation_energy(datum, path, TIME_DERIVATIVE, gamma0)
-    q_switch = windowed_observation_energy(
-        datum, schedule, TIME_DERIVATIVE, gamma0
-    )
+    q_switch = path_observation_energy(datum, schedule, TIME_DERIVATIVE, gamma0)
     assert q_path == pytest.approx(q_switch, rel=1e-12)
 
 
@@ -514,21 +484,34 @@ def model_frequencies(model, mass, modes):
     return np.stack([rho, -rho], axis=1)
 
 
-@pytest.mark.parametrize("model,mass", MODELS)
+@pytest.mark.parametrize(
+    "model,mass,switching",
+    [
+        pytest.param(model, mass, switching, id=f"{model}-{mass}" + switching * "-switching")
+        for switching in (False, True)
+        for model, mass in MODELS
+    ],
+)
 @pytest.mark.parametrize("per_axis", [1, 5, 9])
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_grid_tour_sum_matches_the_segment_loop(dim, per_axis, model, mass):
+def test_grid_tour_sum_matches_the_segment_loop(dim, per_axis, model, mass, switching):
     # the tour sum is dimension-generic while the torus stops at d = 2, so
     # the template sums are compared on integer mode differences directly;
     # 1D modes reach |m| = 10, past both grid sizes, so shift phases alias
     design = grid_design(dim, per_axis)
     assert design.grid_per_axis == per_axis
-    speed = 1e5
-    # a Lipschitz bound this large clips R to the speed limit: the dwells
-    # shrink to a sliver of each macro interval
-    path = build_continuous(design, (199.0, 1.0), speed, speed)
-    if per_axis > 1:
-        assert path.macro_count == math.ceil(speed / path.cycle) - 1
+    if switching:
+        # the legless tour against the loop over its dwells
+        path = build_switching(design, (199.0, 1.0), 1e3, 0.1)
+        assert path.macro_count == 12_500
+        assert [seg.kind for seg in path.template] == ["dwell"] * per_axis**dim
+    else:
+        # a Lipschitz bound this large clips R to the speed limit: the
+        # dwells shrink to a sliver of each macro interval
+        speed = 1e5
+        path = build_continuous(design, (199.0, 1.0), speed, speed)
+        if per_axis > 1:
+            assert path.macro_count == math.ceil(speed / path.cycle) - 1
     cut = {1: 5, 2: 2, 3: 1}[dim]
     modes = np.array(list(product(range(-cut, cut + 1), repeat=dim)))
     diff = frequency_differences(model_frequencies(model, mass, modes))
@@ -583,6 +566,9 @@ def test_difference_table_reproduces_its_keys(dim, model, mass):
 
 
 def dense_grid_atom_sum(diff, mode_differences, per_axis, tau):
+    # the switching slots of one macro interval summed over the grid, the
+    # formula switching kernels have always been built with: the legless
+    # tour sum must reproduce it bit for bit
     dim = mode_differences.shape[-1]
     width = tau / per_axis**dim
     mdiff = mode_differences[:, None, :, None, :]
@@ -594,29 +580,36 @@ def dense_grid_atom_sum(diff, mode_differences, per_axis, tau):
 
 
 def dense_grid_tour_sum(diff, mode_differences, per_axis, path):
+    # each product has the operand order and the temporaries of
+    # grid_tour_sum's, so that numpy's elision of a temporary right operand
+    # (it evaluates b * a for a * b at 256 KiB and up) acts on both alike
     two_pi = 2.0 * math.pi
     dim = mode_differences.shape[-1]
     mdiff = mode_differences[:, None, :, None, :]
-    dwell = path.design.atoms[0].weight * (path.macro_length - path.cycle / path.speed)
+    span = path.macro_length - path.cycle / path.speed
+    dwell = span / per_axis**dim
     total = phase_integral(diff, 0.0, dwell)
     step = float(torus_displacement(0.0, 1.0 / per_axis))
     legs = [abs(step) * math.sqrt(dim - a) / path.speed for a in range(dim)]
-    full, short, fixed = [], [], []
+    full, short, fixed = [], [None], [None]
     for b in range(dim):
-        offset = dwell * per_axis ** (dim - 1 - b) + legs[b]
+        offset = span / per_axis ** (b + 1) + legs[b]
         for a in range(b + 1, dim):
             offset += legs[a] * (per_axis - 1) * per_axis ** (a - 1 - b)
         arg = diff * offset - (two_pi / per_axis) * mdiff[..., b]
         full.append(geometric_phase_sum(arg, 1.0, per_axis))
-        short.append(geometric_phase_sum(arg, 1.0, per_axis - 1))
-        fixed.append(np.exp(1j * (per_axis - 1) * arg))
-    total = total * math.prod(full)
+        total = total * geometric_phase_sum(arg, 1.0, per_axis)
+        if b > 0:
+            short.append(geometric_phase_sum(arg, 1.0, per_axis - 1))
+            fixed.append(np.exp(1j * (per_axis - 1) * arg))
     after_dwell = np.exp(1j * diff * dwell)
     for a in range(dim):
-        along = (full if a == 0 else short)[a]
-        atoms = math.prod(full[:a]) * along * math.prod(fixed[a + 1 :])
         rate = -(two_pi * step / legs[a]) * mdiff[..., a:].sum(axis=-1)
-        total = total + atoms * after_dwell * phase_integral(diff + rate, 0.0, legs[a])
+        atoms = phase_integral(diff + rate, 0.0, legs[a])
+        atoms *= after_dwell
+        for factor in full[:a] + [(full if a == 0 else short)[a]] + fixed[a + 1 :]:
+            atoms *= factor
+        total += atoms
     return total
 
 
@@ -627,11 +620,15 @@ def dense_shifted(gamma0, diff, t_start, repeats, body):
 
 def late_grid_setup(dim, model, mass):
     """A grid design with 5 atoms per axis, Gamma(0) and an output
-    expansion on a simulation basis past the design cutoff."""
+    expansion on a simulation basis past the design cutoff.  `dim`
+    "torus_2d" is the 2D benchmark run's box and basis: 26,244 kernel
+    entries (410 KiB) for the second-order models."""
     if dim == 1:
         space, boxes, sim = T1, [(0, "1/4")], 3
-    else:
+    elif dim == 2:
         space, boxes, sim = T2, [[(0, "1/2"), ("1/8", "5/8")]], 2
+    else:
+        space, boxes, sim = T2, [[(0, "1/2"), (0, "1/2")]], 4
     w = PrototypeSet.from_boxes(space, boxes)
     design = equispaced_design(build_basis(space, 1), w)
     assert design.grid_per_axis == 5
@@ -642,9 +639,10 @@ def late_grid_setup(dim, model, mass):
 
 
 @pytest.mark.parametrize("model,mass", MODELS)
-@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2, "torus_2d"])
 def test_table_kernels_are_bitwise_the_dense_formulas(dim, model, mass):
-    # a late interval (t_start = 199) with R ~ 10^5 macro repetitions
+    # a late interval (t_start = 199) with R ~ 10^5 macro repetitions; the
+    # switching schedule is the legless tour, bitwise the old atom sum
     design, basis, gamma0, alpha = late_grid_setup(dim, model, mass)
     table = DifferenceTable.build(alpha, basis.mode_differences)
     diff = frequency_differences(alpha)
@@ -655,14 +653,14 @@ def test_table_kernels_are_bitwise_the_dense_formulas(dim, model, mass):
     assert schedule.macro_count >= 10**5
     tau = schedule.macro_length
     atoms = dense_grid_atom_sum(diff, mdiff, 5, tau)
-    assert np.array_equal(bits(grid_atom_sum(table, 5, tau)), bits(atoms))
+    assert np.array_equal(bits(grid_tour_sum(table, 5, schedule)), bits(atoms))
     repeats = geometric_phase_sum(diff, tau, schedule.macro_count)
     assert np.array_equal(
         bits(geometric_phase_sum(table.values, tau, schedule.macro_count)[table.inverse]),
         bits(repeats),
     )
     kernel = dense_shifted(gamma0, diff, 199.0, repeats, atoms)
-    assert np.array_equal(bits(switching_kernel(schedule, table, gamma0)), bits(kernel))
+    assert np.array_equal(bits(path_kernel(schedule, table, gamma0)), bits(kernel))
 
     path = build_continuous(design, (199.0, 1.0), 1e5, 1e5)
     assert path.macro_count >= 10**4

@@ -27,7 +27,7 @@ from torusobs.config import (
     WindowSchedule,
 )
 from torusobs import experiment
-from torusobs.experiment import gram_eigenvalue_band
+from torusobs.spectral import gram_eigenvalue_band
 
 TWO_PI = 2.0 * math.pi
 
@@ -274,13 +274,14 @@ def test_experiment_builds_one_switching_kernel_per_interval(monkeypatch):
 
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].t_start)
-        return real(*args, **kwargs)
+    def counted(gamma_base, table, t_start, *args):
+        calls.append(t_start)
+        return real(gamma_base, table, t_start, *args)
 
-    real = evolve.switching_kernel
-    monkeypatch.setattr(evolve, "switching_kernel", counted)
-    monkeypatch.setattr(experiment, "switching_kernel", counted)
+    # every kernel ends in shifted_kernel, whichever realization it sums
+    real = evolve.shifted_kernel
+    monkeypatch.setattr(evolve, "shifted_kernel", counted)
+    monkeypatch.setattr(experiment, "shifted_kernel", counted)
     config = quick_config()
     tail_reduction_check(run_protocol(config))
     assert calls == [float(m) for m in range(config.interval_count)]
@@ -324,7 +325,7 @@ def test_tail_report_equals_a_fresh_kernel_on_the_rebuilt_schedule(model, mass):
         kernel_energy,
         output_expansion,
         output_kind_for,
-        switching_kernel,
+        path_kernel,
     )
     from torusobs.schedule import build_switching
 
@@ -342,7 +343,7 @@ def test_tail_report_equals_a_fresh_kernel_on_the_rebuilt_schedule(model, mass):
             r.tolerance,
         )
         table = DifferenceTable.build(alpha, setup.basis.mode_differences)
-        kernel = switching_kernel(schedule, table, setup.gamma_base)
+        kernel = path_kernel(schedule, table, setup.gamma_base)
         inside, _ = output_expansion(setup.datum.windowed(r.window), kind)
         outside, _ = output_expansion(setup.datum.tail(r.window), kind)
         assert report.truncated[i] == kernel_energy(kernel, inside)
