@@ -43,7 +43,6 @@ _EXPORTS = {
         "EnergyDecomposition",
         "ModalDatum",
         "conserved_energy",
-        "evolve_to",
         "interval_output_energy",
         "output_expansion",
         "output_kind_for",
@@ -63,14 +62,12 @@ _EXPORTS = {
     "geometry": ("GroupElement", "PrototypeSet", "TorusSpace"),
     "schedule": (
         "ContinuousPath",
-        "OutOfInterval",
         "PathSegment",
         "SpeedTooLow",
         "SwitchingSchedule",
         "build_continuous",
         "build_switching",
         "continuous_loss",
-        "cycle_length",
         "torus_displacement",
     ),
     "spectral": (

@@ -131,21 +131,37 @@ def _build_design(config: RunConfig, basis, prototype) -> ConvexDesign:
     return caratheodory_reduce(design, basis, prototype)
 
 
-def cmd_design(config: RunConfig, out: Path, args) -> int:
+def _write_design(out: Path, design, basis, prototype) -> Path:
+    """Verify the design on `basis` and write it, with the verification, as
+    design_K{cutoff}.json."""
     from .design import verify_design
+
+    verification = verify_design(design, basis, prototype)
+    path = out / f"design_K{basis.cutoff}.json"
+    _write_json(
+        path,
+        {
+            "schema": "torusobs-design/1",
+            **design.to_dict(),
+            "verification": verification.to_dict(),
+        },
+    )
+    return path
+
+
+def _write_calibration(out: Path, constants) -> Path:
+    path = out / "calibration.json"
+    _write_json(path, {"schema": "torusobs-calibration/1", **constants.to_dict()})
+    return path
+
+
+def cmd_design(config: RunConfig, out: Path, args) -> int:
     from .spectral import build_basis
 
     basis = build_basis(config.space(), config.design.cutoff)
     prototype = config.prototype()
     design = _build_design(config, basis, prototype)
-    verification = verify_design(design, basis, prototype)
-    payload = {
-        "schema": "torusobs-design/1",
-        **design.to_dict(),
-        "verification": verification.to_dict(),
-    }
-    path = out / f"design_K{config.design.cutoff}.json"
-    _write_json(path, payload)
+    path = _write_design(out, design, basis, prototype)
     print(
         f"design cutoff={config.design.cutoff} atoms={len(design)} "
         f"residual={design.residual:.3e} -> {path}"
@@ -157,9 +173,7 @@ def cmd_design(config: RunConfig, out: Path, args) -> int:
 
 def cmd_calibrate(config: RunConfig, out: Path, args) -> int:
     constants = _calibration(config)
-    payload = {"schema": "torusobs-calibration/1", **constants.to_dict()}
-    path = out / "calibration.json"
-    _write_json(path, payload)
+    path = _write_calibration(out, constants)
     print(
         f"calibration model={config.model} lower={constants.lower!r} "
         f"upper={constants.upper!r} -> {path}"
@@ -263,7 +277,6 @@ def cmd_schedule(config: RunConfig, out: Path, args) -> int:
 
 
 def cmd_experiment(config: RunConfig, out: Path, args) -> int:
-    from .design import verify_design
     from .experiment import run_protocol, tail_reduction_check
     from .spectral import build_basis
 
@@ -271,22 +284,10 @@ def cmd_experiment(config: RunConfig, out: Path, args) -> int:
     report = tail_reduction_check(series)
 
     _write_csv(out / "series.csv", SERIES_VERSION, SERIES_HEADER, series.to_rows())
-    _write_json(
-        out / "calibration.json",
-        {"schema": "torusobs-calibration/1", **series.constants.to_dict()},
-    )
+    _write_calibration(out, series.constants)
     setup = series.setup
     for window, design in sorted(setup.designs.items()):
-        basis = build_basis(config.space(), window)
-        verification = verify_design(design, basis, config.prototype())
-        _write_json(
-            out / f"design_K{window}.json",
-            {
-                "schema": "torusobs-design/1",
-                **design.to_dict(),
-                "verification": verification.to_dict(),
-            },
-        )
+        _write_design(out, design, build_basis(config.space(), window), config.prototype())
     for index in config.schedule.emit_intervals:
         _write_sidecar(out, index, setup.schedule(index))
 
@@ -396,8 +397,10 @@ def verify_artifacts(config: RunConfig, out: Path) -> list[str]:
     config and the rebuilt paths (`_check_continuous_rows`), their running
     means re-derived, and continuous_report.json is checked against them.
     The stored energies themselves are not recomputed.  JSON artifacts are
-    parsed strictly.  A missing directory, or one holding none of these
-    artifacts, is a problem: there is nothing to vouch for.
+    parsed strictly, and one that cannot be parsed, or holds a field of the
+    wrong type, is reported as unreadable.  A missing directory, or one
+    holding none of these artifacts, is a problem: there is nothing to
+    vouch for.
     """
     if not out.is_dir():
         return [f"{out}: no such directory"]
@@ -466,7 +469,7 @@ def verify_artifacts(config: RunConfig, out: Path) -> list[str]:
                         "run_meta.json: final_quarter_minimum is not the least A_N of the "
                         "last quarter of series.csv"
                     )
-        except (ValueError, KeyError, IndexError, json.JSONDecodeError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
             problems.append(f"series.csv: unreadable ({exc})")
 
     if meta_path.exists():
@@ -563,7 +566,7 @@ def _check_design_file(config: RunConfig, path: Path) -> list[str]:
         basis = build_basis(config.space(), design.cutoff)
         gammas = (gamma_matrix(basis, prototype, a.shift) for a in design.atoms)
         fresh = moment_residual(design.weights, gammas, design.measure)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         return [f"{path.name}: unreadable ({exc})"]
     problems = []
     if abs(design.measure - prototype.measure) > 1e-12:
@@ -614,12 +617,10 @@ def _check_continuous_rows(config: RunConfig, setup, rows: list[list[str]]) -> l
     """Check the first five columns of every continuous.csv row.  Row
     (speed, m), in the order of the config's speed ladder and intervals,
     must read that speed, interval m, the config's window at m, and the
-    macro count and certified loss of the path `build_continuous` rebuilds
-    for that window and speed, in the text the writer gives them.  Reports
-    a row count other than speeds x intervals and the first row that
-    differs, with its columns."""
-    from .schedule import build_continuous
-
+    macro count and certified loss of the path `setup.path` rebuilds for
+    that window and speed, in the text the writer gives them.  Reports a row
+    count other than speeds x intervals and the first row that differs, with
+    its columns."""
     count = config.interval_count
     speeds = config.schedule.speeds
     problems: list[str] = []
@@ -633,10 +634,7 @@ def _check_continuous_rows(config: RunConfig, setup, rows: list[list[str]]) -> l
     for i, (row, (speed, m)) in enumerate(zip(rows, expected), start=1):
         window = config.window_at(m)
         if (window, speed) not in paths:
-            paths[window, speed] = build_continuous(
-                setup.designs[window], (0.0, config.duration), speed,
-                setup.design_bounds[window],
-            )
+            paths[window, speed] = setup.path(window, speed)
         path = paths[window, speed]
         want = (speed, m, window, path.macro_count, path.certified_loss)
         differ = [name for name, cell, value in zip(columns, row, want) if cell != _fmt(value)]

@@ -35,8 +35,8 @@ class ConfigError(Exception):
 
 class NumericError(Exception):
     """Base class of the numeric and infeasibility failures a command exits 3
-    on: design construction, speed and interval bounds, window cutoffs and
-    basis mismatches."""
+    on: design construction, speed bounds, window cutoffs and basis
+    mismatches."""
 
 
 def check_model_mass(model: str, mass: float) -> None:

@@ -15,9 +15,10 @@ Models on the torus, diagonal in the character basis:
 
 Conserved energy: sum(rho^2 |a|^2 + |b|^2) resp. sum |c|^2.
 
-Every output coefficient trajectory is a sum of at most two complex
-exponentials c * e^{i alpha t}.  All time integrals of Gram-weighted output
-energies therefore reduce to the primitive
+No state is ever advanced to a time: every output coefficient trajectory is
+a sum of at most two complex exponentials c * e^{i alpha t}
+(`output_expansion`), and every energy is a time integral of it.  All time
+integrals of Gram-weighted output energies therefore reduce to the primitive
 
     int_{t0}^{t0+w} e^{i alpha t} dt = e^{i alpha t0} * w * sinc(alpha w / 2) * e^{i alpha w / 2},
 
@@ -229,21 +230,6 @@ def conserved_energy(datum: ModalDatum) -> EnergyDecomposition:
     return EnergyDecomposition(
         total=float(per_mode.sum()), per_mode=per_mode, window_sums=sums
     )
-
-
-def evolve_to(datum: ModalDatum, t: float) -> ModalDatum:
-    """Exact unitary evolution to absolute time t (zero-mode velocity is
-    constant in the mass-zero quotient)."""
-    if datum.model == "schrodinger":
-        return replace(datum, c=datum.c * np.exp(1j * datum.basis.eigenvalues * t))
-    rho = datum.rho
-    cos = np.cos(rho * t)
-    sin = np.sin(rho * t)
-    positive = rho > 0.0
-    safe_rho = np.where(positive, rho, 1.0)
-    a_new = np.where(positive, datum.a * cos + datum.b * sin / safe_rho, datum.a)
-    b_new = np.where(positive, -datum.a * safe_rho * sin + datum.b * cos, datum.b)
-    return replace(datum, a=a_new, b=b_new)
 
 
 def output_kind_for(model: str) -> str:

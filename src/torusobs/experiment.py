@@ -48,6 +48,7 @@ from .evolve import (
     shifted_kernel,
 )
 from .schedule import (
+    ContinuousPath,
     SwitchingSchedule,
     build_continuous,
     build_switching,
@@ -157,8 +158,8 @@ class ProtocolSetup:
     unshifted observation matrix; and the frequency differences of `alpha`
     (`differences`), which every kernel of the run reads.  Windowing masks
     coefficients only, so every part shares `alpha`.  `schedule` is the one
-    place an interval's switching schedule is built, and reads none of the
-    lazy parts.
+    place an interval's switching schedule is built, and `path` the one
+    place a window's continuous path is; neither reads the lazy parts.
     """
 
     config: RunConfig
@@ -227,6 +228,15 @@ class ProtocolSetup:
             ((index - 1) * duration, duration),
             self.design_bounds[window],
             self.config.tolerance_at(index),
+        )
+
+    def path(self, window: int, speed: float) -> ContinuousPath:
+        """Continuous path of `window`'s design at `speed` over [0, duration]:
+        the paths of one window's intervals differ only in t_start, which
+        the energies take as a phase."""
+        return build_continuous(
+            self.designs[window], (0.0, self.config.duration), speed,
+            self.design_bounds[window],
         )
 
 
@@ -498,13 +508,7 @@ def continuous_protocol_delta(config: RunConfig, speeds) -> ContinuousReport:
     realized_ok = True
     realized_margin = math.inf
     for speed in speeds:
-        # paths of one window differ only in t_start; each is built at 0
-        paths = {
-            k: build_continuous(
-                setup.designs[k], (0.0, config.duration), speed, setup.design_bounds[k]
-            )
-            for k in setup.designs
-        }
+        paths = {k: setup.path(k, speed) for k in setup.designs}
         factors = {k: max(config.measure - path.certified_loss, 0.0) for k, path in paths.items()}
         observed = np.empty(count)
         for k, at in members.items():

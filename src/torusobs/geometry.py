@@ -81,18 +81,6 @@ class GroupElement:
     def as_floats(self) -> np.ndarray:
         return np.array([float(s) for s in self.shift], dtype=float)
 
-    def compose(self, other: "GroupElement") -> "GroupElement":
-        """Group law: componentwise addition mod 1 (exact)."""
-        if other.dim != self.dim:
-            raise ValueError("group elements of different dimension")
-        return GroupElement(tuple(a + b for a, b in zip(self.shift, other.shift)))
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement(tuple(-s for s in self.shift))
-
-    def __add__(self, other: "GroupElement") -> "GroupElement":
-        return self.compose(other)
-
 
 def _normalize_axis(a: Fraction, b: Fraction) -> list[AxisInterval]:
     """Reduce [a, b) mod 1 to one or two non-wrapping intervals.
@@ -190,14 +178,6 @@ class PrototypeSet:
             for box in self.pieces
         ]
         return PrototypeSet.from_boxes(self.space, raw)
-
-    def contains(self, point: Sequence[float]) -> bool:
-        """Membership of a float point (reduced mod 1); used by oracles."""
-        p = [x % 1.0 for x in point]
-        for box in self.pieces:
-            if all(float(a) <= x < float(b) for (a, b), x in zip(box, p)):
-                return True
-        return False
 
     def fourier_coefficient(self, freq: Sequence[int]) -> complex:
         """Exact value of the integral of e^{-2 pi i n.y} over the set.

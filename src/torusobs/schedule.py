@@ -14,8 +14,10 @@ other way, a switching schedule is that path with legs that take no time: it
 supplies the same macro template (dwell segments only), a zero cycle and an
 infinite speed, so the closed-form energies in `evolve` take either.
 
-Schedules can be astronomically fine (R ~ 10^6 at desk scale), so the micro
-structure is generated on demand instead of being materialized.
+Schedules can be astronomically fine (R ~ 10^6 at desk scale), so no slot
+list is ever materialized: `SwitchingSchedule.boundaries` forms the slot
+times of a block of macro intervals when the schedule CSV is written, and
+the energies sum the R repetitions of the template in closed form.
 """
 
 from __future__ import annotations
@@ -23,16 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import ClassVar, Iterator
+from typing import ClassVar
 
 import numpy as np
 
 from .config import NumericError
 from .design import ConvexDesign
-
-
-class OutOfInterval(NumericError):
-    """Query time outside the scheduled interval."""
 
 
 class SpeedTooLow(NumericError):
@@ -51,7 +49,7 @@ class SwitchingSchedule:
 
     Micro slot (r, j) is [t_start + (r + cum_j) * tau, t_start + (r + cum_{j+1}) * tau)
     with tau = duration / macro_count; the final endpoint belongs to the last
-    slot.  Slots are half-open and generated on demand.
+    slot.  Slots are half-open; `boundaries` forms their times on demand.
 
     As a path it has no legs: `cycle` is 0 and `speed` infinite, so none of
     the macro interval goes to transit, and `template` lists one dwell per
@@ -68,10 +66,6 @@ class SwitchingSchedule:
 
     cycle: ClassVar[float] = 0.0
     speed: ClassVar[float] = math.inf
-
-    @property
-    def t_end(self) -> float:
-        return self.t_start + self.duration
 
     @property
     def macro_length(self) -> float:
@@ -94,25 +88,6 @@ class SwitchingSchedule:
         r = np.arange(first, first + count)
         return (self.t_start + r * tau)[:, None] + self.cum[None, :] * tau
 
-    def micro_interval(self, r: int, j: int) -> tuple[float, float, int]:
-        """Slot (macro r, atom j) as (t_start, t_end, atom_index)."""
-        if not (0 <= r < self.macro_count and 0 <= j < self.atom_count):
-            raise IndexError(f"no micro slot ({r}, {j})")
-        start, end = self.boundaries(r, 1)[0, j : j + 2].tolist()
-        return (start, end, j)
-
-    def iter_micro(self) -> Iterator[tuple[float, float, int]]:
-        for r in range(self.macro_count):
-            for j in range(self.atom_count):
-                yield self.micro_interval(r, j)
-
-    def micro_intervals(self, max_slots: int = 1_000_000) -> list[tuple[float, float, int]]:
-        if self.micro_count > max_slots:
-            raise ValueError(
-                f"{self.micro_count} micro slots exceed the materialization cap {max_slots}"
-            )
-        return list(self.iter_micro())
-
     @cached_property
     def template(self) -> tuple["PathSegment", ...]:
         """The dwells of one macro interval, slot j on [cum_j tau, cum_{j+1} tau)."""
@@ -130,16 +105,6 @@ class SwitchingSchedule:
             )
             for j, atom in enumerate(self.design.atoms)
         )
-
-    def observer_at(self, t: float) -> int:
-        """Atom index active at time t (binary search; endpoint -> last slot)."""
-        if t < self.t_start or t > self.t_end:
-            raise OutOfInterval(f"t = {t} outside [{self.t_start}, {self.t_end}]")
-        tau = self.macro_length
-        r = min(int((t - self.t_start) / tau), self.macro_count - 1)
-        s = (t - self.t_start - r * tau) / tau
-        j = int(np.searchsorted(self.cum, s, side="right")) - 1
-        return min(max(j, 0), self.atom_count - 1)
 
 
 def build_switching(
@@ -179,18 +144,6 @@ def build_switching(
 def torus_displacement(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Shortest signed per-axis displacement from a to b on the unit torus."""
     return (b - a + 0.5) % 1.0 - 0.5
-
-
-def cycle_length(shifts: list[np.ndarray]) -> float:
-    """Flat length of the closed tour through the shifts in index order."""
-    n = len(shifts)
-    if n <= 1:
-        return 0.0
-    total = 0.0
-    for k in range(n):
-        delta = torus_displacement(shifts[k], shifts[(k + 1) % n])
-        total += float(np.linalg.norm(delta))
-    return total
 
 
 def continuous_loss(
@@ -244,28 +197,8 @@ class ContinuousPath:
     template: tuple[PathSegment, ...]
 
     @property
-    def t_end(self) -> float:
-        return self.t_start + self.duration
-
-    @property
     def macro_length(self) -> float:
         return self.duration / self.macro_count
-
-    def position_at(self, t: float) -> np.ndarray:
-        if t < self.t_start or t > self.t_end:
-            raise OutOfInterval(f"t = {t} outside [{self.t_start}, {self.t_end}]")
-        tau = self.macro_length
-        r = min(int((t - self.t_start) / tau), self.macro_count - 1)
-        s = t - self.t_start - r * tau
-        seg = self.template[-1]
-        for candidate in self.template:
-            if s < candidate.offset_end:
-                seg = candidate
-                break
-        pos = np.array(seg.position) + np.array(seg.velocity) * max(
-            0.0, s - seg.offset_start
-        )
-        return pos % 1.0
 
 
 def build_continuous(
@@ -291,7 +224,7 @@ def build_continuous(
     shifts = [a.shift.as_floats() for a in design.atoms]
     # leg j runs from atom j to atom j + 1, the last one back to atom 0; a
     # single atom's only leg has length 0.  The cycle adds the legs in
-    # order from 0.0, as `cycle_length` does
+    # order from 0.0
     points = np.array(shifts)
     deltas = torus_displacement(points, np.roll(points, -1, axis=0))
     legs = [float(np.linalg.norm(delta)) for delta in deltas]

@@ -83,9 +83,6 @@ class ModalBasis:
         """Boolean mask selecting modes with max-norm <= window."""
         return np.max(np.abs(self.mode_array), axis=1) <= window
 
-    def index_of(self, mode: tuple[int, ...]) -> int:
-        return self.modes.index(mode)
-
 
 def build_basis(space: TorusSpace, cutoff: int, max_dim: int = DEFAULT_MAX_DIM) -> ModalBasis:
     """All modes with |n|_inf <= cutoff, lexicographic, with a size guard."""
@@ -113,35 +110,6 @@ class ObservationMatrix:
     prototype: PrototypeSet
     shift: GroupElement
     entries: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.entries)
-
-    def validate(self, atol: float = 1e-12) -> None:
-        """Check Hermitian symmetry, spectrum in [0,1], and the trace value."""
-        a = self.entries
-        if not np.allclose(a, a.conj().T, atol=atol, rtol=0.0):
-            raise AssertionError("observation matrix is not Hermitian")
-        eig = self.eigenvalues()
-        if eig.min() < -atol or eig.max() > 1.0 + atol:
-            raise AssertionError(f"spectrum {eig.min()}..{eig.max()} outside [0,1]")
-        expected = self.dim * self.prototype.measure
-        if abs(np.trace(a).real - expected) > max(atol, 1e-12 * self.dim):
-            raise AssertionError("trace does not equal dim * measure")
-
-    def to_debug_dict(self) -> dict:
-        """Row-major re/im pairs for ad-hoc inspection (not a stable format)."""
-        return {
-            "cutoff": self.basis.cutoff,
-            "shift": [float(s) for s in self.shift.as_floats()],
-            "entries": [
-                [[float(z.real), float(z.imag)] for z in row] for row in self.entries
-            ],
-        }
 
 
 @lru_cache(maxsize=64)
@@ -217,16 +185,6 @@ def temporal_gram(rho: float, t_start: float, duration: float) -> np.ndarray:
     cc = duration / 2.0 + math.cos(phase) * swing
     sc = math.sin(phase) * swing
     return np.array([[ss, sc], [sc, cc]])
-
-
-def gram_eigenvalue_band(rho: float, duration: float) -> tuple[float, float]:
-    """Predicted temporal Gram eigenvalues duration/2 -+ |sin(rho T)|/(2 rho);
-    the off-diagonal block is a reflection, so the band is offset-independent.
-    At rho = 0 the analytic limit gives (0, duration)."""
-    if rho == 0.0:
-        return 0.0, duration
-    swing = abs(math.sin(rho * duration)) / (2.0 * rho)
-    return duration / 2.0 - swing, duration / 2.0 + swing
 
 
 @dataclass(frozen=True, eq=False)

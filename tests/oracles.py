@@ -3,13 +3,17 @@
 Nothing here reuses the package's antiderivative-based integration: restricted
 set integrals are redone by midpoint Riemann sums (1d) or per-box tensor
 Gauss-Legendre quadrature (2d), time integrals by composite Simpson rules on
-dense grids, output trajectories by direct trig evaluation, and schedule
-lookups by linear scans.  The path oracle redoes the segment sum at 40
-digits with mpmath.
+dense grids, output trajectories by direct trig evaluation, and the state
+flow by its rotation formulas.  The path oracle redoes the segment sum at 40
+digits with mpmath.  Schedule slots come from the scalar slot formula, one
+float operation at a time, path positions from a scan of the macro
+template, and the tour's cycle from a loop over its legs.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -264,14 +268,76 @@ def mpmath_path_energy(datum, path, gamma0_entries: np.ndarray,
         return float(total.real)
 
 
-def scan_observer(schedule, t: float) -> int:
-    """Linear scan over the materialized micro slots (half-open; the final
-    right endpoint belongs to the last slot)."""
-    last = None
-    for (a, b, j) in schedule.iter_micro():
-        if a <= t < b:
-            return j
-        last = j
-    if last is not None and t == schedule.t_end:
-        return last
-    raise ValueError(f"t = {t} lies outside the schedule")
+def switching_slots(schedule, count: int | None = None,
+                    first: int = 0) -> list[tuple[float, float, int]]:
+    """Micro slots first .. first + count - 1 of a switching schedule (to the
+    last one by default) as (start, end, atom), in (macro, atom) order.  Slot
+    (r, j) runs from (t_start + r tau) + cum_j tau to
+    (t_start + r tau) + cum_{j+1} tau, each evaluated in Python floats."""
+    tau = schedule.macro_length
+    cum = [float(c) for c in schedule.cum]
+    atoms = len(cum) - 1
+    stop = schedule.macro_count * atoms
+    if count is not None:
+        stop = min(stop, first + count)
+    slots = []
+    for k in range(first, stop):
+        r, j = divmod(k, atoms)
+        base = schedule.t_start + r * tau
+        slots.append((base + cum[j] * tau, base + cum[j + 1] * tau, j))
+    return slots
+
+
+def path_position(path, t: float) -> np.ndarray:
+    """Observer position of a continuous path at absolute time t: the
+    template segment holding the macro-local time, scanned in order (the
+    interval's end belongs to the last macro), moved along its velocity."""
+    tau = path.macro_length
+    r = min(int((t - path.t_start) / tau), path.macro_count - 1)
+    s = t - path.t_start - r * tau
+    seg = path.template[-1]
+    for candidate in path.template:
+        if s < candidate.offset_end:
+            seg = candidate
+            break
+    pos = np.array(seg.position) + np.array(seg.velocity) * max(0.0, s - seg.offset_start)
+    return pos % 1.0
+
+
+def cycle_length(shifts: list[np.ndarray]) -> float:
+    """Flat length of the closed tour through the shifts in index order, the
+    legs added one at a time from 0.0."""
+    n = len(shifts)
+    if n <= 1:
+        return 0.0
+    total = 0.0
+    for k in range(n):
+        delta = (shifts[(k + 1) % n] - shifts[k] + 0.5) % 1.0 - 0.5
+        total += float(np.linalg.norm(delta))
+    return total
+
+
+def gram_eigenvalue_band(rho: float, duration: float) -> tuple[float, float]:
+    """Predicted temporal Gram eigenvalues duration/2 -+ |sin(rho T)|/(2 rho);
+    the off-diagonal block is a reflection, so the band is offset-independent.
+    At rho = 0 the analytic limit gives (0, duration)."""
+    if rho == 0.0:
+        return 0.0, duration
+    swing = abs(math.sin(rho * duration)) / (2.0 * rho)
+    return duration / 2.0 - swing, duration / 2.0 + swing
+
+
+def evolve_to(datum, t: float):
+    """The datum's state at absolute time t: the Schrodinger coefficients
+    times e^{i lambda t}, the wave/Klein-Gordon pair (a, b) rotated by
+    rho t (the zero-mode velocity is constant in the mass-zero quotient)."""
+    if datum.model == "schrodinger":
+        return replace(datum, c=datum.c * np.exp(1j * datum.basis.eigenvalues * t))
+    rho = datum.rho
+    cos = np.cos(rho * t)
+    sin = np.sin(rho * t)
+    positive = rho > 0.0
+    safe_rho = np.where(positive, rho, 1.0)
+    a_new = np.where(positive, datum.a * cos + datum.b * sin / safe_rho, datum.a)
+    b_new = np.where(positive, -datum.a * safe_rho * sin + datum.b * cos, datum.b)
+    return replace(datum, a=a_new, b=b_new)

@@ -39,7 +39,6 @@ from torusobs import (
     trajectory_lipschitz_bound,
 )
 from torusobs.evolve import output_kind_for, phase_integral
-from torusobs.spectral import gram_eigenvalue_band
 
 import oracles
 
@@ -156,7 +155,7 @@ def test_criterion_4_kinetic_calibration_formula(capsys):
         basis = build_basis(T1, 8)
         constants = calibration(model, basis, mass, duration)
         for rho in constants.mode_frequencies:
-            low, high = gram_eigenvalue_band(rho, duration)
+            low, high = oracles.gram_eigenvalue_band(rho, duration)
             for offset in (0.0, 0.37):
                 eigs = np.linalg.eigvalsh(temporal_gram(rho, offset, duration))
                 worst = max(worst, abs(eigs[0] - low), abs(eigs[1] - high))

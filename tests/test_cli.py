@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import torusobs
 from torusobs import cli
 from torusobs import (
@@ -350,7 +351,7 @@ def test_schedule_lines_match_micro_intervals(cap):
     shifts = [s.as_floats() for s in design.shifts]
     expected = [
         ",".join(_fmt(v) for v in (t0, t1, j, *shifts[j])) + "\n"
-        for t0, t1, j in schedule.micro_intervals()[:cap]
+        for t0, t1, j in oracles.switching_slots(schedule, cap)
     ]
     assert "".join(_schedule_lines(schedule, cap)) == "".join(expected)
 
@@ -358,7 +359,7 @@ def test_schedule_lines_match_micro_intervals(cap):
 def test_boundaries_are_the_slot_times_of_micro_interval():
     # the first and the last macros of interval 200, t from 199 to 200: each
     # grid row is the scalar formula bit for bit, whatever block it sits in,
-    # and micro_interval's slots run from cell to cell
+    # and the oracle's slots run from cell to cell
     schedule = prepare_protocol(quick_config(interval_count=200)).schedule(200)
     R, J, tau = schedule.macro_count, schedule.atom_count, schedule.macro_length
     for first in (0, R - 3):
@@ -367,7 +368,7 @@ def test_boundaries_are_the_slot_times_of_micro_interval():
         for r, row in zip(range(first, first + 3), grid.tolist()):
             assert row == [(schedule.t_start + r * tau) + float(c) * tau for c in schedule.cum]
             assert schedule.boundaries(r, 1).tolist() == [row]
-            assert [schedule.micro_interval(r, j) for j in range(J)] == [
+            assert oracles.switching_slots(schedule, J, r * J) == [
                 (row[j], row[j + 1], j) for j in range(J)
             ]
 
@@ -402,8 +403,8 @@ def test_schedule_chunks_hold_at_most_a_block_of_rows(monkeypatch, block, cap):
 )
 def test_schedule_slot_ends_telescope(t_start, raw_weights, speed, cap):
     # inside a macro interval a slot ends exactly where the next one starts,
-    # textually, and the cells at macro boundaries are micro_interval's own;
-    # the observer's speed enters as the Lipschitz bound that sets R
+    # textually, and every cell is the oracle's scalar slot formula, bit for
+    # bit; the observer's speed enters as the Lipschitz bound that sets R
     total = sum(raw_weights)
     atoms = tuple(
         DesignAtom(GroupElement.of(Fraction(j, 11)), w / total)
@@ -414,15 +415,12 @@ def test_schedule_slot_ends_telescope(t_start, raw_weights, speed, cap):
     rows = [line.split(",") for line in "".join(_schedule_lines(schedule, cap)).splitlines()]
     assert len(rows) == min(cap, schedule.micro_count)
     J = schedule.atom_count
-    for k, row in enumerate(rows):
-        r, j = divmod(k, J)
-        assert row[2] == str(j)
-        if j + 1 < J and k + 1 < len(rows):
+    slots = oracles.switching_slots(schedule, cap)
+    for k, (row, (start, end, atom)) in enumerate(zip(rows, slots)):
+        assert row[2] == str(atom) == str(k % J)
+        if k % J + 1 < J and k + 1 < len(rows):
             assert row[1] == rows[k + 1][0]
-        if j == 0:
-            assert row[0] == _fmt(schedule.micro_interval(r, 0)[0])
-        if j == J - 1:
-            assert row[1] == _fmt(schedule.micro_interval(r, j)[1])
+        assert row[:2] == [_fmt(start), _fmt(end)]
 
 
 @pytest.mark.parametrize(
@@ -521,6 +519,29 @@ def test_verify_checks_the_design_file_name_against_its_cutoff(tmp_path, capsys)
     assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert "design_K5.json: unreadable (cutoff 2 is not the one its file name gives)" in err
+
+
+def test_verify_reports_a_design_field_of_the_wrong_type(tmp_path, capsys):
+    # a JSON field of the wrong type makes the file unreadable, not verify crash
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(config), "--out", str(out)]) == 0
+    path = out / "design_K1.json"
+    payload = strict_json(path)
+    payload["atoms"] = 5
+    _write_json(path, payload)
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
+    assert "design_K1.json: unreadable" in capsys.readouterr().err
+
+
+def test_verify_reports_a_run_meta_field_of_the_wrong_type(tmp_path, capsys):
+    # series.csv's checks read run_meta.json's energy too; neither may crash
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(config), "--out", str(out)]) == 0
+    set_meta("energy", value="x")(out)
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
+    assert "run_meta.json: unreadable" in capsys.readouterr().err
 
 
 def set_series_cell(row, column, value):

@@ -244,7 +244,7 @@ def test_constant_profiles_average_exactly_for_any_weights():
         residual=0.0,
     )
     gammas = design_gammas(design, basis, w)
-    i0 = basis.index_of((0,))
+    i0 = basis.modes.index((0,))
     averaged = sum(
         wt * g.entries[i0, i0].real for wt, g in zip(design.weights, gammas)
     )

