@@ -59,16 +59,14 @@ _EXPORTS = {
         "run_protocol",
         "tail_reduction_check",
     ),
-    "geometry": ("GroupElement", "PrototypeSet", "TorusSpace"),
+    "geometry": ("GroupElement", "PrototypeSet", "TorusSpace", "torus_displacement"),
     "schedule": (
-        "ContinuousPath",
         "PathSegment",
+        "Realization",
         "SpeedTooLow",
-        "SwitchingSchedule",
         "build_continuous",
         "build_switching",
         "continuous_loss",
-        "torus_displacement",
     ),
     "spectral": (
         "CalibrationConstants",

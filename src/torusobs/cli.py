@@ -47,6 +47,10 @@ def schedule_header(dim: int) -> str:
     return "t_start,t_end,atom," + ",".join(f"shift_{i}" for i in range(dim))
 CONTINUOUS_HEADER = "speed,interval,window,macro_count,certified_loss,observed,running_mean"
 CONTINUOUS_VERSION = "# torusobs continuous v1"
+DESIGN_SCHEMA = "torusobs-design/1"
+CALIBRATION_SCHEMA = "torusobs-calibration/1"
+RUN_SCHEMA = "torusobs-run/1"
+CONTINUOUS_SCHEMA = "torusobs-continuous/2"
 
 
 def _fmt(value) -> str:
@@ -141,7 +145,7 @@ def _write_design(out: Path, design, basis, prototype) -> Path:
     _write_json(
         path,
         {
-            "schema": "torusobs-design/1",
+            "schema": DESIGN_SCHEMA,
             **design.to_dict(),
             "verification": verification.to_dict(),
         },
@@ -151,7 +155,7 @@ def _write_design(out: Path, design, basis, prototype) -> Path:
 
 def _write_calibration(out: Path, constants) -> Path:
     path = out / "calibration.json"
-    _write_json(path, {"schema": "torusobs-calibration/1", **constants.to_dict()})
+    _write_json(path, {"schema": CALIBRATION_SCHEMA, **constants.to_dict()})
     return path
 
 
@@ -187,16 +191,30 @@ def cmd_calibrate(config: RunConfig, out: Path, args) -> int:
 SCHEDULE_BLOCK = 2048
 
 
+def _boundaries(schedule, first: int, count: int) -> np.ndarray:
+    """Slot boundaries of a switching schedule's macros first .. first +
+    count - 1 as a (count, J + 1) grid: macro r's row is
+    (t_start + r tau) + cum_k tau, k = 0..J, with cum the design's
+    cumulative weights, and slot (r, j) runs from cell j to cell j + 1; the
+    final endpoint belongs to the last slot.  Every slot time of the
+    schedule is formed here."""
+    tau = schedule.macro_length
+    cum = schedule.design.cumulative_weights
+    r = np.arange(first, first + count)
+    return (schedule.t_start + r * tau)[:, None] + cum[None, :] * tau
+
+
 def _schedule_lines(schedule, cap: int):
     """CSV text of the first `cap` micro slots, in (macro, atom) order, one
     chunk of at most `SCHEDULE_BLOCK` rows at a time: the text `schedule`
     writes below the layout lines and `verify` compares a schedule CSV with.
 
     A block is the whole macros that fit in `SCHEDULE_BLOCK` rows, or one
-    macro if none fits; its slot times are one `SwitchingSchedule.boundaries`
-    grid, each `repr`ed once, since a slot's end is the next slot's start.  The row starts are the grid with each macro's last cell
-    deleted, the row ends the grid from its second cell with each next
-    macro's first cell deleted; start, ",", end and the atom's suffix are
+    macro if none fits; its slot times are one `_boundaries` grid, each
+    `repr`ed once, since a slot's end is the next slot's start.  The row
+    starts are the grid with each macro's last cell deleted, the row ends
+    the grid from its second cell with each next macro's first cell
+    deleted; start, ",", end and the atom's suffix are
     interleaved by slice assignment into one list of pieces and the block is
     one join.  Only the macros holding the first `cap` slots are formatted;
     a macro of more than `SCHEDULE_BLOCK` atoms is its own block, joined in
@@ -212,7 +230,7 @@ def _schedule_lines(schedule, cap: int):
     per_block = max(1, SCHEDULE_BLOCK // atoms)
     for first in range(0, used, per_block):
         macros = min(per_block, used - first)
-        cells = list(map(repr, schedule.boundaries(first, macros).ravel().tolist()))
+        cells = list(map(repr, _boundaries(schedule, first, macros).ravel().tolist()))
         count = min(macros * atoms, rows - first * atoms)
         ends = cells[1:]
         del cells[atoms :: atoms + 1], ends[atoms :: atoms + 1]
@@ -295,7 +313,7 @@ def cmd_experiment(config: RunConfig, out: Path, args) -> int:
     _write_json(
         out / "run_meta.json",
         {
-            "schema": "torusobs-run/1",
+            "schema": RUN_SCHEMA,
             "config": config.source,
             "model": series.model,
             "mass": series.mass,
@@ -342,7 +360,7 @@ def cmd_continuous(config: RunConfig, out: Path, args) -> int:
     _write_csv(out / "continuous.csv", CONTINUOUS_VERSION, CONTINUOUS_HEADER, rows)
     _write_json(
         out / "continuous_report.json",
-        {"schema": "torusobs-continuous/2", **report.to_dict()},
+        {"schema": CONTINUOUS_SCHEMA, **report.to_dict()},
     )
     print(
         f"continuous speeds={list(report.speeds)} "
@@ -385,22 +403,25 @@ def _verify_out(config: RunConfig, out: Path) -> int:
 def verify_artifacts(config: RunConfig, out: Path) -> list[str]:
     """Revalidate every recognized artifact in `out` against the config.
 
-    Checks are recomputations: design residuals are rebuilt one atom at a
-    time, at the cutoff the file name gives; calibration.json is recomputed
-    field by field; series.csv must list the config's intervals, windows
-    and tolerances, its running means re-derived from the stored energies,
-    with run_meta.json's interval count, final mean and final-quarter
-    minimum; run_meta.json is checked against the config and the
-    calibration (`_check_run_meta`); each schedule sidecar must equal the
+    Checks are recomputations: design residuals and verifications are
+    rebuilt one atom at a time, at the cutoff the file name gives
+    (`_check_design_file`); calibration.json is recomputed field by field;
+    run_meta.json is checked against the config and the calibration
+    (`_check_run_meta`); series.csv must list the config's intervals,
+    windows and tolerances, its running means re-derived from the stored
+    energies, and once both parse, run_meta.json's final mean,
+    final-quarter minimum and tail-reduction report must recompute from it
+    (`_check_run_meta_series`); each schedule sidecar must equal the
     interval's rebuilt schedule bit for bit, and any CSV beside it the text
     `schedule` writes for it; continuous.csv rows are checked against the
     config and the rebuilt paths (`_check_continuous_rows`), their running
-    means re-derived, and continuous_report.json is checked against them.
-    The stored energies themselves are not recomputed.  JSON artifacts are
+    means re-derived, and continuous_report.json is checked against them
+    and the paths.  Every JSON artifact's schema must be its writer's.  The
+    stored energies themselves are not recomputed.  JSON artifacts are
     parsed strictly, and one that cannot be parsed, or holds a field of the
-    wrong type, is reported as unreadable.  A missing directory, or one
-    holding none of these artifacts, is a problem: there is nothing to
-    vouch for.
+    wrong type, is reported as unreadable, under its own name only.  A
+    missing directory, or one holding none of these artifacts, is a
+    problem: there is nothing to vouch for.
     """
     if not out.is_dir():
         return [f"{out}: no such directory"]
@@ -417,6 +438,7 @@ def verify_artifacts(config: RunConfig, out: Path) -> list[str]:
     if cal_path.exists():
         try:
             data = _read_json(cal_path)
+            problems.extend(_schema_problems(cal_path.name, data, CALIBRATION_SCHEMA))
             constants = _calibration(config)
             fresh = constants.to_dict()
             differ = [key for key in ("model", "mass", "duration") if data[key] != fresh[key]]
@@ -433,8 +455,19 @@ def verify_artifacts(config: RunConfig, out: Path) -> list[str]:
         except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
             problems.append(f"calibration.json: unreadable ({exc})")
 
-    series_path = out / "series.csv"
     meta_path = out / "run_meta.json"
+    meta = None  # run_meta.json, once parsed and checked against the config
+    if meta_path.exists():
+        try:
+            if constants is None:
+                constants = _calibration(config)
+            data = _read_json(meta_path)
+            problems.extend(_check_run_meta(config, data, constants))
+            meta = data
+        except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+            problems.append(f"run_meta.json: unreadable ({exc})")
+
+    series_path = out / "series.csv"
     if series_path.exists():
         try:
             rows = _read_csv(series_path, SERIES_VERSION, SERIES_HEADER)
@@ -447,38 +480,24 @@ def verify_artifacts(config: RunConfig, out: Path) -> list[str]:
                     break
             observed = np.array([float(r[3]) for r in rows])
             means = np.array([float(r[4]) for r in rows])
+            windowed = np.array([float(r[5]) for r in rows])
             recomputed = np.cumsum(observed) / np.arange(1, len(observed) + 1)
             if np.max(np.abs(recomputed - means)) > 1e-12 * max(1.0, observed.max()):
                 problems.append("series.csv: running means do not recompute")
             if np.any(observed < 0):
                 problems.append("series.csv: negative interval energy")
-            if meta_path.exists():
-                meta = _read_json(meta_path)
+            if meta is not None:
                 ceiling = meta["upper_constant"] * meta["energy"] * (1.0 + 1e-10)
                 if np.any(observed > ceiling):
                     problems.append("series.csv: interval energy above upper bound")
-                if meta["interval_count"] != count:
-                    problems.append(
-                        f"run_meta.json: interval_count {meta['interval_count']!r} is not "
-                        f"the config's {count}"
-                    )
-                if meta["final_mean"] != means[-1]:
-                    problems.append("run_meta.json: final_mean is not the last A_N of series.csv")
-                if meta["final_quarter_minimum"] != means[-max(1, len(means) // 4) :].min():
-                    problems.append(
-                        "run_meta.json: final_quarter_minimum is not the least A_N of the "
-                        "last quarter of series.csv"
-                    )
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             problems.append(f"series.csv: unreadable ({exc})")
-
-    if meta_path.exists():
-        try:
-            if constants is None:
-                constants = _calibration(config)
-            problems.extend(_check_run_meta(config, _read_json(meta_path), constants))
-        except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
-            problems.append(f"run_meta.json: unreadable ({exc})")
+        else:
+            if meta is not None:
+                try:
+                    problems.extend(_check_run_meta_series(meta, observed, means, windowed))
+                except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                    problems.append(f"run_meta.json: unreadable ({exc})")
 
     for path in sorted(out.glob("schedule_m*.json")):
         try:
@@ -524,7 +543,16 @@ def verify_artifacts(config: RunConfig, out: Path) -> list[str]:
                 from .experiment import prepare_protocol
 
                 setup = prepare_protocol(config)
-            problems.extend(_check_continuous_rows(config, setup, rows))
+            speeds = config.schedule.speeds
+            paths = {(k, v): setup.path(k, v) for v in speeds for k in setup.designs}
+            problems.extend(_check_continuous_rows(config, paths, rows))
+            # the least factor the paths of each speed certify
+            factors = {
+                _fmt(v): min(
+                    max(config.measure - paths[k, v].certified_loss, 0.0) for k in setup.designs
+                )
+                for v in speeds
+            }
             by_speed: dict[str, list[list[str]]] = {}
             for r in rows:
                 by_speed.setdefault(r[0], []).append(r)
@@ -544,7 +572,7 @@ def verify_artifacts(config: RunConfig, out: Path) -> list[str]:
         else:
             try:
                 report = _read_json(out / "continuous_report.json")
-                problems.extend(_check_continuous_report(report, by_speed))
+                problems.extend(_check_continuous_report(report, by_speed, factors))
             except (OSError, ValueError, KeyError, TypeError) as exc:
                 problems.append(f"continuous_report.json: unreadable ({exc})")
 
@@ -552,29 +580,44 @@ def verify_artifacts(config: RunConfig, out: Path) -> list[str]:
 
 
 def _check_design_file(config: RunConfig, path: Path) -> list[str]:
-    """Check a design_K*.json: its name gives its cutoff, its measure is the
-    config prototype's, and its residual, rebuilt one atom's Gamma at a time
-    in atom order, is no larger than the stored one."""
+    """Check a design_K*.json: its schema, its name gives its cutoff, its
+    measure is the config prototype's, and its residual, rebuilt one atom's
+    Gamma at a time in atom order, is no larger than the stored one.  Its
+    `verification` must hold `verify_design`'s 100 trials of seed 0, the
+    rebuilt residual exactly as its matrix residual, and a scalar deviation
+    no larger than that, which bounds it."""
     from .design import ConvexDesign, moment_residual
     from .spectral import build_basis, gamma_matrix
 
     prototype = config.prototype()
     try:
-        design = ConvexDesign.from_dict(_read_json(path))
+        data = _read_json(path)
+        problems = _schema_problems(path.name, data, DESIGN_SCHEMA)
+        design = ConvexDesign.from_dict(data)
         if path.stem != f"design_K{design.cutoff}":
             raise ValueError(f"cutoff {design.cutoff} is not the one its file name gives")
         basis = build_basis(config.space(), design.cutoff)
         gammas = (gamma_matrix(basis, prototype, a.shift) for a in design.atoms)
         fresh = moment_residual(design.weights, gammas, design.measure)
+        verification = data["verification"]
+        drawn = {"trials": 100, "seed": 0}
+        differ = [key for key, value in drawn.items() if verification[key] != value]
+        if verification["matrix_residual"] != fresh:
+            differ.append("matrix_residual")
+        if not verification["max_scalar_deviation"] <= verification["matrix_residual"]:
+            differ.append("max_scalar_deviation")
     except (ValueError, KeyError, TypeError) as exc:
         return [f"{path.name}: unreadable ({exc})"]
-    problems = []
     if abs(design.measure - prototype.measure) > 1e-12:
         problems.append(f"{path.name}: measure differs from config prototype")
     if fresh > design.residual + 1e-9:
         problems.append(
             f"{path.name}: residual recomputes to {fresh:.3e}, stored "
             f"{design.residual:.3e}"
+        )
+    if differ:
+        problems.append(
+            f"{path.name}: verification does not recompute ({', '.join(differ)})"
         )
     return problems
 
@@ -587,11 +630,20 @@ def _calibration(config: RunConfig):
 
 
 def _check_run_meta(config: RunConfig, meta: dict, constants) -> list[str]:
-    """Check run_meta.json's model, mass, measure and duration against the
+    """Check run_meta.json's schema, its config (the loaded config's
+    source), interval count, model, mass, measure and duration against the
     config exactly, its lower and upper constants against the recomputed
     calibration `constants`, and its reference bound and final ratio by
     redoing `experiment`'s arithmetic on its own stored energy, constants
     and final mean.  The energy is taken as stored."""
+    problems = _schema_problems("run_meta.json", meta, RUN_SCHEMA)
+    if meta["config"] != config.source:
+        problems.append("run_meta.json: config is not the loaded config")
+    if meta["interval_count"] != config.interval_count:
+        problems.append(
+            f"run_meta.json: interval_count {meta['interval_count']!r} is not "
+            f"the config's {config.interval_count}"
+        )
     exact = {
         "model": config.model,
         "mass": config.mass,
@@ -606,21 +658,65 @@ def _check_run_meta(config: RunConfig, meta: dict, constants) -> list[str]:
     if meta["final_ratio"] != meta["final_mean"] / meta["reference_bound"]:
         differ.append("final_ratio")
     if differ:
-        return [
+        problems.append(
             f"run_meta.json: differs from the config and the recomputed calibration "
             f"({', '.join(differ)})"
-        ]
-    return []
+        )
+    return problems
 
 
-def _check_continuous_rows(config: RunConfig, setup, rows: list[list[str]]) -> list[str]:
+def _check_run_meta_series(
+    meta: dict, observed: np.ndarray, means: np.ndarray, windowed: np.ndarray
+) -> list[str]:
+    """Check run_meta.json against series.csv's energies Q_m, running means
+    A_N and windowed energies E_leK: its final mean and final-quarter
+    minimum, and every field of its tail-reduction report that these and
+    its own energy and constants determine, redone bit for bit as
+    `tail_reduction_check` does it.  `best_bound` must be the largest eta
+    bound, and each flag must agree with its margin; a false lower_ok is a
+    problem, as the certificate fails."""
+    problems = []
+    if meta["final_mean"] != means[-1]:
+        problems.append("run_meta.json: final_mean is not the last A_N of series.csv")
+    if meta["final_quarter_minimum"] != means[-max(1, len(means) // 4) :].min():
+        problems.append(
+            "run_meta.json: final_quarter_minimum is not the least A_N of the "
+            "last quarter of series.csv"
+        )
+    report = meta["tail_reduction"]
+    energy = meta["energy"]
+    scale = meta["upper_constant"] * energy
+    tail_mean = float((energy - windowed).mean())
+    fresh = {
+        "upper_margin": float(observed.max() / scale),
+        "upper_ok": bool(np.all(observed <= scale * (1.0 + 1e-10))),
+        "tail_mean": tail_mean,
+        "tail_fraction": tail_mean / energy,
+        "reference_bound": meta["reference_bound"],
+        "best_bound": max(report["eta_bounds"].values()),
+    }
+    differ = [key for key, value in fresh.items() if report[key] != value]
+    margin = report["lower_margin"]
+    if report["lower_ok"] != (margin is None or margin >= 1.0 - 1e-10):
+        differ.append("lower_ok")
+    if differ:
+        problems.append(
+            f"run_meta.json: tail_reduction does not recompute from series.csv "
+            f"({', '.join(differ)})"
+        )
+    if report["lower_ok"] is not True:
+        problems.append("run_meta.json: tail_reduction.lower_ok is false")
+    return problems
+
+
+def _check_continuous_rows(config: RunConfig, paths: dict, rows: list[list[str]]) -> list[str]:
     """Check the first five columns of every continuous.csv row.  Row
     (speed, m), in the order of the config's speed ladder and intervals,
     must read that speed, interval m, the config's window at m, and the
-    macro count and certified loss of the path `setup.path` rebuilds for
-    that window and speed, in the text the writer gives them.  Reports a row
-    count other than speeds x intervals and the first row that differs, with
-    its columns."""
+    macro count and certified loss of the rebuilt path `paths[window,
+    speed]`, in the text the writer gives them.  Reports a row count other
+    than speeds x intervals and the first row that differs, with its
+    columns."""
     count = config.interval_count
     speeds = config.schedule.speeds
     problems: list[str] = []
@@ -630,11 +726,8 @@ def _check_continuous_rows(config: RunConfig, setup, rows: list[list[str]]) -> l
         )
     columns = CONTINUOUS_HEADER.split(",")
     expected = ((speed, m) for speed in speeds for m in range(1, count + 1))
-    paths = {}
     for i, (row, (speed, m)) in enumerate(zip(rows, expected), start=1):
         window = config.window_at(m)
-        if (window, speed) not in paths:
-            paths[window, speed] = setup.path(window, speed)
         path = paths[window, speed]
         want = (speed, m, window, path.macro_count, path.certified_loss)
         differ = [name for name, cell, value in zip(columns, row, want) if cell != _fmt(value)]
@@ -678,13 +771,17 @@ def _check_schedule_csv(config: RunConfig, path: Path, schedule) -> list[str]:
     return []
 
 
-def _check_continuous_report(report: dict, by_speed: dict[str, list[list[str]]]) -> list[str]:
+def _check_continuous_report(
+    report: dict, by_speed: dict[str, list[list[str]]], factors: dict[str, float]
+) -> list[str]:
     """Check continuous_report.json against the continuous.csv rows grouped
-    by speed, whose row count `_check_continuous_rows` checks: per speed the
-    final running mean, the monotone flag recomputed from the certified
-    losses in sorted-speed order, and the realized margin's floor."""
-    problems: list[str] = []
+    by speed, whose row count `_check_continuous_rows` checks: its schema,
+    per speed the final running mean, the monotone flag recomputed from the
+    certified losses in sorted-speed order, the certified factors rebuilt
+    from the paths (`factors`), and the realized margin's floor, with which
+    the realized flag must agree."""
     name = "continuous_report.json"
+    problems = _schema_problems(name, report, CONTINUOUS_SCHEMA)
     if {_fmt(float(v)) for v in report["speeds"]} != set(by_speed):
         return [f"{name}: speeds differ from continuous.csv"]
     for speed, group in by_speed.items():
@@ -699,10 +796,21 @@ def _check_continuous_report(report: dict, by_speed: dict[str, list[list[str]]])
     )
     if report["monotone_ok"] != monotone:
         problems.append(f"{name}: monotone_ok does not recompute from the CSV")
+    if report["certified_factors"] != factors:
+        problems.append(f"{name}: certified_factors do not recompute from the rebuilt paths")
     margin = report["realized_margin"]
     if margin is not None and margin < 1.0 - 1e-9:
         problems.append(f"{name}: realized margin {margin!r} below 1")
+    if report["realized_ok"] != (margin is None or margin >= 1.0 - 1e-9):
+        problems.append(f"{name}: realized_ok does not agree with realized_margin")
     return problems
+
+
+def _schema_problems(name: str, data: dict, schema: str) -> list[str]:
+    """A JSON artifact's schema must be the one its writer gives it."""
+    if data["schema"] != schema:
+        return [f"{name}: schema {data['schema']!r} is not {schema}"]
+    return []
 
 
 def cmd_verify(config: RunConfig, out: Path, args) -> int:

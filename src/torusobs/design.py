@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import NumericError
-from .geometry import GroupElement, PrototypeSet
+from .geometry import GroupElement, PrototypeSet, torus_displacement
 from .spectral import ModalBasis, ObservationMatrix, gamma_matrix, phase_table
 
 #: atoms with weight below this are pruned and the rest renormalized
@@ -111,6 +111,34 @@ class ConvexDesign:
         if per_axis**dim != len(self):
             return None
         return per_axis if self.shifts == _grid_shifts(per_axis, dim) else None
+
+    @cached_property
+    def cumulative_weights(self) -> np.ndarray:
+        """0, theta_0, theta_0 + theta_1, ..., ending at exactly 1.0: switching
+        slot j of a macro interval of length tau is [cum_j tau, cum_{j+1} tau)."""
+        cum = np.concatenate([[0.0], np.cumsum(self.weights)])
+        cum[-1] = 1.0  # absorb rounding so slots tile each macro interval exactly
+        cum.flags.writeable = False
+        return cum
+
+    @cached_property
+    def tour(self) -> tuple[np.ndarray, tuple[float, ...]]:
+        """The closed tour through the atoms in design order: the shortest
+        displacement of each leg, shape (J, d), and its flat length.  Leg j
+        runs from atom j to atom j + 1, the last one back to atom 0; a
+        single atom's only leg has length 0."""
+        points = np.array([a.shift.as_floats() for a in self.atoms])
+        deltas = torus_displacement(points, np.roll(points, -1, axis=0))
+        deltas.flags.writeable = False
+        return deltas, tuple(float(np.linalg.norm(delta)) for delta in deltas)
+
+    @cached_property
+    def cycle(self) -> float:
+        """The length of the tour, its legs added in order from 0.0."""
+        cycle = 0.0
+        for leg in self.tour[1]:
+            cycle += leg
+        return cycle
 
     def to_dict(self) -> dict:
         return {

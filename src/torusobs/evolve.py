@@ -39,9 +39,9 @@ broadcasting.
 
 Both realizations of a design repeat one macro template R times.  A
 continuous path dwells at the atoms in design order, joined by
-constant-speed legs; a switching schedule is the same tour with legs that
-take no time (`SwitchingSchedule` has cycle 0 and infinite speed, and its
-template lists dwells only), so one set of sums serves both.  For the
+constant-speed legs; a switching schedule is the same tour at infinite
+speed, whose legs take no time (its template lists dwells only), so one
+`schedule.Realization` and one set of sums serve both.  For the
 equal-weight grid design (J1 shifts c/J1 per axis, J = J1^d atoms, the
 tour in lexicographic order) a leg's carry level a (the slowest axis it
 moves) fixes both its direction and its duration, so the legs fall into d
@@ -85,12 +85,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .config import NumericError, check_model_mass
-from .schedule import ContinuousPath, SwitchingSchedule, torus_displacement
+from .geometry import torus_displacement
 from .spectral import ModalBasis, ObservationMatrix
+
+if TYPE_CHECKING:
+    from .schedule import Realization
 
 TWO_PI = 2.0 * math.pi
 
@@ -464,20 +468,16 @@ def expansion_interval_energy(
     return np.real(np.einsum("ip,...ipq,iq->...", coeff.conj(), base, coeff))
 
 
-#: either realization of a design: a switching schedule is the path whose
-#: legs take no time
-Realization = ContinuousPath | SwitchingSchedule
-
-
 def per_segment_sum(
     diff: np.ndarray, mode_differences: np.ndarray, path: Realization
 ) -> np.ndarray:
     """Segment integrals of one macro template summed segment by segment.
 
-    On a transit leg the position is affine in t, so the shift phase stays
-    a complex exponential e^{i rate (t - t1)} that folds into the slot
-    integral; any design, and either realization (a switching template has
-    dwells only).  `mode_differences` holds n_i - n_k, shape (dim, dim, d).
+    On a segment the position is affine in t, so the shift phase stays a
+    complex exponential e^{i rate (t - t1)} that folds into the slot
+    integral; a dwell is the segment of rate 0.  Any design, at any speed
+    (a switching template has dwells only).  `mode_differences` holds
+    n_i - n_k, shape (dim, dim, d).
     """
     # 2 pi (n_i - n_k), lifted to the (mode, branch, mode, branch) axes
     mdiff = TWO_PI * mode_differences[:, None, :, None, :]
@@ -487,13 +487,8 @@ def per_segment_sum(
         if width <= 0.0:
             continue
         position = np.exp(-1j * (mdiff @ np.asarray(seg.position, dtype=float)))
-        if seg.kind == "dwell":
-            local = phase_integral(diff, seg.offset_start, width)
-        else:
-            rate = -(mdiff @ np.asarray(seg.velocity, dtype=float))
-            local = np.exp(1j * diff * seg.offset_start) * phase_integral(
-                diff + rate, 0.0, width
-            )
+        rate = -(mdiff @ np.asarray(seg.velocity, dtype=float))
+        local = np.exp(1j * diff * seg.offset_start) * phase_integral(diff + rate, 0.0, width)
         total += position * local
     return total
 

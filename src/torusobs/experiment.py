@@ -12,12 +12,13 @@ with continuous speed-bounded paths in place of switching.
 Every interval's energy comes from one observation matrix, Gamma(0) on the
 simulation basis, built once per run: shifted matrices are phase products of
 it, and the atoms of the equal-weight grid designs are summed in closed form.
-A switching schedule is summed as the path whose legs take no time, by the
-same `path_template` as the continuous paths.  One `ProtocolSetup` holds
+Both realizations are one `schedule.Realization`: a switching schedule is
+the continuous path at infinite speed, whose legs take no time, and is
+summed by the same `path_template`.  One `ProtocolSetup` holds
 everything the intervals share, and each interval's kernel is built once:
 the observed, windowed and tail energies are three quadratic forms of it.
 In the continuous rerun every interval of one window runs the same path at
-a given speed, so that path's template is built once per (window, speed)
+a given speed, so that path's template sum is built once per (window, speed)
 and moved to each interval by one phase e^{i D t}.  Every kernel of a run
 reads one table of the distinct frequency differences D of the datum's
 expansion (`ProtocolSetup.differences`), built once.  The full-torus
@@ -47,12 +48,7 @@ from .evolve import (
     shifted_energies,
     shifted_kernel,
 )
-from .schedule import (
-    ContinuousPath,
-    SwitchingSchedule,
-    build_continuous,
-    build_switching,
-)
+from .schedule import Realization, build_continuous, build_switching
 from .spectral import (
     CalibrationConstants,
     ModalBasis,
@@ -158,8 +154,10 @@ class ProtocolSetup:
     unshifted observation matrix; and the frequency differences of `alpha`
     (`differences`), which every kernel of the run reads.  Windowing masks
     coefficients only, so every part shares `alpha`.  `schedule` is the one
-    place an interval's switching schedule is built, and `path` the one
-    place a window's continuous path is; neither reads the lazy parts.
+    place an interval's switching realization is built, and `path` the one
+    place a window's continuous one is; both share the design's tour and
+    cumulative weights, built once per design, and neither reads the lazy
+    parts.
     """
 
     config: RunConfig
@@ -218,7 +216,7 @@ class ProtocolSetup:
     def differences(self) -> DifferenceTable:
         return DifferenceTable.build(self.alpha, self.basis.mode_differences)
 
-    def schedule(self, index: int) -> SwitchingSchedule:
+    def schedule(self, index: int) -> Realization:
         """Switching schedule of interval `index` (1-based): the design of the
         interval's window, sized to the interval's loss target."""
         duration = self.config.duration
@@ -230,7 +228,7 @@ class ProtocolSetup:
             self.config.tolerance_at(index),
         )
 
-    def path(self, window: int, speed: float) -> ContinuousPath:
+    def path(self, window: int, speed: float) -> Realization:
         """Continuous path of `window`'s design at `speed` over [0, duration]:
         the paths of one window's intervals differ only in t_start, which
         the energies take as a phase."""

@@ -82,6 +82,11 @@ class GroupElement:
         return np.array([float(s) for s in self.shift], dtype=float)
 
 
+def torus_displacement(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Shortest signed per-axis displacement from a to b on the unit torus."""
+    return (b - a + 0.5) % 1.0 - 0.5
+
+
 def _normalize_axis(a: Fraction, b: Fraction) -> list[AxisInterval]:
     """Reduce [a, b) mod 1 to one or two non-wrapping intervals.
 

@@ -114,15 +114,16 @@ def simpson_schedule_energy(datum, schedule, gammas,
     every one of the R * J slots is integrated even at R ~ 10^5.
     """
     tau = schedule.macro_length
+    cum = schedule.design.cumulative_weights
     total = 0.0
     for first in range(0, schedule.macro_count, chunk):
         r = np.arange(first, min(first + chunk, schedule.macro_count))
         for j in range(schedule.atom_count):
-            width = (schedule.cum[j + 1] - schedule.cum[j]) * tau
+            width = (cum[j + 1] - cum[j]) * tau
             if width <= 0.0:
                 continue
             local = np.linspace(0.0, width, nodes_per_slot)
-            starts = schedule.t_start + (r + schedule.cum[j]) * tau
+            starts = schedule.t_start + (r + cum[j]) * tau
             ts = starts[:, None] + local[None, :]
             v = output_matrix(datum, ts.ravel()).reshape(*ts.shape, -1)
             vals = np.real(np.einsum("sti,ij,stj->st", v.conj(), gammas[j].entries, v))
@@ -273,9 +274,10 @@ def switching_slots(schedule, count: int | None = None,
     """Micro slots first .. first + count - 1 of a switching schedule (to the
     last one by default) as (start, end, atom), in (macro, atom) order.  Slot
     (r, j) runs from (t_start + r tau) + cum_j tau to
-    (t_start + r tau) + cum_{j+1} tau, each evaluated in Python floats."""
+    (t_start + r tau) + cum_{j+1} tau, with cum the design's cumulative
+    weights, each evaluated in Python floats."""
     tau = schedule.macro_length
-    cum = [float(c) for c in schedule.cum]
+    cum = schedule.design.cumulative_weights.tolist()
     atoms = len(cum) - 1
     stop = schedule.macro_count * atoms
     if count is not None:

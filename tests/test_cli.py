@@ -31,6 +31,7 @@ from torusobs.cli import (
     SCHEDULE_BLOCK,
     SCHEDULE_VERSION,
     SERIES_HEADER,
+    _boundaries,
     _fmt,
     _schedule_lines,
     _write_json,
@@ -362,12 +363,13 @@ def test_boundaries_are_the_slot_times_of_micro_interval():
     # and the oracle's slots run from cell to cell
     schedule = prepare_protocol(quick_config(interval_count=200)).schedule(200)
     R, J, tau = schedule.macro_count, schedule.atom_count, schedule.macro_length
+    cum = schedule.design.cumulative_weights.tolist()
     for first in (0, R - 3):
-        grid = schedule.boundaries(first, 3)
+        grid = _boundaries(schedule, first, 3)
         assert grid.shape == (3, J + 1)
         for r, row in zip(range(first, first + 3), grid.tolist()):
-            assert row == [(schedule.t_start + r * tau) + float(c) * tau for c in schedule.cum]
-            assert schedule.boundaries(r, 1).tolist() == [row]
+            assert row == [(schedule.t_start + r * tau) + c * tau for c in cum]
+            assert _boundaries(schedule, r, 1).tolist() == [row]
             assert oracles.switching_slots(schedule, J, r * J) == [
                 (row[j], row[j + 1], j) for j in range(J)
             ]
@@ -571,14 +573,28 @@ def cut_first_series_row(out):
 META_DIFFERS = "run_meta.json: differs from the config and the recomputed calibration"
 
 
-def set_meta(key, scale=None, value=None):
+def set_json(name, *keys, scale=None, value=None):
+    """An edit of the JSON artifact `name` at the nested `keys`."""
+
     def edit(out):
-        path = out / "run_meta.json"
-        meta = strict_json(path)
-        meta[key] = meta[key] * scale if scale is not None else value
-        _write_json(path, meta)
+        path = out / name
+        payload = strict_json(path)
+        parent = payload
+        for key in keys[:-1]:
+            parent = parent[key]
+        old = parent[keys[-1]]
+        parent[keys[-1]] = old * scale if scale is not None else value
+        _write_json(path, payload)
 
     return edit
+
+
+def set_meta(key, scale=None, value=None):
+    return set_json("run_meta.json", key, scale=scale, value=value)
+
+
+def set_meta_tail(key, scale=None, value=None):
+    return set_json("run_meta.json", "tail_reduction", key, scale=scale, value=value)
 
 
 @pytest.mark.parametrize(
@@ -613,6 +629,152 @@ def test_verify_checks_series_and_run_meta_against_the_config(tmp_path, capsys, 
     config = write_config(tmp_path)
     out = tmp_path / "out"
     assert main(["experiment", "--config", str(config), "--out", str(out)]) == 0
+    edit(out)
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_verify_reports_a_run_meta_fault_under_run_meta_only(tmp_path, capsys):
+    # run_meta.json is parsed once; series.csv's energy ceiling, which reads
+    # its energy, is skipped when it does not parse
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(config), "--out", str(out)]) == 0
+    set_meta("energy", value="x")(out)
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("verify: ") == 1
+    assert "verify: run_meta.json: unreadable" in err and "series.csv" not in err
+
+
+@pytest.mark.parametrize(
+    "name", ["design_K1.json", "calibration.json", "run_meta.json", "continuous_report.json"]
+)
+def test_verify_requires_each_json_artifacts_schema(tmp_path, capsys, name):
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    for command in ("experiment", "continuous"):
+        assert main([command, "--config", str(config), "--out", str(out)]) == 0
+    schema = strict_json(out / name)["schema"]
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 0
+    set_json(name, "schema", value=schema.replace("/", "/9"))(out)
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"{name}: schema {schema.replace('/', '/9')!r} is not {schema}" in err
+
+
+@pytest.mark.parametrize(
+    "value", [5, {}, config_dict(interval_count=5)], ids=["number", "empty", "other-config"]
+)
+def test_verify_requires_run_meta_to_hold_the_loaded_config(tmp_path, capsys, value):
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(config), "--out", str(out)]) == 0
+    assert strict_json(out / "run_meta.json")["config"] == config_dict()
+    set_meta("config", value=value)(out)
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
+    assert "run_meta.json: config is not the loaded config" in capsys.readouterr().err
+
+
+TAIL_DIFFERS = "run_meta.json: tail_reduction does not recompute from series.csv"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (set_meta_tail("upper_margin", scale=1.0 + 2**-50), f"{TAIL_DIFFERS} (upper_margin)"),
+        (set_meta_tail("upper_ok", value=False), f"{TAIL_DIFFERS} (upper_ok)"),
+        (set_meta_tail("tail_mean", scale=1.0 + 2**-50), f"{TAIL_DIFFERS} (tail_mean)"),
+        (set_meta_tail("tail_fraction", scale=0.5), f"{TAIL_DIFFERS} (tail_fraction)"),
+        (set_meta_tail("reference_bound", scale=2.0), f"{TAIL_DIFFERS} (reference_bound)"),
+        (set_meta_tail("best_bound", scale=1.0 + 2**-50), f"{TAIL_DIFFERS} (best_bound)"),
+        (set_meta_tail("lower_margin", value=0.5), f"{TAIL_DIFFERS} (lower_ok)"),
+        (set_meta_tail("lower_ok", value=False), f"{TAIL_DIFFERS} (lower_ok)"),
+        (set_meta_tail("eta_bounds", value=[]), "run_meta.json: unreadable"),
+        (set_meta("tail_reduction", value=5), "run_meta.json: unreadable"),
+    ],
+    ids=[
+        "upper-margin", "upper-ok", "tail-mean", "tail-fraction", "reference-bound",
+        "best-bound", "lower-margin", "lower-ok", "eta-bounds", "report",
+    ],
+)
+def test_verify_recomputes_the_tail_reduction_report(tmp_path, capsys, edit, message):
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(config), "--out", str(out)]) == 0
+    edit(out)
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert message in err and "verify: series.csv" not in err
+
+
+def test_verify_fails_a_consistent_but_false_lower_flag(tmp_path, capsys):
+    # a margin below 1 with its false flag recomputes, and is still a problem
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(config), "--out", str(out)]) == 0
+    set_meta_tail("lower_margin", value=0.5)(out)
+    set_meta_tail("lower_ok", value=False)(out)
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "run_meta.json: tail_reduction.lower_ok is false" in err
+    assert TAIL_DIFFERS not in err
+
+
+VERIFICATION_DIFFERS = "design_K1.json: verification does not recompute"
+
+
+def set_verification(key, scale=None, value=None):
+    return set_json("design_K1.json", "verification", key, scale=scale, value=value)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (set_verification("trials", value=99), f"{VERIFICATION_DIFFERS} (trials)"),
+        (set_verification("seed", value=1), f"{VERIFICATION_DIFFERS} (seed)"),
+        (
+            set_verification("matrix_residual", scale=1.0 + 2**-50),
+            f"{VERIFICATION_DIFFERS} (matrix_residual)",
+        ),
+        (
+            set_verification("max_scalar_deviation", value=1e-9),
+            f"{VERIFICATION_DIFFERS} (max_scalar_deviation)",
+        ),
+        (set_json("design_K1.json", "verification", value=5), "design_K1.json: unreadable"),
+    ],
+    ids=["trials", "seed", "matrix-residual", "max-scalar-deviation", "verification"],
+)
+def test_verify_checks_a_design_files_verification(tmp_path, capsys, edit, message):
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(config), "--out", str(out)]) == 0
+    edit(out)
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (
+            set_json("continuous_report.json", "certified_factors", "10000.0", scale=0.5),
+            "continuous_report.json: certified_factors do not recompute from the rebuilt paths",
+        ),
+        (
+            set_json("continuous_report.json", "certified_factors", value={}),
+            "continuous_report.json: certified_factors do not recompute from the rebuilt paths",
+        ),
+        (
+            set_json("continuous_report.json", "realized_ok", value=False),
+            "continuous_report.json: realized_ok does not agree with realized_margin",
+        ),
+    ],
+    ids=["factor", "factors", "realized-ok"],
+)
+def test_verify_recomputes_the_continuous_certificates(tmp_path, capsys, edit, message):
+    config, out = continuous_run(tmp_path)
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 0
     edit(out)
     assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
     assert message in capsys.readouterr().err

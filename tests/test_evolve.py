@@ -48,7 +48,7 @@ from torusobs.evolve import (
     shifted_energies,
     shifted_kernel,
 )
-from torusobs.schedule import torus_displacement
+from torusobs.geometry import torus_displacement
 
 T1 = TorusSpace(1)
 T2 = TorusSpace(2)

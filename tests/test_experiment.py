@@ -546,3 +546,78 @@ def test_continuous_rerun_builds_one_template_per_window_run(monkeypatch, window
 def test_continuous_rerun_needs_a_speed():
     with pytest.raises(ValueError):
         continuous_protocol_delta(quick_config(interval_count=1), speeds=())
+
+
+def desk_config() -> RunConfig:
+    """The 1D desk run of the benchmark: 100 intervals over 7 windows,
+    rerun at 3 speeds."""
+    return quick_config(
+        model="wave",
+        sim_window=8,
+        interval_count=100,
+        windows={"kind": "stride", "stride": 5, "cap": 7},
+        datum={"window": 8, "decay": "power", "decay_power": 2.0, "seed": 0},
+        schedule={"speeds": [100.0, 1000.0, 10000.0]},
+    )
+
+
+def count_builds(monkeypatch, name: str) -> list:
+    """Replace the cached `ConvexDesign.<name>` by one that records the
+    design each time it is built."""
+    from functools import cached_property
+
+    from torusobs.design import ConvexDesign
+
+    built = []
+    real = ConvexDesign.__dict__[name].func
+
+    def build(design):
+        built.append(design)
+        return real(design)
+
+    counted = cached_property(build)
+    counted.__set_name__(ConvexDesign, name)
+    monkeypatch.setattr(ConvexDesign, name, counted)
+    return built
+
+
+def test_tour_and_cumulative_weights_are_built_once_per_design(monkeypatch):
+    # 100 switching realizations and 21 continuous ones of the desk run's 7
+    # designs: each design builds its tour once and no realization builds a
+    # template; the schedule text of every interval reads each design's
+    # cumulative weights, built once
+    from torusobs import cli, schedule
+
+    tours = count_builds(monkeypatch, "tour")
+    weights = count_builds(monkeypatch, "cumulative_weights")
+    realizations = []
+
+    def no_segment(*args):
+        raise AssertionError("a grid design's realization built a PathSegment")
+
+    def recording(real):
+        def build(*args):
+            realizations.append(real(*args))
+            return realizations[-1]
+
+        return build
+
+    for name in ("build_switching", "build_continuous"):
+        monkeypatch.setattr(experiment, name, recording(getattr(experiment, name)))
+    monkeypatch.setattr(schedule, "PathSegment", no_segment)
+    config = desk_config()
+
+    series = run_protocol(config)
+    assert len(series.setup.designs) == 7 and len(realizations) == 100
+    assert sorted(map(id, tours)) == sorted(map(id, series.setup.designs.values()))
+    assert weights == []
+
+    report = continuous_protocol_delta(config, config.schedule.speeds)
+    assert report.realized_ok and len(realizations) == 100 + 21
+    assert len(tours) == len(set(map(id, tours))) == 7 + 7
+    assert all("template" not in vars(r) for r in realizations)
+
+    setup = series.setup
+    for m in range(1, config.interval_count + 1):
+        "".join(cli._schedule_lines(setup.schedule(m), 10))
+    assert sorted(map(id, weights)) == sorted(map(id, setup.designs.values()))

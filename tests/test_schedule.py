@@ -1,4 +1,5 @@
-"""Switching schedules and speed-bounded continuous observer paths."""
+"""Realizations of a design: switching schedules and speed-bounded
+continuous observer paths, one type at infinite and finite speed."""
 
 import math
 
@@ -8,6 +9,7 @@ import pytest
 import oracles
 from torusobs import (
     PrototypeSet,
+    Realization,
     SpeedTooLow,
     TorusSpace,
     build_basis,
@@ -170,8 +172,9 @@ def test_position_is_periodic_across_macro_intervals():
 @pytest.mark.parametrize("dim,cutoff", [(1, 0), (1, 1), (1, 3), (2, 1), (2, 2)])
 def test_each_tour_leg_is_computed_once(monkeypatch, dim, cutoff):
     # the cycle is bitwise the oracle's leg loop, and the legs' displacements are
-    # formed once, in one call, and shared by the cycle and the transits
-    from torusobs import schedule
+    # formed once per design, in one call, and shared by the cycle, the
+    # transits and every realization of the design at any speed
+    from torusobs import design as design_module
 
     space = TorusSpace(dim)
     boxes = [(0, "1/4")] if dim == 1 else [[(0, "1/2"), ("1/8", "5/8")]]
@@ -182,14 +185,68 @@ def test_each_tour_leg_is_computed_once(monkeypatch, dim, cutoff):
         calls.append(1)
         return torus_displacement(a, b)
 
-    monkeypatch.setattr(schedule, "torus_displacement", counted)
+    monkeypatch.setattr(design_module, "torus_displacement", counted)
     path = build_continuous(design, (0.0, 1.0), 1e4, WAVE_RATE)
+    slow = build_continuous(design, (3.0, 1.0), 1e3, WAVE_RATE)
+    schedule = build_switching(design, (0.0, 1.0), WAVE_RATE, 0.2)
+    for realization in (path, slow, schedule):
+        realization.template
     assert len(calls) == 1
     monkeypatch.undo()
     shifts = [a.shift.as_floats() for a in design.atoms]
-    assert path.cycle == oracles.cycle_length(shifts)
+    assert path.cycle == schedule.cycle == oracles.cycle_length(shifts)
     transits = [seg for seg in path.template if seg.kind == "transit"]
     assert len(transits) == (len(design) if len(design) > 1 else 0)
+
+
+# ---------------------------------------------------------------- one realization type
+
+
+def test_both_constructors_return_a_realization_without_a_template():
+    _, _, design = quarter_design()
+    schedule = build_switching(design, (0.0, 1.0), WAVE_RATE, 0.2)
+    path = build_continuous(design, (0.0, 1.0), 50.0, WAVE_RATE)
+    for realization in (schedule, path):
+        assert type(realization) is Realization
+        # the template is built on first read, never by a constructor
+        assert "template" not in vars(realization)
+    assert path.speed == 50.0 and math.isfinite(path.speed)
+
+
+def test_a_switching_schedule_is_the_realization_at_infinite_speed():
+    _, _, design = quarter_design()
+    schedule = build_switching(design, (2.0, 1.0), WAVE_RATE, 0.2)
+    assert schedule.speed == math.inf
+    # the design's cycle, run in no time: the dwells fill the macro interval
+    assert schedule.cycle == design.cycle > 0.0
+    assert schedule.cycle / schedule.speed == 0.0
+    tau = schedule.macro_length
+    assert [seg.kind for seg in schedule.template] == ["dwell"] * len(design)
+    assert [seg.atom_index for seg in schedule.template] == list(range(len(design)))
+    assert all(seg.velocity == (0.0,) for seg in schedule.template)
+    assert schedule.template[0].offset_start == 0.0
+    assert schedule.template[-1].offset_end == tau
+    cum = design.cumulative_weights
+    for j, seg in enumerate(schedule.template):
+        assert seg.position == tuple(design.shifts[j].as_floats().tolist())
+        # the offsets are the slot boundaries cum_j tau up to the last bit
+        assert seg.offset_start == pytest.approx(cum[j] * tau, rel=1e-15, abs=1e-18)
+        assert seg.offset_end == pytest.approx(cum[j + 1] * tau, rel=1e-15, abs=1e-18)
+
+
+def test_the_design_caches_its_cumulative_weights_read_only():
+    _, _, design = quarter_design()
+    cum = design.cumulative_weights
+    assert cum is design.cumulative_weights
+    assert cum[0] == 0.0 and cum[-1] == 1.0
+    assert np.allclose(np.diff(cum), design.weights, rtol=0.0, atol=1e-15)
+    with pytest.raises(ValueError):
+        cum[1] = 0.5
+    deltas, legs = design.tour
+    assert design.tour[0] is deltas
+    with pytest.raises(ValueError):
+        deltas[0] = 0.0
+    assert len(legs) == len(design)
 
 
 def test_single_atom_path_never_moves():
