@@ -15,6 +15,14 @@ All artifacts are bitwise-reproducible from (config, seed): floats are
 emitted with round-trip repr formatting, JSON keys are sorted, and no
 timestamps or machine identifiers are written.  Exit codes: 0 ok, 2 config
 error, 3 numeric/infeasibility failure.
+
+Each artifact has one builder, which its writer and `verify` both call: the
+rows or payload of the artifact, from the config, the quantities the config
+determines and the energies.  `verify` calls it on what it rebuilds from the
+config and on the energies the artifacts store, and requires the file to
+equal the result, text for text or key for key.  The stored energies and
+the tail report's split fields are what it takes on trust, with a design's
+scalar deviation, which only its matrix residual bounds.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -76,10 +85,19 @@ def _write_csv(path: Path, version: str, header: str, rows) -> None:
 
 
 def _read_csv(path: Path, version: str, header: str) -> list[list[str]]:
-    lines = path.read_text().splitlines()
-    if len(lines) < 2 or lines[0] != version or lines[1] != header:
+    """The data rows of a CSV artifact, split into cells, each row of the
+    header's width.  Lines must end in a bare newline, as the writer ends
+    them, so equal cells mean equal text."""
+    with path.open(encoding="ascii", newline="") as fh:
+        lines = fh.read().split("\n")
+    if len(lines) < 3 or lines[0] != version or lines[1] != header or lines[-1]:
         raise ValueError(f"{path.name}: unrecognized layout")
-    return [line.split(",") for line in lines[2:] if line]
+    width = header.count(",") + 1
+    rows = [line.split(",") for line in lines[2:-1]]
+    for i, row in enumerate(rows, start=1):
+        if len(row) != width:
+            raise ValueError(f"row {i} has {len(row)} cells, not {width}")
+    return rows
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -135,27 +153,28 @@ def _build_design(config: RunConfig, basis, prototype) -> ConvexDesign:
     return caratheodory_reduce(design, basis, prototype)
 
 
+def _design_payload(design, verification) -> dict:
+    """design_K{cutoff}.json: the design and its verification."""
+    return {"schema": DESIGN_SCHEMA, **design.to_dict(), "verification": verification.to_dict()}
+
+
 def _write_design(out: Path, design, basis, prototype) -> Path:
     """Verify the design on `basis` and write it, with the verification, as
     design_K{cutoff}.json."""
     from .design import verify_design
 
-    verification = verify_design(design, basis, prototype)
     path = out / f"design_K{basis.cutoff}.json"
-    _write_json(
-        path,
-        {
-            "schema": DESIGN_SCHEMA,
-            **design.to_dict(),
-            "verification": verification.to_dict(),
-        },
-    )
+    _write_json(path, _design_payload(design, verify_design(design, basis, prototype)))
     return path
+
+
+def _calibration_payload(constants) -> dict:
+    return {"schema": CALIBRATION_SCHEMA, **constants.to_dict()}
 
 
 def _write_calibration(out: Path, constants) -> Path:
     path = out / "calibration.json"
-    _write_json(path, {"schema": CALIBRATION_SCHEMA, **constants.to_dict()})
+    _write_json(path, _calibration_payload(constants))
     return path
 
 
@@ -170,8 +189,6 @@ def cmd_design(config: RunConfig, out: Path, args) -> int:
         f"design cutoff={config.design.cutoff} atoms={len(design)} "
         f"residual={design.residual:.3e} -> {path}"
     )
-    if args.check:
-        return _verify_out(config, out)
     return 0
 
 
@@ -182,8 +199,6 @@ def cmd_calibrate(config: RunConfig, out: Path, args) -> int:
         f"calibration model={config.model} lower={constants.lower!r} "
         f"upper={constants.upper!r} -> {path}"
     )
-    if args.check:
-        return _verify_out(config, out)
     return 0
 
 
@@ -289,9 +304,48 @@ def cmd_schedule(config: RunConfig, out: Path, args) -> int:
     index = config.schedule.interval
     path = _write_schedule(config, out, index, prepare_protocol(config).schedule(index))
     print(f"schedule interval={index} -> {path}")
-    if args.check:
-        return _verify_out(config, out)
     return 0
+
+
+def _series_rows(config: RunConfig, observed: np.ndarray, windowed: np.ndarray) -> list:
+    """series.csv: interval m, its window and tolerance, its energy Q_m, the
+    running mean A_N and the windowed energy E_leK, one row per energy."""
+    from .experiment import running_means
+
+    return [
+        (m, config.window_at(m), config.tolerance_at(m), value, mean, below)
+        for m, value, mean, below in zip(
+            itertools.count(1), observed.tolist(), running_means(observed).tolist(),
+            windowed.tolist(),
+        )
+    ]
+
+
+def _run_meta(config: RunConfig, constants, energy, means, bound, tail: dict) -> dict:
+    """run_meta.json: the config and its fields, the calibration constants,
+    the conserved energy, the reference bound, the final running mean with
+    its ratio to the bound, the last quarter's least mean, and the
+    tail-reduction report."""
+    from .experiment import final_quarter_minimum, final_ratio
+
+    final_mean = float(means[-1])
+    return {
+        "schema": RUN_SCHEMA,
+        "config": config.source,
+        "model": config.model,
+        "mass": config.mass,
+        "measure": config.measure,
+        "duration": config.duration,
+        "energy": energy,
+        "lower_constant": constants.lower,
+        "upper_constant": constants.upper,
+        "reference_bound": bound,
+        "interval_count": config.interval_count,
+        "final_mean": final_mean,
+        "final_ratio": final_ratio(final_mean, bound),
+        "final_quarter_minimum": final_quarter_minimum(means),
+        "tail_reduction": tail,
+    }
 
 
 def cmd_experiment(config: RunConfig, out: Path, args) -> int:
@@ -301,62 +355,49 @@ def cmd_experiment(config: RunConfig, out: Path, args) -> int:
     series = run_protocol(config)
     report = tail_reduction_check(series)
 
-    _write_csv(out / "series.csv", SERIES_VERSION, SERIES_HEADER, series.to_rows())
+    rows = _series_rows(config, series.observed, series.windowed)
+    _write_csv(out / "series.csv", SERIES_VERSION, SERIES_HEADER, rows)
     _write_calibration(out, series.constants)
     setup = series.setup
     for window, design in sorted(setup.designs.items()):
         _write_design(out, design, build_basis(config.space(), window), config.prototype())
     for index in config.schedule.emit_intervals:
         _write_sidecar(out, index, setup.schedule(index))
-
-    final_ratio = series.final_mean / series.reference_bound
-    _write_json(
-        out / "run_meta.json",
-        {
-            "schema": RUN_SCHEMA,
-            "config": config.source,
-            "model": series.model,
-            "mass": series.mass,
-            "measure": series.measure,
-            "duration": series.duration,
-            "energy": series.energy,
-            "lower_constant": series.constants.lower,
-            "upper_constant": series.constants.upper,
-            "reference_bound": series.reference_bound,
-            "interval_count": len(series.records),
-            "final_mean": series.final_mean,
-            "final_ratio": final_ratio,
-            "final_quarter_minimum": series.final_quarter_minimum,
-            "tail_reduction": report.to_dict(),
-        },
+    meta = _run_meta(
+        config, series.constants, series.energy, series.running_means,
+        series.reference_bound, report.to_dict(),
     )
-    print(f"final running-mean ratio: {final_ratio!r}")
+    _write_json(out / "run_meta.json", meta)
+    print(f"final running-mean ratio: {meta['final_ratio']!r}")
     if not (report.upper_ok and report.lower_ok and all(report.split_ok.values())):
         print("tail-reduction hypotheses FAILED", file=sys.stderr)
         return 3
-    if args.check:
-        return _verify_out(config, out)
     return 0
+
+
+def _continuous_rows(config: RunConfig, paths: dict, observed: dict) -> list[tuple]:
+    """continuous.csv: per speed of `observed`, in ladder order, interval
+    m, its window, the macro count and certified loss of that window's path
+    at the speed, and the interval's energy and running mean."""
+    from .experiment import running_means
+
+    rows = []
+    for speed, column in observed.items():
+        means = running_means(column).tolist()
+        for m, value, mean in zip(itertools.count(1), column.tolist(), means):
+            window = config.window_at(m)
+            path = paths[window, speed]
+            rows.append(
+                (speed, m, window, path.macro_count, path.certified_loss, value, mean)
+            )
+    return rows
 
 
 def cmd_continuous(config: RunConfig, out: Path, args) -> int:
     from .experiment import continuous_protocol_delta
 
     report = continuous_protocol_delta(config, config.schedule.speeds)
-    rows = []
-    for speed in report.speeds:
-        for rec in report.records[speed]:
-            rows.append(
-                (
-                    speed,
-                    rec.index,
-                    rec.window,
-                    rec.macro_count,
-                    rec.certified_loss,
-                    rec.observed,
-                    rec.running_mean,
-                )
-            )
+    rows = _continuous_rows(config, report.paths, report.observed)
     _write_csv(out / "continuous.csv", CONTINUOUS_VERSION, CONTINUOUS_HEADER, rows)
     _write_json(
         out / "continuous_report.json",
@@ -369,8 +410,6 @@ def cmd_continuous(config: RunConfig, out: Path, args) -> int:
     if not (report.monotone_ok and report.realized_ok):
         print("continuous-path certificates FAILED", file=sys.stderr)
         return 3
-    if args.check:
-        return _verify_out(config, out)
     return 0
 
 
@@ -379,16 +418,310 @@ def _near(stored: float, fresh: float) -> bool:
     return abs(stored - fresh) <= 1e-12 * max(1.0, abs(fresh))
 
 
-#: the artifacts `verify_artifacts` checks; any one of them makes a directory
-#: worth verifying (continuous_report.json is checked with continuous.csv)
-VERIFIED_ARTIFACTS = (
-    "design_K*.json",
-    "calibration.json",
-    "series.csv",
-    "run_meta.json",
-    "schedule_m*.json",
-    "schedule_m*.csv",
-    "continuous.csv",
+def _leaves(path: str, have, want, near: bool) -> list[str]:
+    """`[path]` if `have` differs from `want` as JSON text, so that 1 differs
+    from 1.0 and true from 1.  With `near`, floats are compared within
+    `_near`, and lists and mappings of `want`'s shape leaf by leaf, each
+    differing leaf named by its path."""
+    if near and isinstance(want, float) and isinstance(have, float):
+        return [] if _near(have, want) else [path]
+    if near and isinstance(want, list) and isinstance(have, list) and len(have) == len(want):
+        items = [(f"{path}[{i}]", *pair) for i, pair in enumerate(zip(have, want))]
+    elif near and isinstance(want, dict) and isinstance(have, dict) and have.keys() == want.keys():
+        items = [(f"{path}.{key}", have[key], want[key]) for key in want]
+    else:
+        return [] if json.dumps(have, sort_keys=True) == json.dumps(want, sort_keys=True) else [path]
+    return [leaf for item in items for leaf in _leaves(*item, near)]
+
+
+def _differ(have: dict, want: dict, near=()) -> list[str]:
+    """The keys of `want`, then those only `have` holds, whose values differ
+    (`_leaves`, near for the keys in `near`).  `have` that is not a mapping
+    raises."""
+    keys = [*want, *(key for key in have if key not in want)]
+    return [
+        leaf
+        for key in keys
+        for leaf in (
+            _leaves(key, have[key], want[key], key in near) if key in have and key in want
+            else [key]
+        )
+    ]
+
+
+def _compare(name: str, have: dict, want: dict, default: str, own=None, near=()) -> list[str]:
+    """Where the JSON artifact `name`'s payload `have` differs from its
+    builder's `want` (`_differ`): a key of `own` or `schema` by its own
+    message, given `have`, `want` and their differing `keys`, the rest in
+    one `default` message."""
+    messages = {"schema": "schema {have!r} is not {want}", **(own or {})}
+    problems, rest = [], []
+    for key in _differ(have, want, near):
+        if key not in messages:
+            rest.append(key)
+            continue
+        stored, fresh = have.get(key), want.get(key)
+        keys = ", ".join(_differ(stored, fresh)) if "{keys}" in messages[key] else ""
+        problems.append(f"{name}: " + messages[key].format(have=stored, want=fresh, keys=keys))
+    if rest:
+        problems.append(f"{name}: " + default.format(keys=", ".join(rest)))
+    return problems
+
+
+def _row_problems(name: str, have: list, want: list, header: str, what: str) -> list[str]:
+    """The first row of the CSV `name` whose cells are not the text its
+    builder's row `want` is written as, with the columns that differ; `what`
+    says what the row must be, with {row} its number."""
+    for i, (cells, row) in enumerate(zip(have, want), start=1):
+        differ = [
+            col for col, cell, value in zip(header.split(","), cells, row) if cell != _fmt(value)
+        ]
+        if differ:
+            return [f"{name}: row {i} {what.format(row=i)} ({', '.join(differ)})"]
+    return []
+
+
+class _Rebuilt:
+    """What `verify` rebuilds from the config, each part on first use, and
+    the energies its CSV checks read for the JSON reports beside them."""
+
+    def __init__(self, config: RunConfig):
+        self.config = config
+        self.series = None  # series.csv's (Q_m, E_leK), once read
+        self.continuous = None  # continuous.csv's per-speed energies and losses, once read
+
+    @cached_property
+    def constants(self):
+        return _calibration(self.config)
+
+    @cached_property
+    def setup(self):
+        from .experiment import prepare_protocol
+
+        return prepare_protocol(self.config)
+
+    @cached_property
+    def paths(self) -> dict:
+        setup = self.setup
+        speeds = self.config.schedule.speeds
+        return {(k, v): setup.path(k, v) for v in speeds for k in setup.designs}
+
+
+def _check_design(config: RunConfig, path: Path, state: _Rebuilt) -> list[str]:
+    """A design's atoms, on the cutoff its name gives and the prototype's
+    measure, must give its residual and its matrix residual (one atom's
+    Gamma at a time).  Its scalar deviation needs `verify_design`'s random
+    draws: it is taken as stored, within [0, matrix residual]."""
+    from .design import ConvexDesign, DesignVerification, design_of, moment_residual
+    from .spectral import build_basis, gamma_matrix
+
+    data = _read_json(path)
+    stored = ConvexDesign.from_dict(data)
+    if path.stem != f"design_K{stored.cutoff}":
+        raise ValueError(f"cutoff {stored.cutoff} is not the one its file name gives")
+    prototype = config.prototype()
+    basis = build_basis(config.space(), stored.cutoff)
+    design = design_of(stored.atoms, basis, prototype)
+    gammas = (gamma_matrix(basis, prototype, a.shift) for a in design.atoms)
+    residual = moment_residual(design.weights, gammas, design.measure)
+    deviation = min(max(data["verification"]["max_scalar_deviation"], 0.0), residual)
+    want = _design_payload(design, DesignVerification(100, 0, residual, deviation))
+    return _compare(
+        path.name, data, want, "differs from the design its atoms rebuild ({keys})",
+        own={"verification": "verification does not recompute ({keys})"},
+    )
+
+
+def _calibration(config: RunConfig):
+    from .spectral import build_basis, calibration
+
+    basis = build_basis(config.space(), config.sim_window)
+    return calibration(config.model, basis, config.mass, config.duration)
+
+
+def _check_calibration(config: RunConfig, path: Path, state: _Rebuilt) -> list[str]:
+    return _compare(
+        path.name, _read_json(path), _calibration_payload(state.constants),
+        "differs from the recomputed calibration ({keys})", near=("lower", "upper", "mode_table"),
+    )
+
+
+def _check_series(config: RunConfig, path: Path, state: _Rebuilt) -> list[str]:
+    """series.csv must be the rows of the config's intervals around its own
+    energies Q_m and E_leK, which run_meta.json is then rebuilt from."""
+    rows = _read_csv(path, SERIES_VERSION, SERIES_HEADER)
+    observed = np.array([float(row[3]) for row in rows])
+    windowed = np.array([float(row[5]) for row in rows])
+    state.series = observed, windowed
+    problems = []
+    if len(rows) != config.interval_count:
+        problems.append(f"{path.name}: {len(rows)} rows for {config.interval_count} intervals")
+    if np.any(observed < 0):
+        problems.append(f"{path.name}: negative interval energy")
+    return problems + _row_problems(
+        path.name, rows, _series_rows(config, observed, windowed), SERIES_HEADER,
+        "is not interval {row} of the config and its energies",
+    )
+
+
+RUN_META_MESSAGES = {
+    "config": "config is not the loaded config",
+    "interval_count": "interval_count {have!r} is not the config's {want}",
+    "final_mean": "final_mean is not the last A_N of series.csv",
+    "final_quarter_minimum": (
+        "final_quarter_minimum is not the least A_N of the last quarter of series.csv"
+    ),
+    "tail_reduction": "tail_reduction does not recompute from series.csv ({keys})",
+}
+
+
+def _check_run_meta(config: RunConfig, path: Path, state: _Rebuilt) -> list[str]:
+    """run_meta.json is rebuilt from the config, the recomputed calibration,
+    series.csv's energies and its own energy, reference bound and split
+    fields.  The ratios divide by its stored bound, which must itself be the
+    product of its stored measure, lower constant and energy.  A tail-report
+    verdict that recomputes false is a problem: the certificate fails."""
+    from .experiment import reference_bound, running_means, tail_report
+
+    meta = _read_json(path)
+    if state.series is None:
+        raise ValueError("no readable series.csv to rebuild it from")
+    observed, windowed = state.series
+    constants = state.constants
+    energy, bound = meta["energy"], meta["reference_bound"]
+    tail = tail_report(observed, windowed, constants.upper, energy, bound, meta["tail_reduction"])
+    want = _run_meta(config, constants, energy, running_means(observed), bound, tail)
+    want["reference_bound"] = reference_bound(meta["measure"], meta["lower_constant"], energy)
+    problems = _compare(
+        path.name, meta, want, "differs from the config and the recomputed calibration ({keys})",
+        own=RUN_META_MESSAGES, near=("lower_constant", "upper_constant"),
+    )
+    return problems + [
+        f"{path.name}: tail_reduction.{flag} is false"
+        for flag in ("upper_ok", "lower_ok") if not tail[flag]
+    ]
+
+
+def _schedule(state: _Rebuilt, path: Path, index) -> object:
+    """Interval `index`'s rebuilt schedule, for the schedule file `path`,
+    which must be named for it."""
+    if type(index) is not int or not 1 <= index <= state.config.interval_count:
+        raise ValueError(f"interval {index!r} is not in the run")
+    if path.stem != f"schedule_m{index}":
+        raise ValueError(f"interval {index} is not the one its file name gives")
+    return state.setup.schedule(index)
+
+
+def _check_sidecar(config: RunConfig, path: Path, state: _Rebuilt) -> list[str]:
+    sidecar = _read_json(path)
+    index = sidecar["interval"]
+    want = _schedule_summary(index, _schedule(state, path, index))
+    return _compare(path.name, sidecar, want, "summary differs from the rebuilt schedule ({keys})")
+
+
+def _check_schedule_csv(config: RunConfig, path: Path, state: _Rebuilt) -> list[str]:
+    """A schedule CSV, whose sidecar must be beside it, must be the text
+    `schedule` writes for the interval its name gives, compared one writer
+    chunk at a time; the first row that differs is reported, as is a file
+    that ends early or runs on past the last row."""
+    if not path.with_suffix(".json").exists():
+        raise ValueError(f"no sidecar {path.stem}.json")
+    schedule = _schedule(state, path, int(path.stem.removeprefix("schedule_m")))
+    cap = config.schedule.csv_row_cap
+    rows = min(schedule.micro_count, cap)
+    layout = f"{SCHEDULE_VERSION}\n{schedule_header(config.dim)}\n"
+    done = -2  # data rows before the chunk; the layout lines are rows -1 and 0
+    # the writer's text is ASCII; no newline translation, so line ends count
+    with path.open(encoding="ascii", newline="") as fh:
+        for chunk in itertools.chain([layout], _schedule_lines(schedule, cap)):
+            text = fh.read(len(chunk))
+            if text != chunk:
+                at = len(os.path.commonprefix([text, chunk]))
+                row = done + chunk.count("\n", 0, at) + 1
+                if row <= 0:
+                    return [f"{path.name}: unrecognized layout"]
+                if at == len(text):
+                    return [f"{path.name}: file ends after {row - 1} of {rows} rows"]
+                return [f"{path.name}: row {row} differs from the rebuilt schedule"]
+            done += chunk.count("\n")
+        if fh.read(1):
+            return [f"{path.name}: file runs on past its {rows} rows"]
+    return []
+
+
+def _check_continuous(config: RunConfig, path: Path, state: _Rebuilt) -> list[str]:
+    """continuous.csv must be the rows of the config's speed ladder and
+    intervals, with the rebuilt paths, around its own energies; the report
+    beside it is then rebuilt from them and its certified losses."""
+    rows = _read_csv(path, CONTINUOUS_VERSION, CONTINUOUS_HEADER)
+    count, speeds = config.interval_count, config.schedule.speeds
+    losses = [float(row[4]) for row in rows]
+    energies = [float(row[5]) for row in rows]
+    runs = [slice(i * count, (i + 1) * count) for i in range(len(speeds))]
+    observed = {v: np.array(energies[run]) for v, run in zip(speeds, runs)}
+    state.continuous = observed, {v: losses[run] for v, run in zip(speeds, runs)}
+    problems = [] if len(rows) == len(speeds) * count else [
+        f"{path.name}: {len(rows)} rows for {len(speeds)} speeds of {count} intervals"
+    ]
+    if not path.with_name("continuous_report.json").exists():
+        problems.append(f"{path.name}: no continuous_report.json beside it")
+    return problems + _row_problems(
+        path.name, rows, _continuous_rows(config, state.paths, observed), CONTINUOUS_HEADER,
+        "differs from the config's ladder and its rebuilt path",
+    )
+
+
+CONTINUOUS_MESSAGES = {
+    "speeds": "speeds differ from the config's ladder",
+    "certified_factors": "certified_factors do not recompute from the rebuilt paths",
+    "monotone_ok": "monotone_ok does not recompute from the CSV",
+    "realized_ok": "realized_ok does not agree with realized_margin",
+    "final_means": "final mean at speed {keys} disagrees with the CSV",
+}
+
+
+def _check_continuous_report(config: RunConfig, path: Path, state: _Rebuilt) -> list[str]:
+    """continuous_report.json is rebuilt from the rebuilt paths,
+    continuous.csv's energies and certified losses, and its own realized
+    margin, which must clear 1."""
+    from .experiment import continuous_fields
+
+    report = _read_json(path)
+    if state.continuous is None:
+        raise ValueError("no readable continuous.csv to rebuild it from")
+    margin = report["realized_margin"]
+    want = {
+        "schema": CONTINUOUS_SCHEMA,
+        **continuous_fields(config.measure, state.paths, *state.continuous, margin),
+    }
+    problems = _compare(
+        path.name, report, want, "differs from the rebuilt report ({keys})",
+        own=CONTINUOUS_MESSAGES,
+    )
+    if not want["realized_ok"]:
+        problems.append(f"{path.name}: realized margin {margin!r} below 1")
+    return problems
+
+
+#: what `verify_artifacts` checks, in order: each artifact that matches a
+#: pattern, with its checker; a CSV is checked before the JSON report
+#: rebuilt from its energies
+CHECKS = (
+    ("design_K*.json", _check_design),
+    ("calibration.json", _check_calibration),
+    ("series.csv", _check_series),
+    ("run_meta.json", _check_run_meta),
+    ("schedule_m*.json", _check_sidecar),
+    ("schedule_m*.csv", _check_schedule_csv),
+    ("continuous.csv", _check_continuous),
+    ("continuous_report.json", _check_continuous_report),
+)
+
+#: what makes an artifact unreadable: a file that cannot be read or parsed,
+#: a field of the wrong type or value, or a config it cannot be rebuilt on
+UNREADABLE = (
+    OSError, ValueError, KeyError, IndexError, TypeError, AttributeError, ArithmeticError,
+    NumericError,
 )
 
 
@@ -403,414 +736,31 @@ def _verify_out(config: RunConfig, out: Path) -> int:
 def verify_artifacts(config: RunConfig, out: Path) -> list[str]:
     """Revalidate every recognized artifact in `out` against the config.
 
-    Checks are recomputations: design residuals and verifications are
-    rebuilt one atom at a time, at the cutoff the file name gives
-    (`_check_design_file`); calibration.json is recomputed field by field;
-    run_meta.json is checked against the config and the calibration
-    (`_check_run_meta`); series.csv must list the config's intervals,
-    windows and tolerances, its running means re-derived from the stored
-    energies, and once both parse, run_meta.json's final mean,
-    final-quarter minimum and tail-reduction report must recompute from it
-    (`_check_run_meta_series`); each schedule sidecar must equal the
-    interval's rebuilt schedule bit for bit, and any CSV beside it the text
-    `schedule` writes for it; continuous.csv rows are checked against the
-    config and the rebuilt paths (`_check_continuous_rows`), their running
-    means re-derived, and continuous_report.json is checked against them
-    and the paths.  Every JSON artifact's schema must be its writer's.  The
-    stored energies themselves are not recomputed.  JSON artifacts are
-    parsed strictly, and one that cannot be parsed, or holds a field of the
-    wrong type, is reported as unreadable, under its own name only.  A
-    missing directory, or one holding none of these artifacts, is a
-    problem: there is nothing to vouch for.
+    Every artifact must equal its writer's builder applied to what `verify`
+    rebuilds from the config (designs' residuals and verifications, the
+    calibration, schedules, paths) and to the energies the artifacts store:
+    CSV files text for text, JSON files key for key, the calibration's
+    floats up to rounding (`_near`).  The stored energies and the tail
+    report's split fields are what is taken on trust, with a design's scalar
+    deviation, which only its matrix residual bounds.  Each checker of
+    `CHECKS` says what its artifact is rebuilt from.  A file that cannot be
+    read, or holds a field of the wrong type, is reported as unreadable,
+    under its own name only.  A missing directory, or one holding none of
+    these artifacts, is a problem: there is nothing to vouch for.
     """
     if not out.is_dir():
         return [f"{out}: no such directory"]
-    if not any(next(out.glob(pattern), None) for pattern in VERIFIED_ARTIFACTS):
+    found = [(path, check) for pattern, check in CHECKS for path in sorted(out.glob(pattern))]
+    if not found:
         return [f"{out}: no artifact to verify"]
+    state = _Rebuilt(config)
     problems: list[str] = []
-    constants = None  # the recomputed calibration, built on first use
-    setup = None  # the protocol's designs and bounds, built on first use
-
-    for path in sorted(out.glob("design_K*.json")):
-        problems.extend(_check_design_file(config, path))
-
-    cal_path = out / "calibration.json"
-    if cal_path.exists():
+    for path, check in found:
         try:
-            data = _read_json(cal_path)
-            problems.extend(_schema_problems(cal_path.name, data, CALIBRATION_SCHEMA))
-            constants = _calibration(config)
-            fresh = constants.to_dict()
-            differ = [key for key in ("model", "mass", "duration") if data[key] != fresh[key]]
-            differ += [key for key in ("lower", "upper") if not _near(data[key], fresh[key])]
-            for i, (row, want) in enumerate(zip(data["mode_table"], fresh["mode_table"])):
-                differ += [f"mode_table[{i}].{key}" for key in want if not _near(row[key], want[key])]
-            if len(data["mode_table"]) != len(fresh["mode_table"]):
-                differ.append("mode_table size")
-            if differ:
-                problems.append(
-                    f"calibration.json: differs from the recomputed calibration "
-                    f"({', '.join(differ)})"
-                )
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-            problems.append(f"calibration.json: unreadable ({exc})")
-
-    meta_path = out / "run_meta.json"
-    meta = None  # run_meta.json, once parsed and checked against the config
-    if meta_path.exists():
-        try:
-            if constants is None:
-                constants = _calibration(config)
-            data = _read_json(meta_path)
-            problems.extend(_check_run_meta(config, data, constants))
-            meta = data
-        except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
-            problems.append(f"run_meta.json: unreadable ({exc})")
-
-    series_path = out / "series.csv"
-    if series_path.exists():
-        try:
-            rows = _read_csv(series_path, SERIES_VERSION, SERIES_HEADER)
-            count = config.interval_count
-            if len(rows) != count:
-                problems.append(f"series.csv: {len(rows)} rows for {count} intervals")
-            for m, row in zip(range(1, count + 1), rows):
-                if row[:3] != [str(m), _fmt(config.window_at(m)), _fmt(config.tolerance_at(m))]:
-                    problems.append(f"series.csv: row {m} is not interval {m} of the config")
-                    break
-            observed = np.array([float(r[3]) for r in rows])
-            means = np.array([float(r[4]) for r in rows])
-            windowed = np.array([float(r[5]) for r in rows])
-            recomputed = np.cumsum(observed) / np.arange(1, len(observed) + 1)
-            if np.max(np.abs(recomputed - means)) > 1e-12 * max(1.0, observed.max()):
-                problems.append("series.csv: running means do not recompute")
-            if np.any(observed < 0):
-                problems.append("series.csv: negative interval energy")
-            if meta is not None:
-                ceiling = meta["upper_constant"] * meta["energy"] * (1.0 + 1e-10)
-                if np.any(observed > ceiling):
-                    problems.append("series.csv: interval energy above upper bound")
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
-            problems.append(f"series.csv: unreadable ({exc})")
-        else:
-            if meta is not None:
-                try:
-                    problems.extend(_check_run_meta_series(meta, observed, means, windowed))
-                except (ValueError, KeyError, TypeError, AttributeError) as exc:
-                    problems.append(f"run_meta.json: unreadable ({exc})")
-
-    for path in sorted(out.glob("schedule_m*.json")):
-        try:
-            sidecar = _read_json(path)
-            index = sidecar["interval"]
-            if type(index) is not int or not 1 <= index <= config.interval_count:
-                raise ValueError(f"interval {index!r} is not in the run")
-            if path.stem != f"schedule_m{index}":
-                raise ValueError(f"interval {index} is not the one its file name gives")
-            if setup is None:
-                from .experiment import prepare_protocol
-
-                setup = prepare_protocol(config)
-            schedule = setup.schedule(index)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+            problems.extend(check(config, path, state))
+        except UNREADABLE as exc:
             problems.append(f"{path.name}: unreadable ({exc})")
-            continue
-        summary = _schedule_summary(index, schedule)
-        differ = [key for key in summary if sidecar.get(key) != summary[key]]
-        if differ:
-            problems.append(
-                f"{path.name}: summary differs from the rebuilt schedule "
-                f"({', '.join(differ)})"
-            )
-        csv = path.with_suffix(".csv")
-        if csv.exists():
-            problems.extend(_check_schedule_csv(config, csv, schedule))
-    for csv in sorted(out.glob("schedule_m*.csv")):
-        if not csv.with_suffix(".json").exists():
-            problems.append(f"{csv.name}: unreadable (no sidecar {csv.stem}.json)")
-
-    cont_path = out / "continuous.csv"
-    if cont_path.exists():
-        from .schedule import SpeedTooLow
-
-        try:
-            rows = _read_csv(cont_path, CONTINUOUS_VERSION, CONTINUOUS_HEADER)
-            width = len(CONTINUOUS_HEADER.split(","))
-            for i, row in enumerate(rows, start=1):
-                if len(row) != width:
-                    raise ValueError(f"row {i} has {len(row)} cells, not {width}")
-            if setup is None:
-                from .experiment import prepare_protocol
-
-                setup = prepare_protocol(config)
-            speeds = config.schedule.speeds
-            paths = {(k, v): setup.path(k, v) for v in speeds for k in setup.designs}
-            problems.extend(_check_continuous_rows(config, paths, rows))
-            # the least factor the paths of each speed certify
-            factors = {
-                _fmt(v): min(
-                    max(config.measure - paths[k, v].certified_loss, 0.0) for k in setup.designs
-                )
-                for v in speeds
-            }
-            by_speed: dict[str, list[list[str]]] = {}
-            for r in rows:
-                by_speed.setdefault(r[0], []).append(r)
-            for speed, group in by_speed.items():
-                observed = np.array([float(r[5]) for r in group])
-                means = np.array([float(r[6]) for r in group])
-                recomputed = np.cumsum(observed) / np.arange(1, len(group) + 1)
-                if np.max(np.abs(recomputed - means)) > 1e-12 * max(
-                    1.0, float(observed.max())
-                ):
-                    problems.append(
-                        f"continuous.csv: running means do not recompute at "
-                        f"speed {speed}"
-                    )
-        except (ValueError, KeyError, SpeedTooLow) as exc:
-            problems.append(f"continuous.csv: unreadable ({exc})")
-        else:
-            try:
-                report = _read_json(out / "continuous_report.json")
-                problems.extend(_check_continuous_report(report, by_speed, factors))
-            except (OSError, ValueError, KeyError, TypeError) as exc:
-                problems.append(f"continuous_report.json: unreadable ({exc})")
-
     return problems
-
-
-def _check_design_file(config: RunConfig, path: Path) -> list[str]:
-    """Check a design_K*.json: its schema, its name gives its cutoff, its
-    measure is the config prototype's, and its residual, rebuilt one atom's
-    Gamma at a time in atom order, is no larger than the stored one.  Its
-    `verification` must hold `verify_design`'s 100 trials of seed 0, the
-    rebuilt residual exactly as its matrix residual, and a scalar deviation
-    no larger than that, which bounds it."""
-    from .design import ConvexDesign, moment_residual
-    from .spectral import build_basis, gamma_matrix
-
-    prototype = config.prototype()
-    try:
-        data = _read_json(path)
-        problems = _schema_problems(path.name, data, DESIGN_SCHEMA)
-        design = ConvexDesign.from_dict(data)
-        if path.stem != f"design_K{design.cutoff}":
-            raise ValueError(f"cutoff {design.cutoff} is not the one its file name gives")
-        basis = build_basis(config.space(), design.cutoff)
-        gammas = (gamma_matrix(basis, prototype, a.shift) for a in design.atoms)
-        fresh = moment_residual(design.weights, gammas, design.measure)
-        verification = data["verification"]
-        drawn = {"trials": 100, "seed": 0}
-        differ = [key for key, value in drawn.items() if verification[key] != value]
-        if verification["matrix_residual"] != fresh:
-            differ.append("matrix_residual")
-        if not verification["max_scalar_deviation"] <= verification["matrix_residual"]:
-            differ.append("max_scalar_deviation")
-    except (ValueError, KeyError, TypeError) as exc:
-        return [f"{path.name}: unreadable ({exc})"]
-    if abs(design.measure - prototype.measure) > 1e-12:
-        problems.append(f"{path.name}: measure differs from config prototype")
-    if fresh > design.residual + 1e-9:
-        problems.append(
-            f"{path.name}: residual recomputes to {fresh:.3e}, stored "
-            f"{design.residual:.3e}"
-        )
-    if differ:
-        problems.append(
-            f"{path.name}: verification does not recompute ({', '.join(differ)})"
-        )
-    return problems
-
-
-def _calibration(config: RunConfig):
-    from .spectral import build_basis, calibration
-
-    basis = build_basis(config.space(), config.sim_window)
-    return calibration(config.model, basis, config.mass, config.duration)
-
-
-def _check_run_meta(config: RunConfig, meta: dict, constants) -> list[str]:
-    """Check run_meta.json's schema, its config (the loaded config's
-    source), interval count, model, mass, measure and duration against the
-    config exactly, its lower and upper constants against the recomputed
-    calibration `constants`, and its reference bound and final ratio by
-    redoing `experiment`'s arithmetic on its own stored energy, constants
-    and final mean.  The energy is taken as stored."""
-    problems = _schema_problems("run_meta.json", meta, RUN_SCHEMA)
-    if meta["config"] != config.source:
-        problems.append("run_meta.json: config is not the loaded config")
-    if meta["interval_count"] != config.interval_count:
-        problems.append(
-            f"run_meta.json: interval_count {meta['interval_count']!r} is not "
-            f"the config's {config.interval_count}"
-        )
-    exact = {
-        "model": config.model,
-        "mass": config.mass,
-        "measure": config.measure,
-        "duration": config.duration,
-    }
-    near = {"lower_constant": constants.lower, "upper_constant": constants.upper}
-    differ = [key for key, value in exact.items() if meta[key] != value]
-    differ += [key for key, value in near.items() if not _near(meta[key], value)]
-    if meta["reference_bound"] != meta["measure"] * meta["lower_constant"] * meta["energy"]:
-        differ.append("reference_bound")
-    if meta["final_ratio"] != meta["final_mean"] / meta["reference_bound"]:
-        differ.append("final_ratio")
-    if differ:
-        problems.append(
-            f"run_meta.json: differs from the config and the recomputed calibration "
-            f"({', '.join(differ)})"
-        )
-    return problems
-
-
-def _check_run_meta_series(
-    meta: dict, observed: np.ndarray, means: np.ndarray, windowed: np.ndarray
-) -> list[str]:
-    """Check run_meta.json against series.csv's energies Q_m, running means
-    A_N and windowed energies E_leK: its final mean and final-quarter
-    minimum, and every field of its tail-reduction report that these and
-    its own energy and constants determine, redone bit for bit as
-    `tail_reduction_check` does it.  `best_bound` must be the largest eta
-    bound, and each flag must agree with its margin; a false lower_ok is a
-    problem, as the certificate fails."""
-    problems = []
-    if meta["final_mean"] != means[-1]:
-        problems.append("run_meta.json: final_mean is not the last A_N of series.csv")
-    if meta["final_quarter_minimum"] != means[-max(1, len(means) // 4) :].min():
-        problems.append(
-            "run_meta.json: final_quarter_minimum is not the least A_N of the "
-            "last quarter of series.csv"
-        )
-    report = meta["tail_reduction"]
-    energy = meta["energy"]
-    scale = meta["upper_constant"] * energy
-    tail_mean = float((energy - windowed).mean())
-    fresh = {
-        "upper_margin": float(observed.max() / scale),
-        "upper_ok": bool(np.all(observed <= scale * (1.0 + 1e-10))),
-        "tail_mean": tail_mean,
-        "tail_fraction": tail_mean / energy,
-        "reference_bound": meta["reference_bound"],
-        "best_bound": max(report["eta_bounds"].values()),
-    }
-    differ = [key for key, value in fresh.items() if report[key] != value]
-    margin = report["lower_margin"]
-    if report["lower_ok"] != (margin is None or margin >= 1.0 - 1e-10):
-        differ.append("lower_ok")
-    if differ:
-        problems.append(
-            f"run_meta.json: tail_reduction does not recompute from series.csv "
-            f"({', '.join(differ)})"
-        )
-    if report["lower_ok"] is not True:
-        problems.append("run_meta.json: tail_reduction.lower_ok is false")
-    return problems
-
-
-def _check_continuous_rows(config: RunConfig, paths: dict, rows: list[list[str]]) -> list[str]:
-    """Check the first five columns of every continuous.csv row.  Row
-    (speed, m), in the order of the config's speed ladder and intervals,
-    must read that speed, interval m, the config's window at m, and the
-    macro count and certified loss of the rebuilt path `paths[window,
-    speed]`, in the text the writer gives them.  Reports a row count other
-    than speeds x intervals and the first row that differs, with its
-    columns."""
-    count = config.interval_count
-    speeds = config.schedule.speeds
-    problems: list[str] = []
-    if len(rows) != len(speeds) * count:
-        problems.append(
-            f"continuous.csv: {len(rows)} rows for {len(speeds)} speeds of {count} intervals"
-        )
-    columns = CONTINUOUS_HEADER.split(",")
-    expected = ((speed, m) for speed in speeds for m in range(1, count + 1))
-    for i, (row, (speed, m)) in enumerate(zip(rows, expected), start=1):
-        window = config.window_at(m)
-        path = paths[window, speed]
-        want = (speed, m, window, path.macro_count, path.certified_loss)
-        differ = [name for name, cell, value in zip(columns, row, want) if cell != _fmt(value)]
-        if differ:
-            problems.append(
-                f"continuous.csv: row {i} differs from the config's ladder and its "
-                f"rebuilt path ({', '.join(differ)})"
-            )
-            break
-    return problems
-
-
-def _check_schedule_csv(config: RunConfig, path: Path, schedule) -> list[str]:
-    """Check a schedule CSV against the text `schedule` writes for its
-    interval's rebuilt schedule, one writer chunk at a time: equal text
-    means every cell, the row count and the line ends agree.  Reports the
-    first data row that differs, a file that ends early or runs on past
-    the last row, or a file that cannot be read."""
-    cap = config.schedule.csv_row_cap
-    rows = min(schedule.micro_count, cap)
-    layout = f"{SCHEDULE_VERSION}\n{schedule_header(config.dim)}\n"
-    done = -2  # data rows before the chunk; the layout lines are rows -1 and 0
-    try:
-        # the writer's text is ASCII; no newline translation, so line ends count
-        with path.open(encoding="ascii", newline="") as fh:
-            for chunk in itertools.chain([layout], _schedule_lines(schedule, cap)):
-                text = fh.read(len(chunk))
-                if text != chunk:
-                    at = len(os.path.commonprefix([text, chunk]))
-                    row = done + chunk.count("\n", 0, at) + 1
-                    if row <= 0:
-                        return [f"{path.name}: unrecognized layout"]
-                    if at == len(text):
-                        return [f"{path.name}: file ends after {row - 1} of {rows} rows"]
-                    return [f"{path.name}: row {row} differs from the rebuilt schedule"]
-                done += chunk.count("\n")
-            if fh.read(1):
-                return [f"{path.name}: file runs on past its {rows} rows"]
-    except (OSError, UnicodeDecodeError) as exc:
-        return [f"{path.name}: unreadable ({exc})"]
-    return []
-
-
-def _check_continuous_report(
-    report: dict, by_speed: dict[str, list[list[str]]], factors: dict[str, float]
-) -> list[str]:
-    """Check continuous_report.json against the continuous.csv rows grouped
-    by speed, whose row count `_check_continuous_rows` checks: its schema,
-    per speed the final running mean, the monotone flag recomputed from the
-    certified losses in sorted-speed order, the certified factors rebuilt
-    from the paths (`factors`), and the realized margin's floor, with which
-    the realized flag must agree."""
-    name = "continuous_report.json"
-    problems = _schema_problems(name, report, CONTINUOUS_SCHEMA)
-    if {_fmt(float(v)) for v in report["speeds"]} != set(by_speed):
-        return [f"{name}: speeds differ from continuous.csv"]
-    for speed, group in by_speed.items():
-        if report["final_means"][speed] != float(group[-1][6]):
-            problems.append(f"{name}: final mean at speed {speed} disagrees with the CSV")
-    ladder = sorted(by_speed, key=float)
-    losses = {v: [float(r[4]) for r in by_speed[v]] for v in ladder}
-    monotone = all(
-        hi <= lo * (1.0 + 1e-12)
-        for slow, fast in zip(ladder, ladder[1:])
-        for lo, hi in zip(losses[slow], losses[fast])
-    )
-    if report["monotone_ok"] != monotone:
-        problems.append(f"{name}: monotone_ok does not recompute from the CSV")
-    if report["certified_factors"] != factors:
-        problems.append(f"{name}: certified_factors do not recompute from the rebuilt paths")
-    margin = report["realized_margin"]
-    if margin is not None and margin < 1.0 - 1e-9:
-        problems.append(f"{name}: realized margin {margin!r} below 1")
-    if report["realized_ok"] != (margin is None or margin >= 1.0 - 1e-9):
-        problems.append(f"{name}: realized_ok does not agree with realized_margin")
-    return problems
-
-
-def _schema_problems(name: str, data: dict, schema: str) -> list[str]:
-    """A JSON artifact's schema must be the one its writer gives it."""
-    if data["schema"] != schema:
-        return [f"{name}: schema {data['schema']!r} is not {schema}"]
-    return []
 
 
 def cmd_verify(config: RunConfig, out: Path, args) -> int:
@@ -851,10 +801,13 @@ def main(argv=None) -> int:
     if args.command != "verify":  # verify reads --out, never makes it
         out.mkdir(parents=True, exist_ok=True)
     try:
-        return COMMANDS[args.command](config, out, args)
+        code = COMMANDS[args.command](config, out, args)
     except (NumericError, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    if code == 0 and args.check and args.command != "verify":
+        return _verify_out(config, out)
+    return code
 
 
 if __name__ == "__main__":

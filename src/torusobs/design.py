@@ -79,10 +79,13 @@ class ConvexDesign:
         if not self.atoms:
             raise ValueError("design needs at least one atom")
         w = self.weights
-        if np.any(w <= 0):
+        # written so that a NaN fails each test
+        if not np.all(w > 0):
             raise ValueError("atom weights must be positive")
-        if abs(w.sum() - 1.0) > 1e-12:
+        if not abs(w.sum() - 1.0) <= 1e-12:
             raise ValueError(f"weights sum to {w.sum()}, not 1")
+        if not math.isfinite(self.residual):
+            raise ValueError(f"residual {self.residual} is not finite")
 
     @property
     def weights(self) -> np.ndarray:
@@ -188,15 +191,12 @@ def moment_matrix(weights: np.ndarray, gammas: Iterable[ObservationMatrix]) -> n
     return acc
 
 
-def _identity_residual(moment: np.ndarray, measure: float) -> float:
-    return float(np.linalg.norm(moment - measure * np.eye(moment.shape[0]), "fro"))
-
-
 def moment_residual(
     weights: np.ndarray, gammas: Iterable[ObservationMatrix], measure: float
 ) -> float:
     """||sum_j theta_j Gamma(g_j) - L Id||_F from the matrices themselves."""
-    return _identity_residual(moment_matrix(weights, gammas), measure)
+    moment = moment_matrix(weights, gammas)
+    return float(np.linalg.norm(moment - measure * np.eye(moment.shape[0]), "fro"))
 
 
 def moment_points(
@@ -231,8 +231,20 @@ def moment_points(
     return points.reshape(len(shifts), -1)
 
 
-def _residual(weights: np.ndarray, points: np.ndarray) -> float:
-    return float(np.linalg.norm(weights @ points))
+def design_of(
+    atoms: Sequence[DesignAtom], basis: ModalBasis, prototype: PrototypeSet
+) -> ConvexDesign:
+    """The design of `atoms` on `basis`: the prototype's measure, the basis
+    cutoff and the atoms' moment residual ||sum_j theta_j p_j||."""
+    atoms = tuple(atoms)
+    points = moment_points(basis, prototype, [a.shift for a in atoms])
+    weights = np.array([a.weight for a in atoms], dtype=float)
+    return ConvexDesign(
+        atoms=atoms,
+        measure=prototype.measure,
+        cutoff=basis.cutoff,
+        residual=float(np.linalg.norm(weights @ points)),
+    )
 
 
 def equispaced_design(basis: ModalBasis, prototype: PrototypeSet) -> ConvexDesign:
@@ -242,15 +254,9 @@ def equispaced_design(basis: ModalBasis, prototype: PrototypeSet) -> ConvexDesig
     frequency over J >= 4K+1 equispaced shifts, which vanishes, so the
     design identity holds exactly (to rounding).
     """
-    k = basis.cutoff
-    shifts = _grid_shifts(4 * k + 1, basis.space.dim)
+    shifts = _grid_shifts(4 * basis.cutoff + 1, basis.space.dim)
     weight = 1.0 / len(shifts)
-    atoms = tuple(DesignAtom(shift=s, weight=weight) for s in shifts)
-    points = moment_points(basis, prototype, shifts)
-    residual = _residual(np.full(len(shifts), weight), points)
-    return ConvexDesign(
-        atoms=atoms, measure=prototype.measure, cutoff=k, residual=residual
-    )
+    return design_of([DesignAtom(shift=s, weight=weight) for s in shifts], basis, prototype)
 
 
 def default_candidates(basis: ModalBasis) -> list[GroupElement]:
@@ -377,16 +383,8 @@ def solve_design(
     keep = lam > WEIGHT_FLOOR
     kept = corral[keep]
     theta = lam[keep] / lam[keep].sum()
-    atoms = tuple(
-        DesignAtom(shift=candidates[int(i)], weight=float(w))
-        for i, w in zip(kept, theta)
-    )
-    return ConvexDesign(
-        atoms=atoms,
-        measure=prototype.measure,
-        cutoff=basis.cutoff,
-        residual=_residual(theta, points[kept]),
-    )
+    atoms = [DesignAtom(shift=candidates[int(i)], weight=float(w)) for i, w in zip(kept, theta)]
+    return design_of(atoms, basis, prototype)
 
 
 def _null_vector(b: np.ndarray) -> np.ndarray | None:
@@ -457,16 +455,11 @@ def caratheodory_reduce(
     drift = float(np.linalg.norm(w @ points[kept] - original_moment))
     if drift > drift_tol:
         raise NumericalRankFailure(f"moment drift {drift:.3e} exceeds {drift_tol:.1e}")
-    atoms = tuple(
+    atoms = [
         DesignAtom(shift=design.atoms[int(i)].shift, weight=float(wi))
         for i, wi in zip(kept, w)
-    )
-    return ConvexDesign(
-        atoms=atoms,
-        measure=design.measure,
-        cutoff=design.cutoff,
-        residual=_residual(w, points[kept]),
-    )
+    ]
+    return design_of(atoms, basis, prototype)
 
 
 @dataclass(frozen=True)

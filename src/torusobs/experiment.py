@@ -23,6 +23,10 @@ and moved to each interval by one phase e^{i D t}.  Every kernel of a run
 reads one table of the distinct frequency differences D of the datum's
 expansion (`ProtocolSetup.differences`), built once.  The full-torus
 calibration constants come from `spectral.calibration`.
+
+Every number the artifacts derive from the energies has one formula here,
+from running means to the tail and continuous reports (`tail_report`,
+`continuous_fields`); the writers and `verify` both call them.
 """
 
 from __future__ import annotations
@@ -97,22 +101,22 @@ class CesaroSeries:
     """Protocol output: interval records and the setup they were run on."""
 
     setup: ProtocolSetup
-    model: str
-    mass: float
     measure: float
-    duration: float
     energy: float
     constants: CalibrationConstants
     records: tuple[IntervalRecord, ...]
 
     @property
     def reference_bound(self) -> float:
-        """The asymptotic floor measure * lower_constant * energy."""
-        return self.measure * self.constants.lower * self.energy
+        return reference_bound(self.measure, self.constants.lower, self.energy)
 
     @property
     def observed(self) -> np.ndarray:
         return np.array([r.observed for r in self.records])
+
+    @property
+    def windowed(self) -> np.ndarray:
+        return np.array([r.windowed_energy for r in self.records])
 
     @property
     def running_means(self) -> np.ndarray:
@@ -124,23 +128,35 @@ class CesaroSeries:
 
     @property
     def final_quarter_minimum(self) -> float:
-        """Minimum running mean over the last quarter of the run; the finite
-        stand-in for the asymptotic lower limit."""
-        count = max(1, len(self.records) // 4)
-        return float(self.running_means[-count:].min())
+        return final_quarter_minimum(self.running_means)
 
-    def to_rows(self) -> list[tuple]:
-        return [
-            (
-                r.index,
-                r.window,
-                r.tolerance,
-                r.observed,
-                r.running_mean,
-                r.windowed_energy,
-            )
-            for r in self.records
-        ]
+
+def running_means(observed) -> np.ndarray:
+    """Cesaro means A_N: entry N - 1 is the mean of the first N values, their
+    sum taken in order."""
+    observed = np.asarray(observed, dtype=float)
+    return np.cumsum(observed) / np.arange(1, len(observed) + 1)
+
+
+def final_quarter_minimum(means: np.ndarray) -> float:
+    """Least running mean over the last quarter of the run; the finite
+    stand-in for the asymptotic lower limit."""
+    return float(means[-max(1, len(means) // 4) :].min())
+
+
+def reference_bound(measure: float, lower: float, energy: float) -> float:
+    """The asymptotic floor measure * lower_constant * energy."""
+    return measure * lower * energy
+
+
+def final_ratio(final_mean: float, bound: float) -> float:
+    return final_mean / bound
+
+
+def clears(margin: float | None, slack: float) -> bool:
+    """Whether a margin, None (null) when no interval bounds it, is at least
+    1 up to `slack`."""
+    return margin is None or margin >= 1.0 - slack
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,8 +300,7 @@ def run_protocol(config: RunConfig) -> CesaroSeries:
     energy = conserved_energy(setup.datum)
     constants = calibration(config.model, setup.basis, config.mass, config.duration)
 
-    records: list[IntervalRecord] = []
-    total = 0.0
+    observed, fields = [], []
     for m in range(1, config.interval_count + 1):
         window = config.window_at(m)
         schedule = setup.schedule(m)
@@ -293,28 +308,25 @@ def run_protocol(config: RunConfig) -> CesaroSeries:
         kernel = shifted_kernel(
             setup.gamma_base, setup.differences, schedule.t_start, *template
         )
-        value = kernel_energy(kernel, setup.coeff)
-        total += value
-        records.append(
-            IntervalRecord(
-                index=m,
-                window=window,
-                tolerance=config.tolerance_at(m),
-                macro_count=schedule.macro_count,
-                observed=value,
-                running_mean=total / m,
-                windowed_energy=energy.below(window),
-                truncated=kernel_energy(kernel, setup.windowed[window]),
-                tail=kernel_energy(kernel, setup.tails[window]),
-            )
-        )
+        observed.append(kernel_energy(kernel, setup.coeff))
+        fields.append(dict(
+            index=m,
+            window=window,
+            tolerance=config.tolerance_at(m),
+            macro_count=schedule.macro_count,
+            observed=observed[-1],
+            windowed_energy=energy.below(window),
+            truncated=kernel_energy(kernel, setup.windowed[window]),
+            tail=kernel_energy(kernel, setup.tails[window]),
+        ))
+    records = [
+        IntervalRecord(running_mean=mean, **record)
+        for record, mean in zip(fields, running_means(observed).tolist())
+    ]
 
     return CesaroSeries(
         setup=setup,
-        model=config.model,
-        mass=config.mass,
         measure=config.measure,
-        duration=config.duration,
         energy=energy.total,
         constants=constants,
         records=tuple(records),
@@ -324,6 +336,11 @@ def run_protocol(config: RunConfig) -> CesaroSeries:
 def _finite_or_none(value: float) -> float | None:
     """A margin for JSON: None (null) when no interval bounds it."""
     return value if math.isfinite(value) else None
+
+
+def _reported(key: str) -> property:
+    """A report attribute read from the report's payload."""
+    return property(lambda self: self.to_dict()[key])
 
 
 @dataclass(eq=False)
@@ -338,38 +355,68 @@ class TailReductionReport:
         observed >= (1 - eta) * truncated - (1/eta - 1) * tail
 
     for every eta in the grid, and evaluates the running-mean floor each eta
-    implies.
+    implies.  The fields are what the payload (`tail_report`) is built
+    from; the verdicts and the other derived numbers are read from it.
     """
 
     etas: tuple[float, ...]
     observed: np.ndarray
+    windowed: np.ndarray           # conserved energy of the datum below each window
     truncated: np.ndarray
     tail: np.ndarray
-    upper_margin: float            # max over m of observed / (upper * E)
-    upper_ok: bool
+    upper: float                   # the calibration's upper constant
+    energy: float
+    reference_bound: float
     lower_margin: float            # min over m of truncated / positive floor; inf if none
-    lower_ok: bool
     split_ok: dict[float, bool]
     eta_bounds: dict[float, float] # final-mean floor implied by each eta
-    best_bound: float
-    reference_bound: float
-    tail_mean: float               # Cesaro average of tail energies E - E_leK
-    tail_fraction: float           # tail_mean / E
+
+    upper_margin = _reported("upper_margin")  # max over m of observed / (upper * E)
+    upper_ok = _reported("upper_ok")
+    lower_ok = _reported("lower_ok")
+    best_bound = _reported("best_bound")
+    tail_mean = _reported("tail_mean")        # Cesaro average of tail energies E - E_leK
+    tail_fraction = _reported("tail_fraction")  # tail_mean / E
 
     def to_dict(self) -> dict:
-        return {
+        split = {
             "etas": list(self.etas),
-            "upper_margin": self.upper_margin,
-            "upper_ok": self.upper_ok,
             "lower_margin": _finite_or_none(self.lower_margin),
-            "lower_ok": self.lower_ok,
             "split_ok": {str(k): v for k, v in self.split_ok.items()},
             "eta_bounds": {str(k): v for k, v in self.eta_bounds.items()},
-            "best_bound": self.best_bound,
-            "reference_bound": self.reference_bound,
-            "tail_mean": self.tail_mean,
-            "tail_fraction": self.tail_fraction,
         }
+        return tail_report(
+            self.observed, self.windowed, self.upper, self.energy, self.reference_bound, split
+        )
+
+
+def tail_report(
+    observed: np.ndarray,
+    windowed: np.ndarray,
+    upper: float,
+    energy: float,
+    bound: float,
+    split: dict,
+) -> dict:
+    """The tail-reduction report as run_meta.json holds it.  `split` holds,
+    as JSON, the fields only the truncated and tail energies give (etas,
+    lower_margin, split_ok, eta_bounds); the rest derive from them, the
+    energies Q_m and E_leK, the upper constant, E and the reference bound."""
+    scale = upper * energy
+    tail_mean = float((energy - windowed).mean())
+    return {
+        "etas": split["etas"],
+        "upper_margin": float(observed.max() / scale),
+        "upper_ok": bool(np.all(observed <= scale * (1.0 + 1e-10))),
+        "lower_margin": split["lower_margin"],
+        "lower_ok": clears(split["lower_margin"], 1e-10),
+        "split_ok": split["split_ok"],
+        "eta_bounds": split["eta_bounds"],
+        "best_bound": max(split["eta_bounds"].values()),
+        "reference_bound": bound,
+        "tail_mean": tail_mean,
+        "tail_fraction": tail_mean / energy,
+    }
 
 
 def tail_reduction_check(
@@ -385,14 +432,8 @@ def tail_reduction_check(
         series.constants.lower * (series.measure - r.tolerance) * r.windowed_energy
         for r in series.records
     ])
-
-    scale = series.constants.upper * series.energy
-    upper_margin = float(observed.max() / scale)
-    upper_ok = bool(np.all(observed <= scale * (1.0 + 1e-10)))
     with np.errstate(divide="ignore", invalid="ignore"):
         lower_ratios = np.where(floors > 0, truncated / np.where(floors > 0, floors, 1.0), np.inf)
-    lower_margin = float(lower_ratios.min())
-    lower_ok = bool(np.all(truncated >= floors * (1.0 - 1e-10)))
 
     split_ok: dict[float, bool] = {}
     eta_bounds: dict[float, float] = {}
@@ -401,38 +442,67 @@ def tail_reduction_check(
         bound_terms = (1.0 - eta) * truncated - (1.0 / eta - 1.0) * tail
         split_ok[eta] = bool(np.all(observed >= bound_terms - slack))
         eta_bounds[eta] = float(bound_terms.mean())
-    best_bound = max(eta_bounds.values())
-
-    tails = series.energy - np.array([r.windowed_energy for r in series.records])
-    tail_mean = float(tails.mean())
     return TailReductionReport(
         etas=tuple(etas),
         observed=observed,
+        windowed=series.windowed,
         truncated=truncated,
         tail=tail,
-        upper_margin=upper_margin,
-        upper_ok=upper_ok,
-        lower_margin=lower_margin,
-        lower_ok=lower_ok,
+        upper=series.constants.upper,
+        energy=series.energy,
+        reference_bound=series.reference_bound,
+        lower_margin=float(lower_ratios.min()),
         split_ok=split_ok,
         eta_bounds=eta_bounds,
-        best_bound=best_bound,
-        reference_bound=series.reference_bound,
-        tail_mean=tail_mean,
-        tail_fraction=tail_mean / series.energy,
     )
 
 
-@dataclass(frozen=True)
-class ContinuousIntervalRecord:
-    """One interval of the continuous-path rerun at one speed."""
+def certified_factor(measure: float, loss: float) -> float:
+    """The factor measure - loss a realization certifies, at least 0."""
+    return max(measure - loss, 0.0)
 
-    index: int
-    window: int
-    macro_count: int
-    certified_loss: float   # loss the path certifies (may exceed the measure)
-    observed: float
-    running_mean: float
+
+def certified_factors(measure: float, paths: dict) -> dict[float, float]:
+    """Per speed, the least factor the `(window, speed)` paths certify."""
+    factors: dict[float, float] = {}
+    for (_, speed), path in paths.items():
+        factor = certified_factor(measure, path.certified_loss)
+        factors[speed] = min(factors.get(speed, factor), factor)
+    return factors
+
+
+def monotone_ok(losses: dict[float, list[float]]) -> bool:
+    """Whether no interval's certified loss grows from one speed to the next
+    faster one, the speeds compared in sorted order."""
+    ladder = sorted(losses)
+    return all(
+        hi <= lo * (1.0 + 1e-12)
+        for slow, fast in zip(ladder, ladder[1:])
+        for lo, hi in zip(losses[slow], losses[fast])
+    )
+
+
+def continuous_fields(
+    measure: float,
+    paths: dict,
+    observed: dict[float, np.ndarray],
+    losses: dict[float, list[float]],
+    margin: float | None,
+) -> dict:
+    """The continuous report as continuous_report.json holds it: the speeds
+    of `observed` in ladder order, each one's least certified factor over
+    the `(window, speed)` paths and the final running mean of its observed
+    energies, whether the per-interval certified `losses` fall monotonically
+    with speed, and the realized margin with whether it clears 1."""
+    factors = certified_factors(measure, paths)
+    return {
+        "speeds": list(observed),
+        "certified_factors": {str(v): factors[v] for v in observed},
+        "monotone_ok": monotone_ok(losses),
+        "realized_ok": clears(margin, 1e-9),
+        "realized_margin": margin,
+        "final_means": {str(v): float(running_means(column)[-1]) for v, column in observed.items()},
+    }
 
 
 @dataclass(eq=False)
@@ -440,29 +510,38 @@ class ContinuousReport:
     """Continuous-path rerun of the protocol over a ladder of speeds.
 
     For each speed the protocol intervals are re-realized by one continuous
-    speed-bounded path each; the certified factor measure - loss(speed, R)
-    must improve monotonically with speed, and for each interval the observed
-    energy of the windowed datum must respect the certified factor times the
-    full-torus interval energy.
+    speed-bounded path per window; the certified factor measure - loss(speed,
+    R) must improve monotonically with speed, and for each interval the
+    observed energy of the windowed datum must respect the certified factor
+    times the full-torus interval energy.
     """
 
     speeds: tuple[float, ...]
-    records: dict[float, tuple[ContinuousIntervalRecord, ...]]
-    certified_factors: dict[float, float]  # worst certified factor per speed
-    monotone_ok: bool
-    realized_ok: bool
+    windows: tuple[int, ...]               # each interval's window
+    paths: dict[tuple[int, float], Realization]  # each (window, speed)'s path
+    observed: dict[float, np.ndarray]      # per speed, each interval's energy
+    measure: float
     realized_margin: float  # inf when no interval leaves a positive factor
-    final_means: dict[float, float]
+
+    @property
+    def losses(self) -> dict[float, list[float]]:
+        """Per speed, the loss each interval's path certifies."""
+        return {
+            v: [self.paths[k, v].certified_loss for k in self.windows] for v in self.speeds
+        }
+
+    @property
+    def certified_factors(self) -> dict[float, float]:
+        return certified_factors(self.measure, self.paths)
+
+    monotone_ok = _reported("monotone_ok")
+    realized_ok = _reported("realized_ok")
 
     def to_dict(self) -> dict:
-        return {
-            "speeds": list(self.speeds),
-            "certified_factors": {str(v): f for v, f in self.certified_factors.items()},
-            "monotone_ok": self.monotone_ok,
-            "realized_ok": self.realized_ok,
-            "realized_margin": _finite_or_none(self.realized_margin),
-            "final_means": {str(v): f for v, f in self.final_means.items()},
-        }
+        return continuous_fields(
+            self.measure, self.paths, self.observed, self.losses,
+            _finite_or_none(self.realized_margin),
+        )
 
 
 def continuous_protocol_delta(config: RunConfig, speeds) -> ContinuousReport:
@@ -474,16 +553,13 @@ def continuous_protocol_delta(config: RunConfig, speeds) -> ContinuousReport:
     distinct frequency differences: every interval of the window then gets
     its observed energy, and where needed its windowed one, from one phase
     product over its start, with no kernel formed.  The energies are those
-    of the started path's `path_kernel` up to rounding, and the running
-    means are sequential sums of them.
+    of the started path's `path_kernel` up to rounding.
 
-    The realized-bound check is evaluated on the datum truncated at each
+    The realized margin is evaluated on the datum truncated at each
     interval's cutoff (the certificate covers the windowed part; the tail
     only adds energy), and only where the certified loss leaves a positive
     factor.  Its full-torus references are computed once per interval for
-    all speeds.  Certified losses must not grow from one speed to the next
-    faster one, compared in sorted-speed order; the report keeps the
-    ladder's order.
+    all speeds.
     """
     speeds = tuple(float(v) for v in speeds)
     if not speeds:
@@ -500,63 +576,36 @@ def continuous_protocol_delta(config: RunConfig, speeds) -> ContinuousReport:
             setup.windowed[k], setup.alpha, starts[at], config.duration
         )
 
-    records: dict[float, tuple[ContinuousIntervalRecord, ...]] = {}
-    certified: dict[float, float] = {}
-    final_means: dict[float, float] = {}
-    realized_ok = True
+    paths: dict[tuple[int, float], Realization] = {}
+    observed: dict[float, np.ndarray] = {}
     realized_margin = math.inf
     for speed in speeds:
-        paths = {k: setup.path(k, speed) for k in setup.designs}
-        factors = {k: max(config.measure - path.certified_loss, 0.0) for k, path in paths.items()}
-        observed = np.empty(count)
+        for k in setup.designs:
+            paths[k, speed] = setup.path(k, speed)
+        observed[speed] = np.empty(count)
         for k, at in members.items():
-            factor = factors[k]
+            factor = certified_factor(config.measure, paths[k, speed].certified_loss)
             parts = [setup.coeff, setup.windowed[k]] if factor > 0.0 else [setup.coeff]
             # built before Gamma(0) is first read, and released before the
             # next window's: the run's memory peak is a template's build
-            repeats, segments = path_template(paths[k], table)
+            repeats, segments = path_template(paths[k, speed], table)
             energies = shifted_energies(
                 setup.gamma_base, table, starts[at], repeats, segments, parts
             )
             repeats = segments = None
-            observed[at] = energies[:, 0]
+            observed[speed][at] = energies[:, 0]
             if factor > 0.0:
                 bounded = references[at] > 0.0
                 part = energies[bounded, 1]
                 floors = factor * references[at][bounded]
                 ratio = float(np.min(part / floors, initial=math.inf))
                 realized_margin = min(realized_margin, ratio)
-                if np.any(part < floors * (1.0 - 1e-9)):
-                    realized_ok = False
-        means = np.cumsum(observed) / np.arange(1, count + 1)
-        records[speed] = tuple(
-            ContinuousIntervalRecord(
-                index=m,
-                window=window,
-                macro_count=paths[window].macro_count,
-                certified_loss=paths[window].certified_loss,
-                observed=value,
-                running_mean=mean,
-            )
-            for m, window, value, mean in zip(
-                range(1, count + 1), windows.tolist(), observed.tolist(), means.tolist()
-            )
-        )
-        certified[speed] = min(factors.values())
-        final_means[speed] = records[speed][-1].running_mean
 
-    ladder = sorted(set(speeds))
-    monotone_ok = all(
-        r_hi.certified_loss <= r_lo.certified_loss * (1.0 + 1e-12)
-        for lo, hi in zip(ladder, ladder[1:])
-        for r_lo, r_hi in zip(records[lo], records[hi])
-    )
     return ContinuousReport(
         speeds=speeds,
-        records=records,
-        certified_factors=certified,
-        monotone_ok=monotone_ok,
-        realized_ok=realized_ok,
+        windows=tuple(windows.tolist()),
+        paths=paths,
+        observed=observed,
+        measure=config.measure,
         realized_margin=realized_margin,
-        final_means=final_means,
     )

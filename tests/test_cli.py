@@ -230,6 +230,24 @@ def test_experiment_process_does_not_import_numpy_ma(tmp_path):
     assert done.stdout.splitlines()[-1] == "False"
 
 
+def test_verify_process_does_not_import_numpy_random(tmp_path):
+    # verify rebuilds the designs' matrix residuals, not verify_design's
+    # random draws, and never the seeded datum
+    config = write_config(tmp_path, schedule={"emit_intervals": [1]})
+    out = tmp_path / "out"
+    for command in ("experiment", "continuous"):
+        assert main([command, "--config", str(config), "--out", str(out)]) == 0
+    code = (
+        "import sys\n"
+        "from torusobs.cli import main\n"
+        f"assert main(['verify', '--config', {str(config)!r}, '--out', {str(out)!r}]) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    done = fresh_python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+
+
 def test_schedule_process_builds_neither_datum_nor_kernels(tmp_path):
     # the schedule command reads the designs and their bounds only: no
     # seeded datum (so no numpy.random), no Gamma(0), no difference table
@@ -547,11 +565,13 @@ def test_verify_reports_a_run_meta_field_of_the_wrong_type(tmp_path, capsys):
 
 
 def set_series_cell(row, column, value):
+    """Set a cell of data row `row` (from 0) to `value`, or to `value(cell)`."""
+
     def edit(out):
         path = out / "series.csv"
         lines = path.read_text().splitlines()
         cells = lines[2 + row].split(",")
-        cells[column] = value
+        cells[column] = value(cells[column]) if callable(value) else value
         lines[2 + row] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
 
@@ -570,6 +590,15 @@ def cut_first_series_row(out):
     path.write_text("\n".join(lines) + "\n")
 
 
+def next_ulp(text):
+    return repr(float(np.nextafter(float(text), np.inf)))
+
+
+def longhand(text):
+    # the same float in 18 significant digits: never the writer's repr
+    return f"{float(text):.17e}"
+
+
 META_DIFFERS = "run_meta.json: differs from the config and the recomputed calibration"
 
 
@@ -582,8 +611,7 @@ def set_json(name, *keys, scale=None, value=None):
         parent = payload
         for key in keys[:-1]:
             parent = parent[key]
-        old = parent[keys[-1]]
-        parent[keys[-1]] = old * scale if scale is not None else value
+        parent[keys[-1]] = parent[keys[-1]] * scale if scale is not None else value
         _write_json(path, payload)
 
     return edit
@@ -618,11 +646,21 @@ def set_meta_tail(key, scale=None, value=None):
         (set_meta("reference_bound", scale=3.0), f"{META_DIFFERS} (reference_bound, final_ratio)"),
         (set_meta("final_ratio", value=0.5), f"{META_DIFFERS} (final_ratio)"),
         (set_meta("reference_bound", value=0.0), "run_meta.json: unreadable"),
+        (
+            set_series_cell(1, 4, next_ulp),
+            "series.csv: row 2 is not interval 2 of the config and its energies (A_N)",
+        ),
+        (
+            set_series_cell(1, 3, longhand),
+            "series.csv: row 2 is not interval 2 of the config and its energies (Q_m)",
+        ),
+        (set_meta("extra", value=1), f"{META_DIFFERS} (extra)"),
     ],
     ids=[
         "last-row-dropped", "K_m", "eps_m", "m", "short-row", "final-mean", "interval-count",
         "final-quarter-minimum", "model", "mass", "measure", "duration", "lower-constant",
         "upper-constant", "energy", "reference-bound", "final-ratio", "zero-reference-bound",
+        "one-ulp-A_N", "non-canonical-Q_m", "extra-key",
     ],
 )
 def test_verify_checks_series_and_run_meta_against_the_config(tmp_path, capsys, edit, message):
@@ -754,6 +792,41 @@ def test_verify_checks_a_design_files_verification(tmp_path, capsys, edit, messa
     assert message in capsys.readouterr().err
 
 
+DESIGN_DIFFERS = "design_K1.json: differs from the design its atoms rebuild"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (set_json("design_K1.json", "cutoff", value="1"), f"{DESIGN_DIFFERS} (cutoff)"),
+        (set_json("design_K1.json", "measure", value="0.25"), f"{DESIGN_DIFFERS} (measure)"),
+        (set_json("design_K1.json", "residual", value="0.0"), f"{DESIGN_DIFFERS} (residual)"),
+        (
+            set_json("design_K1.json", "atoms", 0, "weight", value="0.2"),
+            f"{DESIGN_DIFFERS} (atoms)",
+        ),
+        (set_json("design_K1.json", "extra", value=1), f"{DESIGN_DIFFERS} (extra)"),
+        (
+            set_json("design_K1.json", "atoms", 0, "shift", 0, value="1/0"),
+            "design_K1.json: unreadable (",
+        ),
+    ],
+    ids=[
+        "text-cutoff", "text-measure", "text-residual", "text-weight", "extra-key",
+        "zero-division",
+    ],
+)
+def test_verify_rebuilds_a_design_from_its_atoms(tmp_path, capsys, edit, message):
+    # numbers as JSON text parse to the same design, and a shift of 1/0
+    # divides by zero: neither may pass, nor stop verify with a traceback
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(config), "--out", str(out)]) == 0
+    edit(out)
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -769,8 +842,12 @@ def test_verify_checks_a_design_files_verification(tmp_path, capsys, edit, messa
             set_json("continuous_report.json", "realized_ok", value=False),
             "continuous_report.json: realized_ok does not agree with realized_margin",
         ),
+        (
+            set_json("continuous_report.json", "extra", value=1),
+            "continuous_report.json: differs from the rebuilt report (extra)",
+        ),
     ],
-    ids=["factor", "factors", "realized-ok"],
+    ids=["factor", "factors", "realized-ok", "extra-key"],
 )
 def test_verify_recomputes_the_continuous_certificates(tmp_path, capsys, edit, message):
     config, out = continuous_run(tmp_path)
@@ -879,8 +956,9 @@ def set_continuous_cell(row, column, change):
         (3, "window", lambda v: "1"),
         (2, "macro_count", lambda v: str(int(v) + 1)),
         (6, "certified_loss", lambda v: repr(float(v) * (1.0 + 1e-12))),
+        (3, "running_mean", next_ulp),
     ],
-    ids=["speed", "interval", "window", "macro-count", "certified-loss"],
+    ids=["speed", "interval", "window", "macro-count", "certified-loss", "one-ulp-mean"],
 )
 def test_verify_checks_every_continuous_row_against_its_rebuilt_path(
     tmp_path, capsys, row, column, change
@@ -894,6 +972,13 @@ def test_verify_checks_every_continuous_row_against_its_rebuilt_path(
         f"continuous.csv: row {row} differs from the config's ladder and its rebuilt "
         f"path ({column})" in err
     )
+
+
+def test_verify_requires_the_report_beside_continuous_csv(tmp_path, capsys):
+    config, out = continuous_run(tmp_path)
+    (out / "continuous_report.json").unlink()
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
+    assert "continuous.csv: no continuous_report.json beside it" in capsys.readouterr().err
 
 
 def test_verify_reports_a_short_continuous_row(tmp_path, capsys):
@@ -1198,10 +1283,11 @@ def nudge_one_weight(sidecar):
         ("atoms", nudge_one_weight, "schedule_m200.json: summary differs"),
         ("interval", 201, "schedule_m200.json: unreadable (interval 201 is not in the run)"),
         ("interval", "200", "schedule_m200.json: unreadable (interval '200' is not in the run)"),
+        ("extra", 1, "schedule_m200.json: summary differs"),
     ],
     ids=[
         "certified-loss", "macro-count", "macro-length", "atom-shift", "atom-weight",
-        "interval-past-the-run", "interval-as-text",
+        "interval-past-the-run", "interval-as-text", "extra-key",
     ],
 )
 def test_verify_rebuilds_the_schedule_summary(tmp_path, capsys, key, value, message):

@@ -444,6 +444,31 @@ def test_design_weight_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "weights, residual",
+    [((math.nan, 0.5), 0.0), ((math.nan, math.nan), 0.0), ((0.5, 0.5), math.nan),
+     ((0.5, 0.5), math.inf)],
+    ids=["one-nan-weight", "nan-weights", "nan-residual", "infinite-residual"],
+)
+def test_design_validation_refuses_nan(weights, residual):
+    # NaN compares false both ways: each check is written so that it fails
+    atoms = tuple(
+        DesignAtom(shift, w) for shift, w in zip((T1.identity(), GroupElement.of("1/2")), weights)
+    )
+    with pytest.raises(ValueError):
+        ConvexDesign(atoms=atoms, measure=0.25, cutoff=1, residual=residual)
+    payload = {
+        "measure": 0.25,
+        "cutoff": 1,
+        "residual": str(residual),
+        "atoms": [
+            {"shift": [shift], "weight": str(w)} for shift, w in zip(("0", "1/2"), weights)
+        ],
+    }
+    with pytest.raises(ValueError):
+        ConvexDesign.from_dict(payload)
+
+
 def random_shifts(rng, count, dim):
     return [
         GroupElement(tuple(Fraction(int(v), 2**20) for v in rng.integers(0, 2**20, size=dim)))

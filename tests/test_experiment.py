@@ -395,10 +395,10 @@ def test_continuous_rerun_improves_with_speed():
     assert report.certified_factors[200.0] == 0.0
     assert report.certified_factors[10000.0] > 0.0
     for speed in report.speeds:
-        recs = report.records[speed]
-        assert len(recs) == 4
-        means = np.cumsum([r.observed for r in recs]) / np.arange(1, 5)
-        assert np.max(np.abs([r.running_mean for r in recs] - means)) <= 1e-15
+        observed = report.observed[speed]
+        assert len(observed) == 4
+        means = np.cumsum(observed) / np.arange(1, 5)
+        assert np.max(np.abs(experiment.running_means(observed) - means)) <= 1e-15
     json.dumps(report.to_dict())
 
 
@@ -412,8 +412,8 @@ def test_monotone_check_compares_speeds_in_sorted_order(monkeypatch):
     honest = continuous_protocol_delta(config, speeds=ladder)
     assert honest.speeds == ladder
     assert honest.monotone_ok
-    slow = {r.index: r.certified_loss for r in honest.records[10.0]}
-    mid = {r.index: r.certified_loss for r in honest.records[100.0]}
+    slow = dict(enumerate(honest.losses[10.0], start=1))
+    mid = dict(enumerate(honest.losses[100.0], start=1))
     assert all(mid[m] < slow[m] for m in mid)
     build = experiment.build_continuous
 
@@ -427,7 +427,7 @@ def test_monotone_check_compares_speeds_in_sorted_order(monkeypatch):
     monkeypatch.setattr(experiment, "build_continuous", inflated)
     report = continuous_protocol_delta(config, speeds=ladder)
     assert report.speeds == ladder
-    fast = {r.index: r.certified_loss for r in report.records[1000.0]}
+    fast = dict(enumerate(report.losses[1000.0], start=1))
     assert all(mid[m] < fast[m] < slow[m] for m in fast)
     assert not report.monotone_ok
 
@@ -494,12 +494,13 @@ def test_continuous_records_equal_the_started_path_kernel(monkeypatch, model, ma
     report = continuous_protocol_delta(config, speeds=speeds)
     for speed in speeds:
         direct = started_path_energies(config, speed)
-        recs = report.records[speed]
-        assert len(recs) == len(direct) == 7
-        for r, (path, value) in zip(recs, direct):
-            assert r.observed == pytest.approx(value, rel=1e-13, abs=0.0)
-            assert r.macro_count == path.macro_count
-            assert r.certified_loss == path.certified_loss
+        observed = report.observed[speed]
+        assert len(observed) == len(direct) == 7
+        for m, (path, value) in enumerate(direct, start=1):
+            ran = report.paths[config.window_at(m), speed]
+            assert observed[m - 1] == pytest.approx(value, rel=1e-13, abs=0.0)
+            assert ran.macro_count == path.macro_count
+            assert ran.certified_loss == path.certified_loss
 
 
 def test_2d_continuous_records_equal_the_started_path_kernel():
@@ -514,7 +515,7 @@ def test_2d_continuous_records_equal_the_started_path_kernel():
     )
     report = continuous_protocol_delta(config, speeds=(1e4,))
     direct = started_path_energies(config, 1e4)
-    observed = [r.observed for r in report.records[1e4]]
+    observed = report.observed[1e4].tolist()
     assert observed == pytest.approx([v for _, v in direct], rel=1e-13, abs=0.0)
 
 
