@@ -676,6 +676,8 @@ CONTINUOUS_MESSAGES = {
     "certified_factors": "certified_factors do not recompute from the rebuilt paths",
     "monotone_ok": "monotone_ok does not recompute from the CSV",
     "realized_ok": "realized_ok does not agree with realized_margin",
+    "realized_margin": "realized_margin {have!r} where no rebuilt path certifies a positive "
+    "factor, so no interval bounds it",
     "final_means": "final mean at speed {keys} disagrees with the CSV",
 }
 
@@ -683,13 +685,18 @@ CONTINUOUS_MESSAGES = {
 def _check_continuous_report(config: RunConfig, path: Path, state: _Rebuilt) -> list[str]:
     """continuous_report.json is rebuilt from the rebuilt paths,
     continuous.csv's energies and certified losses, and its own realized
-    margin, which must clear 1."""
-    from .experiment import continuous_fields
+    margin, which must clear 1.  Only an interval whose path certifies a
+    positive factor bounds the margin, so with no such path it is null."""
+    from .experiment import certified_factor, continuous_fields
 
     report = _read_json(path)
     if state.continuous is None:
         raise ValueError("no readable continuous.csv to rebuild it from")
     margin = report["realized_margin"]
+    if not any(
+        certified_factor(config.measure, p.certified_loss) > 0.0 for p in state.paths.values()
+    ):
+        margin = None
     want = {
         "schema": CONTINUOUS_SCHEMA,
         **continuous_fields(config.measure, state.paths, *state.continuous, margin),

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from .geometry import PrototypeSet, TorusSpace
 
@@ -93,8 +92,7 @@ def _as_str(value: Any, path: str, choices: tuple[str, ...] | None = None) -> st
     return value
 
 
-@dataclass(frozen=True)
-class WindowSchedule:
+class WindowSchedule(NamedTuple):
     """Design cutoff per interval: capped stride growth, fixed, or explicit."""
 
     kind: str = "stride"
@@ -138,8 +136,7 @@ class WindowSchedule:
         return cls(kind=kind, values=values)
 
 
-@dataclass(frozen=True)
-class ToleranceSchedule:
+class ToleranceSchedule(NamedTuple):
     """Switching loss target per interval: harmonic decay, fixed, or explicit.
 
     Harmonic decay scales the prototype measure by 1/(index+1), which keeps
@@ -176,8 +173,7 @@ class ToleranceSchedule:
         return cls(kind=kind, values=values)
 
 
-@dataclass(frozen=True)
-class DatumSpec:
+class DatumSpec(NamedTuple):
     window: int = 0
     decay: str = "flat"
     decay_power: float = 2.0
@@ -199,8 +195,7 @@ class DatumSpec:
         return cls(window=window, decay=decay, decay_power=power, seed=seed)
 
 
-@dataclass(frozen=True)
-class DesignOptions:
+class DesignOptions(NamedTuple):
     """Options for standalone design building (the protocol itself always
     uses the exact equal-weight grid).
 
@@ -261,8 +256,7 @@ class DesignOptions:
                    candidate_seed=seed, tol=tol, max_iter=max_iter)
 
 
-@dataclass(frozen=True)
-class ScheduleOptions:
+class ScheduleOptions(NamedTuple):
     """Realization options: speed ladder for continuous paths, CSV budget."""
 
     speeds: tuple[float, ...] = (10.0, 100.0, 1000.0, 10000.0)
@@ -318,10 +312,7 @@ _TOP_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated protocol configuration."""
-
+class _RunConfig(NamedTuple):
     dim: int
     boxes: tuple
     model: str
@@ -334,7 +325,11 @@ class RunConfig:
     datum: DatumSpec
     design: DesignOptions
     schedule: ScheduleOptions
-    source: dict = field(repr=False, default_factory=dict)
+    source: dict = {}  # the parsed JSON object; never mutated
+
+
+class RunConfig(_RunConfig):
+    """Validated protocol configuration."""
 
     # -- derived accessors ------------------------------------------------
 

@@ -22,11 +22,10 @@ independent check of the moment-space arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,23 +59,29 @@ class NumericalRankFailure(DesignError):
     """A required affine dependency could not be certified numerically."""
 
 
-@dataclass(frozen=True)
-class DesignAtom:
+class DesignAtom(NamedTuple):
     shift: GroupElement
     weight: float
 
 
-@dataclass(frozen=True)
 class ConvexDesign:
-    """Finite convex combination of translates with its moment residual."""
+    """Finite convex combination of translates with its moment residual.
 
-    atoms: tuple[DesignAtom, ...]
-    measure: float          # L of the prototype set
-    cutoff: int             # basis cutoff K the design was built for
-    residual: float         # ||sum theta Gamma - L Id||_F at build time (moment space)
+    Equal designs have equal atoms, measure, cutoff and residual.  The tour,
+    grid test and cumulative weights are cached on the instance."""
 
-    def __post_init__(self) -> None:
-        if not self.atoms:
+    def __init__(
+        self,
+        atoms: tuple[DesignAtom, ...],
+        measure: float,     # L of the prototype set
+        cutoff: int,        # basis cutoff K the design was built for
+        residual: float,    # ||sum theta Gamma - L Id||_F at build time (moment space)
+    ) -> None:
+        self.atoms = atoms
+        self.measure = measure
+        self.cutoff = cutoff
+        self.residual = residual
+        if not atoms:
             raise ValueError("design needs at least one atom")
         w = self.weights
         # written so that a NaN fails each test
@@ -84,8 +89,15 @@ class ConvexDesign:
             raise ValueError("atom weights must be positive")
         if not abs(w.sum() - 1.0) <= 1e-12:
             raise ValueError(f"weights sum to {w.sum()}, not 1")
-        if not math.isfinite(self.residual):
-            raise ValueError(f"residual {self.residual} is not finite")
+        if not math.isfinite(residual):
+            raise ValueError(f"residual {residual} is not finite")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ConvexDesign):
+            return NotImplemented
+        return (self.atoms, self.measure, self.cutoff, self.residual) == (
+            other.atoms, other.measure, other.cutoff, other.residual
+        )
 
     @property
     def weights(self) -> np.ndarray:
@@ -462,8 +474,7 @@ def caratheodory_reduce(
     return design_of(atoms, basis, prototype)
 
 
-@dataclass(frozen=True)
-class DesignVerification:
+class DesignVerification(NamedTuple):
     """Randomized and matrix-level check of the design identity."""
 
     trials: int

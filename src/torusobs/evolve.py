@@ -83,9 +83,8 @@ and complex multiplication under FMA rounds `b * a` differently from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -107,7 +106,6 @@ class BasisMismatch(NumericError):
     """Gram matrices and datum are built on different bases."""
 
 
-@dataclass(frozen=True, eq=False)
 class ModalDatum:
     """Modal coefficients of one datum on a simulation basis.
 
@@ -115,28 +113,35 @@ class ModalDatum:
     aligned with `basis.modes` and never mutated in place.
     """
 
-    model: str
-    mass: float
-    basis: ModalBasis
-    a: np.ndarray | None = None
-    b: np.ndarray | None = None
-    c: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        check_model_mass(self.model, self.mass)
-        d = self.basis.dim
-        if self.model == "schrodinger":
-            if self.c is None or self.a is not None or self.b is not None:
+    def __init__(
+        self,
+        model: str,
+        mass: float,
+        basis: ModalBasis,
+        a: np.ndarray | None = None,
+        b: np.ndarray | None = None,
+        c: np.ndarray | None = None,
+    ) -> None:
+        self.model = model
+        self.mass = mass
+        self.basis = basis
+        self.a = a
+        self.b = b
+        self.c = c
+        check_model_mass(model, mass)
+        d = basis.dim
+        if model == "schrodinger":
+            if c is None or a is not None or b is not None:
                 raise ValueError("schrodinger datum needs exactly the c array")
-            if self.c.shape != (d,):
+            if c.shape != (d,):
                 raise ValueError("c has the wrong shape")
         else:
-            if self.a is None or self.b is None or self.c is not None:
+            if a is None or b is None or c is not None:
                 raise ValueError("wave/klein_gordon datum needs the (a, b) arrays")
-            if self.a.shape != (d,) or self.b.shape != (d,):
+            if a.shape != (d,) or b.shape != (d,):
                 raise ValueError("(a, b) have the wrong shape")
             zero = self.rho == 0.0
-            if np.any(zero) and np.any(self.a[zero] != 0.0):
+            if np.any(zero) and np.any(a[zero] != 0.0):
                 raise ValueError(
                     "zero-frequency displacement is quotiented out; a must vanish there"
                 )
@@ -156,8 +161,8 @@ class ModalDatum:
 
     def _masked(self, mask: np.ndarray) -> "ModalDatum":
         if self.model == "schrodinger":
-            return replace(self, c=self.c * mask)
-        return replace(self, a=self.a * mask, b=self.b * mask)
+            return ModalDatum(self.model, self.mass, self.basis, c=self.c * mask)
+        return ModalDatum(self.model, self.mass, self.basis, self.a * mask, self.b * mask)
 
 
 def random_datum(
@@ -208,8 +213,7 @@ def random_datum(
     return ModalDatum(model=model, mass=mass, basis=basis, a=a * mask, b=b * mask)
 
 
-@dataclass(frozen=True, eq=False)
-class EnergyDecomposition:
+class EnergyDecomposition(NamedTuple):
     """Conserved energy with its per-mode split and window partial sums."""
 
     total: float
@@ -301,8 +305,7 @@ def frequency_differences(alpha: np.ndarray) -> np.ndarray:
     return alpha[None, None, :, :] - alpha[:, :, None, None]
 
 
-@dataclass(frozen=True, eq=False)
-class PairKeys:
+class PairKeys(NamedTuple):
     """The distinct pairs (D, m) of one mode-difference component m, and
     the pair of every kernel entry: the entry's D and m are
     `diff[inverse]` and `modes[inverse]`."""
@@ -317,8 +320,7 @@ def _compact(index: np.ndarray, count: int) -> np.ndarray:
     return index.astype(np.min_scalar_type(max(count - 1, 0)))
 
 
-@dataclass(frozen=True, eq=False)
-class DifferenceTable:
+class DifferenceTable(NamedTuple):
     """The frequency differences D of one expansion, deduplicated.
 
     `values` holds the distinct D and `inverse` the index of each entry's D

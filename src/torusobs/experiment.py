@@ -32,8 +32,8 @@ from running means to the tail and continuous reports (`tail_report`,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,8 +81,7 @@ class WindowExceedsSimulation(NumericError):
     """A requested window cutoff reaches or exceeds the simulation cutoff."""
 
 
-@dataclass(frozen=True)
-class IntervalRecord:
+class IntervalRecord(NamedTuple):
     """One interval of the protocol."""
 
     index: int             # 1-based interval number
@@ -96,8 +95,7 @@ class IntervalRecord:
     tail: float            # observation energy of the datum above `window`
 
 
-@dataclass(eq=False)
-class CesaroSeries:
+class CesaroSeries(NamedTuple):
     """Protocol output: interval records and the setup they were run on."""
 
     setup: ProtocolSetup
@@ -159,7 +157,6 @@ def clears(margin: float | None, slack: float) -> bool:
     return margin is None or margin >= 1.0 - slack
 
 
-@dataclass(frozen=True, eq=False)
 class ProtocolSetup:
     """The protocol state every command reads.
 
@@ -176,10 +173,17 @@ class ProtocolSetup:
     parts.
     """
 
-    config: RunConfig
-    basis: ModalBasis
-    designs: dict[int, ConvexDesign]
-    design_bounds: dict[int, float]
+    def __init__(
+        self,
+        config: RunConfig,
+        basis: ModalBasis,
+        designs: dict[int, ConvexDesign],
+        design_bounds: dict[int, float],
+    ) -> None:
+        self.config = config
+        self.basis = basis
+        self.designs = designs
+        self.design_bounds = design_bounds
 
     @cached_property
     def datum(self) -> ModalDatum:
@@ -343,8 +347,7 @@ def _reported(key: str) -> property:
     return property(lambda self: self.to_dict()[key])
 
 
-@dataclass(eq=False)
-class TailReductionReport:
+class TailReductionReport(NamedTuple):
     """Numerical check of the hypotheses that discard the spectral tail.
 
     For each interval the protocol records the observed energy of the datum
@@ -505,8 +508,7 @@ def continuous_fields(
     }
 
 
-@dataclass(eq=False)
-class ContinuousReport:
+class ContinuousReport(NamedTuple):
     """Continuous-path rerun of the protocol over a ladder of speeds.
 
     For each speed the protocol intervals are re-realized by one continuous

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -46,29 +45,36 @@ def _mod1(x: Fraction) -> Fraction:
     return x - (x // 1)
 
 
-@dataclass(frozen=True)
-class TorusSpace:
-    """Flat torus of dimension 1 or 2, unit period, total measure one."""
-
+class _TorusSpace(NamedTuple):
     dim: int
 
-    def __post_init__(self) -> None:
-        if self.dim not in (1, 2):
-            raise ValueError(f"torus dimension must be 1 or 2, got {self.dim}")
+
+class TorusSpace(_TorusSpace):
+    """Flat torus of dimension 1 or 2, unit period, total measure one."""
+
+    __slots__ = ()
+
+    def __new__(cls, dim: int) -> "TorusSpace":
+        if dim not in (1, 2):
+            raise ValueError(f"torus dimension must be 1 or 2, got {dim}")
+        return super().__new__(cls, dim)
 
     def identity(self) -> "GroupElement":
         """The zero translation."""
         return GroupElement((Fraction(0),) * self.dim)
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """A translation of the torus, stored as exact per-axis shifts mod 1."""
-
+class _GroupElement(NamedTuple):
     shift: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "shift", tuple(_mod1(_as_fraction(s)) for s in self.shift))
+
+class GroupElement(_GroupElement):
+    """A translation of the torus, stored as exact per-axis shifts mod 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, shift: Iterable[ScalarLike]) -> "GroupElement":
+        return super().__new__(cls, tuple(_mod1(_as_fraction(s)) for s in shift))
 
     @classmethod
     def of(cls, *components: ScalarLike) -> "GroupElement":
@@ -110,34 +116,39 @@ def _boxes_overlap(p: Box, q: Box) -> bool:
     return all(a1 < b2 and a2 < b1 for (a1, b1), (a2, b2) in zip(p, q))
 
 
-@dataclass(frozen=True)
-class PrototypeSet:
+class _PrototypeSet(NamedTuple):
+    space: TorusSpace
+    pieces: tuple[Box, ...]
+
+
+class PrototypeSet(_PrototypeSet):
     """Finite disjoint union of half-open boxes mod 1 on a flat torus.
 
     `pieces` are normalized: every axis interval satisfies 0 <= a < b <= 1,
     so no stored box wraps.  Wrapping input boxes are split at construction.
     """
 
-    space: TorusSpace
-    pieces: tuple[Box, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.pieces:
+    def __new__(cls, space: TorusSpace, pieces: tuple[Box, ...]) -> "PrototypeSet":
+        self = super().__new__(cls, space, pieces)
+        if not pieces:
             raise ValueError("prototype set needs at least one box")
-        d = self.space.dim
-        for box in self.pieces:
+        d = space.dim
+        for box in pieces:
             if len(box) != d:
                 raise ValueError(f"box {box} does not match dimension {d}")
             for a, b in box:
                 if not (0 <= a < b <= 1):
                     raise ValueError(f"axis interval [{a}, {b}) is not normalized")
-        n = len(self.pieces)
+        n = len(pieces)
         for i in range(n):
             for j in range(i + 1, n):
-                if _boxes_overlap(self.pieces[i], self.pieces[j]):
+                if _boxes_overlap(pieces[i], pieces[j]):
                     raise ValueError(f"pieces {i} and {j} overlap")
         if self.measure_exact > 1:
             raise ValueError("total measure exceeds the torus measure")
+        return self
 
     @classmethod
     def from_boxes(

@@ -26,8 +26,8 @@ equal-weight grid design they never build the template.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 from .config import NumericError
 from .design import ConvexDesign
@@ -37,8 +37,7 @@ class SpeedTooLow(NumericError):
     """The speed bound cannot traverse the atom cycle within one macro interval."""
 
 
-@dataclass(frozen=True)
-class PathSegment:
+class PathSegment(NamedTuple):
     """One dwell or transit segment of the per-macro template.
 
     Offsets are relative to the macro interval start.  Dwells have zero
@@ -53,20 +52,29 @@ class PathSegment:
     velocity: tuple[float, ...]   # zeros for dwells
 
 
-@dataclass(frozen=True, eq=False)
 class Realization:
     """A design realized on [t_start, t_start + duration] by R = macro_count
     repetitions of one macro template at a speed bound; `speed` is infinite
     for a switching schedule.  `certified_loss` is the loss the constructor
     certifies for every profile-space datum."""
 
-    design: ConvexDesign
-    t_start: float
-    duration: float
-    macro_count: int
-    speed: float
-    lipschitz_bound: float
-    certified_loss: float
+    def __init__(
+        self,
+        design: ConvexDesign,
+        t_start: float,
+        duration: float,
+        macro_count: int,
+        speed: float,
+        lipschitz_bound: float,
+        certified_loss: float,
+    ) -> None:
+        self.design = design
+        self.t_start = t_start
+        self.duration = duration
+        self.macro_count = macro_count
+        self.speed = speed
+        self.lipschitz_bound = lipschitz_bound
+        self.certified_loss = certified_loss
 
     @property
     def macro_length(self) -> float:
@@ -110,7 +118,7 @@ class Realization:
                 )
                 offset += leg_time
         # absorb rounding: the last segment ends exactly at the macro boundary
-        segments[-1] = replace(segments[-1], offset_end=tau)
+        segments[-1] = segments[-1]._replace(offset_end=tau)
         return tuple(segments)
 
 

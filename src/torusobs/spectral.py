@@ -27,9 +27,9 @@ observation densities (`trajectory_lipschitz_bound`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,13 +43,17 @@ TWO_PI = 2.0 * math.pi
 DEFAULT_MAX_DIM = 4096
 
 
-@dataclass(frozen=True)
-class ModalBasis:
-    """Characters with frequency max-norm <= cutoff, in lexicographic order."""
-
+class _ModalBasis(NamedTuple):
     space: TorusSpace
     cutoff: int
     modes: tuple[tuple[int, ...], ...]
+
+
+class ModalBasis(_ModalBasis):
+    """Characters with frequency max-norm <= cutoff, in lexicographic order.
+
+    Compared and hashed by value (`_base_entries` is cached on it); the
+    arrays derived from the modes are cached on the instance."""
 
     @property
     def dim(self) -> int:
@@ -98,12 +102,11 @@ def build_basis(space: TorusSpace, cutoff: int, max_dim: int = DEFAULT_MAX_DIM) 
     return ModalBasis(space=space, cutoff=cutoff, modes=modes)
 
 
-@dataclass(frozen=True, eq=False)
-class ObservationMatrix:
+class ObservationMatrix(NamedTuple):
     """Gram matrix of the modal basis restricted to a translated set.
 
     Hermitian and positive semidefinite with eigenvalues in [0, 1] and trace
-    dim * measure(set).  Frozen value object; `entries` must not be mutated.
+    dim * measure(set).  `entries` is read-only.
     """
 
     basis: ModalBasis
@@ -187,8 +190,7 @@ def temporal_gram(rho: float, t_start: float, duration: float) -> np.ndarray:
     return np.array([[ss, sc], [sc, cc]])
 
 
-@dataclass(frozen=True, eq=False)
-class CalibrationConstants:
+class CalibrationConstants(NamedTuple):
     """Full-torus per-interval observation constants.
 
     lower * E <= interval output energy <= upper * E for every datum built on

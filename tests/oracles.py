@@ -13,12 +13,13 @@ template, and the tour's cycle from a loop over its legs.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 from scipy.integrate import simpson
+
+from torusobs.evolve import ModalDatum
 
 TWO_PI = 2.0 * np.pi
 
@@ -334,7 +335,8 @@ def evolve_to(datum, t: float):
     times e^{i lambda t}, the wave/Klein-Gordon pair (a, b) rotated by
     rho t (the zero-mode velocity is constant in the mass-zero quotient)."""
     if datum.model == "schrodinger":
-        return replace(datum, c=datum.c * np.exp(1j * datum.basis.eigenvalues * t))
+        c = datum.c * np.exp(1j * datum.basis.eigenvalues * t)
+        return ModalDatum(datum.model, datum.mass, datum.basis, c=c)
     rho = datum.rho
     cos = np.cos(rho * t)
     sin = np.sin(rho * t)
@@ -342,4 +344,4 @@ def evolve_to(datum, t: float):
     safe_rho = np.where(positive, rho, 1.0)
     a_new = np.where(positive, datum.a * cos + datum.b * sin / safe_rho, datum.a)
     b_new = np.where(positive, -datum.a * safe_rho * sin + datum.b * cos, datum.b)
-    return replace(datum, a=a_new, b=b_new)
+    return ModalDatum(datum.model, datum.mass, datum.basis, a_new, b_new)

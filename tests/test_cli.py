@@ -248,6 +248,25 @@ def test_verify_process_does_not_import_numpy_random(tmp_path):
     assert done.stdout.splitlines()[-1] == "False"
 
 
+def test_no_process_imports_dataclasses(tmp_path):
+    # records are NamedTuples or plain classes, so no module generates and
+    # execs their methods at import: not the package, not a command
+    package = Path(torusobs.__file__).parent
+    modules = sorted(f"torusobs.{path.stem}" for path in package.glob("[!_]*.py"))
+    quick = Path(__file__).resolve().parents[1] / "configs" / "quick.json"
+    out = tmp_path / "out"
+    for setup in (
+        f"import {', '.join(modules)}\n",
+        "from torusobs.cli import main\n"
+        f"assert main(['experiment', '--config', {str(quick)!r}, '--out', {str(out)!r}]) == 0\n",
+        "from torusobs.cli import main\n"
+        f"assert main(['verify', '--config', {str(quick)!r}, '--out', {str(out)!r}]) == 0\n",
+    ):
+        done = fresh_python("-c", "import sys\n" + setup + "print('dataclasses' in sys.modules)\n")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
+
+
 def test_schedule_process_builds_neither_datum_nor_kernels(tmp_path):
     # the schedule command reads the designs and their bounds only: no
     # seeded datum (so no numpy.random), no Gamma(0), no difference table
@@ -828,29 +847,39 @@ def test_verify_rebuilds_a_design_from_its_atoms(tmp_path, capsys, edit, message
 
 
 @pytest.mark.parametrize(
-    "edit, message",
+    "run, edit, message",
     [
         (
+            "continuous",
             set_json("continuous_report.json", "certified_factors", "10000.0", scale=0.5),
             "continuous_report.json: certified_factors do not recompute from the rebuilt paths",
         ),
         (
+            "continuous",
             set_json("continuous_report.json", "certified_factors", value={}),
             "continuous_report.json: certified_factors do not recompute from the rebuilt paths",
         ),
         (
+            "continuous",
             set_json("continuous_report.json", "realized_ok", value=False),
             "continuous_report.json: realized_ok does not agree with realized_margin",
         ),
         (
+            "continuous",
             set_json("continuous_report.json", "extra", value=1),
             "continuous_report.json: differs from the rebuilt report (extra)",
         ),
+        (
+            # no speed of the quick config certifies a positive factor
+            "quick",
+            set_json("continuous_report.json", "realized_margin", value=5.0),
+            "continuous_report.json: realized_margin 5.0 where no rebuilt path certifies",
+        ),
     ],
-    ids=["factor", "factors", "realized-ok", "extra-key"],
+    ids=["factor", "factors", "realized-ok", "extra-key", "margin-without-factor"],
 )
-def test_verify_recomputes_the_continuous_certificates(tmp_path, capsys, edit, message):
-    config, out = continuous_run(tmp_path)
+def test_verify_recomputes_the_continuous_certificates(tmp_path, capsys, run, edit, message):
+    config, out = continuous_run(tmp_path) if run == "continuous" else quick_run(tmp_path)
     assert main(["verify", "--config", str(config), "--out", str(out)]) == 0
     edit(out)
     assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
@@ -898,6 +927,15 @@ def continuous_run(tmp_path):
     out = tmp_path / "out"
     assert main(["continuous", "--config", str(config), "--out", str(out)]) == 0
     return config, out
+
+
+def quick_run(tmp_path):
+    """`experiment` and `continuous` on the committed quick config."""
+    out = tmp_path / "out"
+    quick = Path(__file__).resolve().parents[1] / "configs" / "quick.json"
+    for command in ("experiment", "continuous"):
+        assert main([command, "--config", str(quick), "--out", str(out)]) == 0
+    return quick, out
 
 
 def test_verify_detects_continuous_report_final_mean_tampering(tmp_path, capsys):

@@ -1,7 +1,6 @@
 """End-to-end protocol runs: calibration, Cesaro series, tail reduction,
 and the continuous-path rerun."""
 
-import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -11,6 +10,7 @@ import pytest
 
 import oracles
 from torusobs import (
+    Realization,
     RunConfig,
     WindowExceedsSimulation,
     calibration,
@@ -368,7 +368,7 @@ def test_unbounded_margins_are_written_as_null():
     report = tail_reduction_check(series)
     assert math.isfinite(report.lower_margin)
     assert report.to_dict()["lower_margin"] == report.lower_margin
-    unbounded = dataclasses.replace(report, lower_margin=math.inf)
+    unbounded = report._replace(lower_margin=math.inf)
     assert unbounded.to_dict()["lower_margin"] is None
     json.dumps(unbounded.to_dict(), allow_nan=False)
 
@@ -421,7 +421,10 @@ def test_monotone_check_compares_speeds_in_sorted_order(monkeypatch):
         path = build(design, interval, speed, bound)
         if speed == 1000.0:
             mid_loss = build(design, interval, 100.0, bound).certified_loss
-            path = dataclasses.replace(path, certified_loss=1.5 * mid_loss)
+            path = Realization(
+                path.design, path.t_start, path.duration, path.macro_count, path.speed,
+                path.lipschitz_bound, 1.5 * mid_loss,
+            )
         return path
 
     monkeypatch.setattr(experiment, "build_continuous", inflated)
@@ -446,7 +449,10 @@ def started_path_energies(config, speed):
             setup.designs[window], (0.0, config.duration), speed,
             setup.design_bounds[window],
         )
-        started = dataclasses.replace(path, t_start=(m - 1) * config.duration)
+        started = Realization(
+            path.design, (m - 1) * config.duration, path.duration, path.macro_count,
+            path.speed, path.lipschitz_bound, path.certified_loss,
+        )
         kernel = path_kernel(started, setup.differences, setup.gamma_base)
         values.append((path, kernel_energy(kernel, setup.coeff)))
     return values

@@ -286,3 +286,49 @@ def test_rate_bound_guards():
         trajectory_lipschitz_bound(basis, "wave", 0.0, -1.0)
     with pytest.raises(ValueError):
         trajectory_lipschitz_bound(basis, "heat", 0.0, 1.0)
+
+
+# ---------------------------------------------------------------- records
+
+
+def box_2d() -> PrototypeSet:
+    return PrototypeSet.from_boxes(T2, [[("3/4", "5/4"), (0, "1/3")]])
+
+
+@pytest.mark.parametrize(
+    "build, field, cache_key",
+    [
+        (lambda: TorusSpace(2), "dim", lambda s: (build_basis(s, 1), box_2d())),
+        (
+            lambda: GroupElement.of("1/3", 0.5), "shift",
+            lambda g: (build_basis(T2, 1), box_2d().translate(g)),
+        ),
+        (box_2d, "pieces", lambda p: (build_basis(T2, 1), p)),
+        (lambda: build_basis(T2, 2), "modes", lambda b: (b, box_2d())),
+    ],
+    ids=["TorusSpace", "GroupElement", "PrototypeSet", "ModalBasis"],
+)
+def test_value_records_compare_and_hash_by_value_and_stay_immutable(build, field, cache_key):
+    from torusobs.spectral import _base_entries
+
+    first, second = build(), build()
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    with pytest.raises(AttributeError):
+        setattr(first, field, getattr(second, field))
+    # Gamma(0) is cached on (basis, prototype): an equal record is a hit
+    entries = _base_entries(*cache_key(first))
+    hits = _base_entries.cache_info().hits
+    assert _base_entries(*cache_key(second)) is entries
+    assert _base_entries.cache_info().hits == hits + 1
+
+
+def test_design_records_build_as_perfbench_builds_them():
+    # positional atoms and keyword designs, as perfbench/oracle.py calls them
+    from torusobs.design import ConvexDesign, DesignAtom
+
+    design = ConvexDesign(
+        atoms=(DesignAtom(T2.identity(), 1.0),), measure=0.25, cutoff=1, residual=0.0
+    )
+    assert design.atoms[0].shift == T2.identity() and design.weights.tolist() == [1.0]
+    assert design == ConvexDesign((DesignAtom(T2.identity(), 1.0),), 0.25, 1, 0.0)
