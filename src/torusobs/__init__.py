@@ -45,15 +45,12 @@ _EXPORTS = {
         "conserved_energy",
         "interval_output_energy",
         "output_expansion",
-        "output_kind_for",
         "path_observation_energy",
         "random_datum",
     ),
     "experiment": (
         "CesaroSeries",
-        "ContinuousReport",
-        "IntervalRecord",
-        "TailReductionReport",
+        "ContinuousRun",
         "WindowExceedsSimulation",
         "continuous_protocol_delta",
         "run_protocol",

@@ -21,8 +21,8 @@ rows or payload of the artifact, from the config, the quantities the config
 determines and the energies.  `verify` calls it on what it rebuilds from the
 config and on the energies the artifacts store, and requires the file to
 equal the result, text for text or key for key.  The stored energies and
-the tail report's split fields are what it takes on trust, with a design's
-scalar deviation, which only its matrix residual bounds.
+the values of the tail report's split fields are what it takes on trust,
+with a design's scalar deviation, which only its matrix residual bounds.
 """
 
 from __future__ import annotations
@@ -349,11 +349,16 @@ def _run_meta(config: RunConfig, constants, energy, means, bound, tail: dict) ->
 
 
 def cmd_experiment(config: RunConfig, out: Path, args) -> int:
-    from .experiment import run_protocol, tail_reduction_check
+    from .experiment import (
+        reference_bound,
+        run_protocol,
+        running_means,
+        tail_reduction_check,
+    )
     from .spectral import build_basis
 
     series = run_protocol(config)
-    report = tail_reduction_check(series)
+    tail = tail_reduction_check(series)
 
     rows = _series_rows(config, series.observed, series.windowed)
     _write_csv(out / "series.csv", SERIES_VERSION, SERIES_HEADER, rows)
@@ -363,13 +368,13 @@ def cmd_experiment(config: RunConfig, out: Path, args) -> int:
         _write_design(out, design, build_basis(config.space(), window), config.prototype())
     for index in config.schedule.emit_intervals:
         _write_sidecar(out, index, setup.schedule(index))
+    bound = reference_bound(config.measure, series.constants.lower, series.energy)
     meta = _run_meta(
-        config, series.constants, series.energy, series.running_means,
-        series.reference_bound, report.to_dict(),
+        config, series.constants, series.energy, running_means(series.observed), bound, tail
     )
     _write_json(out / "run_meta.json", meta)
     print(f"final running-mean ratio: {meta['final_ratio']!r}")
-    if not (report.upper_ok and report.lower_ok and all(report.split_ok.values())):
+    if not (tail["upper_ok"] and tail["lower_ok"] and all(tail["split_ok"].values())):
         print("tail-reduction hypotheses FAILED", file=sys.stderr)
         return 3
     return 0
@@ -394,20 +399,21 @@ def _continuous_rows(config: RunConfig, paths: dict, observed: dict) -> list[tup
 
 
 def cmd_continuous(config: RunConfig, out: Path, args) -> int:
-    from .experiment import continuous_protocol_delta
+    """Write continuous.csv, then build continuous_report.json as `verify`
+    does: from the paths, the energies and the certified losses of the rows."""
+    from .experiment import continuous_fields, continuous_protocol_delta
 
-    report = continuous_protocol_delta(config, config.schedule.speeds)
-    rows = _continuous_rows(config, report.paths, report.observed)
+    run = continuous_protocol_delta(config, config.schedule.speeds)
+    rows = _continuous_rows(config, run.paths, run.observed)
     _write_csv(out / "continuous.csv", CONTINUOUS_VERSION, CONTINUOUS_HEADER, rows)
-    _write_json(
-        out / "continuous_report.json",
-        {"schema": CONTINUOUS_SCHEMA, **report.to_dict()},
-    )
+    losses = {v: [row[4] for row in rows if row[0] == v] for v in run.observed}
+    report = continuous_fields(config.measure, run.paths, run.observed, losses, run.realized_margin)
+    _write_json(out / "continuous_report.json", {"schema": CONTINUOUS_SCHEMA, **report})
     print(
-        f"continuous speeds={list(report.speeds)} "
-        f"monotone={report.monotone_ok} realized={report.realized_ok}"
+        f"continuous speeds={report['speeds']} "
+        f"monotone={report['monotone_ok']} realized={report['realized_ok']}"
     )
-    if not (report.monotone_ok and report.realized_ok):
+    if not (report["monotone_ok"] and report["realized_ok"]):
         print("continuous-path certificates FAILED", file=sys.stderr)
         return 3
     return 0
@@ -578,10 +584,11 @@ RUN_META_MESSAGES = {
 def _check_run_meta(config: RunConfig, path: Path, state: _Rebuilt) -> list[str]:
     """run_meta.json is rebuilt from the config, the recomputed calibration,
     series.csv's energies and its own energy, reference bound and split
-    fields.  The ratios divide by its stored bound, which must itself be the
-    product of its stored measure, lower constant and energy.  A tail-report
-    verdict that recomputes false is a problem: the certificate fails."""
-    from .experiment import reference_bound, running_means, tail_report
+    fields, which must be keyed by the etas `ETAS`.  The ratios divide by its
+    stored bound, which must itself be the product of its stored measure,
+    lower constant and energy.  A tail-report verdict that recomputes false
+    is a problem: the certificate fails."""
+    from .experiment import ETAS, reference_bound, running_means, tail_report
 
     meta = _read_json(path)
     if state.series is None:
@@ -589,14 +596,19 @@ def _check_run_meta(config: RunConfig, path: Path, state: _Rebuilt) -> list[str]
     observed, windowed = state.series
     constants = state.constants
     energy, bound = meta["energy"], meta["reference_bound"]
-    tail = tail_report(observed, windowed, constants.upper, energy, bound, meta["tail_reduction"])
+    split = meta["tail_reduction"]
+    tail = tail_report(observed, windowed, constants.upper, energy, bound, split)
     want = _run_meta(config, constants, energy, running_means(observed), bound, tail)
     want["reference_bound"] = reference_bound(meta["measure"], meta["lower_constant"], energy)
     problems = _compare(
         path.name, meta, want, "differs from the config and the recomputed calibration ({keys})",
         own=RUN_META_MESSAGES, near=("lower_constant", "upper_constant"),
     )
+    etas = sorted(map(str, ETAS))
     return problems + [
+        f"{path.name}: tail_reduction.{field} is not keyed by the etas {list(ETAS)}"
+        for field in ("split_ok", "eta_bounds") if sorted(split[field]) != etas
+    ] + [
         f"{path.name}: tail_reduction.{flag} is false"
         for flag in ("upper_ok", "lower_ok") if not tail[flag]
     ]
@@ -747,13 +759,14 @@ def verify_artifacts(config: RunConfig, out: Path) -> list[str]:
     rebuilds from the config (designs' residuals and verifications, the
     calibration, schedules, paths) and to the energies the artifacts store:
     CSV files text for text, JSON files key for key, the calibration's
-    floats up to rounding (`_near`).  The stored energies and the tail
-    report's split fields are what is taken on trust, with a design's scalar
-    deviation, which only its matrix residual bounds.  Each checker of
-    `CHECKS` says what its artifact is rebuilt from.  A file that cannot be
-    read, or holds a field of the wrong type, is reported as unreadable,
-    under its own name only.  A missing directory, or one holding none of
-    these artifacts, is a problem: there is nothing to vouch for.
+    floats up to rounding (`_near`).  The stored energies and the values of
+    the tail report's split fields are what is taken on trust, with a
+    design's scalar deviation, which only its matrix residual bounds.  Each
+    checker of `CHECKS` says what its artifact is rebuilt from.  A file that
+    cannot be read, or holds a field of the wrong type, is reported as
+    unreadable, under its own name only.  A missing directory, or one
+    holding none of these artifacts, is a problem: there is nothing to vouch
+    for.
     """
     if not out.is_dir():
         return [f"{out}: no such directory"]

@@ -93,19 +93,17 @@ def _as_str(value: Any, path: str, choices: tuple[str, ...] | None = None) -> st
 
 
 class WindowSchedule(NamedTuple):
-    """Design cutoff per interval: capped stride growth, fixed, or explicit."""
+    """Design cutoff per interval: capped stride growth, or explicit values
+    (the last one repeats).  A fixed cutoff is one explicit value."""
 
     kind: str = "stride"
     stride: int = 5
     cap: int = 7
-    value: int = 1
     values: tuple[int, ...] = ()
 
     def at(self, index: int) -> int:
         if self.kind == "stride":
             return min(self.cap, math.ceil(index / self.stride))
-        if self.kind == "fixed":
-            return self.value
         return self.values[min(index, len(self.values)) - 1]
 
     @classmethod
@@ -125,7 +123,7 @@ class WindowSchedule(NamedTuple):
             value = _as_int(_get(mapping, "value", path), f"{path}.value")
             if value < 0:
                 raise ConfigError(f"{path}.value: must be >= 0")
-            return cls(kind=kind, value=value)
+            return cls(kind="explicit", values=(value,))
         _check_keys(mapping, {"kind", "values"}, path)
         raw = _get(mapping, "values", path)
         if not isinstance(raw, list) or not raw:
@@ -137,20 +135,18 @@ class WindowSchedule(NamedTuple):
 
 
 class ToleranceSchedule(NamedTuple):
-    """Switching loss target per interval: harmonic decay, fixed, or explicit.
+    """Switching loss target per interval: harmonic decay, or explicit values
+    (the last one repeats).  A fixed target is one explicit value.
 
     Harmonic decay scales the prototype measure by 1/(index+1), which keeps
     every target strictly inside (0, measure)."""
 
     kind: str = "harmonic"
-    value: float = 0.0
     values: tuple[float, ...] = ()
 
     def at(self, index: int, measure: float) -> float:
         if self.kind == "harmonic":
             return measure / (index + 1)
-        if self.kind == "fixed":
-            return self.value
         return self.values[min(index, len(self.values)) - 1]
 
     @classmethod
@@ -163,8 +159,8 @@ class ToleranceSchedule(NamedTuple):
             return cls(kind=kind)
         if kind == "fixed":
             _check_keys(mapping, {"kind", "value"}, path)
-            return cls(kind=kind, value=_as_float(_get(mapping, "value", path),
-                                                  f"{path}.value"))
+            value = _as_float(_get(mapping, "value", path), f"{path}.value")
+            return cls(kind="explicit", values=(value,))
         _check_keys(mapping, {"kind", "values"}, path)
         raw = _get(mapping, "values", path)
         if not isinstance(raw, list) or not raw:

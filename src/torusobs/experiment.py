@@ -24,9 +24,13 @@ reads one table of the distinct frequency differences D of the datum's
 expansion (`ProtocolSetup.differences`), built once.  The full-torus
 calibration constants come from `spectral.calibration`.
 
-Every number the artifacts derive from the energies has one formula here,
-from running means to the tail and continuous reports (`tail_report`,
-`continuous_fields`); the writers and `verify` both call them.
+The protocol returns numbers and payloads, not report objects: the
+per-interval energies (`CesaroSeries`), the tail-reduction report as
+run_meta.json holds it, and the paths and energies of the continuous rerun
+(`ContinuousRun`).  Every number the artifacts derive from the energies has
+one formula here, from running means to the tail and continuous reports
+(`tail_report`, `continuous_fields`); the writers and `verify` both call
+them.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ from .evolve import (
     expansion_interval_energy,
     kernel_energy,
     output_expansion,
-    output_kind_for,
     path_template,
     random_datum,
     shifted_energies,
@@ -65,10 +68,8 @@ from .spectral import (
 
 __all__ = [
     "CesaroSeries",
-    "ContinuousReport",
-    "IntervalRecord",
+    "ContinuousRun",
     "ProtocolSetup",
-    "TailReductionReport",
     "WindowExceedsSimulation",
     "continuous_protocol_delta",
     "prepare_protocol",
@@ -77,56 +78,28 @@ __all__ = [
 ]
 
 
+#: the split parameters eta of the tail-reduction report
+ETAS = (0.5, 0.1, 0.01)
+
+
 class WindowExceedsSimulation(NumericError):
     """A requested window cutoff reaches or exceeds the simulation cutoff."""
 
 
-class IntervalRecord(NamedTuple):
-    """One interval of the protocol."""
-
-    index: int             # 1-based interval number
-    window: int            # design cutoff used on this interval
-    tolerance: float       # switching loss target
-    macro_count: int       # schedule repetitions realizing that target
-    observed: float        # observation energy along the schedule
-    running_mean: float    # mean of `observed` over intervals 1..index
-    windowed_energy: float # conserved energy of the datum below `window`
-    truncated: float       # observation energy of the datum below `window`
-    tail: float            # observation energy of the datum above `window`
-
-
 class CesaroSeries(NamedTuple):
-    """Protocol output: interval records and the setup they were run on."""
+    """Protocol output: the setup it ran on, the datum's conserved energy E,
+    the calibration constants, and per interval the observed energy Q_m,
+    the conserved energy E_leK of the datum below the interval's window, and
+    the observation energies of the datum below (`truncated`) and above
+    (`tail`) that window."""
 
     setup: ProtocolSetup
-    measure: float
     energy: float
     constants: CalibrationConstants
-    records: tuple[IntervalRecord, ...]
-
-    @property
-    def reference_bound(self) -> float:
-        return reference_bound(self.measure, self.constants.lower, self.energy)
-
-    @property
-    def observed(self) -> np.ndarray:
-        return np.array([r.observed for r in self.records])
-
-    @property
-    def windowed(self) -> np.ndarray:
-        return np.array([r.windowed_energy for r in self.records])
-
-    @property
-    def running_means(self) -> np.ndarray:
-        return np.array([r.running_mean for r in self.records])
-
-    @property
-    def final_mean(self) -> float:
-        return self.records[-1].running_mean
-
-    @property
-    def final_quarter_minimum(self) -> float:
-        return final_quarter_minimum(self.running_means)
+    observed: np.ndarray
+    windowed: np.ndarray
+    truncated: np.ndarray
+    tail: np.ndarray
 
 
 def running_means(observed) -> np.ndarray:
@@ -198,13 +171,9 @@ class ProtocolSetup:
             mass=config.mass,
         )
 
-    @property
-    def kind(self) -> str:
-        return output_kind_for(self.config.model)
-
     @cached_property
     def _expansion(self) -> tuple[np.ndarray, np.ndarray]:
-        return output_expansion(self.datum, self.kind)
+        return output_expansion(self.datum)
 
     @property
     def coeff(self) -> np.ndarray:
@@ -216,16 +185,11 @@ class ProtocolSetup:
 
     @cached_property
     def windowed(self) -> dict[int, np.ndarray]:
-        return {
-            k: output_expansion(self.datum.windowed(k), self.kind)[0]
-            for k in self.designs
-        }
+        return {k: output_expansion(self.datum.windowed(k))[0] for k in self.designs}
 
     @cached_property
     def tails(self) -> dict[int, np.ndarray]:
-        return {
-            k: output_expansion(self.datum.tail(k), self.kind)[0] for k in self.designs
-        }
+        return {k: output_expansion(self.datum.tail(k))[0] for k in self.designs}
 
     @cached_property
     def gamma_base(self) -> ObservationMatrix:
@@ -298,13 +262,14 @@ def run_protocol(config: RunConfig) -> CesaroSeries:
     and loss target, build its kernel once (its legless template moved to
     the interval's start), and take three quadratic forms of it in closed
     form: the observed energy of the evolving datum and the energies of its
-    parts below and above the window.
+    parts below and above the window.  With the conserved energy below the
+    window, these are the series' four per-interval arrays.
     """
     setup = prepare_protocol(config)
     energy = conserved_energy(setup.datum)
     constants = calibration(config.model, setup.basis, config.mass, config.duration)
 
-    observed, fields = [], []
+    energies = []  # per interval: Q_m, E_leK, truncated, tail
     for m in range(1, config.interval_count + 1):
         window = config.window_at(m)
         schedule = setup.schedule(m)
@@ -312,85 +277,18 @@ def run_protocol(config: RunConfig) -> CesaroSeries:
         kernel = shifted_kernel(
             setup.gamma_base, setup.differences, schedule.t_start, *template
         )
-        observed.append(kernel_energy(kernel, setup.coeff))
-        fields.append(dict(
-            index=m,
-            window=window,
-            tolerance=config.tolerance_at(m),
-            macro_count=schedule.macro_count,
-            observed=observed[-1],
-            windowed_energy=energy.below(window),
-            truncated=kernel_energy(kernel, setup.windowed[window]),
-            tail=kernel_energy(kernel, setup.tails[window]),
+        energies.append((
+            kernel_energy(kernel, setup.coeff),
+            energy.below(window),
+            kernel_energy(kernel, setup.windowed[window]),
+            kernel_energy(kernel, setup.tails[window]),
         ))
-    records = [
-        IntervalRecord(running_mean=mean, **record)
-        for record, mean in zip(fields, running_means(observed).tolist())
-    ]
-
-    return CesaroSeries(
-        setup=setup,
-        measure=config.measure,
-        energy=energy.total,
-        constants=constants,
-        records=tuple(records),
-    )
+    return CesaroSeries(setup, energy.total, constants, *np.array(energies).T)
 
 
 def _finite_or_none(value: float) -> float | None:
     """A margin for JSON: None (null) when no interval bounds it."""
     return value if math.isfinite(value) else None
-
-
-def _reported(key: str) -> property:
-    """A report attribute read from the report's payload."""
-    return property(lambda self: self.to_dict()[key])
-
-
-class TailReductionReport(NamedTuple):
-    """Numerical check of the hypotheses that discard the spectral tail.
-
-    For each interval the protocol records the observed energy of the datum
-    truncated at the interval's cutoff and of the complementary tail; the
-    report verifies the uniform upper bound, the windowed lower bound, and
-    the split inequality
-
-        observed >= (1 - eta) * truncated - (1/eta - 1) * tail
-
-    for every eta in the grid, and evaluates the running-mean floor each eta
-    implies.  The fields are what the payload (`tail_report`) is built
-    from; the verdicts and the other derived numbers are read from it.
-    """
-
-    etas: tuple[float, ...]
-    observed: np.ndarray
-    windowed: np.ndarray           # conserved energy of the datum below each window
-    truncated: np.ndarray
-    tail: np.ndarray
-    upper: float                   # the calibration's upper constant
-    energy: float
-    reference_bound: float
-    lower_margin: float            # min over m of truncated / positive floor; inf if none
-    split_ok: dict[float, bool]
-    eta_bounds: dict[float, float] # final-mean floor implied by each eta
-
-    upper_margin = _reported("upper_margin")  # max over m of observed / (upper * E)
-    upper_ok = _reported("upper_ok")
-    lower_ok = _reported("lower_ok")
-    best_bound = _reported("best_bound")
-    tail_mean = _reported("tail_mean")        # Cesaro average of tail energies E - E_leK
-    tail_fraction = _reported("tail_fraction")  # tail_mean / E
-
-    def to_dict(self) -> dict:
-        split = {
-            "etas": list(self.etas),
-            "lower_margin": _finite_or_none(self.lower_margin),
-            "split_ok": {str(k): v for k, v in self.split_ok.items()},
-            "eta_bounds": {str(k): v for k, v in self.eta_bounds.items()},
-        }
-        return tail_report(
-            self.observed, self.windowed, self.upper, self.energy, self.reference_bound, split
-        )
 
 
 def tail_report(
@@ -402,13 +300,14 @@ def tail_report(
     split: dict,
 ) -> dict:
     """The tail-reduction report as run_meta.json holds it.  `split` holds,
-    as JSON, the fields only the truncated and tail energies give (etas,
-    lower_margin, split_ok, eta_bounds); the rest derive from them, the
-    energies Q_m and E_leK, the upper constant, E and the reference bound."""
+    as JSON, the fields only the truncated and tail energies give
+    (lower_margin, and split_ok and eta_bounds keyed by each eta of `ETAS`);
+    the rest derive from them, the energies Q_m and E_leK, the upper
+    constant, E and the reference bound."""
     scale = upper * energy
     tail_mean = float((energy - windowed).mean())
     return {
-        "etas": split["etas"],
+        "etas": list(ETAS),
         "upper_margin": float(observed.max() / scale),
         "upper_ok": bool(np.all(observed <= scale * (1.0 + 1e-10))),
         "lower_margin": split["lower_margin"],
@@ -422,42 +321,40 @@ def tail_report(
     }
 
 
-def tail_reduction_check(
-    series: CesaroSeries, etas: tuple[float, ...] = (0.5, 0.1, 0.01)
-) -> TailReductionReport:
-    """Verify the tail-discarding hypotheses on a finished protocol run."""
-    if any(eta <= 0.0 or eta >= 1.0 for eta in etas):
-        raise ValueError("split parameters must lie in (0, 1)")
-    observed = series.observed
-    truncated = np.array([r.truncated for r in series.records])
-    tail = np.array([r.tail for r in series.records])
-    floors = np.array([
-        series.constants.lower * (series.measure - r.tolerance) * r.windowed_energy
-        for r in series.records
-    ])
+def tail_reduction_check(series: CesaroSeries) -> dict:
+    """The tail-reduction report of a finished protocol run, as
+    run_meta.json holds it (`tail_report`).
+
+    It checks the hypotheses that discard the spectral tail: the uniform
+    upper bound, the windowed lower bound (each interval's truncated energy
+    against its certified floor lower * (measure - eps_m) * E_leK), and the
+    split inequality
+
+        observed >= (1 - eta) * truncated - (1/eta - 1) * tail
+
+    for every eta of `ETAS`, with the running-mean floor each eta implies.
+    """
+    config = series.setup.config
+    constants = series.constants
+    observed, truncated, tail = series.observed, series.truncated, series.tail
+    tolerances = np.array([config.tolerance_at(m) for m in range(1, config.interval_count + 1)])
+    floors = constants.lower * (config.measure - tolerances) * series.windowed
     with np.errstate(divide="ignore", invalid="ignore"):
         lower_ratios = np.where(floors > 0, truncated / np.where(floors > 0, floors, 1.0), np.inf)
 
-    split_ok: dict[float, bool] = {}
-    eta_bounds: dict[float, float] = {}
     slack = 1e-10 * max(series.energy, 1.0)
-    for eta in etas:
+    split_ok, eta_bounds = {}, {}
+    for eta in ETAS:
         bound_terms = (1.0 - eta) * truncated - (1.0 / eta - 1.0) * tail
-        split_ok[eta] = bool(np.all(observed >= bound_terms - slack))
-        eta_bounds[eta] = float(bound_terms.mean())
-    return TailReductionReport(
-        etas=tuple(etas),
-        observed=observed,
-        windowed=series.windowed,
-        truncated=truncated,
-        tail=tail,
-        upper=series.constants.upper,
-        energy=series.energy,
-        reference_bound=series.reference_bound,
-        lower_margin=float(lower_ratios.min()),
-        split_ok=split_ok,
-        eta_bounds=eta_bounds,
-    )
+        split_ok[str(eta)] = bool(np.all(observed >= bound_terms - slack))
+        eta_bounds[str(eta)] = float(bound_terms.mean())
+    split = {
+        "lower_margin": _finite_or_none(float(lower_ratios.min())),
+        "split_ok": split_ok,
+        "eta_bounds": eta_bounds,
+    }
+    bound = reference_bound(config.measure, constants.lower, series.energy)
+    return tail_report(observed, series.windowed, constants.upper, series.energy, bound, split)
 
 
 def certified_factor(measure: float, loss: float) -> float:
@@ -508,45 +405,18 @@ def continuous_fields(
     }
 
 
-class ContinuousReport(NamedTuple):
-    """Continuous-path rerun of the protocol over a ladder of speeds.
+class ContinuousRun(NamedTuple):
+    """Continuous-path rerun of the protocol over a ladder of speeds: each
+    `(window, speed)`'s path, per speed each interval's observed energy, and
+    the realized margin, None when no interval's path leaves a positive
+    factor (`continuous_fields` builds the report from them)."""
 
-    For each speed the protocol intervals are re-realized by one continuous
-    speed-bounded path per window; the certified factor measure - loss(speed,
-    R) must improve monotonically with speed, and for each interval the
-    observed energy of the windowed datum must respect the certified factor
-    times the full-torus interval energy.
-    """
-
-    speeds: tuple[float, ...]
-    windows: tuple[int, ...]               # each interval's window
-    paths: dict[tuple[int, float], Realization]  # each (window, speed)'s path
-    observed: dict[float, np.ndarray]      # per speed, each interval's energy
-    measure: float
-    realized_margin: float  # inf when no interval leaves a positive factor
-
-    @property
-    def losses(self) -> dict[float, list[float]]:
-        """Per speed, the loss each interval's path certifies."""
-        return {
-            v: [self.paths[k, v].certified_loss for k in self.windows] for v in self.speeds
-        }
-
-    @property
-    def certified_factors(self) -> dict[float, float]:
-        return certified_factors(self.measure, self.paths)
-
-    monotone_ok = _reported("monotone_ok")
-    realized_ok = _reported("realized_ok")
-
-    def to_dict(self) -> dict:
-        return continuous_fields(
-            self.measure, self.paths, self.observed, self.losses,
-            _finite_or_none(self.realized_margin),
-        )
+    paths: dict[tuple[int, float], Realization]
+    observed: dict[float, np.ndarray]
+    realized_margin: float | None
 
 
-def continuous_protocol_delta(config: RunConfig, speeds) -> ContinuousReport:
+def continuous_protocol_delta(config: RunConfig, speeds) -> ContinuousRun:
     """Rerun the protocol with continuous paths for each speed in the ladder.
 
     At one speed every interval of a window runs the same path, started at
@@ -603,11 +473,4 @@ def continuous_protocol_delta(config: RunConfig, speeds) -> ContinuousReport:
                 ratio = float(np.min(part / floors, initial=math.inf))
                 realized_margin = min(realized_margin, ratio)
 
-    return ContinuousReport(
-        speeds=speeds,
-        windows=tuple(windows.tolist()),
-        paths=paths,
-        observed=observed,
-        measure=config.measure,
-        realized_margin=realized_margin,
-    )
+    return ContinuousRun(paths, observed, _finite_or_none(realized_margin))

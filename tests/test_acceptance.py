@@ -38,7 +38,8 @@ from torusobs import (
     temporal_gram,
     trajectory_lipschitz_bound,
 )
-from torusobs.evolve import output_kind_for, phase_integral
+from torusobs.evolve import phase_integral
+from torusobs.experiment import reference_bound, running_means
 
 import oracles
 
@@ -127,7 +128,6 @@ def test_criterion_3_switching_realization_band(capsys):
     floor = (float(QUARTER.measure_exact) - eps) * (1.0 - 1e-9)
     worst = math.inf
     for model, mass in MODELS:
-        kind = output_kind_for(model)
         for cutoff in (1, 2):
             basis = build_basis(T1, cutoff)
             design = equispaced_design(basis, QUARTER)
@@ -136,8 +136,8 @@ def test_criterion_3_switching_realization_band(capsys):
             gamma0 = gamma_matrix(basis, QUARTER, GroupElement.of(0))
             for seed in range(100):
                 datum = seeded_datum(model, mass, basis, cutoff, seed)
-                observed = path_observation_energy(datum, schedule, kind, gamma0)
-                full = interval_output_energy(datum, 0.0, duration, kind)
+                observed = path_observation_energy(datum, schedule, gamma0)
+                full = interval_output_energy(datum, 0.0, duration)
                 worst = min(worst, observed / full)
     report(
         capsys,
@@ -171,7 +171,6 @@ def test_criterion_4_kinetic_calibration_formula(capsys):
 def test_criterion_5_first_order_full_torus_identity(capsys):
     full = PrototypeSet.from_boxes(T1, [(0, 1)])
     basis = build_basis(T1, 3)
-    kind = output_kind_for("schrodinger")
     worst = 0.0
     for duration in (1.0, 0.7):
         design = equispaced_design(basis, full)
@@ -179,7 +178,7 @@ def test_criterion_5_first_order_full_torus_identity(capsys):
         schedule = build_switching(design, (0.0, duration), rate, 0.5)
         gamma0 = gamma_matrix(basis, full, GroupElement.of(0))
         datum = random_datum("schrodinger", basis, 3, seed=11)
-        observed = path_observation_energy(datum, schedule, kind, gamma0)
+        observed = path_observation_energy(datum, schedule, gamma0)
         expected = duration * conserved_energy(datum).total
         worst = max(worst, abs(observed - expected) / expected)
     report(
@@ -224,8 +223,10 @@ def test_criterion_6_cesaro_running_mean_trend(cesaro_runs, capsys):
     ok = True
     parts = []
     for model, series in cesaro_runs.items():
-        reference = series.reference_bound
-        means = np.array([record.running_mean for record in series.records])
+        reference = reference_bound(
+            series.setup.config.measure, series.constants.lower, series.energy
+        )
+        means = running_means(series.observed)
         final = means[-1] / reference
         last50 = means[-50:].min() / reference
         ok = ok and final >= 0.95 and last50 >= 0.90
@@ -245,12 +246,12 @@ def test_criterion_7_tail_reduction_hypotheses(cesaro_runs, capsys):
     parts = []
     for model, series in cesaro_runs.items():
         check = tail_reduction_check(series)
-        split = all(check.split_ok.values())
-        tail_ok = check.tail_mean <= 0.01 * series.energy
-        ok = ok and check.upper_ok and check.lower_ok and split and tail_ok
+        split = all(check["split_ok"].values())
+        tail_ok = check["tail_mean"] <= 0.01 * series.energy
+        ok = ok and check["upper_ok"] and check["lower_ok"] and split and tail_ok
         parts.append(
-            f"{model} upper={check.upper_ok} lower={check.lower_ok} "
-            f"split={split} tail-mean/E={check.tail_mean / series.energy:.2e}"
+            f"{model} upper={check['upper_ok']} lower={check['lower_ok']} "
+            f"split={split} tail-mean/E={check['tail_mean'] / series.energy:.2e}"
         )
     report(
         capsys,
@@ -269,7 +270,6 @@ def test_criterion_8_continuous_loss_ladder(capsys):
     ok = True
     parts = []
     for model, mass in MODELS:
-        kind = output_kind_for(model)
         rate = trajectory_lipschitz_bound(basis, model, mass, duration)
         paths = [
             build_continuous(design, (0.0, duration), v, rate) for v in speeds
@@ -286,8 +286,8 @@ def test_criterion_8_continuous_loss_ladder(capsys):
             for seed in range(20):
                 datum = seeded_datum(model, mass, basis, 1, seed)
                 ratio = path_observation_energy(
-                    datum, path, kind, gamma0
-                ) / interval_output_energy(datum, 0.0, duration, kind)
+                    datum, path, gamma0
+                ) / interval_output_energy(datum, 0.0, duration)
                 realized = realized and ratio >= floor
                 checked += 1
         ok = ok and monotone and realized
@@ -353,21 +353,20 @@ def test_criterion_9_closed_forms_match_dense_quadrature(capsys):
     gammas = [gamma_matrix(basis, QUARTER, s) for s in design.shifts]
     gamma0 = gamma_matrix(basis, QUARTER, GroupElement.of(0))
     for (model, mass), speed in zip(MODELS, (12.0, 9.0, 18.0)):
-        kind = output_kind_for(model)
         rate = trajectory_lipschitz_bound(basis, model, mass, 1.0)
         datum = seeded_datum(model, mass, basis, 1, seed=17)
 
         schedule = build_switching(design, (0.3, 1.0), rate, 0.24)
-        q = path_observation_energy(datum, schedule, kind, gamma0)
+        q = path_observation_energy(datum, schedule, gamma0)
         dense = oracles.simpson_schedule_energy(datum, schedule, gammas)
         worst_time = max(worst_time, abs(q - dense) / abs(dense))
 
-        q_full = interval_output_energy(datum, 0.15, 1.3, kind)
+        q_full = interval_output_energy(datum, 0.15, 1.3)
         dense_full = oracles.simpson_interval_energy(datum, 0.15, 1.3)
         worst_time = max(worst_time, abs(q_full - dense_full) / abs(dense_full))
 
         path = build_continuous(design, (0.0, 1.0), speed, rate)
-        q_path = path_observation_energy(datum, path, kind, gamma0)
+        q_path = path_observation_energy(datum, path, gamma0)
         dense_path = oracles.simpson_path_energy(datum, path, gamma0.entries)
         worst_time = max(worst_time, abs(q_path - dense_path) / abs(dense_path))
 

@@ -39,7 +39,7 @@ from torusobs.cli import (
     schedule_header,
 )
 from torusobs.experiment import prepare_protocol
-from test_experiment import config_dict, quick_config
+from test_experiment import config_dict, continuous_report, quick_config
 
 
 def write_config(tmp_path, name="run.json", **overrides):
@@ -644,6 +644,33 @@ def set_meta_tail(key, scale=None, value=None):
     return set_json("run_meta.json", "tail_reduction", key, scale=scale, value=value)
 
 
+def rekey_split(field):
+    """An edit of run_meta.json's tail report that keys the eta 0.5 entry of
+    the split field `field` by 0.7 instead."""
+
+    def edit(out):
+        path = out / "run_meta.json"
+        payload = strict_json(path)
+        split = payload["tail_reduction"][field]
+        split["0.7"] = split.pop("0.5")
+        _write_json(path, payload)
+
+    return edit
+
+
+def claim_eta(out):
+    """run_meta.json's tail report claiming the one eta 0.7, its split
+    fields keyed by it and consistent with the report's best bound."""
+    path = out / "run_meta.json"
+    payload = strict_json(path)
+    tail = payload["tail_reduction"]
+    tail.update(etas=[0.7], split_ok={"0.7": True}, eta_bounds={"0.7": tail["best_bound"]})
+    _write_json(path, payload)
+
+
+NOT_KEYED = "run_meta.json: tail_reduction.{} is not keyed by the etas [0.5, 0.1, 0.01]"
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -749,10 +776,15 @@ TAIL_DIFFERS = "run_meta.json: tail_reduction does not recompute from series.csv
         (set_meta_tail("lower_ok", value=False), f"{TAIL_DIFFERS} (lower_ok)"),
         (set_meta_tail("eta_bounds", value=[]), "run_meta.json: unreadable"),
         (set_meta("tail_reduction", value=5), "run_meta.json: unreadable"),
+        (set_meta_tail("etas", value=[0.7]), f"{TAIL_DIFFERS} (etas)"),
+        (rekey_split("split_ok"), NOT_KEYED.format("split_ok")),
+        (rekey_split("eta_bounds"), NOT_KEYED.format("eta_bounds")),
+        (claim_eta, NOT_KEYED.format("split_ok")),
     ],
     ids=[
         "upper-margin", "upper-ok", "tail-mean", "tail-fraction", "reference-bound",
-        "best-bound", "lower-margin", "lower-ok", "eta-bounds", "report",
+        "best-bound", "lower-margin", "lower-ok", "eta-bounds", "report", "etas",
+        "split-ok-keys", "eta-bounds-keys", "claimed-etas",
     ],
 )
 def test_verify_recomputes_the_tail_reduction_report(tmp_path, capsys, edit, message):
@@ -936,6 +968,22 @@ def quick_run(tmp_path):
     for command in ("experiment", "continuous"):
         assert main([command, "--config", str(quick), "--out", str(out)]) == 0
     return quick, out
+
+
+def test_library_return_values_are_the_artifacts(tmp_path):
+    # the tail and continuous reports the library returns are the payloads
+    # the commands write, not copies of them
+    from torusobs.experiment import continuous_protocol_delta, run_protocol, tail_reduction_check
+
+    quick, out = quick_run(tmp_path)
+    config = torusobs.RunConfig.from_file(quick)
+    tail = tail_reduction_check(run_protocol(config))
+    assert json.loads(json.dumps(tail)) == strict_json(out / "run_meta.json")["tail_reduction"]
+
+    payload = continuous_report(config, continuous_protocol_delta(config, config.schedule.speeds))
+    report = strict_json(out / "continuous_report.json")
+    assert report.pop("schema") == "torusobs-continuous/2"
+    assert json.loads(json.dumps(payload)) == report
 
 
 def test_verify_detects_continuous_report_final_mean_tampering(tmp_path, capsys):

@@ -31,8 +31,6 @@ from torusobs import (
 )
 from torusobs import evolve
 from torusobs.evolve import (
-    FIELD,
-    TIME_DERIVATIVE,
     DifferenceTable,
     expansion_interval_energy,
     frequency_differences,
@@ -40,7 +38,6 @@ from torusobs.evolve import (
     grid_tour_sum,
     kernel_energy,
     output_expansion,
-    output_kind_for,
     path_kernel,
     path_template,
     per_segment_sum,
@@ -146,6 +143,10 @@ def test_datum_validation():
         random_datum("wave", basis, 5, seed=0)
     with pytest.raises(ValueError):
         random_datum("wave", basis, 1, decay="exp", seed=0)
+    # the datum it builds rejects a mass its model does not take
+    for model, mass in (("schrodinger", 1.0), ("wave", 0.5), ("burgers", 0.0)):
+        with pytest.raises(ValueError):
+            random_datum(model, basis, 1, seed=0, mass=mass)
 
 
 def test_window_and_tail_partition_the_datum():
@@ -278,11 +279,11 @@ def test_full_torus_first_order_energy_is_flat():
     datum = random_datum("schrodinger", basis, 2, seed=14)
     for t_start, duration in ((0.0, 1.0), (0.4, 0.7)):
         schedule = build_switching(design, (t_start, duration), 0.0, 0.5)
-        q = path_observation_energy(datum, schedule, FIELD, gamma0)
+        q = path_observation_energy(datum, schedule, gamma0)
         norm_sq = conserved_energy(datum).total
         assert q == pytest.approx(duration * norm_sq, rel=1e-12)
         assert q == pytest.approx(
-            interval_output_energy(datum, t_start, duration, FIELD), rel=1e-12
+            interval_output_energy(datum, t_start, duration), rel=1e-12
         )
 
 
@@ -295,7 +296,7 @@ def test_single_mode_kinetic_energy_matches_the_temporal_gram():
     datum = ModalDatum(model="wave", mass=0.0, basis=basis, a=a, b=b)
     rho = 2.0 * math.pi
     t_start, duration = 0.2, 1.0
-    q = interval_output_energy(datum, t_start, duration, TIME_DERIVATIVE)
+    q = interval_output_energy(datum, t_start, duration)
     vec = np.array([-a[i1] * rho, b[i1]])
     gram = temporal_gram(rho, t_start, duration)
     assert q == pytest.approx(float(vec @ gram @ vec), rel=1e-12)
@@ -309,11 +310,10 @@ def test_observation_energy_is_bounded_by_the_full_output(model, mass):
     gamma0 = gamma_matrix(basis, w, GroupElement.of(0))
     rate = trajectory_lipschitz_bound(basis, model, mass, 1.0)
     schedule = build_switching(design, (0.0, 1.0), rate, 0.1)
-    kind = output_kind_for(model)
     for seed in range(5):
         datum = make_datum(model, mass, basis, seed=seed)
-        q = path_observation_energy(datum, schedule, kind, gamma0)
-        full = interval_output_energy(datum, 0.0, 1.0, kind)
+        q = path_observation_energy(datum, schedule, gamma0)
+        full = interval_output_energy(datum, 0.0, 1.0)
         assert q >= -1e-12 * full
         assert q <= full * (1.0 + 1e-12)
 
@@ -325,9 +325,8 @@ def test_switching_energy_matches_dense_quadrature(model, mass):
     gamma0 = gamma_matrix(basis, w, GroupElement.of(0))
     rate = trajectory_lipschitz_bound(basis, model, mass, 1.0)
     schedule = build_switching(design, (0.3, 1.0), rate, 0.24)
-    kind = output_kind_for(model)
     datum = make_datum(model, mass, basis, seed=2)
-    q = path_observation_energy(datum, schedule, kind, gamma0)
+    q = path_observation_energy(datum, schedule, gamma0)
     dense = oracles.simpson_schedule_energy(datum, schedule, gammas)
     assert q == pytest.approx(dense, rel=1e-8)
 
@@ -339,9 +338,9 @@ def test_macro_aggregation_matches_an_explicit_slot_loop():
     schedule = build_switching(design, (0.0, 1.0), 8.0 * math.pi, 0.2)
     assert schedule.macro_count > 10
     datum = make_datum("wave", 0.0, basis, seed=3)
-    q = path_observation_energy(datum, schedule, TIME_DERIVATIVE, gamma0)
+    q = path_observation_energy(datum, schedule, gamma0)
 
-    coeff, alpha = output_expansion(datum, TIME_DERIVATIVE)
+    coeff, alpha = output_expansion(datum)
     flat_c = coeff.ravel()
     flat_a = alpha.ravel()
     diff = flat_a[None, :] - flat_a[:, None]
@@ -359,16 +358,11 @@ def test_gamma_bookkeeping_is_enforced():
     schedule = build_switching(design, (0.0, 1.0), 1.0, 0.2)
     fine = random_datum("wave", build_basis(T1, 2), 2, seed=0)
     with pytest.raises(BasisMismatch):
-        path_observation_energy(fine, schedule, TIME_DERIVATIVE, gamma0)
+        path_observation_energy(fine, schedule, gamma0)
     datum = random_datum("wave", basis, 1, seed=0)
     shifted = gamma_matrix(basis, w, design.shifts[1])
     with pytest.raises(ValueError):
-        path_observation_energy(datum, schedule, TIME_DERIVATIVE, shifted)
-    with pytest.raises(ValueError):
-        path_observation_energy(datum, schedule, FIELD, gamma0)
-    sdatum = random_datum("schrodinger", basis, 1, seed=0)
-    with pytest.raises(ValueError):
-        path_observation_energy(sdatum, schedule, TIME_DERIVATIVE, gamma0)
+        path_observation_energy(datum, schedule, shifted)
 
 
 @pytest.mark.parametrize("model,mass", MODELS)
@@ -380,10 +374,9 @@ def test_grid_closed_form_at_desk_scale(model, mass):
     rate = trajectory_lipschitz_bound(basis, model, mass, 1.0)
     schedule = build_switching(design, (199.0, 1.0), rate, 1.25 * rate / 1e5)
     assert schedule.macro_count >= 10**5
-    kind = output_kind_for(model)
     datum = make_datum(model, mass, basis, seed=19)
     gamma0 = gamma_matrix(basis, w, GroupElement.of(0))
-    q = path_observation_energy(datum, schedule, kind, gamma0)
+    q = path_observation_energy(datum, schedule, gamma0)
     gammas = [gamma_matrix(basis, w, s) for s in design.shifts]
     dense = oracles.simpson_schedule_energy(datum, schedule, gammas, nodes_per_slot=5)
     assert q == pytest.approx(dense, rel=1e-12)
@@ -401,7 +394,7 @@ def test_grid_closed_form_in_2d_with_aliased_frequencies():
     schedule = build_switching(design, (3.0, 1.0), rate, 0.2)
     datum = random_datum("wave", basis, 3, seed=4)
     gamma0 = gamma_matrix(basis, w, GroupElement.of(0, 0))
-    q = path_observation_energy(datum, schedule, TIME_DERIVATIVE, gamma0)
+    q = path_observation_energy(datum, schedule, gamma0)
     gammas = [gamma_matrix(basis, w, s) for s in design.shifts]
     dense = oracles.simpson_schedule_energy(datum, schedule, gammas, nodes_per_slot=9)
     assert q == pytest.approx(dense, rel=1e-10)
@@ -411,8 +404,7 @@ def test_grid_closed_form_in_2d_with_aliased_frequencies():
 def test_interval_energy_matches_dense_quadrature(model, mass):
     basis = build_basis(T1, 1)
     datum = make_datum(model, mass, basis, seed=7)
-    kind = output_kind_for(model)
-    q = interval_output_energy(datum, 0.15, 1.3, kind)
+    q = interval_output_energy(datum, 0.15, 1.3)
     dense = oracles.simpson_interval_energy(datum, 0.15, 1.3)
     assert q == pytest.approx(dense, rel=1e-8)
 
@@ -431,8 +423,8 @@ def test_single_atom_path_equals_single_atom_switching():
     schedule = build_switching(design, (0.0, 1.0), 1.0, 0.2)
     gamma0 = gamma_matrix(basis, w, GroupElement.of(0))
     datum = random_datum("wave", basis, 1, seed=12)
-    q_path = path_observation_energy(datum, path, TIME_DERIVATIVE, gamma0)
-    q_switch = path_observation_energy(datum, schedule, TIME_DERIVATIVE, gamma0)
+    q_path = path_observation_energy(datum, path, gamma0)
+    q_switch = path_observation_energy(datum, schedule, gamma0)
     assert q_path == pytest.approx(q_switch, rel=1e-12)
 
 
@@ -446,8 +438,7 @@ def test_path_energy_matches_dense_quadrature(model, mass, speed):
     path = build_continuous(design, (0.0, 1.0), speed, rate)
     gamma0 = gamma_matrix(basis, w, GroupElement.of(0))
     datum = make_datum(model, mass, basis, seed=17)
-    kind = output_kind_for(model)
-    q = path_observation_energy(datum, path, kind, gamma0)
+    q = path_observation_energy(datum, path, gamma0)
     dense = oracles.simpson_path_energy(datum, path, gamma0.entries)
     assert q == pytest.approx(dense, rel=1e-8)
 
@@ -458,10 +449,10 @@ def test_path_energy_rejects_mismatched_matrices():
     datum = random_datum("wave", basis, 1, seed=1)
     shifted = gamma_matrix(basis, w, GroupElement.of("1/3"))
     with pytest.raises(ValueError):
-        path_observation_energy(datum, path, TIME_DERIVATIVE, shifted)
+        path_observation_energy(datum, path, shifted)
     coarse = gamma_matrix(build_basis(T1, 2), w, GroupElement.of(0))
     with pytest.raises(BasisMismatch):
-        path_observation_energy(datum, path, TIME_DERIVATIVE, coarse)
+        path_observation_energy(datum, path, coarse)
 
 
 def grid_design(dim, per_axis):
@@ -633,7 +624,7 @@ def late_grid_setup(dim, model, mass):
     assert design.grid_per_axis == 5
     basis = build_basis(space, sim)
     gamma0 = gamma_matrix(basis, w, space.identity())
-    _, alpha = output_expansion(make_datum(model, mass, basis, seed=37), output_kind_for(model))
+    _, alpha = output_expansion(make_datum(model, mass, basis, seed=37))
     return design, basis, gamma0, alpha
 
 
@@ -719,7 +710,7 @@ def test_non_grid_paths_take_the_segment_loop(monkeypatch, weights, shifts):
     path = build_continuous(design, (0.0, 1.0), 12.0, rate)
     gamma0 = gamma_matrix(basis, w, GroupElement.of(0))
     datum = make_datum("wave", 0.0, basis, seed=23)
-    q = path_observation_energy(datum, path, TIME_DERIVATIVE, gamma0)
+    q = path_observation_energy(datum, path, gamma0)
     dense = oracles.simpson_path_energy(datum, path, gamma0.entries)
     assert q == pytest.approx(dense, rel=1e-8)
 
@@ -741,7 +732,7 @@ def test_template_shifted_to_a_late_start_is_the_path_kernel():
     )
     assert design.grid_per_axis is None
     gamma0 = gamma_matrix(basis, w, GroupElement.of(0))
-    _, alpha = output_expansion(make_datum("wave", 0.0, basis, seed=31), TIME_DERIVATIVE)
+    _, alpha = output_expansion(make_datum("wave", 0.0, basis, seed=31))
     rate = trajectory_lipschitz_bound(basis, "wave", 0.0, 1.0)
     early = build_continuous(design, (0.0, 1.0), 40.0, rate)
     late = build_continuous(design, (199.0, 1.0), 40.0, rate)
@@ -760,8 +751,7 @@ def test_shifted_energies_are_the_quadratic_forms_of_the_shifted_kernels(dim, mo
     # the summation order differs from the kernel's quadratic form
     design, basis, gamma0, alpha = late_grid_setup(dim, model, mass)
     datum = make_datum(model, mass, basis, seed=37)
-    kind = output_kind_for(model)
-    coeffs = [output_expansion(part, kind)[0] for part in (datum, datum.windowed(1))]
+    coeffs = [output_expansion(part)[0] for part in (datum, datum.windowed(1))]
     table = DifferenceTable.build(alpha, basis.mode_differences)
     path = build_continuous(design, (0.0, 1.0), 1e5, 1e5)
     assert path.macro_count >= 10**4
@@ -779,11 +769,11 @@ def test_shifted_energies_are_the_quadratic_forms_of_the_shifted_kernels(dim, mo
 def test_interval_energy_over_an_array_of_starts(model, mass):
     basis = build_basis(T1, 3)
     datum = make_datum(model, mass, basis, seed=41)
-    coeff, alpha = output_expansion(datum, output_kind_for(model))
+    coeff, alpha = output_expansion(datum)
     starts = np.array([0.0, 0.15, 57.0, 199.0])
     energies = expansion_interval_energy(coeff, alpha, starts, 1.3)
     assert energies.shape == (4,)
-    each = [interval_output_energy(datum, t, 1.3, output_kind_for(model)) for t in starts]
+    each = [interval_output_energy(datum, t, 1.3) for t in starts]
     assert energies == pytest.approx(each, rel=1e-14, abs=0.0)
 
 
@@ -811,6 +801,6 @@ def test_grid_path_energy_matches_the_40_digit_oracle(monkeypatch, dim, model, m
     basis = build_basis(space, sim)
     gamma0 = gamma_matrix(basis, w, space.identity())
     datum = make_datum(model, mass, basis, seed=29)
-    q = path_observation_energy(datum, path, output_kind_for(model), gamma0)
+    q = path_observation_energy(datum, path, gamma0)
     exact = oracles.mpmath_path_energy(datum, path, gamma0.entries)
     assert q == pytest.approx(exact, rel=1e-13)

@@ -159,29 +159,29 @@ def test_calibration_guards():
 def test_protocol_records_are_internally_consistent():
     config = quick_config()
     series = run_protocol(config)
-    assert len(series.records) == 4
-    assert [r.index for r in series.records] == [1, 2, 3, 4]
-    assert [r.window for r in series.records] == [1, 1, 2, 2]
-    for r in series.records:
-        assert r.tolerance == pytest.approx(0.25 / (r.index + 1), rel=1e-15)
-        rate = series.setup.design_bounds[r.window]
-        expected_macros = max(1, math.ceil((0.25 + 1.0) * rate / r.tolerance))
-        assert r.macro_count == expected_macros
-        assert series.setup.schedule(r.index).macro_count == r.macro_count
+    setup = series.setup
+    for energies in (series.observed, series.windowed, series.truncated, series.tail):
+        assert energies.shape == (4,)
+    windows = [config.window_at(m) for m in range(1, 5)]
+    assert windows == [1, 1, 2, 2]
+    for m, window in enumerate(windows, start=1):
+        tolerance = config.tolerance_at(m)
+        assert tolerance == pytest.approx(0.25 / (m + 1), rel=1e-15)
+        rate = setup.design_bounds[window]
+        expected_macros = max(1, math.ceil((0.25 + 1.0) * rate / tolerance))
+        assert setup.schedule(m).macro_count == expected_macros
     observed = series.observed
     means = np.cumsum(observed) / np.arange(1, 5)
-    assert np.max(np.abs(series.running_means - means)) <= 1e-15
-    assert series.final_mean == series.records[-1].running_mean
-    assert series.final_quarter_minimum == series.running_means[-1:].min()
+    assert np.max(np.abs(experiment.running_means(observed) - means)) <= 1e-15
+    assert experiment.final_quarter_minimum(means) == means[-1:].min()
 
-    energy = conserved_energy(series.setup.datum)
+    energy = conserved_energy(setup.datum)
     assert series.energy == energy.total
-    for r in series.records:
-        assert r.windowed_energy == energy.below(r.window)
-    assert set(series.setup.designs) == {1, 2}
-    for design in series.setup.designs.values():
+    assert series.windowed.tolist() == [energy.below(k) for k in windows]
+    assert set(setup.designs) == {1, 2}
+    for design in setup.designs.values():
         assert design.residual <= 1e-12
-    assert series.reference_bound == pytest.approx(
+    assert tail_reduction_check(series)["reference_bound"] == pytest.approx(
         0.25 * series.constants.lower * series.energy, rel=1e-15
     )
 
@@ -199,7 +199,7 @@ def test_full_torus_observations_sit_inside_the_calibration_band():
     for value in series.observed:
         assert value >= lower * (1.0 - 1e-10)
         assert value <= upper * (1.0 + 1e-10)
-    assert series.final_mean >= lower * (1.0 - 1e-10)
+    assert experiment.running_means(series.observed)[-1] >= lower * (1.0 - 1e-10)
 
 
 @pytest.mark.parametrize(
@@ -214,15 +214,15 @@ def test_windowed_data_meet_the_certified_floor(model, mass):
     )
     series = run_protocol(config)
     c = series.constants.lower
-    for r in series.records:
-        floor = (0.25 - r.tolerance) * c * r.windowed_energy
-        assert r.observed >= floor * (1.0 - 1e-10)
+    for m, (observed, windowed) in enumerate(zip(series.observed, series.windowed), start=1):
+        floor = (0.25 - config.tolerance_at(m)) * c * windowed
+        assert observed >= floor * (1.0 - 1e-10)
 
 
 def test_single_interval_run_has_a_trivial_mean():
     series = run_protocol(quick_config(interval_count=1))
-    assert len(series.records) == 1
-    assert series.final_mean == series.records[0].observed
+    assert len(series.observed) == 1
+    assert experiment.running_means(series.observed)[-1] == series.observed[0]
 
 
 def test_windows_at_the_simulation_cutoff_are_rejected_at_runtime():
@@ -234,7 +234,7 @@ def test_windows_at_the_simulation_cutoff_are_rejected_at_runtime():
         duration=1.0,
         sim_window=2,
         interval_count=1,
-        windows=WindowSchedule(kind="fixed", value=2),
+        windows=WindowSchedule(kind="explicit", values=(2,)),
         tolerances=ToleranceSchedule(),
         datum=DatumSpec(window=2, seed=0),
         design=DesignOptions(),
@@ -250,23 +250,21 @@ def test_windows_at_the_simulation_cutoff_are_rejected_at_runtime():
 def test_tail_reduction_on_a_run_with_a_genuine_tail():
     series = run_protocol(quick_config())
     report = tail_reduction_check(series)
-    assert report.upper_ok
-    assert report.lower_ok
-    assert report.lower_margin >= 1.0 - 1e-10
-    assert all(report.split_ok.values())
-    assert set(report.etas) == {0.5, 0.1, 0.01}
+    assert report["upper_ok"]
+    assert report["lower_ok"]
+    assert report["lower_margin"] >= 1.0 - 1e-10
+    assert all(report["split_ok"].values())
+    assert report["etas"] == [0.5, 0.1, 0.01]
+    assert set(report["split_ok"]) == set(report["eta_bounds"]) == {"0.5", "0.1", "0.01"}
     # the split bound can never beat what was actually observed
     slack = 1e-8 * max(series.energy, 1.0)
-    assert report.best_bound <= series.final_mean + slack
-    assert report.tail_mean == pytest.approx(
-        float(
-            np.mean([series.energy - r.windowed_energy for r in series.records])
-        ),
-        rel=1e-12,
+    assert report["best_bound"] <= experiment.running_means(series.observed)[-1] + slack
+    assert report["tail_mean"] == pytest.approx(
+        float(np.mean(series.energy - series.windowed)), rel=1e-12
     )
-    assert report.tail_fraction == report.tail_mean / series.energy
-    assert report.tail_mean > 0.0
-    json.dumps(report.to_dict())
+    assert report["tail_fraction"] == report["tail_mean"] / series.energy
+    assert report["tail_mean"] > 0.0
+    json.dumps(report, allow_nan=False)
 
 
 def test_experiment_builds_one_switching_kernel_per_interval(monkeypatch):
@@ -320,35 +318,28 @@ def test_a_run_builds_one_difference_table(monkeypatch, run):
     "model,mass", [("schrodinger", 0.0), ("wave", 0.0), ("klein_gordon", 1.0)]
 )
 def test_tail_report_equals_a_fresh_kernel_on_the_rebuilt_schedule(model, mass):
-    from torusobs.evolve import (
-        DifferenceTable,
-        kernel_energy,
-        output_expansion,
-        output_kind_for,
-        path_kernel,
-    )
+    from torusobs.evolve import DifferenceTable, kernel_energy, output_expansion, path_kernel
     from torusobs.schedule import build_switching
 
     config = quick_config(model=model, mass=mass)
     series = run_protocol(config)
-    report = tail_reduction_check(series)
     setup = series.setup
-    kind = output_kind_for(model)
-    _, alpha = output_expansion(setup.datum, kind)
-    for i, r in enumerate(series.records):
+    _, alpha = output_expansion(setup.datum)
+    for m in range(1, config.interval_count + 1):
+        window = config.window_at(m)
         schedule = build_switching(
-            setup.designs[r.window],
-            ((r.index - 1) * config.duration, config.duration),
-            setup.design_bounds[r.window],
-            r.tolerance,
+            setup.designs[window],
+            ((m - 1) * config.duration, config.duration),
+            setup.design_bounds[window],
+            config.tolerance_at(m),
         )
         table = DifferenceTable.build(alpha, setup.basis.mode_differences)
         kernel = path_kernel(schedule, table, setup.gamma_base)
-        inside, _ = output_expansion(setup.datum.windowed(r.window), kind)
-        outside, _ = output_expansion(setup.datum.tail(r.window), kind)
-        assert report.truncated[i] == kernel_energy(kernel, inside)
-        assert report.tail[i] == kernel_energy(kernel, outside)
-        assert report.observed[i] == r.observed
+        inside, _ = output_expansion(setup.datum.windowed(window))
+        outside, _ = output_expansion(setup.datum.tail(window))
+        assert series.truncated[m - 1] == kernel_energy(kernel, inside)
+        assert series.tail[m - 1] == kernel_energy(kernel, outside)
+        assert series.observed[m - 1] == kernel_energy(kernel, setup.coeff)
 
 
 def test_tail_reduction_without_a_tail_is_exact():
@@ -358,48 +349,54 @@ def test_tail_reduction_without_a_tail_is_exact():
     )
     series = run_protocol(config)
     report = tail_reduction_check(series)
-    assert np.max(np.abs(report.truncated - report.observed)) <= 1e-12 * series.energy
-    assert np.max(np.abs(report.tail)) <= 1e-14 * series.energy
-    assert report.tail_mean == 0.0
+    assert np.max(np.abs(series.truncated - series.observed)) <= 1e-12 * series.energy
+    assert np.max(np.abs(series.tail)) <= 1e-14 * series.energy
+    assert report["tail_mean"] == 0.0
 
 
 def test_unbounded_margins_are_written_as_null():
     series = run_protocol(quick_config())
     report = tail_reduction_check(series)
-    assert math.isfinite(report.lower_margin)
-    assert report.to_dict()["lower_margin"] == report.lower_margin
-    unbounded = report._replace(lower_margin=math.inf)
-    assert unbounded.to_dict()["lower_margin"] is None
-    json.dumps(unbounded.to_dict(), allow_nan=False)
-
-
-def test_tail_reduction_eta_validation():
-    series = run_protocol(quick_config(interval_count=1))
-    with pytest.raises(ValueError):
-        tail_reduction_check(series, etas=(0.0,))
-    with pytest.raises(ValueError):
-        tail_reduction_check(series, etas=(1.0,))
+    assert math.isfinite(report["lower_margin"]) and report["lower_ok"]
+    # with no windowed energy no interval has a positive floor
+    unbounded = tail_reduction_check(series._replace(windowed=np.zeros_like(series.windowed)))
+    assert unbounded["lower_margin"] is None and unbounded["lower_ok"]
+    json.dumps(unbounded, allow_nan=False)
 
 
 # ---------------------------------------------------------------- continuous rerun
 
 
+def continuous_report(config, run):
+    """The continuous_report.json payload of a rerun, its certified losses
+    read off the paths."""
+    losses = {
+        speed: [run.paths[config.window_at(m), speed].certified_loss
+                for m in range(1, config.interval_count + 1)]
+        for speed in run.observed
+    }
+    return experiment.continuous_fields(
+        config.measure, run.paths, run.observed, losses, run.realized_margin
+    )
+
+
 def test_continuous_rerun_improves_with_speed():
     config = quick_config(model="wave", datum={"window": 3, "seed": 2})
-    report = continuous_protocol_delta(config, speeds=(200.0, 10000.0))
-    assert report.speeds == (200.0, 10000.0)
-    assert report.monotone_ok
-    assert report.realized_ok
-    assert report.realized_margin >= 1.0 - 1e-9
+    run = continuous_protocol_delta(config, speeds=(200.0, 10000.0))
+    report = continuous_report(config, run)
+    assert tuple(run.observed) == (200.0, 10000.0)
+    assert report["speeds"] == [200.0, 10000.0]
+    assert report["monotone_ok"]
+    assert report["realized_ok"]
+    assert run.realized_margin >= 1.0 - 1e-9
     # the slow ladder rung certifies nothing here; the fast one does
-    assert report.certified_factors[200.0] == 0.0
-    assert report.certified_factors[10000.0] > 0.0
-    for speed in report.speeds:
-        observed = report.observed[speed]
+    assert report["certified_factors"]["200.0"] == 0.0
+    assert report["certified_factors"]["10000.0"] > 0.0
+    for speed, observed in run.observed.items():
         assert len(observed) == 4
         means = np.cumsum(observed) / np.arange(1, 5)
         assert np.max(np.abs(experiment.running_means(observed) - means)) <= 1e-15
-    json.dumps(report.to_dict())
+    json.dumps(report, allow_nan=False)
 
 
 def test_monotone_check_compares_speeds_in_sorted_order(monkeypatch):
@@ -409,11 +406,14 @@ def test_monotone_check_compares_speeds_in_sorted_order(monkeypatch):
     # next to each other, sees it
     config = quick_config(model="wave", datum={"window": 3, "seed": 2})
     ladder = (100.0, 10.0, 1000.0)
+
+    def losses(run, speed):
+        return {m: run.paths[config.window_at(m), speed].certified_loss for m in range(1, 5)}
+
     honest = continuous_protocol_delta(config, speeds=ladder)
-    assert honest.speeds == ladder
-    assert honest.monotone_ok
-    slow = dict(enumerate(honest.losses[10.0], start=1))
-    mid = dict(enumerate(honest.losses[100.0], start=1))
+    assert tuple(honest.observed) == ladder
+    assert continuous_report(config, honest)["monotone_ok"]
+    slow, mid = losses(honest, 10.0), losses(honest, 100.0)
     assert all(mid[m] < slow[m] for m in mid)
     build = experiment.build_continuous
 
@@ -428,11 +428,11 @@ def test_monotone_check_compares_speeds_in_sorted_order(monkeypatch):
         return path
 
     monkeypatch.setattr(experiment, "build_continuous", inflated)
-    report = continuous_protocol_delta(config, speeds=ladder)
-    assert report.speeds == ladder
-    fast = dict(enumerate(report.losses[1000.0], start=1))
+    run = continuous_protocol_delta(config, speeds=ladder)
+    assert tuple(run.observed) == ladder
+    fast = losses(run, 1000.0)
     assert all(mid[m] < fast[m] < slow[m] for m in fast)
-    assert not report.monotone_ok
+    assert not continuous_report(config, run)["monotone_ok"]
 
 
 def started_path_energies(config, speed):
@@ -497,13 +497,13 @@ def test_continuous_records_equal_the_started_path_kernel(monkeypatch, model, ma
         designs = experiment.prepare_protocol(config).designs.values()
         assert all(design.grid_per_axis is None for design in designs)
     speeds = (300.0, 10000.0)
-    report = continuous_protocol_delta(config, speeds=speeds)
+    run = continuous_protocol_delta(config, speeds=speeds)
     for speed in speeds:
         direct = started_path_energies(config, speed)
-        observed = report.observed[speed]
+        observed = run.observed[speed]
         assert len(observed) == len(direct) == 7
         for m, (path, value) in enumerate(direct, start=1):
-            ran = report.paths[config.window_at(m), speed]
+            ran = run.paths[config.window_at(m), speed]
             assert observed[m - 1] == pytest.approx(value, rel=1e-13, abs=0.0)
             assert ran.macro_count == path.macro_count
             assert ran.certified_loss == path.certified_loss
@@ -519,9 +519,9 @@ def test_2d_continuous_records_equal_the_started_path_kernel():
         windows={"kind": "explicit", "values": [1, 1, 0]},
         datum={"window": 2, "seed": 3},
     )
-    report = continuous_protocol_delta(config, speeds=(1e4,))
+    run = continuous_protocol_delta(config, speeds=(1e4,))
     direct = started_path_energies(config, 1e4)
-    observed = report.observed[1e4].tolist()
+    observed = run.observed[1e4].tolist()
     assert observed == pytest.approx([v for _, v in direct], rel=1e-13, abs=0.0)
 
 
@@ -619,8 +619,8 @@ def test_tour_and_cumulative_weights_are_built_once_per_design(monkeypatch):
     assert sorted(map(id, tours)) == sorted(map(id, series.setup.designs.values()))
     assert weights == []
 
-    report = continuous_protocol_delta(config, config.schedule.speeds)
-    assert report.realized_ok and len(realizations) == 100 + 21
+    run = continuous_protocol_delta(config, config.schedule.speeds)
+    assert continuous_report(config, run)["realized_ok"] and len(realizations) == 100 + 21
     assert len(tours) == len(set(map(id, tours))) == 7 + 7
     assert all("template" not in vars(r) for r in realizations)
 
