@@ -36,7 +36,6 @@ _EXPORTS = {
         "moment_points",
         "moment_residual",
         "solve_design",
-        "verify_design",
     ),
     "evolve": (
         "BasisMismatch",
@@ -72,8 +71,6 @@ _EXPORTS = {
         "build_basis",
         "calibration",
         "gamma_matrix",
-        "temporal_gram",
-        "temporal_gram_min_eigenvalue",
         "trajectory_lipschitz_bound",
     ),
 }

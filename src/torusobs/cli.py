@@ -2,7 +2,8 @@
 
 Subcommands
 -----------
-design      build + reduce + verify one convex design, write design_K{K}.json
+design      build + reduce one convex design, write design_K{K}.json with its
+            moment and matrix residuals
 calibrate   write calibration.json with the per-frequency Gram table
 schedule    write interval m's switching schedule, schedule_m{m}.csv, beside
             its sidecar schedule_m{m}.json
@@ -21,8 +22,7 @@ rows or payload of the artifact, from the config, the quantities the config
 determines and the energies.  `verify` calls it on what it rebuilds from the
 config and on the energies the artifacts store, and requires the file to
 equal the result, text for text or key for key.  The stored energies and
-the values of the tail report's split fields are what it takes on trust,
-with a design's scalar deviation, which only its matrix residual bounds.
+the values of the tail report's split fields are what it takes on trust.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def schedule_header(dim: int) -> str:
     return "t_start,t_end,atom," + ",".join(f"shift_{i}" for i in range(dim))
 CONTINUOUS_HEADER = "speed,interval,window,macro_count,certified_loss,observed,running_mean"
 CONTINUOUS_VERSION = "# torusobs continuous v1"
-DESIGN_SCHEMA = "torusobs-design/1"
+DESIGN_SCHEMA = "torusobs-design/2"
 CALIBRATION_SCHEMA = "torusobs-calibration/1"
 RUN_SCHEMA = "torusobs-run/1"
 CONTINUOUS_SCHEMA = "torusobs-continuous/2"
@@ -115,14 +115,12 @@ def _read_json(path: Path) -> dict:
 
 
 def _candidates(config: RunConfig, basis) -> list[GroupElement]:
-    from .design import _grid_shifts, default_candidates
+    from .design import default_candidates
     from .geometry import GroupElement
 
     opts = config.design
     if opts.candidate_kind == "grid":
-        if opts.grid_per_axis == 0:
-            return default_candidates(basis)
-        return _grid_shifts(opts.grid_per_axis, config.dim)
+        return default_candidates(basis)
     rng = np.random.default_rng(opts.candidate_seed)
     denom = 1 << 20
     return [
@@ -153,18 +151,23 @@ def _build_design(config: RunConfig, basis, prototype) -> ConvexDesign:
     return caratheodory_reduce(design, basis, prototype)
 
 
-def _design_payload(design, verification) -> dict:
-    """design_K{cutoff}.json: the design and its verification."""
-    return {"schema": DESIGN_SCHEMA, **design.to_dict(), "verification": verification.to_dict()}
+def _design_payload(design, basis, prototype) -> dict:
+    """design_K{cutoff}.json: the design with its matrix residual on `basis`,
+    from one atom's Gamma at a time (`moment_residual`)."""
+    from .design import moment_residual
+    from .spectral import gamma_matrix
+
+    gammas = (gamma_matrix(basis, prototype, a.shift) for a in design.atoms)
+    return {
+        "schema": DESIGN_SCHEMA,
+        **design.to_dict(),
+        "matrix_residual": moment_residual(design.weights, gammas, design.measure),
+    }
 
 
 def _write_design(out: Path, design, basis, prototype) -> Path:
-    """Verify the design on `basis` and write it, with the verification, as
-    design_K{cutoff}.json."""
-    from .design import verify_design
-
     path = out / f"design_K{basis.cutoff}.json"
-    _write_json(path, _design_payload(design, verify_design(design, basis, prototype)))
+    _write_json(path, _design_payload(design, basis, prototype))
     return path
 
 
@@ -419,50 +422,26 @@ def cmd_continuous(config: RunConfig, out: Path, args) -> int:
     return 0
 
 
-def _near(stored: float, fresh: float) -> bool:
-    """Whether a stored constant is a recomputed one up to rounding."""
-    return abs(stored - fresh) <= 1e-12 * max(1.0, abs(fresh))
-
-
-def _leaves(path: str, have, want, near: bool) -> list[str]:
-    """`[path]` if `have` differs from `want` as JSON text, so that 1 differs
-    from 1.0 and true from 1.  With `near`, floats are compared within
-    `_near`, and lists and mappings of `want`'s shape leaf by leaf, each
-    differing leaf named by its path."""
-    if near and isinstance(want, float) and isinstance(have, float):
-        return [] if _near(have, want) else [path]
-    if near and isinstance(want, list) and isinstance(have, list) and len(have) == len(want):
-        items = [(f"{path}[{i}]", *pair) for i, pair in enumerate(zip(have, want))]
-    elif near and isinstance(want, dict) and isinstance(have, dict) and have.keys() == want.keys():
-        items = [(f"{path}.{key}", have[key], want[key]) for key in want]
-    else:
-        return [] if json.dumps(have, sort_keys=True) == json.dumps(want, sort_keys=True) else [path]
-    return [leaf for item in items for leaf in _leaves(*item, near)]
-
-
-def _differ(have: dict, want: dict, near=()) -> list[str]:
+def _differ(have: dict, want: dict) -> list[str]:
     """The keys of `want`, then those only `have` holds, whose values differ
-    (`_leaves`, near for the keys in `near`).  `have` that is not a mapping
-    raises."""
+    as JSON text, so that 1 differs from 1.0 and true from 1.  `have` that
+    is not a mapping raises."""
     keys = [*want, *(key for key in have if key not in want)]
     return [
-        leaf
-        for key in keys
-        for leaf in (
-            _leaves(key, have[key], want[key], key in near) if key in have and key in want
-            else [key]
-        )
+        key for key in keys
+        if key not in have or key not in want
+        or json.dumps(have[key], sort_keys=True) != json.dumps(want[key], sort_keys=True)
     ]
 
 
-def _compare(name: str, have: dict, want: dict, default: str, own=None, near=()) -> list[str]:
+def _compare(name: str, have: dict, want: dict, default: str, own=None) -> list[str]:
     """Where the JSON artifact `name`'s payload `have` differs from its
     builder's `want` (`_differ`): a key of `own` or `schema` by its own
     message, given `have`, `want` and their differing `keys`, the rest in
     one `default` message."""
     messages = {"schema": "schema {have!r} is not {want}", **(own or {})}
     problems, rest = [], []
-    for key in _differ(have, want, near):
+    for key in _differ(have, want):
         if key not in messages:
             rest.append(key)
             continue
@@ -515,11 +494,9 @@ class _Rebuilt:
 
 def _check_design(config: RunConfig, path: Path, state: _Rebuilt) -> list[str]:
     """A design's atoms, on the cutoff its name gives and the prototype's
-    measure, must give its residual and its matrix residual (one atom's
-    Gamma at a time).  Its scalar deviation needs `verify_design`'s random
-    draws: it is taken as stored, within [0, matrix residual]."""
-    from .design import ConvexDesign, DesignVerification, design_of, moment_residual
-    from .spectral import build_basis, gamma_matrix
+    measure, must give its residual and its matrix residual."""
+    from .design import ConvexDesign, design_of
+    from .spectral import build_basis
 
     data = _read_json(path)
     stored = ConvexDesign.from_dict(data)
@@ -527,15 +504,8 @@ def _check_design(config: RunConfig, path: Path, state: _Rebuilt) -> list[str]:
         raise ValueError(f"cutoff {stored.cutoff} is not the one its file name gives")
     prototype = config.prototype()
     basis = build_basis(config.space(), stored.cutoff)
-    design = design_of(stored.atoms, basis, prototype)
-    gammas = (gamma_matrix(basis, prototype, a.shift) for a in design.atoms)
-    residual = moment_residual(design.weights, gammas, design.measure)
-    deviation = min(max(data["verification"]["max_scalar_deviation"], 0.0), residual)
-    want = _design_payload(design, DesignVerification(100, 0, residual, deviation))
-    return _compare(
-        path.name, data, want, "differs from the design its atoms rebuild ({keys})",
-        own={"verification": "verification does not recompute ({keys})"},
-    )
+    want = _design_payload(design_of(stored.atoms, basis, prototype), basis, prototype)
+    return _compare(path.name, data, want, "differs from the design its atoms rebuild ({keys})")
 
 
 def _calibration(config: RunConfig):
@@ -548,7 +518,7 @@ def _calibration(config: RunConfig):
 def _check_calibration(config: RunConfig, path: Path, state: _Rebuilt) -> list[str]:
     return _compare(
         path.name, _read_json(path), _calibration_payload(state.constants),
-        "differs from the recomputed calibration ({keys})", near=("lower", "upper", "mode_table"),
+        "differs from the recomputed calibration ({keys})",
     )
 
 
@@ -602,7 +572,7 @@ def _check_run_meta(config: RunConfig, path: Path, state: _Rebuilt) -> list[str]
     want["reference_bound"] = reference_bound(meta["measure"], meta["lower_constant"], energy)
     problems = _compare(
         path.name, meta, want, "differs from the config and the recomputed calibration ({keys})",
-        own=RUN_META_MESSAGES, near=("lower_constant", "upper_constant"),
+        own=RUN_META_MESSAGES,
     )
     etas = sorted(map(str, ETAS))
     return problems + [
@@ -756,13 +726,11 @@ def verify_artifacts(config: RunConfig, out: Path) -> list[str]:
     """Revalidate every recognized artifact in `out` against the config.
 
     Every artifact must equal its writer's builder applied to what `verify`
-    rebuilds from the config (designs' residuals and verifications, the
-    calibration, schedules, paths) and to the energies the artifacts store:
-    CSV files text for text, JSON files key for key, the calibration's
-    floats up to rounding (`_near`).  The stored energies and the values of
-    the tail report's split fields are what is taken on trust, with a
-    design's scalar deviation, which only its matrix residual bounds.  Each
-    checker of `CHECKS` says what its artifact is rebuilt from.  A file that
+    rebuilds from the config (designs' residuals, the calibration,
+    schedules, paths) and to the energies the artifacts store: CSV files
+    text for text, JSON files key for key.  The stored energies and the
+    values of the tail report's split fields are what is taken on trust.
+    Each checker of `CHECKS` says what its artifact is rebuilt from.  A file that
     cannot be read, or holds a field of the wrong type, is reported as
     unreadable, under its own name only.  A missing directory, or one
     holding none of these artifacts, is a problem: there is nothing to vouch

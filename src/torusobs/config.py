@@ -195,15 +195,14 @@ class DesignOptions(NamedTuple):
     """Options for standalone design building (the protocol itself always
     uses the exact equal-weight grid).
 
-    The solver draws its candidate shifts either from a regular grid
-    (default 4*cutoff+2 per axis, which always contains an exact design) or
-    from a seeded uniform sample of `candidates` shifts.
+    The solver draws its candidate shifts either from the regular grid of
+    4*cutoff+2 per axis, which always contains an exact design, or from a
+    seeded uniform sample of `candidates` shifts.
     """
 
     method: str = "equispaced"
     cutoff: int = 1
     candidate_kind: str = "grid"
-    grid_per_axis: int = 0       # 0 means the 4*cutoff+2 default
     candidates: int = 64
     candidate_seed: int = 0
     tol: float = 1e-10
@@ -218,7 +217,6 @@ class DesignOptions(NamedTuple):
                 "method",
                 "cutoff",
                 "candidate_kind",
-                "grid_per_axis",
                 "candidates",
                 "candidate_seed",
                 "tol",
@@ -231,16 +229,12 @@ class DesignOptions(NamedTuple):
         cutoff = _as_int(mapping.get("cutoff", 1), f"{path}.cutoff")
         kind = _as_str(mapping.get("candidate_kind", "grid"),
                        f"{path}.candidate_kind", ("grid", "random"))
-        grid_per_axis = _as_int(mapping.get("grid_per_axis", 0),
-                                f"{path}.grid_per_axis")
         candidates = _as_int(mapping.get("candidates", 64), f"{path}.candidates")
         seed = _as_int(mapping.get("candidate_seed", 0), f"{path}.candidate_seed")
         tol = _as_float(mapping.get("tol", 1e-10), f"{path}.tol")
         max_iter = _as_int(mapping.get("max_iter", 20000), f"{path}.max_iter")
         if cutoff < 0:
             raise ConfigError(f"{path}.cutoff: must be >= 0")
-        if grid_per_axis < 0:
-            raise ConfigError(f"{path}.grid_per_axis: must be >= 0")
         if candidates < 1:
             raise ConfigError(f"{path}.candidates: must be >= 1")
         if tol <= 0:
@@ -248,8 +242,8 @@ class DesignOptions(NamedTuple):
         if max_iter < 1:
             raise ConfigError(f"{path}.max_iter: must be >= 1")
         return cls(method=method, cutoff=cutoff, candidate_kind=kind,
-                   grid_per_axis=grid_per_axis, candidates=candidates,
-                   candidate_seed=seed, tol=tol, max_iter=max_iter)
+                   candidates=candidates, candidate_seed=seed, tol=tol,
+                   max_iter=max_iter)
 
 
 class ScheduleOptions(NamedTuple):

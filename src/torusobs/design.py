@@ -14,9 +14,11 @@ and reducing designs therefore works on one real moment point per shift
 (`moment_points`, length (4K+1)^d - 1) instead of dim(H)^2 Gram entries:
 the solver is Wolfe's minimum-norm point over those points and the
 Caratheodory reduction removes their affine dependencies, so a design
-never needs more than (4K+1)^d atoms.  `moment_residual` and
-`verify_design` recompute the residual from the Gamma matrices, as an
-independent check of the moment-space arithmetic.
+never needs more than (4K+1)^d atoms.  `moment_residual` recomputes the
+residual from the Gamma matrices, as an independent check of the
+moment-space arithmetic.  Both residuals add their terms in a fixed order
+and their squares exactly (`math.fsum`), with no BLAS kernel, so their bits
+do not depend on the CPU code path.
 """
 
 from __future__ import annotations
@@ -206,9 +208,15 @@ def moment_matrix(weights: np.ndarray, gammas: Iterable[ObservationMatrix]) -> n
 def moment_residual(
     weights: np.ndarray, gammas: Iterable[ObservationMatrix], measure: float
 ) -> float:
-    """||sum_j theta_j Gamma(g_j) - L Id||_F from the matrices themselves."""
+    """||sum_j theta_j Gamma(g_j) - L Id||_F from the matrices themselves:
+    the square root of the exact sum of the squared real and imaginary parts.
+
+    Every trial vector xi has |Re xi^H E xi| / |xi|^2 <= ||E||_2 <= ||E||_F
+    for E = sum_j theta_j Gamma(g_j) - L Id, so this one number bounds the
+    error of the identity on every function of the profile space."""
     moment = moment_matrix(weights, gammas)
-    return float(np.linalg.norm(moment - measure * np.eye(moment.shape[0]), "fro"))
+    excess = moment - measure * np.eye(moment.shape[0])
+    return math.sqrt(math.fsum(np.square(excess.view(float)).ravel().tolist()))
 
 
 def moment_points(
@@ -251,11 +259,13 @@ def design_of(
     atoms = tuple(atoms)
     points = moment_points(basis, prototype, [a.shift for a in atoms])
     weights = np.array([a.weight for a in atoms], dtype=float)
+    # the atoms' terms added in atom order, the squares exactly: no BLAS
+    moment = np.add.reduce(weights[:, None] * points, axis=0)
     return ConvexDesign(
         atoms=atoms,
         measure=prototype.measure,
         cutoff=basis.cutoff,
-        residual=float(np.linalg.norm(weights @ points)),
+        residual=math.sqrt(math.fsum((moment * moment).tolist())),
     )
 
 
@@ -472,53 +482,3 @@ def caratheodory_reduce(
         for i, wi in zip(kept, w)
     ]
     return design_of(atoms, basis, prototype)
-
-
-class DesignVerification(NamedTuple):
-    """Randomized and matrix-level check of the design identity."""
-
-    trials: int
-    seed: int
-    matrix_residual: float
-    max_scalar_deviation: float  # relative to ||f||^2
-
-    def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "matrix_residual": self.matrix_residual,
-            "max_scalar_deviation": self.max_scalar_deviation,
-        }
-
-
-def verify_design(
-    design: ConvexDesign,
-    basis: ModalBasis,
-    prototype: PrototypeSet,
-    trials: int = 100,
-    seed: int = 0,
-) -> DesignVerification:
-    """Check sum_j theta_j * energy(f on g_j.omega) = L * ||f||^2 on random f.
-
-    Draws complex Gaussian coefficient vectors (trial t uses the t-th pair of
-    real and imaginary parts of one seeded stream) and reports the worst
-    relative deviation, together with the Frobenius residual of the matrix
-    identity.  The weighted energy sum of trial xi is xi^H M xi with
-    M = sum_j theta_j Gamma_j, built one atom at a time by `moment_matrix`,
-    so each deviation is |Re xi^H E xi| / |xi|^2 with E = M - L * Id, which
-    is at most ||E||_2 <= `matrix_residual`.
-    """
-    draws = np.random.default_rng(seed).standard_normal((trials, 2, basis.dim))
-    xi = (draws[:, 0] + 1j * draws[:, 1]) / math.sqrt(2.0)
-    moment = moment_matrix(
-        design.weights, (gamma_matrix(basis, prototype, a.shift) for a in design.atoms)
-    )
-    excess = moment - design.measure * np.eye(basis.dim)
-    forms = np.einsum("ti,ik,tk->t", xi.conj(), excess, xi, optimize=True).real
-    norm_sq = np.einsum("ti,ti->t", xi.conj(), xi).real
-    return DesignVerification(
-        trials=trials,
-        seed=seed,
-        matrix_residual=float(np.linalg.norm(excess, "fro")),
-        max_scalar_deviation=float((np.abs(forms) / norm_sq).max(initial=0.0)),
-    )

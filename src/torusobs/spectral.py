@@ -18,10 +18,12 @@ Translation multiplies that coefficient by e^{-2 pi i (n_i - n_j).g}, so
 and every shifted matrix is the cached Gamma(0) times one entrywise phase.
 
 In time, a second-order mode of frequency rho contributes the 2x2 Gram
-matrix of {sin(rho t), cos(rho t)} over an interval (`temporal_gram`); its
-eigenvalue band over the simulated spectrum gives the full-torus
-calibration constants (`calibration`) and the Lipschitz bound of the
-observation densities (`trajectory_lipschitz_bound`).
+matrix of {sin(rho t), cos(rho t)} over an interval of length T.  Its
+off-diagonal part is a reflection, so its eigenvalue band is the same over
+every interval, T/2 -+ |sin(rho T)| / (2 rho), and (0, T) at rho = 0.  That
+closed form over the simulated spectrum gives the full-torus calibration
+constants (`calibration`), whose lower constant bounds the Lipschitz
+constant of the observation densities (`trajectory_lipschitz_bound`).
 """
 
 from __future__ import annotations
@@ -162,34 +164,6 @@ def gamma_matrix(basis: ModalBasis, prototype: PrototypeSet, shift: GroupElement
     return ObservationMatrix(basis=basis, prototype=prototype, shift=shift, entries=entries)
 
 
-def temporal_gram_min_eigenvalue(rho: float, duration: float) -> float:
-    """Smallest eigenvalue of the 2x2 temporal Gram of {sin(rho t), cos(rho t)}
-    over any interval of the given duration: T/2 - |sin(rho T)| / (2 rho).
-
-    The zero-frequency mode is velocity-only (constant output) and contributes
-    the full duration.
-    """
-    if rho == 0.0:
-        return duration
-    return duration / 2.0 - abs(math.sin(rho * duration)) / (2.0 * rho)
-
-
-def temporal_gram(rho: float, t_start: float, duration: float) -> np.ndarray:
-    """Gram matrix of {sin(rho t), cos(rho t)} over [t_start, t_start+duration].
-
-    Closed form via product-to-sum identities; the zero-frequency pair
-    degenerates to {0, 1} whose Gram is diag(0, duration).
-    """
-    if rho == 0.0:
-        return np.array([[0.0, 0.0], [0.0, duration]])
-    phase = rho * (2.0 * t_start + duration)
-    swing = math.sin(rho * duration) / (2.0 * rho)
-    ss = duration / 2.0 - math.cos(phase) * swing
-    cc = duration / 2.0 + math.cos(phase) * swing
-    sc = math.sin(phase) * swing
-    return np.array([[ss, sc], [sc, cc]])
-
-
 class CalibrationConstants(NamedTuple):
     """Full-torus per-interval observation constants.
 
@@ -225,17 +199,18 @@ class CalibrationConstants(NamedTuple):
 
 
 def calibration(
-    model: str, basis: ModalBasis, mass: float, duration: float, t_start: float = 0.0
+    model: str, basis: ModalBasis, mass: float, duration: float
 ) -> CalibrationConstants:
     """Compute the interval observation constants over the simulated spectrum.
 
     The first-order model conserves the output norm pointwise in time, so both
     constants equal the interval length exactly.  For the second-order models
-    each frequency contributes the eigenvalue band of its temporal Gram matrix
-    (computed numerically from the closed-form entries); the zero-frequency
-    mode carries velocity only and contributes the full interval length.  The
-    lower constant is the infimum over the simulated spectrum only, which is
-    exact for data supported on the calibrated basis.
+    each distinct frequency rho contributes the eigenvalue band of its
+    temporal Gram matrix, T/2 -+ |sin(rho T)| / (2 rho), and (0, T) at
+    rho = 0; the zero-frequency mode carries velocity only and contributes
+    the full interval length.  The lower constant is the infimum over the
+    simulated spectrum only, which is exact for data supported on the
+    calibrated basis.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
@@ -253,18 +228,17 @@ def calibration(
         )
     # sorted distinct frequencies; np.unique would import numpy.ma
     rhos = np.sort(np.sqrt(basis.eigenvalues + mass * mass))
-    rhos = rhos[np.concatenate(([True], rhos[1:] != rhos[:-1]))]
+    rhos = rhos[np.concatenate(([True], rhos[1:] != rhos[:-1]))].tolist()
     minima: list[float] = []
     maxima: list[float] = []
-    lower = math.inf
     for rho in rhos:
-        eigs = np.linalg.eigvalsh(temporal_gram(float(rho), t_start, duration))
-        minima.append(float(eigs[0]))
-        maxima.append(float(eigs[1]))
-        # the zero-frequency displacement is quotiented out, so that mode's
-        # reachable output is the constant velocity: it contributes duration
-        contribution = duration if rho == 0.0 else float(eigs[0])
-        lower = min(lower, contribution)
+        # at rho = 0 the pair is {0, 1}, whose band is (0, T)
+        swing = abs(math.sin(rho * duration)) / (2.0 * rho) if rho else duration / 2.0
+        minima.append(duration / 2.0 - swing)
+        maxima.append(duration / 2.0 + swing)
+    # the zero-frequency displacement is quotiented out, so that mode's
+    # reachable output is the constant velocity: it contributes duration
+    lower = min(duration if rho == 0.0 else low for rho, low in zip(rhos, minima))
     if lower <= 0.0:
         raise ValueError("degenerate calibration: lower constant is not positive")
     return CalibrationConstants(
@@ -273,7 +247,7 @@ def calibration(
         duration=duration,
         lower=lower,
         upper=duration,
-        mode_frequencies=tuple(float(r) for r in rhos),
+        mode_frequencies=tuple(rhos),
         gram_minima=tuple(minima),
         gram_maxima=tuple(maxima),
     )
@@ -289,7 +263,7 @@ def trajectory_lipschitz_bound(
     set, including the full torus) satisfies |F'| <= Lambda with
 
         wave / klein_gordon:  Lambda = 2 rho_max / c   (rho_n = sqrt(lambda_n + mass^2),
-                              c = min_n of the temporal Gram minimum eigenvalue),
+                              c = the basis's calibration lower constant),
         schrodinger:          Lambda = 2 lambda_max / duration
                               (the full-torus density is constant in t).
 
@@ -300,15 +274,7 @@ def trajectory_lipschitz_bound(
         raise ValueError("duration must be positive")
     if basis.dim == 0:
         raise ValueError("basis must be nonempty")
-    lam = basis.eigenvalues
     if model == "schrodinger":
-        return 2.0 * float(lam.max()) / duration
-    if model in ("wave", "klein_gordon"):
-        rho = np.sqrt(lam + mass * mass)
-        c = min(temporal_gram_min_eigenvalue(float(r), duration) for r in rho)
-        if c <= 0:
-            raise ValueError(
-                f"temporal Gram degenerates (c = {c}); duration too short for this spectrum"
-            )
-        return 2.0 * float(rho.max()) / c
-    raise ValueError(f"unknown model {model!r}")
+        return 2.0 * float(basis.eigenvalues.max()) / duration
+    constants = calibration(model, basis, mass, duration)
+    return 2.0 * constants.mode_frequencies[-1] / constants.lower

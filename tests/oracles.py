@@ -320,14 +320,21 @@ def cycle_length(shifts: list[np.ndarray]) -> float:
     return total
 
 
-def gram_eigenvalue_band(rho: float, duration: float) -> tuple[float, float]:
-    """Predicted temporal Gram eigenvalues duration/2 -+ |sin(rho T)|/(2 rho);
-    the off-diagonal block is a reflection, so the band is offset-independent.
-    At rho = 0 the analytic limit gives (0, duration)."""
+def temporal_gram(rho: float, t_start: float, duration: float) -> np.ndarray:
+    """Gram matrix of {sin(rho t), cos(rho t)} over [t_start, t_start+duration].
+
+    Closed form via product-to-sum identities; the zero-frequency pair
+    degenerates to {0, 1} whose Gram is diag(0, duration).  Its eigenvalues,
+    taken numerically, are the independent route to the calibration band.
+    """
     if rho == 0.0:
-        return 0.0, duration
-    swing = abs(math.sin(rho * duration)) / (2.0 * rho)
-    return duration / 2.0 - swing, duration / 2.0 + swing
+        return np.array([[0.0, 0.0], [0.0, duration]])
+    phase = rho * (2.0 * t_start + duration)
+    swing = math.sin(rho * duration) / (2.0 * rho)
+    ss = duration / 2.0 - math.cos(phase) * swing
+    cc = duration / 2.0 + math.cos(phase) * swing
+    sc = math.sin(phase) * swing
+    return np.array([[ss, sc], [sc, cc]])
 
 
 def evolve_to(datum, t: float):

@@ -2,7 +2,9 @@
 and verification of tampered outputs."""
 
 import json
+import math
 import os
+import platform
 import subprocess
 import sys
 from fractions import Fraction
@@ -48,14 +50,15 @@ def write_config(tmp_path, name="run.json", **overrides):
     return path
 
 
-def fresh_python(*args):
-    """Run a new interpreter on this checkout's package: modules that earlier
-    tests imported in this process cannot mask a missing import there."""
+def fresh_python(*args, env=None):
+    """Run a new interpreter on this checkout's package, with the variables
+    of `env` added to the environment: modules that earlier tests imported
+    in this process cannot mask a missing import there."""
     src = str(Path(torusobs.__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     return subprocess.run(
         [sys.executable, *args],
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, **(env or {}), "PYTHONPATH": path},
         capture_output=True,
         text=True,
     )
@@ -72,8 +75,12 @@ def test_design_command_writes_reduced_design(tmp_path, capsys):
     assert main(["design", "--config", str(config), "--out", str(out)]) == 0
     payload = json.loads((out / "design_K1.json").read_text())
     assert len(payload["atoms"]) == 5
+    assert payload["schema"] == "torusobs-design/2"
+    assert sorted(payload) == [
+        "atoms", "cutoff", "matrix_residual", "measure", "residual", "schema",
+    ]
     assert payload["residual"] <= 1e-12
-    assert payload["verification"]["max_scalar_deviation"] <= 1e-10
+    assert payload["matrix_residual"] <= 1e-12
     assert "design_K1.json" in capsys.readouterr().out
 
 
@@ -231,8 +238,8 @@ def test_experiment_process_does_not_import_numpy_ma(tmp_path):
 
 
 def test_verify_process_does_not_import_numpy_random(tmp_path):
-    # verify rebuilds the designs' matrix residuals, not verify_design's
-    # random draws, and never the seeded datum
+    # verify rebuilds the designs' matrix residuals, which draw nothing,
+    # and never the seeded datum
     config = write_config(tmp_path, schedule={"emit_intervals": [1]})
     out = tmp_path / "out"
     for command in ("experiment", "continuous"):
@@ -512,6 +519,66 @@ def test_experiment_is_reproducible(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def openblas_core_types() -> list[str]:
+    """The OpenBLAS kernels this host runs besides its default: Prescott
+    (SSE3) on any x86-64 CPU, and Haswell where the CPU has AVX2; none off
+    x86-64 or without OpenBLAS."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return []
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (KeyError, TypeError):
+        return []
+    if "openblas" not in blas.lower():
+        return []
+    try:
+        flags = Path("/proc/cpuinfo").read_text().split()
+    except OSError:
+        flags = []
+    return ["Prescott", *(["Haswell"] if "avx2" in flags else [])]
+
+
+TORUS_2D = {
+    **config_dict(),
+    "space": {"dim": 2},
+    "prototype": {"boxes": [[[0, "1/2"], [0, "1/2"]]]},
+    "model": "wave",
+    "sim_window": 4,
+    "interval_count": 2,
+    "windows": {"kind": "stride", "stride": 1, "cap": 2},
+    "datum": {"window": 4, "decay": "power", "decay_power": 2.0, "seed": 0},
+}
+
+
+@pytest.mark.skipif(not openblas_core_types(), reason="needs OpenBLAS on x86-64")
+def test_designs_and_calibration_are_the_same_bytes_on_every_blas_kernel(tmp_path):
+    # the design residuals add in a fixed order and the calibration is a
+    # closed form, so no BLAS kernel reaches their bits, and verify accepts
+    # each run's designs under the other's kernel; series.csv and
+    # run_meta.json still go through BLAS and are not compared
+    config = tmp_path / "torus_2d.json"
+    config.write_text(json.dumps(TORUS_2D))
+
+    def run(command, out, core):
+        env = {"OPENBLAS_CORETYPE": core} if core else None
+        done = fresh_python(
+            "-m", "torusobs.cli", command, "--config", str(config), "--out", str(out), env=env
+        )
+        assert done.returncode == 0, f"{command} under {core or 'default'}:\n{done.stderr}"
+
+    base = tmp_path / "default"
+    run("experiment", base, None)
+    names = sorted(p.name for p in base.glob("design_K*.json")) + ["calibration.json"]
+    assert len(names) == 3
+    for core in openblas_core_types():
+        other = tmp_path / core
+        run("experiment", other, core)
+        for name in names:
+            assert (other / name).read_bytes() == (base / name).read_bytes(), (core, name)
+        run("verify", other, None)
+        run("verify", base, core)
+
+
 def test_experiment_check_flag(tmp_path):
     config = write_config(tmp_path)
     out = tmp_path / "out"
@@ -687,6 +754,10 @@ NOT_KEYED = "run_meta.json: tail_reduction.{} is not keyed by the etas [0.5, 0.1
         (set_meta("measure", scale=2.0), f"{META_DIFFERS} (measure, reference_bound)"),
         (set_meta("duration", value=2.0), f"{META_DIFFERS} (duration)"),
         (set_meta("lower_constant", scale=1.0 + 1e-9), f"{META_DIFFERS} (lower_constant,"),
+        (
+            set_meta("lower_constant", value=math.nextafter(1.0, math.inf)),
+            f"{META_DIFFERS} (lower_constant",
+        ),
         (set_meta("upper_constant", scale=3.0), f"{META_DIFFERS} (upper_constant)"),
         (set_meta("energy", scale=1e6), f"{META_DIFFERS} (reference_bound)"),
         (set_meta("reference_bound", scale=3.0), f"{META_DIFFERS} (reference_bound, final_ratio)"),
@@ -705,8 +776,8 @@ NOT_KEYED = "run_meta.json: tail_reduction.{} is not keyed by the etas [0.5, 0.1
     ids=[
         "last-row-dropped", "K_m", "eps_m", "m", "short-row", "final-mean", "interval-count",
         "final-quarter-minimum", "model", "mass", "measure", "duration", "lower-constant",
-        "upper-constant", "energy", "reference-bound", "final-ratio", "zero-reference-bound",
-        "one-ulp-A_N", "non-canonical-Q_m", "extra-key",
+        "one-ulp-lower-constant", "upper-constant", "energy", "reference-bound", "final-ratio",
+        "zero-reference-bound", "one-ulp-A_N", "non-canonical-Q_m", "extra-key",
     ],
 )
 def test_verify_checks_series_and_run_meta_against_the_config(tmp_path, capsys, edit, message):
@@ -810,39 +881,6 @@ def test_verify_fails_a_consistent_but_false_lower_flag(tmp_path, capsys):
     assert TAIL_DIFFERS not in err
 
 
-VERIFICATION_DIFFERS = "design_K1.json: verification does not recompute"
-
-
-def set_verification(key, scale=None, value=None):
-    return set_json("design_K1.json", "verification", key, scale=scale, value=value)
-
-
-@pytest.mark.parametrize(
-    "edit, message",
-    [
-        (set_verification("trials", value=99), f"{VERIFICATION_DIFFERS} (trials)"),
-        (set_verification("seed", value=1), f"{VERIFICATION_DIFFERS} (seed)"),
-        (
-            set_verification("matrix_residual", scale=1.0 + 2**-50),
-            f"{VERIFICATION_DIFFERS} (matrix_residual)",
-        ),
-        (
-            set_verification("max_scalar_deviation", value=1e-9),
-            f"{VERIFICATION_DIFFERS} (max_scalar_deviation)",
-        ),
-        (set_json("design_K1.json", "verification", value=5), "design_K1.json: unreadable"),
-    ],
-    ids=["trials", "seed", "matrix-residual", "max-scalar-deviation", "verification"],
-)
-def test_verify_checks_a_design_files_verification(tmp_path, capsys, edit, message):
-    config = write_config(tmp_path)
-    out = tmp_path / "out"
-    assert main(["experiment", "--config", str(config), "--out", str(out)]) == 0
-    edit(out)
-    assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
-    assert message in capsys.readouterr().err
-
-
 DESIGN_DIFFERS = "design_K1.json: differs from the design its atoms rebuild"
 
 
@@ -876,6 +914,48 @@ def test_verify_rebuilds_a_design_from_its_atoms(tmp_path, capsys, edit, message
     edit(out)
     assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (
+            set_json("design_K1.json", "matrix_residual", scale=1.0 + 2**-50),
+            f"{DESIGN_DIFFERS} (matrix_residual)",
+        ),
+        (
+            set_json("design_K1.json", "verification", value={"trials": 100, "seed": 0}),
+            f"{DESIGN_DIFFERS} (verification)",
+        ),
+    ],
+    ids=["matrix-residual", "verification"],
+)
+def test_verify_checks_a_design_files_verification(tmp_path, capsys, edit, message):
+    # the matrix residual is recomputed exactly, and the random-draw
+    # verification of schema 1 is no key of a design file
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(config), "--out", str(out)]) == 0
+    edit(out)
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_verify_refuses_a_schema_1_design_file(tmp_path, capsys):
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(config), "--out", str(out)]) == 0
+    path = out / "design_K1.json"
+    payload = strict_json(path)
+    residual = payload.pop("matrix_residual")
+    payload["schema"] = "torusobs-design/1"
+    payload["verification"] = {
+        "matrix_residual": residual, "max_scalar_deviation": 0.0, "seed": 0, "trials": 100,
+    }
+    _write_json(path, payload)
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "design_K1.json: schema 'torusobs-design/1' is not torusobs-design/2" in err
 
 
 @pytest.mark.parametrize(
@@ -1121,11 +1201,12 @@ def set_mode_row(index, key, scale=None, value=None):
         (lambda cal: cal.update(mass=0.5), "mass"),
         (lambda cal: cal.update(duration=9.0), "duration"),
         (lambda cal: cal.update(lower=cal["lower"] * (1.0 + 1e-9)), "lower"),
-        (set_mode_row(1, "gram_min", scale=0.5), "mode_table[1].gram_min"),
-        (set_mode_row(3, "gram_max", scale=1.0 + 1e-9), "mode_table[3].gram_max"),
-        (set_mode_row(2, "frequency", value=1.0), "mode_table[2].frequency"),
+        (lambda cal: cal.update(lower=math.nextafter(cal["lower"], math.inf)), "lower"),
+        (set_mode_row(1, "gram_min", scale=0.5), "mode_table"),
+        (set_mode_row(3, "gram_max", scale=1.0 + 1e-9), "mode_table"),
+        (set_mode_row(2, "frequency", value=1.0), "mode_table"),
     ],
-    ids=["model", "mass", "duration", "lower", "gram-min", "gram-max", "frequency"],
+    ids=["model", "mass", "duration", "lower", "lower-ulp", "gram-min", "gram-max", "frequency"],
 )
 def test_verify_recomputes_every_calibration_field(tmp_path, capsys, edit, key):
     config = write_config(tmp_path, model="wave", datum={"window": 2, "seed": 2})

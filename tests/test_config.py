@@ -41,6 +41,9 @@ def test_unknown_keys_are_rejected_at_every_level():
         RunConfig.from_dict(minimal(datum={"window": 1, "flavor": "mild"}))
     with pytest.raises(ConfigError, match="config.windows"):
         RunConfig.from_dict(minimal(windows={"kind": "stride", "value": 3}))
+    # the grid candidates are always 4*cutoff+2 per axis: no count is read
+    with pytest.raises(ConfigError, match="config.design.*grid_per_axis"):
+        RunConfig.from_dict(minimal(design={"method": "solver", "grid_per_axis": 6}))
 
 
 def test_schema_version_is_checked():

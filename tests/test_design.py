@@ -1,4 +1,4 @@
-"""Design synthesis: exact grids, the solver, atom reduction, verification."""
+"""Design synthesis: exact grids, the solver, atom reduction, residuals."""
 
 from fractions import Fraction
 
@@ -27,7 +27,6 @@ from torusobs import (
     moment_points,
     moment_residual,
     solve_design,
-    verify_design,
 )
 from test_spectral import shifted_box_unions
 
@@ -211,15 +210,12 @@ def test_verification_of_an_exact_design_is_quiet():
     basis = build_basis(T1, 1)
     w = interval(0, "1/4")
     design = equispaced_design(basis, w)
-    report = verify_design(design, basis, w, trials=100, seed=0)
-    assert report.matrix_residual <= 1e-14
-    assert report.max_scalar_deviation <= 1e-12
-    assert report.trials == 100
-    payload = report.to_dict()
-    assert payload["max_scalar_deviation"] == report.max_scalar_deviation
+    assert residual_of(design, basis, w) <= 1e-14
 
 
 def test_verification_tracks_the_solver_residual():
+    # ||sum theta Gamma - L Id||_F = ||sum theta p||: the matrix residual
+    # and the moment residual are one number by two routes
     basis = build_basis(T1, 1)
     w = interval(0, "1/4")
     rng = np.random.default_rng(5)
@@ -228,8 +224,7 @@ def test_verification_tracks_the_solver_residual():
         for v in rng.integers(0, 2**20, size=64)
     ]
     design = solve_design(basis, w, candidates, tol=1e-8)
-    report = verify_design(design, basis, w, trials=100, seed=1)
-    assert report.max_scalar_deviation <= max(10.0 * report.matrix_residual, 1e-12)
+    assert abs(residual_of(design, basis, w) - design.residual) <= 1e-14
 
 
 def test_constant_profiles_average_exactly_for_any_weights():
@@ -266,14 +261,12 @@ def test_verification_flags_perturbed_weights():
         cutoff=design.cutoff,
         residual=design.residual,
     )
-    report = verify_design(crooked, basis, w, trials=100, seed=2)
-    assert report.matrix_residual > 1e-6
-    assert report.max_scalar_deviation > 1e-6
+    assert residual_of(crooked, basis, w) > 1e-3
 
 
-def test_batched_verification_matches_per_trial_draws():
-    # trial t draws its real parts, then its imaginary parts, from one seeded
-    # stream; the stacked contraction must give the per-atom energy sums
+def test_per_trial_deviations_stay_within_the_matrix_residual():
+    # each random profile's relative deviation |Re xi^H E xi| / |xi|^2 is at
+    # most ||E||_2 <= ||E||_F, the matrix residual: draws add nothing to it
     basis = build_basis(T1, 2)
     w = interval(0, "1/3")
     atoms = tuple(
@@ -294,26 +287,20 @@ def test_batched_verification_matches_per_trial_draws():
             for wt, g in zip(design.weights, gammas)
         )
         worst = max(worst, abs(lhs - w.measure * norm_sq) / norm_sq)
-    report = verify_design(design, basis, w, trials=20, seed=3)
+    residual = residual_of(design, basis, w)
     assert worst > 1e-3
-    assert report.max_scalar_deviation == pytest.approx(worst, rel=1e-12)
-    assert verify_design(design, basis, w, trials=0).max_scalar_deviation == 0.0
+    assert worst <= residual * (1.0 + 1e-12)
+    excess = moment_matrix(design.weights, gammas) - w.measure * np.eye(basis.dim)
+    assert np.linalg.norm(excess, 2) <= residual * (1.0 + 1e-12)
 
 
-def stacked_verification(design, basis, w, trials, seed):
-    """The design check with every atom's Gamma held at once, as one
-    stacked contraction of per-atom energies: the reference for
-    `verify_design`."""
-    gammas = design_gammas(design, basis, w)
-    weights = design.weights
-    resid = moment_residual(weights, gammas, design.measure)
-    draws = np.random.default_rng(seed).standard_normal((trials, 2, basis.dim))
-    xi = (draws[:, 0] + 1j * draws[:, 1]) / math.sqrt(2.0)
-    stack = np.stack([g.entries for g in gammas])
-    energies = np.einsum("ti,jik,tk->tj", xi.conj(), stack, xi).real
-    norm_sq = np.einsum("ti,ti->t", xi.conj(), xi).real
-    deviation = np.abs(energies @ weights - design.measure * norm_sq) / norm_sq
-    return resid, float(deviation.max(initial=0.0))
+def stacked_residual(design, basis, w) -> float:
+    """The matrix residual with every atom's Gamma held at once, as one
+    weighted contraction of the stack, and LAPACK's Frobenius norm: the
+    reference for `moment_residual` up to rounding."""
+    stack = np.stack([g.entries for g in design_gammas(design, basis, w)])
+    moment = np.tensordot(design.weights, stack, axes=1)
+    return float(np.linalg.norm(moment - design.measure * np.eye(basis.dim), "fro"))
 
 
 def solver_design_on_the_circle():
@@ -327,33 +314,35 @@ def solver_design_on_the_circle():
     return solve_design(basis, w, candidates, tol=1e-9), basis, w
 
 
-@pytest.mark.parametrize("case", ["grid-1d", "grid-2d", "solver"])
-def test_moment_matrix_verification_matches_the_stacked_formula(case):
-    # the residual is the same sums in the same order; the trial energies
-    # come from one quadratic form of M - L Id instead of one per atom, so
-    # they agree to rounding and never exceed the residual
+def verification_case(case):
     if case == "grid-1d":
         w = interval(0, "1/4")
         basis = build_basis(T1, 7)
-        design = equispaced_design(basis, w)
-    elif case == "grid-2d":
+        return equispaced_design(basis, w), basis, w
+    if case == "grid-2d":
         w = PrototypeSet.from_boxes(T2, [[(0, "1/2"), ("1/8", "5/8")]])
         basis = build_basis(T2, 2)
-        design = equispaced_design(basis, w)
-    else:
-        design, basis, w = solver_design_on_the_circle()
-    report = verify_design(design, basis, w, trials=50, seed=4)
-    resid, worst = stacked_verification(design, basis, w, 50, 4)
-    assert report.matrix_residual.hex() == resid.hex()
-    assert abs(report.max_scalar_deviation - worst) <= 1e-13
-    assert report.max_scalar_deviation <= report.matrix_residual + 1e-15
+        return equispaced_design(basis, w), basis, w
+    return solver_design_on_the_circle()
 
 
-def chunked_verification(design, basis, w, trials, seed, chunk):
-    """The moment-matrix check with the atoms' Gammas held `chunk` at a time
+@pytest.mark.parametrize("case", ["grid-1d", "grid-2d", "solver"])
+def test_moment_matrix_verification_matches_the_stacked_formula(case):
+    # the same matrix by another contraction and another norm: equal to
+    # rounding (the sums run over up to 81 atoms), and both equal to the
+    # moment-space residual
+    design, basis, w = verification_case(case)
+    resid = residual_of(design, basis, w)
+    assert abs(resid - stacked_residual(design, basis, w)) <= 1e-13
+    assert abs(resid - design.residual) <= 1e-13
+
+
+def chunked_residual(design, basis, w, chunk) -> float:
+    """The matrix residual with the atoms' Gammas held `chunk` at a time
     as one stack (every atom at once for None), each stack added into M in
-    atom order: `verify_design`, which holds one Gamma at a time, must give
-    the same bits for every chunk size."""
+    atom order, and the squares of E = M - L Id summed exactly, real parts
+    first: `moment_residual`, which holds one Gamma at a time and sums
+    the squares interleaved, must give the same bits for every chunk size."""
     gammas = [g.entries for g in design_gammas(design, basis, w)]
     weights = design.weights
     step = chunk or len(design)
@@ -363,34 +352,19 @@ def chunked_verification(design, basis, w, trials, seed, chunk):
         for wt, g in zip(weights[lo : lo + step], stack):
             moment = moment + wt * g
     excess = moment - design.measure * np.eye(basis.dim)
-    draws = np.random.default_rng(seed).standard_normal((trials, 2, basis.dim))
-    xi = (draws[:, 0] + 1j * draws[:, 1]) / math.sqrt(2.0)
-    forms = np.einsum("ti,ik,tk->t", xi.conj(), excess, xi, optimize=True).real
-    norm_sq = np.einsum("ti,ti->t", xi.conj(), xi).real
-    resid = float(np.linalg.norm(excess, "fro"))
-    return resid, float((np.abs(forms) / norm_sq).max(initial=0.0))
+    parts = excess.real.ravel().tolist() + excess.imag.ravel().tolist()
+    return math.sqrt(math.fsum(x * x for x in parts))
 
 
 # chunk None (id "module-chunk") holds every atom's Gamma in one stack
 @pytest.mark.parametrize("chunk", [1, 5, None], ids=["chunk-1", "chunk-5", "module-chunk"])
 @pytest.mark.parametrize("case", ["grid-1d", "grid-2d", "solver"])
 def test_chunked_verification_is_bitwise_the_stacked_formula(case, chunk):
-    if case == "grid-1d":
-        w = interval(0, "1/4")
-        basis = build_basis(T1, 7)
-        design = equispaced_design(basis, w)
-    elif case == "grid-2d":
-        w = PrototypeSet.from_boxes(T2, [[(0, "1/2"), ("1/8", "5/8")]])
-        basis = build_basis(T2, 2)
-        design = equispaced_design(basis, w)
-    else:
-        design, basis, w = solver_design_on_the_circle()
+    design, basis, w = verification_case(case)
     if case != "solver":
         assert len(design) > 5
-    report = verify_design(design, basis, w, trials=50, seed=4)
-    resid, worst = chunked_verification(design, basis, w, 50, 4, chunk)
-    assert report.matrix_residual.hex() == resid.hex()
-    assert report.max_scalar_deviation.hex() == worst.hex()
+    resid = chunked_residual(design, basis, w, chunk)
+    assert residual_of(design, basis, w).hex() == resid.hex()
 
 
 @pytest.mark.parametrize("case", ["grid-2d", "solver"])

@@ -26,7 +26,6 @@ from torusobs import (
     interval_output_energy,
     path_observation_energy,
     random_datum,
-    temporal_gram,
     trajectory_lipschitz_bound,
 )
 from torusobs import evolve
@@ -298,7 +297,7 @@ def test_single_mode_kinetic_energy_matches_the_temporal_gram():
     t_start, duration = 0.2, 1.0
     q = interval_output_energy(datum, t_start, duration)
     vec = np.array([-a[i1] * rho, b[i1]])
-    gram = temporal_gram(rho, t_start, duration)
+    gram = oracles.temporal_gram(rho, t_start, duration)
     assert q == pytest.approx(float(vec @ gram @ vec), rel=1e-12)
     dense = oracles.simpson_interval_energy(datum, t_start, duration)
     assert q == pytest.approx(dense, rel=1e-8)

@@ -18,7 +18,6 @@ from torusobs import (
     continuous_protocol_delta,
     run_protocol,
     tail_reduction_check,
-    temporal_gram,
 )
 from torusobs.config import (
     DatumSpec,
@@ -57,12 +56,12 @@ def quick_config(**overrides) -> RunConfig:
 
 
 def test_temporal_gram_closed_form():
-    got = temporal_gram(0.0, 0.3, 1.7)
+    got = oracles.temporal_gram(0.0, 0.3, 1.7)
     assert np.array_equal(got, np.array([[0.0, 0.0], [0.0, 1.7]]))
 
     grid = np.linspace(0.2, 1.2, 20001)
     for rho in (1.0, TWO_PI, 7.3):
-        gram = temporal_gram(rho, 0.2, 1.0)
+        gram = oracles.temporal_gram(rho, 0.2, 1.0)
         s = np.sin(rho * grid)
         c = np.cos(rho * grid)
         dense = np.array(
@@ -74,19 +73,29 @@ def test_temporal_gram_closed_form():
         assert np.max(np.abs(gram - dense)) <= 1e-8
 
 
+def single_band(model: str, mass: float, duration: float) -> tuple[float, float, float]:
+    """The one calibration row of the constant mode: its frequency is the mass."""
+    from torusobs import build_basis, TorusSpace
+
+    constants = calibration(model, build_basis(TorusSpace(1), 0), mass, duration)
+    (row,) = zip(constants.mode_frequencies, constants.gram_minima, constants.gram_maxima)
+    return row
+
+
 def test_gram_eigenvalue_band_is_offset_free():
-    for rho in (1.0, TWO_PI, 7.3, 100.0):
-        lo, hi = oracles.gram_eigenvalue_band(rho, 1.0)
+    for mass in (1.0, TWO_PI, 7.3, 100.0):
+        rho, lo, hi = single_band("klein_gordon", mass, 1.0)
         for t_start in (0.0, 0.37):
-            eigs = np.linalg.eigvalsh(temporal_gram(rho, t_start, 1.0))
+            eigs = np.linalg.eigvalsh(oracles.temporal_gram(rho, t_start, 1.0))
             assert eigs[0] == pytest.approx(lo, abs=1e-12)
             assert eigs[1] == pytest.approx(hi, abs=1e-12)
         assert lo == pytest.approx(0.5 - abs(math.sin(rho)) / (2.0 * rho), abs=1e-15)
-    assert oracles.gram_eigenvalue_band(0.0, 1.3) == (0.0, 1.3)
+    assert single_band("wave", 0.0, 1.3) == (0.0, 0.0, 1.3)
 
 
 def test_integer_frequencies_have_a_flat_band():
-    lo, hi = oracles.gram_eigenvalue_band(TWO_PI, 1.0)
+    rho, lo, hi = single_band("klein_gordon", TWO_PI, 1.0)
+    assert rho == pytest.approx(TWO_PI, rel=1e-15)
     assert lo == pytest.approx(0.5, abs=1e-15)
     assert hi == pytest.approx(0.5, abs=1e-15)
 
@@ -118,7 +127,7 @@ def test_wave_calibration_table():
     for rho, lo, hi in zip(
         constants.mode_frequencies, constants.gram_minima, constants.gram_maxima
     ):
-        blo, bhi = oracles.gram_eigenvalue_band(rho, 1.0)
+        blo, bhi = np.linalg.eigvalsh(oracles.temporal_gram(rho, 0.0, 1.0))
         assert lo == pytest.approx(blo, abs=1e-12)
         assert hi == pytest.approx(bhi, abs=1e-12)
 

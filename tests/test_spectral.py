@@ -14,8 +14,8 @@ from torusobs import (
     PrototypeSet,
     TorusSpace,
     build_basis,
+    calibration,
     gamma_matrix,
-    temporal_gram_min_eigenvalue,
     trajectory_lipschitz_bound,
 )
 
@@ -240,11 +240,12 @@ def test_phase_product_equals_translate_then_integrate(case):
 
 
 def test_temporal_floor_examples():
-    assert temporal_gram_min_eigenvalue(0.0, 1.0) == 1.0
-    assert temporal_gram_min_eigenvalue(2.0 * math.pi, 1.0) == pytest.approx(
+    # the velocity-only constant mode contributes the full interval
+    assert calibration("wave", build_basis(T1, 0), 0.0, 1.0).lower == 1.0
+    assert calibration("wave", build_basis(T1, 1), 0.0, 1.0).lower == pytest.approx(
         0.5, abs=1e-15
     )
-    assert temporal_gram_min_eigenvalue(1.0, 1.0) == pytest.approx(
+    assert calibration("klein_gordon", build_basis(T1, 0), 1.0, 1.0).lower == pytest.approx(
         0.5 - math.sin(1.0) / 2.0, abs=1e-15
     )
 
@@ -252,7 +253,7 @@ def test_temporal_floor_examples():
 def test_rate_bound_single_mode_massive_case():
     basis = build_basis(T1, 0)
     bound = trajectory_lipschitz_bound(basis, "klein_gordon", 1.0, 1.0)
-    floor = temporal_gram_min_eigenvalue(1.0, 1.0)
+    floor = 0.5 - math.sin(1.0) / 2.0
     assert bound == pytest.approx(2.0 / floor, rel=1e-14)
 
 
