@@ -28,6 +28,7 @@ the values of the tail report's split fields are what it takes on trust.
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import os
@@ -798,5 +799,20 @@ def main(argv=None) -> int:
     return code
 
 
+def entry() -> None:
+    """The process entry of `python -m torusobs.cli` and the `torusobs`
+    script: `main()`, then exit with its code.
+
+    Interpreter finalization runs several full collections over every
+    object alive at exit, some 20,000 after numpy's import.  The command
+    has returned and closed its files by then, so the entry first freezes
+    them all (`gc.freeze`) and the exit collections pass them over.
+    `main()` itself leaves the collector alone for in-process callers.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -69,15 +69,17 @@ level a).  A run has far fewer distinct keys than kernel entries: the 2D
 box with 81 modes has 26,244 entries but 354 distinct D and 2,971 distinct
 (D, m_0).  A `DifferenceTable`, built once per run, holds the distinct keys
 and, for each kind, the index of every entry's key; a kernel evaluates each
-factor once per key and gathers it back with that index.  The distinct D are
-keyed on their bit patterns, so every gathered entry is the dense formula's
-floating-point operation on the same operands.  Only the products of
-factors of different keys stay dense, and they are bitwise those of the
-dense evaluation when the two take them in the same operand order with the
-same temporaries: for a product `a * b` of 256 KiB or more whose right
-operand is a temporary, numpy reuses that temporary and evaluates `b * a`,
-and complex multiplication under FMA rounds `b * a` differently from
-`a * b` (a 26,244-entry kernel is 410 KiB).
+factor once per key and gathers it back with that index.  The table is
+built by counting, not sorting, and forms no dense D: the distinct D are the
+differences of the distinct alpha, keyed on their bit patterns, so every
+gathered entry is the dense formula's floating-point operation on the same
+operands, and each pair key is read off an occupancy array of #D rows.
+Only the products of factors of different keys stay dense, and they are
+bitwise those of the dense evaluation when the two take them in the same
+operand order with the same temporaries: for a product `a * b` of 256 KiB
+or more whose right operand is a temporary, numpy reuses that temporary and
+evaluates `b * a`, and complex multiplication under FMA rounds `b * a`
+differently from `a * b` (a 26,244-entry kernel is 410 KiB).
 """
 
 from __future__ import annotations
@@ -285,15 +287,6 @@ def geometric_phase_sum(alpha: np.ndarray, tau: float, count: int) -> np.ndarray
     return ratio * np.exp(1j * (count - 1) * half)
 
 
-def frequency_differences(alpha: np.ndarray) -> np.ndarray:
-    """D[i, p, k, q] = alpha[k, q] - alpha[i, p] for an expansion of shape (dim, P).
-
-    Kernels live on these (mode, branch, mode, branch) axes; a mode matrix
-    M of shape (dim, dim) enters them by broadcasting as M[:, None, :, None].
-    """
-    return alpha[None, None, :, :] - alpha[:, :, None, None]
-
-
 class PairKeys(NamedTuple):
     """The distinct pairs (D, m) of one mode-difference component m, and
     the pair of every kernel entry: the entry's D and m are
@@ -304,9 +297,9 @@ class PairKeys(NamedTuple):
     inverse: np.ndarray
 
 
-def _compact(index: np.ndarray, count: int) -> np.ndarray:
-    """`index` in the narrowest unsigned integer type that holds 0..count-1."""
-    return index.astype(np.min_scalar_type(max(count - 1, 0)))
+def _index_type(count: int) -> np.dtype:
+    """The narrowest unsigned integer type that holds 0..count-1."""
+    return np.min_scalar_type(max(count - 1, 0))
 
 
 class DifferenceTable(NamedTuple):
@@ -320,6 +313,9 @@ class DifferenceTable(NamedTuple):
     (`carry`).  `mode_differences` is the integer (dim, dim, d) array m the
     pairs were read from.  Only the index arrays are kernel-sized, and each
     is stored in the narrowest unsigned type that holds it.
+
+    The table is built by counting, with no dense D and no sort over kernel
+    entries (`build`).
     """
 
     values: np.ndarray
@@ -331,29 +327,48 @@ class DifferenceTable(NamedTuple):
     @classmethod
     def build(cls, alpha: np.ndarray, mode_differences: np.ndarray) -> "DifferenceTable":
         """Deduplicate the D of the expansion frequencies `alpha` (dim, P)
-        and their pairs with every component of `mode_differences`."""
-        diff = frequency_differences(alpha)
+        and their pairs with every component of `mode_differences`.
+
+        D is subtracted once per pair of distinct alpha, the operands of
+        every entry it stands for and so the same bits, and gathered back
+        to the entries.  A pair (D, m) is a cell of an occupancy array of
+        #D rows and one column per value of m; its rank among the occupied
+        cells in row-major order is its rank among the sorted codes
+        D * span + m.  Only the distinct alpha and their difference grid
+        are sorted, never the kernel entries.
+        """
         # keyed on the bit pattern, so -0.0 and 0.0 stay distinct operands
-        bits, inverse = np.unique(diff.ravel().view(np.int64), return_inverse=True)
+        bits, alpha_inverse = np.unique(alpha.ravel().view(np.int64), return_inverse=True)
+        distinct = bits.view(np.float64)
+        grid = distinct[None, :] - distinct[:, None]
+        bits, grid_inverse = np.unique(grid.ravel().view(np.int64), return_inverse=True)
         values = bits.view(np.float64)
+        grid_inverse = grid_inverse.astype(_index_type(values.size)).reshape(grid.shape)
+        lifted = alpha_inverse.reshape(alpha.shape)
+        inverse = grid_inverse[lifted[:, :, None, None], lifted[None, None, :, :]]
 
         def pairs(m: np.ndarray) -> PairKeys:
-            # one integer code per (D, m): the D index times the span of m
+            # one integer code per (D, m): the D index times the span of m,
+            # in intp, since the narrow `inverse` times a Python int would wrap
             low = int(m.min())
             span = int(m.max()) - low + 1
-            code = inverse.reshape(diff.shape) * span + (m - low)[:, None, :, None]
-            keys, pair_inverse = np.unique(code.ravel(), return_inverse=True)
+            code = inverse * np.intp(span) + (m - low)[:, None, :, None]
+            occupied = np.zeros(values.size * span, dtype=bool)
+            occupied[code] = True
+            keys = np.flatnonzero(occupied)
+            rank = np.zeros(occupied.size, dtype=_index_type(keys.size))
+            rank[keys] = np.arange(keys.size)
             return PairKeys(
                 diff=values[keys // span],
                 # |m| < span, so the narrowest type holding -span holds m
                 modes=(keys % span + low).astype(np.min_scalar_type(-span)),
-                inverse=_compact(pair_inverse, keys.size).reshape(diff.shape),
+                inverse=rank[code],
             )
 
         dim = mode_differences.shape[-1]
         return cls(
             values=values,
-            inverse=_compact(inverse, values.size).reshape(diff.shape),
+            inverse=inverse,
             axes=tuple(pairs(mode_differences[..., a]) for a in range(dim)),
             carries=tuple(
                 pairs(mode_differences[..., a:].sum(axis=-1)) for a in range(dim - 1)
@@ -363,7 +378,7 @@ class DifferenceTable(NamedTuple):
 
     @property
     def diff(self) -> np.ndarray:
-        """The dense D on the lifted axes, as `frequency_differences` gives it."""
+        """The dense D[i, p, k, q] = alpha[k, q] - alpha[i, p] on the lifted axes."""
         return self.values[self.inverse]
 
     def carry(self, level: int) -> PairKeys:

@@ -7,7 +7,8 @@ dense grids, output trajectories by direct trig evaluation, and the state
 flow by its rotation formulas.  The path oracle redoes the segment sum at 40
 digits with mpmath.  Schedule slots come from the scalar slot formula, one
 float operation at a time, path positions from a scan of the macro
-template, and the tour's cycle from a loop over its legs.
+template, and the tour's cycle from a loop over its legs.  The difference
+table is rebuilt from the dense D by sorting every kernel entry's key.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import mpmath as mp
 import numpy as np
 from scipy.integrate import simpson
 
-from torusobs.evolve import ModalDatum
+from torusobs.evolve import DifferenceTable, ModalDatum, PairKeys
 
 TWO_PI = 2.0 * np.pi
 
@@ -352,3 +353,48 @@ def evolve_to(datum, t: float):
     a_new = np.where(positive, datum.a * cos + datum.b * sin / safe_rho, datum.a)
     b_new = np.where(positive, -datum.a * safe_rho * sin + datum.b * cos, datum.b)
     return ModalDatum(datum.model, datum.mass, datum.basis, a_new, b_new)
+
+
+def frequency_differences(alpha: np.ndarray) -> np.ndarray:
+    """D[i, p, k, q] = alpha[k, q] - alpha[i, p] for an expansion of shape (dim, P).
+
+    Kernels live on these (mode, branch, mode, branch) axes; a mode matrix
+    M of shape (dim, dim) enters them by broadcasting as M[:, None, :, None].
+    """
+    return alpha[None, None, :, :] - alpha[:, :, None, None]
+
+
+def sorted_difference_table(alpha: np.ndarray, mode_differences: np.ndarray) -> DifferenceTable:
+    """The `DifferenceTable` of `alpha` by sorting: `np.unique` over the bit
+    patterns of the dense D, then over one integer code D index * span + m
+    per kernel entry and pair kind, each index in its narrowest unsigned
+    type."""
+
+    def compact(index, count):
+        return index.astype(np.min_scalar_type(max(count - 1, 0)))
+
+    diff = frequency_differences(alpha)
+    bits, inverse = np.unique(diff.ravel().view(np.int64), return_inverse=True)
+    values = bits.view(np.float64)
+
+    def pairs(m):
+        low = int(m.min())
+        span = int(m.max()) - low + 1
+        code = inverse.reshape(diff.shape) * span + (m - low)[:, None, :, None]
+        keys, pair_inverse = np.unique(code.ravel(), return_inverse=True)
+        return PairKeys(
+            diff=values[keys // span],
+            modes=(keys % span + low).astype(np.min_scalar_type(-span)),
+            inverse=compact(pair_inverse, keys.size).reshape(diff.shape),
+        )
+
+    dim = mode_differences.shape[-1]
+    return DifferenceTable(
+        values=values,
+        inverse=compact(inverse, values.size).reshape(diff.shape),
+        axes=tuple(pairs(mode_differences[..., a]) for a in range(dim)),
+        carries=tuple(
+            pairs(mode_differences[..., a:].sum(axis=-1)) for a in range(dim - 1)
+        ),
+        mode_differences=mode_differences,
+    )

@@ -365,6 +365,58 @@ def test_every_command_checks_in_a_fresh_process(tmp_path, command):
     assert f"verify: ok in {out}" in done.stdout
 
 
+# the process entry exits with main()'s code after freezing every object
+# alive (gc.freeze), which the exit collections then pass over; main()
+# alone leaves the collector as it found it
+FREEZE_PROBE = (
+    "import gc, sys\n"
+    "from torusobs import cli\n"
+    "if sys.argv.pop(1) == 'entry':\n"
+    "    try:\n"
+    "        cli.entry()\n"
+    "    except SystemExit as exc:\n"
+    "        print(exc.code, gc.get_freeze_count())\n"
+    "else:\n"
+    "    print(cli.main(), gc.get_freeze_count())\n"
+)
+
+
+@pytest.mark.parametrize("how", ["entry", "main"])
+@pytest.mark.parametrize(
+    "case,code", [("design", 0), ("bad_config", 2), ("no_out", 3)]
+)
+def test_process_entry_exits_with_mains_code_and_freezes_the_collector(
+    tmp_path, how, case, code
+):
+    config = write_config(tmp_path)
+    command, out = "design", tmp_path / "out"
+    if case == "bad_config":
+        config = write_config(tmp_path, name="bad.json", interval_count=0)
+    elif case == "no_out":
+        command = "verify"
+    argv = [command, "--config", str(config), "--out", str(out)]
+    done = fresh_python("-c", FREEZE_PROBE, how, *argv)
+    assert done.returncode == 0, done.stderr
+    printed, frozen = done.stdout.split()[-2:]
+    assert int(printed) == code
+    assert (int(frozen) > 0) == (how == "entry")
+
+
+def test_module_run_writes_the_bytes_of_an_in_process_run(tmp_path):
+    quick = Path(__file__).resolve().parents[1] / "configs" / "quick.json"
+    here, there = tmp_path / "main", tmp_path / "module"
+    assert main(["experiment", "--config", str(quick), "--out", str(here)]) == 0
+    done = fresh_python(
+        "-m", "torusobs.cli", "experiment", "--config", str(quick), "--out", str(there)
+    )
+    assert done.returncode == 0, done.stderr
+    names = sorted(path.name for path in here.iterdir())
+    assert names == sorted(path.name for path in there.iterdir())
+    assert "series.csv" in names
+    for name in names:
+        assert (here / name).read_bytes() == (there / name).read_bytes(), name
+
+
 def test_verify_refuses_a_missing_directory(tmp_path, capsys):
     config = write_config(tmp_path)
     out = tmp_path / "does_not_exist"

@@ -7,6 +7,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from torusobs import (
@@ -32,7 +34,6 @@ from torusobs import evolve
 from torusobs.evolve import (
     DifferenceTable,
     expansion_interval_energy,
-    frequency_differences,
     geometric_phase_sum,
     grid_tour_sum,
     kernel_energy,
@@ -503,7 +504,7 @@ def test_grid_tour_sum_matches_the_segment_loop(dim, per_axis, model, mass, swit
             assert path.macro_count == math.ceil(speed / path.cycle) - 1
     cut = {1: 5, 2: 2, 3: 1}[dim]
     modes = np.array(list(product(range(-cut, cut + 1), repeat=dim)))
-    diff = frequency_differences(model_frequencies(model, mass, modes))
+    diff = oracles.frequency_differences(model_frequencies(model, mass, modes))
     mdiff = modes[:, None, :] - modes[None, :, :]
     table = DifferenceTable.build(model_frequencies(model, mass, modes), mdiff)
     tour = grid_tour_sum(table, per_axis, path)
@@ -532,7 +533,7 @@ def test_difference_table_reproduces_its_keys(dim, model, mass):
     modes = np.array(list(product(range(-cut, cut + 1), repeat=dim)))
     mdiff = modes[:, None, :] - modes[None, :, :]
     alpha = model_frequencies(model, mass, modes)
-    diff = frequency_differences(alpha)
+    diff = oracles.frequency_differences(alpha)
     table = DifferenceTable.build(alpha, mdiff)
     assert np.array_equal(bits(table.values[table.inverse]), bits(diff))
     assert np.array_equal(bits(table.diff), bits(diff))
@@ -549,6 +550,57 @@ def test_difference_table_reproduces_its_keys(dim, model, mass):
     assert table.carry(dim - 1) is table.axes[dim - 1]
     if model == "wave":
         assert np.any((diff == 0.0) & np.signbit(diff))
+
+
+def assert_same_table(table, reference):
+    # field by field, bit for bit, with the dtypes and the key order
+    assert len(table.axes) == len(reference.axes)
+    assert len(table.carries) == len(reference.carries)
+    fields = [(table.values, reference.values), (table.inverse, reference.inverse)] + [
+        (have, want)
+        for keys, ref in zip(table.axes + table.carries, reference.axes + reference.carries)
+        for have, want in zip(keys, ref)
+    ]
+    for have, want in fields:
+        assert have.dtype == want.dtype and have.shape == want.shape
+        assert have.tobytes() == want.tobytes()
+    assert table.mode_differences is reference.mode_differences
+
+
+@pytest.mark.parametrize("model,mass", MODELS)
+@pytest.mark.parametrize("dim", [1, 2, 3, "torus_2d"])
+def test_counting_table_is_the_sorting_table(dim, model, mass):
+    if dim == "torus_2d":
+        _, basis, _, alpha = late_grid_setup(dim, model, mass)
+        mdiff = basis.mode_differences
+    else:
+        cut = {1: 5, 2: 3, 3: 1}[dim]
+        modes = np.array(list(product(range(-cut, cut + 1), repeat=dim)))
+        mdiff = modes[:, None, :] - modes[None, :, :]
+        alpha = model_frequencies(model, mass, modes)
+    table = DifferenceTable.build(alpha, mdiff)
+    assert_same_table(table, oracles.sorted_difference_table(alpha, mdiff))
+
+
+# a few frequencies, so that many entries share one; both signed zeros
+FREQUENCIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 0.3, -0.2, 2.0 * math.pi])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_counting_table_is_the_sorting_table_on_repeated_frequencies(data):
+    dim = data.draw(st.integers(1, 3), label="dim")
+    count = data.draw(st.integers(1, 9), label="modes")
+    branches = data.draw(st.integers(1, 2), label="branches")
+    values = st.one_of(FREQUENCIES, st.floats(-50.0, 50.0))
+    size = count * branches
+    alpha = np.array(data.draw(st.lists(values, min_size=size, max_size=size)))
+    alpha = alpha.reshape(count, branches)
+    coords = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+    modes = np.array(data.draw(st.lists(coords, min_size=count, max_size=count)))
+    mdiff = modes[:, None, :] - modes[None, :, :]
+    table = DifferenceTable.build(alpha, mdiff)
+    assert_same_table(table, oracles.sorted_difference_table(alpha, mdiff))
 
 
 # The dense formulas the table replaces, one transcendental per entry.
@@ -634,7 +686,7 @@ def test_table_kernels_are_bitwise_the_dense_formulas(dim, model, mass):
     # switching schedule is the legless tour, bitwise the old atom sum
     design, basis, gamma0, alpha = late_grid_setup(dim, model, mass)
     table = DifferenceTable.build(alpha, basis.mode_differences)
-    diff = frequency_differences(alpha)
+    diff = oracles.frequency_differences(alpha)
     mdiff = basis.mode_differences
 
     rate = trajectory_lipschitz_bound(build_basis(basis.space, 1), model, mass, 1.0)

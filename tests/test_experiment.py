@@ -300,27 +300,28 @@ def test_experiment_builds_one_switching_kernel_per_interval(monkeypatch):
     ids=["run_protocol", "continuous_protocol_delta"],
 )
 def test_a_run_builds_one_difference_table(monkeypatch, run):
+    # and never forms the dense D: the grid tour reads the table's keys only
     from torusobs import evolve
 
-    differences = []
     tables = []
-    real_differences = evolve.frequency_differences
+    dense = []
     real_build = evolve.DifferenceTable.build
-
-    def counted_differences(alpha):
-        differences.append(alpha.shape)
-        return real_differences(alpha)
+    real_diff = evolve.DifferenceTable.diff
 
     def counted_build(cls, *args):
         tables.append(len(args))
         return real_build(*args)
 
-    monkeypatch.setattr(evolve, "frequency_differences", counted_differences)
+    def counted_diff(table):
+        dense.append(table.values.size)
+        return real_diff.fget(table)
+
     monkeypatch.setattr(evolve.DifferenceTable, "build", classmethod(counted_build))
+    monkeypatch.setattr(evolve.DifferenceTable, "diff", property(counted_diff))
     config = quick_config(interval_count=6, windows={"kind": "stride", "stride": 2, "cap": 2})
     run(config)
-    assert len(differences) == 1
     assert len(tables) == 1
+    assert dense == []
 
 
 @pytest.mark.parametrize(
