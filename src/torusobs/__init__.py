@@ -57,7 +57,6 @@ _EXPORTS = {
     ),
     "geometry": ("GroupElement", "PrototypeSet", "TorusSpace", "torus_displacement"),
     "schedule": (
-        "PathSegment",
         "Realization",
         "SpeedTooLow",
         "build_continuous",

@@ -474,7 +474,8 @@ class _Rebuilt:
     def __init__(self, config: RunConfig):
         self.config = config
         self.series = None  # series.csv's (Q_m, E_leK), once read
-        self.continuous = None  # continuous.csv's per-speed energies and losses, once read
+        self.continuous = None  # continuous.csv's energies and losses, if on the config's ladder
+        self.no_continuous = "no readable continuous.csv"  # why `continuous` is None
 
     @cached_property
     def constants(self):
@@ -635,14 +636,20 @@ def _check_schedule_csv(config: RunConfig, path: Path, state: _Rebuilt) -> list[
 def _check_continuous(config: RunConfig, path: Path, state: _Rebuilt) -> list[str]:
     """continuous.csv must be the rows of the config's speed ladder and
     intervals, with the rebuilt paths, around its own energies; the report
-    beside it is then rebuilt from them and its certified losses."""
+    beside it is then rebuilt from them and its certified losses, if the
+    speed column is the config's ladder, each speed for every interval."""
     rows = _read_csv(path, CONTINUOUS_VERSION, CONTINUOUS_HEADER)
     count, speeds = config.interval_count, config.schedule.speeds
     losses = [float(row[4]) for row in rows]
     energies = [float(row[5]) for row in rows]
     runs = [slice(i * count, (i + 1) * count) for i in range(len(speeds))]
     observed = {v: np.array(energies[run]) for v, run in zip(speeds, runs)}
-    state.continuous = observed, {v: losses[run] for v, run in zip(speeds, runs)}
+    if [row[0] for row in rows] == [_fmt(v) for v in speeds for _ in range(count)]:
+        state.continuous = observed, {v: losses[run] for v, run in zip(speeds, runs)}
+    else:
+        state.no_continuous = (
+            f"continuous.csv does not hold the config's {len(speeds)} speeds of {count} intervals"
+        )
     problems = [] if len(rows) == len(speeds) * count else [
         f"{path.name}: {len(rows)} rows for {len(speeds)} speeds of {count} intervals"
     ]
@@ -674,7 +681,7 @@ def _check_continuous_report(config: RunConfig, path: Path, state: _Rebuilt) -> 
 
     report = _read_json(path)
     if state.continuous is None:
-        raise ValueError("no readable continuous.csv to rebuild it from")
+        return [f"{path.name}: not rebuilt, since {state.no_continuous}"]
     margin = report["realized_margin"]
     if not any(
         certified_factor(config.measure, p.certified_loss) > 0.0 for p in state.paths.values()

@@ -69,8 +69,8 @@ class DesignAtom(NamedTuple):
 class ConvexDesign:
     """Finite convex combination of translates with its moment residual.
 
-    Equal designs have equal atoms, measure, cutoff and residual.  The tour,
-    grid test and cumulative weights are cached on the instance."""
+    Equal designs have equal atoms, measure, cutoff and residual.  The tour
+    length, grid test and cumulative weights are cached on the instance."""
 
     def __init__(
         self,
@@ -139,22 +139,15 @@ class ConvexDesign:
         return cum
 
     @cached_property
-    def tour(self) -> tuple[np.ndarray, tuple[float, ...]]:
-        """The closed tour through the atoms in design order: the shortest
-        displacement of each leg, shape (J, d), and its flat length.  Leg j
-        runs from atom j to atom j + 1, the last one back to atom 0; a
-        single atom's only leg has length 0."""
-        points = np.array([a.shift.as_floats() for a in self.atoms])
-        deltas = torus_displacement(points, np.roll(points, -1, axis=0))
-        deltas.flags.writeable = False
-        return deltas, tuple(float(np.linalg.norm(delta)) for delta in deltas)
-
-    @cached_property
     def cycle(self) -> float:
-        """The length of the tour, its legs added in order from 0.0."""
+        """The flat length of the closed tour through the atoms in design
+        order, its legs added in order from 0.0.  Leg j is the shortest
+        displacement from atom j to atom j + 1, the last one back to atom 0;
+        a single atom's only leg has length 0."""
+        points = np.array([a.shift.as_floats() for a in self.atoms])
         cycle = 0.0
-        for leg in self.tour[1]:
-            cycle += leg
+        for delta in torus_displacement(points, np.roll(points, -1, axis=0)):
+            cycle += float(np.linalg.norm(delta))
         return cycle
 
     def to_dict(self) -> dict:
@@ -239,6 +232,8 @@ def moment_points(
     """
     if basis.space != prototype.space:
         raise ValueError("basis and prototype live on different tori")
+    if any(g.dim != basis.space.dim for g in shifts):
+        raise ValueError("shift dimension does not match the torus")
     k2 = 2 * basis.cutoff
     size = (2 * k2 + 1) ** basis.space.dim
     half = slice(size // 2 + 1, None)

@@ -40,19 +40,20 @@ broadcasting.
 Both realizations of a design repeat one macro template R times.  A
 continuous path dwells at the atoms in design order, joined by
 constant-speed legs; a switching schedule is the same tour at infinite
-speed, whose legs take no time (its template lists dwells only), so one
-`schedule.Realization` and one set of sums serve both.  For the
-equal-weight grid design (J1 shifts c/J1 per axis, J = J1^d atoms, the
-tour in lexicographic order) a leg's carry level a (the slowest axis it
-moves) fixes both its direction and its duration, so the legs fall into d
-classes, and the dwell start offsets are affine in every grid coordinate.
-The dwells then sum to one slot integral times one Dirichlet ratio per
-axis, and each class of legs likewise: the whole template costs d + 1
-segment integrals times per-axis Dirichlet sums, O(d^2) kernel-sized
-operations whatever the atom count, and a switching template (no leg
-classes) d of them (`grid_tour_sum`).  Any other design is summed segment
-by segment (`per_segment_sum`).  Neither that template sum nor the repeat
-sum depends on where the realization starts (`path_template`); one phase
+speed, whose legs take no time, so one `schedule.Realization` and one sum
+serve both.  Energies are summed over equal-weight grid tours only (J1
+shifts c/J1 per axis, J = J1^d atoms, the tour in lexicographic order),
+which is every design the protocol realizes; any other design is refused
+with a `ValueError` before a kernel-sized array exists.  On the grid a
+leg's carry level a (the slowest axis it moves) fixes both its direction
+and its duration, so the legs fall into d classes, and the dwell start
+offsets are affine in every grid coordinate.  The dwells then sum to one
+slot integral times one Dirichlet ratio per axis, and each class of legs
+likewise: the whole template costs d + 1 segment integrals times per-axis
+Dirichlet sums, O(d^2) kernel-sized operations whatever the atom count,
+and a switching template (no leg classes) d of them (`grid_tour_sum`).
+Neither that template sum nor the repeat sum depends on where the
+realization starts (`path_template`); one phase
 e^{i D t_start} moves them to an interval (`shifted_kernel`), so
 realizations that differ only in their start share them.  Since that phase
 and the repeat sum are functions of D alone, an energy along any of them is
@@ -306,13 +307,13 @@ class DifferenceTable(NamedTuple):
     """The frequency differences D of one expansion, deduplicated.
 
     `values` holds the distinct D and `inverse` the index of each entry's D
-    on the lifted axes, so the dense D is `values[inverse]` (`diff`).
+    on the lifted axes, so the dense D would be `values[inverse]`.
     `axes[a]` holds the distinct pairs (D, m_a) of the mode differences
     m = n_i - n_k, and `carries[a]` those of (D, sum_{b>=a} m_b) for the
     carry levels a < d - 1; level d - 1 is the pair (D, m_{d-1}) itself
-    (`carry`).  `mode_differences` is the integer (dim, dim, d) array m the
-    pairs were read from.  Only the index arrays are kernel-sized, and each
-    is stored in the narrowest unsigned type that holds it.
+    (`carry`).  These keys are all the grid tour sum reads.  Only the index
+    arrays are kernel-sized, and each is stored in the narrowest unsigned
+    type that holds it.
 
     The table is built by counting, with no dense D and no sort over kernel
     entries (`build`).
@@ -322,7 +323,6 @@ class DifferenceTable(NamedTuple):
     inverse: np.ndarray
     axes: tuple[PairKeys, ...]
     carries: tuple[PairKeys, ...]
-    mode_differences: np.ndarray
 
     @classmethod
     def build(cls, alpha: np.ndarray, mode_differences: np.ndarray) -> "DifferenceTable":
@@ -373,13 +373,7 @@ class DifferenceTable(NamedTuple):
             carries=tuple(
                 pairs(mode_differences[..., a:].sum(axis=-1)) for a in range(dim - 1)
             ),
-            mode_differences=mode_differences,
         )
-
-    @property
-    def diff(self) -> np.ndarray:
-        """The dense D[i, p, k, q] = alpha[k, q] - alpha[i, p] on the lifted axes."""
-        return self.values[self.inverse]
 
     def carry(self, level: int) -> PairKeys:
         """The pairs (D, sum_{b>=level} m_b)."""
@@ -479,31 +473,6 @@ def expansion_interval_energy(
     return np.real(np.einsum("ip,...ipq,iq->...", coeff.conj(), base, coeff))
 
 
-def per_segment_sum(
-    diff: np.ndarray, mode_differences: np.ndarray, path: Realization
-) -> np.ndarray:
-    """Segment integrals of one macro template summed segment by segment.
-
-    On a segment the position is affine in t, so the shift phase stays a
-    complex exponential e^{i rate (t - t1)} that folds into the slot
-    integral; a dwell is the segment of rate 0.  Any design, at any speed
-    (a switching template has dwells only).  `mode_differences` holds
-    n_i - n_k, shape (dim, dim, d).
-    """
-    # 2 pi (n_i - n_k), lifted to the (mode, branch, mode, branch) axes
-    mdiff = TWO_PI * mode_differences[:, None, :, None, :]
-    total = np.zeros_like(diff, dtype=complex)
-    for seg in path.template:
-        width = seg.offset_end - seg.offset_start
-        if width <= 0.0:
-            continue
-        position = np.exp(-1j * (mdiff @ np.asarray(seg.position, dtype=float)))
-        rate = -(mdiff @ np.asarray(seg.velocity, dtype=float))
-        local = np.exp(1j * diff * seg.offset_start) * phase_integral(diff + rate, 0.0, width)
-        total += position * local
-    return total
-
-
 def grid_tour_sum(table: DifferenceTable, per_axis: int, path: Realization) -> np.ndarray:
     """Segment integrals of one macro template summed over the grid tour.
 
@@ -573,22 +542,24 @@ def grid_tour_sum(table: DifferenceTable, per_axis: int, path: Realization) -> n
     return total
 
 
+def _grid_size(path: Realization) -> int:
+    """J1 of the path's design, which must be an equal-weight grid."""
+    if path.design.grid_per_axis is None:
+        raise ValueError("energies are summed over equal-weight grid tours only, not this design")
+    return path.design.grid_per_axis
+
+
 def path_template(path: Realization, table: DifferenceTable) -> tuple[np.ndarray, np.ndarray]:
     """The start-free factors (repeats, segments) of a kernel along a path
-    or a switching schedule.
+    or a switching schedule of an equal-weight grid design (`_grid_size`).
 
     `repeats` is the Dirichlet sum over the R macro repetitions, on the
-    distinct D of `table`; `segments` the segment sum of one macro template
-    on the lifted axes: closed-form for an equal-weight grid design
-    (`grid_tour_sum`), segment by segment otherwise (`per_segment_sum`).
+    distinct D of `table`; `segments` the closed-form sum of one macro
+    template over the grid tour on the lifted axes (`grid_tour_sum`).
     Neither reads `path.t_start`, so realizations that differ only in their
     start share them.
     """
-    per_axis = path.design.grid_per_axis
-    if per_axis is None:
-        segments = per_segment_sum(table.diff, table.mode_differences, path)
-    else:
-        segments = grid_tour_sum(table, per_axis, path)
+    segments = grid_tour_sum(table, _grid_size(path), path)
     repeats = geometric_phase_sum(table.values, path.macro_length, path.macro_count)
     return repeats, segments
 
@@ -621,9 +592,11 @@ def path_observation_energy(
     v(t)^H Gamma(g_j) v(t) integrated in closed form, with
     Gamma(g_j) = Gamma(0) * phase(g_j).  `gamma_base` is Gamma at shift 0
     on the datum's basis; tail modes of the datum above the design cutoff
-    are included.
+    are included.  A design that is not an equal-weight grid raises a
+    `ValueError` before the difference table is built (`_grid_size`).
     """
     _check_gamma_base(datum, gamma_base)
+    _grid_size(path)
     coeff, alpha = output_expansion(datum)
     table = DifferenceTable.build(alpha, gamma_base.basis.mode_differences)
     return kernel_energy(path_kernel(path, table, gamma_base), coeff)

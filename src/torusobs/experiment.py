@@ -141,9 +141,9 @@ class ProtocolSetup:
     (`differences`), which every kernel of the run reads.  Windowing masks
     coefficients only, so every part shares `alpha`.  `schedule` is the one
     place an interval's switching realization is built, and `path` the one
-    place a window's continuous one is; both share the design's tour and
-    cumulative weights, built once per design, and neither reads the lazy
-    parts.
+    place a window's continuous one is; both share the design's tour length
+    (`cycle`) and cumulative weights, built once per design, and neither
+    reads the lazy parts.
     """
 
     def __init__(

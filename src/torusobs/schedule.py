@@ -3,11 +3,12 @@
 A realization tiles an interval with R equal macro intervals of length tau
 and runs one macro template in each: the observer dwells on atom j for
 theta_j * (tau - cycle/speed), in design order, and then moves along leg j
-of the design's closed tour (`ConvexDesign.tour`) to the next atom at the
-fixed speed.  A switching schedule is the realization at infinite speed:
-its legs take no time, so the dwells fill the whole macro interval and the
-template lists dwells only.  One `Realization` type holds both, and the
-closed-form energies in `evolve` read only its mesh, speed and cycle.
+of the design's closed tour to the next atom at the fixed speed.  A
+switching schedule is the realization at infinite speed: its legs take no
+time, so the dwells fill the whole macro interval.  One `Realization` type
+holds both as a mesh, a speed and the design, whose tour length is its
+`cycle`; the closed-form energies in `evolve` read nothing else, and no
+segment list is ever built.
 
 The two constructors size R differently.  `build_switching` meets a loss
 target through the Lipschitz oscillation bound: splitting finely enough
@@ -19,15 +20,12 @@ transit deficit L*D*R/(speed*T0) at a given speed.
 Schedules can be astronomically fine (R ~ 10^6 at desk scale), so no slot
 list is ever materialized: the schedule CSV writer forms the slot times of
 a block of macro intervals from the design's cumulative weights, and the
-energies sum the R repetitions of the template in closed form; on an
-equal-weight grid design they never build the template.
+energies sum the R repetitions of the template in closed form.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
-from typing import NamedTuple
 
 from .config import NumericError
 from .design import ConvexDesign
@@ -35,21 +33,6 @@ from .design import ConvexDesign
 
 class SpeedTooLow(NumericError):
     """The speed bound cannot traverse the atom cycle within one macro interval."""
-
-
-class PathSegment(NamedTuple):
-    """One dwell or transit segment of the per-macro template.
-
-    Offsets are relative to the macro interval start.  Dwells have zero
-    velocity; transit legs move at the path's speed along a shortest arc.
-    """
-
-    offset_start: float
-    offset_end: float
-    kind: str               # "dwell" | "transit"
-    atom_index: int         # dwell: the atom; transit: the leg's source atom
-    position: tuple[float, ...]   # dwell shift, or transit start point
-    velocity: tuple[float, ...]   # zeros for dwells
 
 
 class Realization:
@@ -65,7 +48,6 @@ class Realization:
         duration: float,
         macro_count: int,
         speed: float,
-        lipschitz_bound: float,
         certified_loss: float,
     ) -> None:
         self.design = design
@@ -73,7 +55,6 @@ class Realization:
         self.duration = duration
         self.macro_count = macro_count
         self.speed = speed
-        self.lipschitz_bound = lipschitz_bound
         self.certified_loss = certified_loss
 
     @property
@@ -93,33 +74,6 @@ class Realization:
     def micro_count(self) -> int:
         """Dwell slots over the interval, R * J."""
         return self.macro_count * self.atom_count
-
-    @cached_property
-    def template(self) -> tuple[PathSegment, ...]:
-        """One macro interval: dwell j lasts theta_j * (tau - cycle/speed),
-        then leg j follows where it takes time; the last segment ends at
-        tau exactly.  Built on first read: the grid sums never read it."""
-        tau = self.macro_length
-        span = tau - self.cycle / self.speed
-        deltas, legs = self.design.tour
-        rest = (0.0,) * deltas.shape[1]
-        segments: list[PathSegment] = []
-        offset = 0.0
-        for j, (atom, delta, leg) in enumerate(zip(self.design.atoms, deltas, legs)):
-            position = tuple(atom.shift.as_floats().tolist())
-            width = atom.weight * span
-            segments.append(PathSegment(offset, offset + width, "dwell", j, position, rest))
-            offset += width
-            leg_time = leg / self.speed
-            if leg_time > 0.0:
-                velocity = tuple((delta / leg_time).tolist())
-                segments.append(
-                    PathSegment(offset, offset + leg_time, "transit", j, position, velocity)
-                )
-                offset += leg_time
-        # absorb rounding: the last segment ends exactly at the macro boundary
-        segments[-1] = segments[-1]._replace(offset_end=tau)
-        return tuple(segments)
 
 
 def build_switching(
@@ -151,7 +105,6 @@ def build_switching(
         duration=float(duration),
         macro_count=max(1, math.ceil(raw)),
         speed=math.inf,
-        lipschitz_bound=float(lipschitz_bound),
         certified_loss=float(target_loss),
     )
 
@@ -221,6 +174,5 @@ def build_continuous(
         duration=float(duration),
         macro_count=macro_count,
         speed=float(speed),
-        lipschitz_bound=float(lipschitz_bound),
         certified_loss=float(loss),
     )

@@ -7,22 +7,92 @@ dense grids, output trajectories by direct trig evaluation, and the state
 flow by its rotation formulas.  The path oracle redoes the segment sum at 40
 digits with mpmath.  Schedule slots come from the scalar slot formula, one
 float operation at a time, path positions from a scan of the macro
-template, and the tour's cycle from a loop over its legs.  The difference
-table is rebuilt from the dense D by sorting every kernel entry's key.
+template, and the tour's cycle from a loop over its legs.  That template is
+summed segment by segment for any design, with the package's own slot
+integral (`per_segment_sum`), the route the grid tour sum replaced.  The
+difference table is rebuilt from the dense D by sorting every kernel entry's key.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
 from scipy.integrate import simpson
 
-from torusobs.evolve import DifferenceTable, ModalDatum, PairKeys
+from torusobs.evolve import DifferenceTable, ModalDatum, PairKeys, phase_integral
+from torusobs.geometry import torus_displacement
 
 TWO_PI = 2.0 * np.pi
+
+
+class PathSegment(NamedTuple):
+    """One dwell or transit segment of the per-macro template.
+
+    Offsets are relative to the macro interval start.  Dwells have zero
+    velocity; transit legs move at the path's speed along a shortest arc.
+    """
+
+    offset_start: float
+    offset_end: float
+    kind: str               # "dwell" | "transit"
+    atom_index: int         # dwell: the atom; transit: the leg's source atom
+    position: tuple[float, ...]   # dwell shift, or transit start point
+    velocity: tuple[float, ...]   # zeros for dwells
+
+
+def template(path) -> tuple[PathSegment, ...]:
+    """One macro interval of `path`: dwell j lasts theta_j * (tau - cycle/speed),
+    then leg j (to the next atom, the last back to atom 0) follows where it
+    takes time; the last segment ends at tau exactly."""
+    tau = path.macro_length
+    span = tau - path.cycle / path.speed
+    points = np.array([a.shift.as_floats() for a in path.design.atoms])
+    deltas = torus_displacement(points, np.roll(points, -1, axis=0))
+    rest = (0.0,) * deltas.shape[1]
+    segments: list[PathSegment] = []
+    offset = 0.0
+    for j, (atom, delta) in enumerate(zip(path.design.atoms, deltas)):
+        position = tuple(atom.shift.as_floats().tolist())
+        width = atom.weight * span
+        segments.append(PathSegment(offset, offset + width, "dwell", j, position, rest))
+        offset += width
+        leg_time = float(np.linalg.norm(delta)) / path.speed
+        if leg_time > 0.0:
+            velocity = tuple((delta / leg_time).tolist())
+            segments.append(
+                PathSegment(offset, offset + leg_time, "transit", j, position, velocity)
+            )
+            offset += leg_time
+    # absorb rounding: the last segment ends exactly at the macro boundary
+    segments[-1] = segments[-1]._replace(offset_end=tau)
+    return tuple(segments)
+
+
+def per_segment_sum(diff: np.ndarray, mode_differences: np.ndarray, path) -> np.ndarray:
+    """Segment integrals of one macro template summed segment by segment.
+
+    On a segment the position is affine in t, so the shift phase stays a
+    complex exponential e^{i rate (t - t1)} that folds into the slot
+    integral; a dwell is the segment of rate 0.  Any design, at any speed.
+    `diff` is the dense D on the lifted axes and `mode_differences` holds
+    n_i - n_k, shape (dim, dim, d).
+    """
+    # 2 pi (n_i - n_k), lifted to the (mode, branch, mode, branch) axes
+    mdiff = TWO_PI * mode_differences[:, None, :, None, :]
+    total = np.zeros_like(diff, dtype=complex)
+    for seg in template(path):
+        width = seg.offset_end - seg.offset_start
+        if width <= 0.0:
+            continue
+        position = np.exp(-1j * (mdiff @ np.asarray(seg.position, dtype=float)))
+        rate = -(mdiff @ np.asarray(seg.velocity, dtype=float))
+        local = np.exp(1j * diff * seg.offset_start) * phase_integral(diff + rate, 0.0, width)
+        total += position * local
+    return total
 
 
 def riemann_gamma_1d(basis, prototype, shift, nodes: int = 1_000_000) -> np.ndarray:
@@ -152,10 +222,11 @@ def simpson_path_energy(datum, path, gamma0_entries: np.ndarray,
     """
     modes = datum.basis.mode_array.astype(float)
     mdiff = modes[None, :, :] - modes[:, None, :]
+    segments = template(path)
     total = 0.0
     for r in range(path.macro_count):
         base_t = path.t_start + r * path.macro_length
-        for seg in path.template:
+        for seg in segments:
             t1 = base_t + seg.offset_start
             t2 = base_t + seg.offset_end
             if t2 <= t1:
@@ -299,8 +370,9 @@ def path_position(path, t: float) -> np.ndarray:
     tau = path.macro_length
     r = min(int((t - path.t_start) / tau), path.macro_count - 1)
     s = t - path.t_start - r * tau
-    seg = path.template[-1]
-    for candidate in path.template:
+    segments = template(path)
+    seg = segments[-1]
+    for candidate in segments:
         if s < candidate.offset_end:
             seg = candidate
             break
@@ -396,5 +468,4 @@ def sorted_difference_table(alpha: np.ndarray, mode_differences: np.ndarray) -> 
         carries=tuple(
             pairs(mode_differences[..., a:].sum(axis=-1)) for a in range(dim - 1)
         ),
-        mode_differences=mode_differences,
     )

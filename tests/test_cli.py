@@ -679,6 +679,35 @@ def test_verify_checks_the_design_file_name_against_its_cutoff(tmp_path, capsys)
     assert "design_K5.json: unreadable (cutoff 2 is not the one its file name gives)" in err
 
 
+def test_verify_names_the_mismatch_of_a_run_written_for_another_torus(tmp_path, capsys):
+    # a 2D run's designs and continuous report verified under a 1D config:
+    # each is a problem that says why, with no numpy message
+    two_d = write_config(
+        tmp_path, "run_2d.json",
+        space={"dim": 2},
+        prototype={"boxes": [[[0, "1/2"], ["1/8", "5/8"]]]},
+        model="wave",
+        sim_window=2,
+        interval_count=3,
+        windows={"kind": "explicit", "values": [1, 1, 0]},
+        datum={"window": 2, "seed": 3},
+    )
+    out = tmp_path / "out"
+    for command in ("experiment", "continuous"):
+        assert main([command, "--config", str(two_d), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    for name in ("design_K0.json", "design_K1.json"):
+        assert f"{name}: unreadable (shift dimension does not match the torus)" in err
+    assert (
+        "continuous_report.json: not rebuilt, since continuous.csv does not hold the "
+        "config's 4 speeds of 4 intervals"
+    ) in err
+    for numpy_text in ("broadcast", "out of bounds", "shape", "axis"):
+        assert numpy_text not in err
+
+
 def test_verify_reports_a_design_field_of_the_wrong_type(tmp_path, capsys):
     # a JSON field of the wrong type makes the file unreadable, not verify crash
     config = write_config(tmp_path)

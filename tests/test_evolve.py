@@ -40,7 +40,6 @@ from torusobs.evolve import (
     output_expansion,
     path_kernel,
     path_template,
-    per_segment_sum,
     phase_integral,
     shifted_energies,
     shifted_kernel,
@@ -413,12 +412,13 @@ def test_interval_energy_matches_dense_quadrature(model, mass):
 
 
 def test_single_atom_path_equals_single_atom_switching():
+    # the one-atom grid: its only leg has length 0, so the path never moves
     basis = build_basis(T1, 1)
     w = PrototypeSet.from_boxes(T1, [(0, "1/4")])
-    g = GroupElement.of("1/5")
     design = ConvexDesign(
-        atoms=(DesignAtom(g, 1.0),), measure=0.25, cutoff=1, residual=0.0
+        atoms=(DesignAtom(GroupElement.of(0), 1.0),), measure=0.25, cutoff=1, residual=0.0
     )
+    assert design.grid_per_axis == 1
     path = build_continuous(design, (0.0, 1.0), 5.0, 1.0)
     schedule = build_switching(design, (0.0, 1.0), 1.0, 0.2)
     gamma0 = gamma_matrix(basis, w, GroupElement.of(0))
@@ -494,7 +494,7 @@ def test_grid_tour_sum_matches_the_segment_loop(dim, per_axis, model, mass, swit
         # the legless tour against the loop over its dwells
         path = build_switching(design, (199.0, 1.0), 1e3, 0.1)
         assert path.macro_count == 12_500
-        assert [seg.kind for seg in path.template] == ["dwell"] * per_axis**dim
+        assert [seg.kind for seg in oracles.template(path)] == ["dwell"] * per_axis**dim
     else:
         # a Lipschitz bound this large clips R to the speed limit: the
         # dwells shrink to a sliver of each macro interval
@@ -508,7 +508,7 @@ def test_grid_tour_sum_matches_the_segment_loop(dim, per_axis, model, mass, swit
     mdiff = modes[:, None, :] - modes[None, :, :]
     table = DifferenceTable.build(model_frequencies(model, mass, modes), mdiff)
     tour = grid_tour_sum(table, per_axis, path)
-    loop = per_segment_sum(diff, mdiff, path)
+    loop = oracles.per_segment_sum(diff, mdiff, path)
     assert np.max(np.abs(tour - loop)) <= 1e-12 * np.max(np.abs(loop))
 
 
@@ -536,7 +536,6 @@ def test_difference_table_reproduces_its_keys(dim, model, mass):
     diff = oracles.frequency_differences(alpha)
     table = DifferenceTable.build(alpha, mdiff)
     assert np.array_equal(bits(table.values[table.inverse]), bits(diff))
-    assert np.array_equal(bits(table.diff), bits(diff))
     assert np.unique(bits(table.values)).size == table.values.size
     assert len(table.axes) == dim and len(table.carries) == dim - 1
     expected = [(table.axes[a], mdiff[..., a]) for a in range(dim)]
@@ -564,7 +563,6 @@ def assert_same_table(table, reference):
     for have, want in fields:
         assert have.dtype == want.dtype and have.shape == want.shape
         assert have.tobytes() == want.tobytes()
-    assert table.mode_differences is reference.mode_differences
 
 
 @pytest.mark.parametrize("model,mass", MODELS)
@@ -734,54 +732,97 @@ def test_grid_tour_sum_makes_one_dirichlet_sum_less_than_two_per_axis(monkeypatc
     assert calls.count(5) == dim and calls.count(4) == dim - 1
 
 
-@pytest.mark.parametrize(
-    "weights,shifts",
-    [
-        ((0.3, 0.1, 0.2, 0.25, 0.15), ("0", "1/5", "2/5", "3/5", "4/5")),
-        ((0.2,) * 5, ("0", "1/7", "2/5", "3/5", "5/6")),
-    ],
-    ids=["unequal_weights", "off_grid_shifts"],
-)
-def test_non_grid_paths_take_the_segment_loop(monkeypatch, weights, shifts):
-    basis = build_basis(T1, 1)
-    w = PrototypeSet.from_boxes(T1, [(0, "1/4")])
-    design = ConvexDesign(
+def hand_design(shifts, weights):
+    return ConvexDesign(
         atoms=tuple(DesignAtom(GroupElement.of(g), t) for g, t in zip(shifts, weights)),
         measure=0.25,
         cutoff=1,
         residual=0.0,
     )
+
+
+def non_grid_design(case):
+    """The quarter run's 5-atom grid broken in one way, or a hand-built
+    design that is no grid at all."""
+    atoms = list(quarter_setup()[2].atoms)
+    if case == "shift_moved":
+        shift = atoms[2].shift.shift[0] + Fraction(1, 97)
+        atoms[2] = DesignAtom(GroupElement((shift,)), atoms[2].weight)
+    elif case == "weight_changed":
+        # one ulp: the weights still sum to 1, and the grid test is exact
+        atoms[0] = atoms[0]._replace(weight=math.nextafter(atoms[0].weight, 1.0))
+    elif case == "non_lexicographic":
+        atoms[1], atoms[2] = atoms[2], atoms[1]
+    elif case == "two_atoms":
+        return hand_design(("0", "1/3"), (0.6, 0.4))
+    elif case == "unequal_weights":
+        return hand_design(("0", "1/5", "2/5", "3/5", "4/5"), (0.3, 0.1, 0.2, 0.25, 0.15))
+    elif case == "off_grid_shifts":
+        return hand_design(("0", "1/7", "2/5", "3/5", "5/6"), (0.2,) * 5)
+    return ConvexDesign(tuple(atoms), 0.25, 1, 0.0)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "shift_moved", "weight_changed", "non_lexicographic", "two_atoms",
+        "unequal_weights", "off_grid_shifts",
+    ],
+)
+def test_non_grid_paths_are_refused_before_any_kernel(monkeypatch, case):
+    # energies are summed over equal-weight grid tours only: any other
+    # design is refused before the table, the tour sum or a Dirichlet sum runs
+    design = non_grid_design(case)
     assert design.grid_per_axis is None
+    basis = build_basis(T1, 1)
+    w = PrototypeSet.from_boxes(T1, [(0, "1/4")])
+    gamma0 = gamma_matrix(basis, w, GroupElement.of(0))
+    datum = make_datum("wave", 0.0, basis, seed=23)
+    rate = trajectory_lipschitz_bound(basis, "wave", 0.0, 1.0)
+    realizations = [
+        build_continuous(design, (0.0, 1.0), 12.0, rate),
+        build_switching(design, (0.0, 1.0), rate, 0.1),
+    ]
 
-    def no_tour(*args):
-        raise AssertionError("the grid tour sum ran on a non-grid design")
+    def fail(*args):
+        raise AssertionError("a kernel-sized step ran on a non-grid design")
 
-    monkeypatch.setattr(evolve, "grid_tour_sum", no_tour)
+    for name in ("grid_tour_sum", "geometric_phase_sum"):
+        monkeypatch.setattr(evolve, name, fail)
+    monkeypatch.setattr(evolve.DifferenceTable, "build", classmethod(fail))
+    for path in realizations:
+        with pytest.raises(ValueError, match="equal-weight grid tours only"):
+            path_observation_energy(datum, path, gamma0)
+
+
+def test_segment_oracle_matches_the_path_quadrature_on_a_non_grid_path():
+    # the segment loop the package no longer runs stays an honest
+    # reference: its kernel's energy on a non-grid path is the quadrature's
+    basis = build_basis(T1, 1)
+    w = PrototypeSet.from_boxes(T1, [(0, "1/4")])
+    design = non_grid_design("unequal_weights")
     rate = trajectory_lipschitz_bound(basis, "wave", 0.0, 1.0)
     path = build_continuous(design, (0.0, 1.0), 12.0, rate)
     gamma0 = gamma_matrix(basis, w, GroupElement.of(0))
     datum = make_datum("wave", 0.0, basis, seed=23)
-    q = path_observation_energy(datum, path, gamma0)
+    coeff, alpha = output_expansion(datum)
+    table = DifferenceTable.build(alpha, basis.mode_differences)
+    segments = oracles.per_segment_sum(
+        oracles.frequency_differences(alpha), basis.mode_differences, path
+    )
+    repeats = geometric_phase_sum(table.values, path.macro_length, path.macro_count)
+    kernel = shifted_kernel(gamma0, table, path.t_start, repeats, segments)
     dense = oracles.simpson_path_energy(datum, path, gamma0.entries)
-    assert q == pytest.approx(dense, rel=1e-8)
+    assert kernel_energy(kernel, coeff) == pytest.approx(dense, rel=1e-8)
 
 
 def test_template_shifted_to_a_late_start_is_the_path_kernel():
-    # a non-grid design takes the segment loop; its template, built from a
-    # path at t = 0 and moved to t = 199 by one phase, must be the kernel of
-    # the path started at 199 entry for entry
+    # a grid path's template, built at t = 0 and moved to t = 199 by one
+    # phase, must be the kernel of the path started at 199 entry for entry;
+    # a non-grid design has no template
     basis = build_basis(T1, 2)
     w = PrototypeSet.from_boxes(T1, [(0, "1/4")])
-    design = ConvexDesign(
-        atoms=tuple(
-            DesignAtom(GroupElement.of(g), t)
-            for g, t in zip(("0", "1/7", "2/5", "5/6"), (0.4, 0.1, 0.3, 0.2))
-        ),
-        measure=0.25,
-        cutoff=1,
-        residual=0.0,
-    )
-    assert design.grid_per_axis is None
+    design = quarter_setup()[2]
     gamma0 = gamma_matrix(basis, w, GroupElement.of(0))
     _, alpha = output_expansion(make_datum("wave", 0.0, basis, seed=31))
     rate = trajectory_lipschitz_bound(basis, "wave", 0.0, 1.0)
@@ -792,6 +833,9 @@ def test_template_shifted_to_a_late_start_is_the_path_kernel():
     repeats, segments = path_template(early, table)
     shifted = shifted_kernel(gamma0, table, 199.0, repeats, segments)
     assert np.array_equal(shifted, path_kernel(late, table, gamma0))
+    off_grid = build_continuous(non_grid_design("off_grid_shifts"), (0.0, 1.0), 40.0, rate)
+    with pytest.raises(ValueError, match="equal-weight grid tours only"):
+        path_template(off_grid, table)
 
 
 @pytest.mark.parametrize("model,mass", MODELS)
@@ -832,13 +876,9 @@ def test_interval_energy_over_an_array_of_starts(model, mass):
     "dim,model,mass",
     [(1, "wave", 0.0), (1, "klein_gordon", 1.0), (1, "schrodinger", 0.0), (2, "wave", 0.0)],
 )
-def test_grid_path_energy_matches_the_40_digit_oracle(monkeypatch, dim, model, mass):
+def test_grid_path_energy_matches_the_40_digit_oracle(dim, model, mass):
     # a late interval with R ~ 10^4..10^5 macro repetitions, summed by the
-    # closed-form tour only
-    def no_loop(*args):
-        raise AssertionError("the segment loop ran on a grid design")
-
-    monkeypatch.setattr(evolve, "per_segment_sum", no_loop)
+    # closed-form tour
     if dim == 1:
         space, boxes, sim = T1, [(0, "1/4")], 2
     else:

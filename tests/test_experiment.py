@@ -300,28 +300,19 @@ def test_experiment_builds_one_switching_kernel_per_interval(monkeypatch):
     ids=["run_protocol", "continuous_protocol_delta"],
 )
 def test_a_run_builds_one_difference_table(monkeypatch, run):
-    # and never forms the dense D: the grid tour reads the table's keys only
     from torusobs import evolve
 
     tables = []
-    dense = []
     real_build = evolve.DifferenceTable.build
-    real_diff = evolve.DifferenceTable.diff
 
     def counted_build(cls, *args):
         tables.append(len(args))
         return real_build(*args)
 
-    def counted_diff(table):
-        dense.append(table.values.size)
-        return real_diff.fget(table)
-
     monkeypatch.setattr(evolve.DifferenceTable, "build", classmethod(counted_build))
-    monkeypatch.setattr(evolve.DifferenceTable, "diff", property(counted_diff))
     config = quick_config(interval_count=6, windows={"kind": "stride", "stride": 2, "cap": 2})
     run(config)
     assert len(tables) == 1
-    assert dense == []
 
 
 @pytest.mark.parametrize(
@@ -433,7 +424,7 @@ def test_monotone_check_compares_speeds_in_sorted_order(monkeypatch):
             mid_loss = build(design, interval, 100.0, bound).certified_loss
             path = Realization(
                 path.design, path.t_start, path.duration, path.macro_count, path.speed,
-                path.lipschitz_bound, 1.5 * mid_loss,
+                1.5 * mid_loss,
             )
         return path
 
@@ -461,7 +452,7 @@ def started_path_energies(config, speed):
         )
         started = Realization(
             path.design, (m - 1) * config.duration, path.duration, path.macro_count,
-            path.speed, path.lipschitz_bound, path.certified_loss,
+            path.speed, path.certified_loss,
         )
         kernel = path_kernel(started, setup.differences, setup.gamma_base)
         values.append((path, kernel_energy(kernel, setup.coeff)))
@@ -477,35 +468,18 @@ def solver_design(basis, prototype):
 
 
 @pytest.mark.parametrize(
-    "model,mass,solver",
-    [
-        ("schrodinger", 0.0, False),
-        ("wave", 0.0, False),
-        ("klein_gordon", 1.0, False),
-        ("wave", 0.0, True),
-    ],
-    ids=["schrodinger-0.0", "wave-0.0", "klein_gordon-1.0", "solver"],
+    "model,mass", [("schrodinger", 0.0), ("wave", 0.0), ("klein_gordon", 1.0)]
 )
-def test_continuous_records_equal_the_started_path_kernel(monkeypatch, model, mass, solver):
+def test_continuous_records_equal_the_started_path_kernel(model, mass):
     # the template is reduced once per window and speed; every observed
     # value must be the energy of the started path's kernel up to rounding,
     # the summation order being all that differs
-    from torusobs import evolve
-
     config = quick_config(
         model=model,
         mass=mass,
         interval_count=7,
         windows={"kind": "stride", "stride": 3, "cap": 2},
     )
-    if solver:
-        def no_tour(*args):
-            raise AssertionError("the grid tour sum ran on a non-grid design")
-
-        monkeypatch.setattr(experiment, "equispaced_design", solver_design)
-        monkeypatch.setattr(evolve, "grid_tour_sum", no_tour)
-        designs = experiment.prepare_protocol(config).designs.values()
-        assert all(design.grid_per_axis is None for design in designs)
     speeds = (300.0, 10000.0)
     run = continuous_protocol_delta(config, speeds=speeds)
     for speed in speeds:
@@ -517,6 +491,23 @@ def test_continuous_records_equal_the_started_path_kernel(monkeypatch, model, ma
             assert observed[m - 1] == pytest.approx(value, rel=1e-13, abs=0.0)
             assert ran.macro_count == path.macro_count
             assert ran.certified_loss == path.certified_loss
+
+
+def test_continuous_rerun_refuses_a_solver_design(monkeypatch):
+    # a solver design is a certificate, not something an observer realizes:
+    # the rerun stops at the first template, before any tour sum
+    from torusobs import evolve
+
+    def no_tour(*args):
+        raise AssertionError("the grid tour sum ran on a non-grid design")
+
+    monkeypatch.setattr(experiment, "equispaced_design", solver_design)
+    monkeypatch.setattr(evolve, "grid_tour_sum", no_tour)
+    config = quick_config(interval_count=7, windows={"kind": "stride", "stride": 3, "cap": 2})
+    designs = experiment.prepare_protocol(config).designs.values()
+    assert all(design.grid_per_axis is None for design in designs)
+    with pytest.raises(ValueError, match="equal-weight grid tours only"):
+        continuous_protocol_delta(config, speeds=(300.0, 10000.0))
 
 
 def test_2d_continuous_records_equal_the_started_path_kernel():
@@ -600,17 +591,14 @@ def count_builds(monkeypatch, name: str) -> list:
 
 def test_tour_and_cumulative_weights_are_built_once_per_design(monkeypatch):
     # 100 switching realizations and 21 continuous ones of the desk run's 7
-    # designs: each design builds its tour once and no realization builds a
-    # template; the schedule text of every interval reads each design's
-    # cumulative weights, built once
-    from torusobs import cli, schedule
+    # designs: each design measures its tour (`cycle`) once; the schedule
+    # text of every interval reads each design's cumulative weights, built
+    # once
+    from torusobs import cli
 
-    tours = count_builds(monkeypatch, "tour")
+    tours = count_builds(monkeypatch, "cycle")
     weights = count_builds(monkeypatch, "cumulative_weights")
     realizations = []
-
-    def no_segment(*args):
-        raise AssertionError("a grid design's realization built a PathSegment")
 
     def recording(real):
         def build(*args):
@@ -621,7 +609,6 @@ def test_tour_and_cumulative_weights_are_built_once_per_design(monkeypatch):
 
     for name in ("build_switching", "build_continuous"):
         monkeypatch.setattr(experiment, name, recording(getattr(experiment, name)))
-    monkeypatch.setattr(schedule, "PathSegment", no_segment)
     config = desk_config()
 
     series = run_protocol(config)
@@ -632,7 +619,6 @@ def test_tour_and_cumulative_weights_are_built_once_per_design(monkeypatch):
     run = continuous_protocol_delta(config, config.schedule.speeds)
     assert continuous_report(config, run)["realized_ok"] and len(realizations) == 100 + 21
     assert len(tours) == len(set(map(id, tours))) == 7 + 7
-    assert all("template" not in vars(r) for r in realizations)
 
     setup = series.setup
     for m in range(1, config.interval_count + 1):

@@ -26,7 +26,7 @@ def test_star_import_binds_every_public_name():
 
 
 def test_all_lists_each_public_name_once_and_dir_lists_them():
-    assert len(torusobs.__all__) == len(set(torusobs.__all__)) == 47
+    assert len(torusobs.__all__) == len(set(torusobs.__all__)) == 46
     listed = dir(torusobs)
     assert "__all__" in listed
     assert set(torusobs.__all__) <= set(listed)

@@ -128,8 +128,9 @@ def test_template_layout_and_dwell_fractions():
     tau = path.macro_length
     dwell_total = tau - path.cycle / speed
     assert dwell_total > 0
-    dwells = [s for s in path.template if s.kind == "dwell"]
-    transits = [s for s in path.template if s.kind == "transit"]
+    segments = oracles.template(path)
+    dwells = [s for s in segments if s.kind == "dwell"]
+    transits = [s for s in segments if s.kind == "transit"]
     assert len(dwells) == 5
     assert len(transits) == 5
     for seg, weight in zip(dwells, design.weights):
@@ -139,9 +140,9 @@ def test_template_layout_and_dwell_fractions():
         assert seg.velocity == (0.0,)
     for seg in transits[:-1]:
         assert np.linalg.norm(seg.velocity) == pytest.approx(speed, rel=1e-9)
-    assert path.template[-1].offset_end == tau
+    assert segments[-1].offset_end == tau
     # segments abut without gaps
-    for left, right in zip(path.template, path.template[1:]):
+    for left, right in zip(segments, segments[1:]):
         assert right.offset_start == pytest.approx(left.offset_end, abs=1e-15)
 
 
@@ -172,8 +173,8 @@ def test_position_is_periodic_across_macro_intervals():
 @pytest.mark.parametrize("dim,cutoff", [(1, 0), (1, 1), (1, 3), (2, 1), (2, 2)])
 def test_each_tour_leg_is_computed_once(monkeypatch, dim, cutoff):
     # the cycle is bitwise the oracle's leg loop, and the legs' displacements are
-    # formed once per design, in one call, and shared by the cycle, the
-    # transits and every realization of the design at any speed
+    # formed once per design, in one call, and shared by every realization
+    # of the design at any speed
     from torusobs import design as design_module
 
     space = TorusSpace(dim)
@@ -190,12 +191,12 @@ def test_each_tour_leg_is_computed_once(monkeypatch, dim, cutoff):
     slow = build_continuous(design, (3.0, 1.0), 1e3, WAVE_RATE)
     schedule = build_switching(design, (0.0, 1.0), WAVE_RATE, 0.2)
     for realization in (path, slow, schedule):
-        realization.template
+        realization.cycle
     assert len(calls) == 1
     monkeypatch.undo()
     shifts = [a.shift.as_floats() for a in design.atoms]
     assert path.cycle == schedule.cycle == oracles.cycle_length(shifts)
-    transits = [seg for seg in path.template if seg.kind == "transit"]
+    transits = [seg for seg in oracles.template(path) if seg.kind == "transit"]
     assert len(transits) == (len(design) if len(design) > 1 else 0)
 
 
@@ -208,8 +209,8 @@ def test_both_constructors_return_a_realization_without_a_template():
     path = build_continuous(design, (0.0, 1.0), 50.0, WAVE_RATE)
     for realization in (schedule, path):
         assert type(realization) is Realization
-        # the template is built on first read, never by a constructor
-        assert "template" not in vars(realization)
+        # the energies read the mesh, the speed and the design's cycle only
+        assert not hasattr(realization, "template")
     assert path.speed == 50.0 and math.isfinite(path.speed)
 
 
@@ -221,13 +222,14 @@ def test_a_switching_schedule_is_the_realization_at_infinite_speed():
     assert schedule.cycle == design.cycle > 0.0
     assert schedule.cycle / schedule.speed == 0.0
     tau = schedule.macro_length
-    assert [seg.kind for seg in schedule.template] == ["dwell"] * len(design)
-    assert [seg.atom_index for seg in schedule.template] == list(range(len(design)))
-    assert all(seg.velocity == (0.0,) for seg in schedule.template)
-    assert schedule.template[0].offset_start == 0.0
-    assert schedule.template[-1].offset_end == tau
+    segments = oracles.template(schedule)
+    assert [seg.kind for seg in segments] == ["dwell"] * len(design)
+    assert [seg.atom_index for seg in segments] == list(range(len(design)))
+    assert all(seg.velocity == (0.0,) for seg in segments)
+    assert segments[0].offset_start == 0.0
+    assert segments[-1].offset_end == tau
     cum = design.cumulative_weights
-    for j, seg in enumerate(schedule.template):
+    for j, seg in enumerate(segments):
         assert seg.position == tuple(design.shifts[j].as_floats().tolist())
         # the offsets are the slot boundaries cum_j tau up to the last bit
         assert seg.offset_start == pytest.approx(cum[j] * tau, rel=1e-15, abs=1e-18)
@@ -242,11 +244,6 @@ def test_the_design_caches_its_cumulative_weights_read_only():
     assert np.allclose(np.diff(cum), design.weights, rtol=0.0, atol=1e-15)
     with pytest.raises(ValueError):
         cum[1] = 0.5
-    deltas, legs = design.tour
-    assert design.tour[0] is deltas
-    with pytest.raises(ValueError):
-        deltas[0] = 0.0
-    assert len(legs) == len(design)
 
 
 def test_single_atom_path_never_moves():
