@@ -7,7 +7,8 @@ switching and by continuous speed-bounded paths (`schedule`), exact spectral
 evolution with closed-form observation energies (`evolve`), and the
 interval-by-interval running-average protocol with its verification reports
 (`experiment`).  The `cli` module wires everything into a deterministic
-batch front-end.
+batch front-end, whose artifact formats live in `artifacts` and whose
+verifier's checks live in `checks`.
 
 The names in `__all__` are resolved on first access (PEP 562): importing
 the package imports no submodule, and `torusobs.gamma_matrix` imports

@@ -31,30 +31,24 @@ run_meta.json holds it, and the paths and energies of the continuous rerun
 one formula here, from running means to the tail and continuous reports
 (`tail_report`, `continuous_fields`); the writers and `verify` both call
 them.
+
+The energies are `evolve`'s, and only the code that evaluates them imports
+it, when it runs: `ProtocolSetup`'s datum, expansions and difference
+table, `run_protocol` and `continuous_protocol_delta`.  `schedule` and
+`verify` read the designs, realizations and report formulas here, so
+their processes never compile `evolve`.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .config import NumericError, RunConfig
 from .design import ConvexDesign, equispaced_design
-from .evolve import (
-    DifferenceTable,
-    ModalDatum,
-    conserved_energy,
-    expansion_interval_energy,
-    kernel_energy,
-    output_expansion,
-    path_template,
-    random_datum,
-    shifted_energies,
-    shifted_kernel,
-)
 from .schedule import Realization, build_continuous, build_switching
 from .spectral import (
     CalibrationConstants,
@@ -65,6 +59,9 @@ from .spectral import (
     gamma_matrix,
     trajectory_lipschitz_bound,
 )
+
+if TYPE_CHECKING:
+    from .evolve import DifferenceTable, ModalDatum
 
 __all__ = [
     "CesaroSeries",
@@ -160,6 +157,8 @@ class ProtocolSetup:
 
     @cached_property
     def datum(self) -> ModalDatum:
+        from .evolve import random_datum
+
         config = self.config
         return random_datum(
             config.model,
@@ -173,6 +172,8 @@ class ProtocolSetup:
 
     @cached_property
     def _expansion(self) -> tuple[np.ndarray, np.ndarray]:
+        from .evolve import output_expansion
+
         return output_expansion(self.datum)
 
     @property
@@ -185,10 +186,14 @@ class ProtocolSetup:
 
     @cached_property
     def windowed(self) -> dict[int, np.ndarray]:
+        from .evolve import output_expansion
+
         return {k: output_expansion(self.datum.windowed(k))[0] for k in self.designs}
 
     @cached_property
     def tails(self) -> dict[int, np.ndarray]:
+        from .evolve import output_expansion
+
         return {k: output_expansion(self.datum.tail(k))[0] for k in self.designs}
 
     @cached_property
@@ -198,6 +203,8 @@ class ProtocolSetup:
 
     @cached_property
     def differences(self) -> DifferenceTable:
+        from .evolve import DifferenceTable
+
         return DifferenceTable.build(self.alpha, self.basis.mode_differences)
 
     def schedule(self, index: int) -> Realization:
@@ -265,6 +272,8 @@ def run_protocol(config: RunConfig) -> CesaroSeries:
     parts below and above the window.  With the conserved energy below the
     window, these are the series' four per-interval arrays.
     """
+    from .evolve import conserved_energy, kernel_energy, path_template, shifted_kernel
+
     setup = prepare_protocol(config)
     energy = conserved_energy(setup.datum)
     constants = calibration(config.model, setup.basis, config.mass, config.duration)
@@ -433,6 +442,8 @@ def continuous_protocol_delta(config: RunConfig, speeds) -> ContinuousRun:
     factor.  Its full-torus references are computed once per interval for
     all speeds.
     """
+    from .evolve import expansion_interval_energy, path_template, shifted_energies
+
     speeds = tuple(float(v) for v in speeds)
     if not speeds:
         raise ValueError("at least one speed is required")

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import oracles
 import torusobs
-from torusobs import cli
+from torusobs import artifacts, cli
 from torusobs import (
     ConvexDesign,
     DesignAtom,
@@ -28,7 +28,7 @@ from torusobs import (
     build_switching,
     equispaced_design,
 )
-from torusobs.cli import (
+from torusobs.artifacts import (
     CONTINUOUS_HEADER,
     SCHEDULE_BLOCK,
     SCHEDULE_VERSION,
@@ -37,9 +37,9 @@ from torusobs.cli import (
     _fmt,
     _schedule_lines,
     _write_json,
-    main,
     schedule_header,
 )
+from torusobs.cli import main
 from torusobs.experiment import prepare_protocol
 from test_experiment import config_dict, continuous_report, quick_config
 
@@ -331,7 +331,8 @@ def test_design_process_imports_no_dynamics(tmp_path):
 
 
 def test_calibrate_process_imports_only_the_spectral_modules(tmp_path):
-    # the calibration and its check in verify live in spectral
+    # the calibration lives in spectral; --check adds the formats and
+    # verify's checks
     config = write_config(tmp_path, model="wave")
     code = (
         "import sys\n"
@@ -344,12 +345,80 @@ def test_calibrate_process_imports_only_the_spectral_modules(tmp_path):
     assert done.stdout.splitlines()[-1] == str(
         [
             "torusobs",
+            "torusobs.artifacts",
+            "torusobs.checks",
             "torusobs.cli",
             "torusobs.config",
             "torusobs.geometry",
             "torusobs.spectral",
         ]
     )
+
+
+def imported_modules(*args):
+    """The torusobs modules a fresh interpreter imports running `args`,
+    sorted, read off its `-X importtime` lines.  Under `-m torusobs.cli`
+    the entry runs as `__main__`, so `torusobs.cli` is listed only if some
+    module imports it as well."""
+    done = fresh_python("-X", "importtime", *args)
+    assert done.returncode == 0, done.stderr
+    names = (
+        line.rsplit("|", 1)[1].strip()
+        for line in done.stderr.splitlines() if line.startswith("import time:")
+    )
+    return sorted(name for name in names if name.split(".")[0] == "torusobs")
+
+
+# what each command's process loads beside the package, the config and the
+# geometry it reads, as `python -m torusobs.cli`; --check adds `checks`
+COMMAND_MODULES = {
+    "design": ["artifacts", "design", "spectral"],
+    "calibrate": ["artifacts", "spectral"],
+    "schedule": ["artifacts", "design", "experiment", "schedule", "spectral"],
+    "experiment": ["artifacts", "design", "evolve", "experiment", "schedule", "spectral"],
+    "continuous": ["artifacts", "design", "evolve", "experiment", "schedule", "spectral"],
+    "verify": ["artifacts", "checks", "design", "experiment", "schedule", "spectral"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, check",
+    [(command, False) for command in sorted(COMMAND_MODULES)]
+    + [(command, True) for command in sorted(COMMAND_MODULES) if command != "verify"],
+)
+def test_each_command_process_loads_only_what_it_runs(tmp_path, command, check):
+    # verify reads designs, schedules, paths and reports, never an energy,
+    # so it loads no evolve; the checks load with verify and --check only;
+    # and no module imports torusobs.cli beside the __main__ entry
+    quick = Path(__file__).resolve().parents[1] / "configs" / "quick.json"
+    out = tmp_path / "out"
+    if command == "verify":
+        for writer in ("experiment", "continuous", "schedule"):
+            assert main([writer, "--config", str(quick), "--out", str(out)]) == 0
+    argv = ["-m", "torusobs.cli", command, "--config", str(quick), "--out", str(out)]
+    loaded = imported_modules(*argv, *(["--check"] if check else []))
+    assert "torusobs.cli" not in loaded
+    assert ("torusobs.evolve" in loaded) == (command in ("experiment", "continuous"))
+    assert ("torusobs.checks" in loaded) == (command == "verify" or check)
+    expected = ["config", "geometry", *COMMAND_MODULES[command], *(["checks"] if check else [])]
+    assert loaded == sorted(["torusobs", *(f"torusobs.{name}" for name in expected)])
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+@pytest.mark.parametrize("command", ["design", "calibrate", "schedule", "experiment", "continuous"])
+def test_an_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, command, under):
+    # a file at --out, or on its way, is refused in one line, as a config
+    # error is, before any work; the file is left as it was
+    config = write_config(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    out = taken / "out" if under else taken
+    assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    reason = "Not a directory" if under else "File exists"
+    assert captured.err == f"cannot create output directory {out}: {reason}\n"
+    assert captured.out == ""
+    assert taken.read_text() == "not a directory\n"
 
 
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
@@ -484,8 +553,8 @@ def test_schedule_chunks_hold_at_most_a_block_of_rows(monkeypatch, block, cap):
     assert schedule.atom_count == 5 and schedule.micro_count > 5 * 40 + 2
     text = "".join(_schedule_lines(schedule, cap))
     if block is not None:
-        monkeypatch.setattr(cli, "SCHEDULE_BLOCK", block)
-    limit = cli.SCHEDULE_BLOCK
+        monkeypatch.setattr(artifacts, "SCHEDULE_BLOCK", block)
+    limit = artifacts.SCHEDULE_BLOCK
     chunks = list(_schedule_lines(schedule, cap))
     assert all(0 < chunk.count("\n") <= limit for chunk in chunks)
     assert "".join(chunks) == text
@@ -1221,6 +1290,35 @@ def test_verify_checks_every_continuous_row_against_its_rebuilt_path(
     )
 
 
+@pytest.mark.parametrize("name", ["series.csv", "continuous.csv"])
+def test_verify_refuses_a_negative_stored_energy(tmp_path, capsys, name):
+    # an energy is a sum of squares: one check refuses a negative one in
+    # either CSV, though the running means beside it are recomputed to
+    # match; in continuous.csv, whose report's final mean is recomputed
+    # too, it is the only problem
+    from torusobs.experiment import running_means
+
+    quick, out = quick_run(tmp_path)
+    path = out / name
+    energy, mean = (3, 4) if name == "series.csv" else (5, 6)
+    lines = path.read_text().splitlines()
+    rows = [line.split(",") for line in lines[2:]]
+    run = rows if name == "series.csv" else [row for row in rows if row[0] == "10.0"]
+    run[0][energy] = "-0.5"
+    for row, value in zip(run, running_means([float(row[energy]) for row in run]).tolist()):
+        row[mean] = _fmt(value)
+    path.write_text("\n".join(lines[:2] + [",".join(row) for row in rows]) + "\n")
+    if name == "continuous.csv":
+        report = strict_json(out / "continuous_report.json")
+        report["final_means"]["10.0"] = float(run[-1][mean])
+        _write_json(out / "continuous_report.json", report)
+    assert main(["verify", "--config", str(quick), "--out", str(out)]) == 3
+    problems = [line for line in capsys.readouterr().err.splitlines() if line]
+    assert f"verify: {name}: negative interval energy" in problems
+    if name == "continuous.csv":
+        assert problems == ["verify: continuous.csv: negative interval energy"]
+
+
 def test_verify_requires_the_report_beside_continuous_csv(tmp_path, capsys):
     config, out = continuous_run(tmp_path)
     (out / "continuous_report.json").unlink()
@@ -1415,7 +1513,7 @@ def test_split_schedule_file_is_the_serial_text(tmp_path, monkeypatch, block, ex
     # with a small block, small files are split into several blocks: the
     # layout lines and the block writer's chunks join to the serial text of
     # `_schedule_lines`, and only the CSV and its sidecar are left
-    monkeypatch.setattr(cli, "SCHEDULE_BLOCK", block)
+    monkeypatch.setattr(artifacts, "SCHEDULE_BLOCK", block)
     schedule = prepare_protocol(quick_config(interval_count=200)).schedule(1)
     atoms = schedule.atom_count
     block_rows = max(1, block // atoms) * atoms
@@ -1445,14 +1543,14 @@ def test_a_failing_schedule_write_leaves_the_earlier_files(tmp_path, monkeypatch
     config, out, path = late_schedule(tmp_path)
     sidecar = out / "schedule_m200.json"
     before = path.read_bytes(), sidecar.read_bytes()
-    lines = cli._schedule_lines
+    lines = artifacts._schedule_lines
 
     def failing(schedule, cap):
         chunks = lines(schedule, cap)
         yield next(chunks)
         raise ValueError("the formatter failed mid-file")
 
-    monkeypatch.setattr(cli, "_schedule_lines", failing)
+    monkeypatch.setattr(artifacts, "_schedule_lines", failing)
     assert main(["schedule", "--config", str(config), "--out", str(out)]) == 3
     assert "the formatter failed mid-file" in capsys.readouterr().err
     assert (path.read_bytes(), sidecar.read_bytes()) == before

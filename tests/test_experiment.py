@@ -288,7 +288,6 @@ def test_experiment_builds_one_switching_kernel_per_interval(monkeypatch):
     # every kernel ends in shifted_kernel, whichever realization it sums
     real = evolve.shifted_kernel
     monkeypatch.setattr(evolve, "shifted_kernel", counted)
-    monkeypatch.setattr(experiment, "shifted_kernel", counted)
     config = quick_config()
     tail_reduction_check(run_protocol(config))
     assert calls == [float(m) for m in range(config.interval_count)]
@@ -594,7 +593,7 @@ def test_tour_and_cumulative_weights_are_built_once_per_design(monkeypatch):
     # designs: each design measures its tour (`cycle`) once; the schedule
     # text of every interval reads each design's cumulative weights, built
     # once
-    from torusobs import cli
+    from torusobs import artifacts
 
     tours = count_builds(monkeypatch, "cycle")
     weights = count_builds(monkeypatch, "cumulative_weights")
@@ -622,5 +621,5 @@ def test_tour_and_cumulative_weights_are_built_once_per_design(monkeypatch):
 
     setup = series.setup
     for m in range(1, config.interval_count + 1):
-        "".join(cli._schedule_lines(setup.schedule(m), 10))
+        "".join(artifacts._schedule_lines(setup.schedule(m), 10))
     assert sorted(map(id, weights)) == sorted(map(id, setup.designs.values()))
