@@ -14,15 +14,17 @@ verify      re-read artifacts in --out and revalidate them against the config
 
 All artifacts are bitwise-reproducible from (config, seed) (`artifacts`).
 Exit codes: 0 ok, 2 config error or an --out that cannot be made a
-directory, 3 numeric/infeasibility failure.
+directory or written, 3 numeric/infeasibility failure.
 
 This module is the entry only: the parser, `main`, `entry` and one
 function per command.  The formats and every artifact's builder live in
 `artifacts`, `verify`'s checks in `checks`, and each command imports what
 it calls when it runs, so a process compiles no more of the package than
 its command uses: a writing command without --check no `checks`, `verify`
-no `evolve`.  No module imports `torusobs.cli`: `python -m torusobs.cli`
-runs this file as `__main__`, and an import would compile it again.
+no `evolve`, and `--help` or a config error no numpy, which arrives with
+the first module that computes.  No module imports `torusobs.cli`:
+`python -m torusobs.cli` runs this file as `__main__`, and an import would
+compile it again.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ import gc
 import sys
 from pathlib import Path
 
-# Only the config is imported here: each command imports its own code
-# (`artifacts`, `checks` and the modules it calls) when it runs.
+# Only the config is imported here, and it needs no numpy: each command
+# imports its own code (`artifacts`, `checks` and the modules it calls, which
+# bring numpy) when it runs.
 from .config import ConfigError, NumericError, RunConfig
 
 
@@ -189,6 +192,9 @@ def main(argv=None) -> int:
     except (NumericError, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # an artifact that cannot be written
+        print(f"cannot write {exc.filename or out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     if code == 0 and args.check and args.command != "verify":
         return _verify_out(config, out)
     return code

@@ -6,6 +6,13 @@ prod_i [a_i, b_i) taken mod 1.  Endpoints are kept as exact rationals
 (`fractions.Fraction`; floats convert exactly, strings such as "1/4" parse
 exactly), so translation, wrap splitting, disjointness and measure bookkeeping
 involve no rounding at all.  Only the Fourier/phase evaluations use floats.
+
+Loading a config builds a space and a prototype set, which need no numpy, so
+this module does not import it: the two methods that return arrays,
+`GroupElement.as_floats` and `PrototypeSet.fourier_table`, import it when
+they run, and `torus_displacement` is plain arithmetic that works on arrays
+as on floats.  A process that only reads its config, or stops at an error in
+it, never loads numpy.
 """
 
 from __future__ import annotations
@@ -14,9 +21,10 @@ import cmath
 import math
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 ScalarLike = Union[int, float, str, Fraction]
 
@@ -85,6 +93,8 @@ class GroupElement(_GroupElement):
         return len(self.shift)
 
     def as_floats(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([float(s) for s in self.shift], dtype=float)
 
 
@@ -229,6 +239,8 @@ class PrototypeSet(_PrototypeSet):
         the outer product of its per-axis factors, evaluated as vectors over
         n = -bound..bound with the same formulas.
         """
+        import numpy as np
+
         if bound < 0:
             raise ValueError(f"frequency bound must be >= 0, got {bound}")
         freqs = np.arange(-bound, bound + 1)

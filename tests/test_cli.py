@@ -1,6 +1,7 @@
 """Command-line driver: exit codes, artifact layout, reproducibility,
 and verification of tampered outputs."""
 
+import errno
 import json
 import math
 import os
@@ -302,16 +303,68 @@ PRINT_TORUSOBS_MODULES = (
 
 
 def test_config_loading_imports_only_the_config_modules(tmp_path):
+    # the set-up path reads the config, its space and its prototype set,
+    # none of which needs numpy
     config = write_config(tmp_path)
     code = (
         "import sys, torusobs, torusobs.cli\n"
-        f"torusobs.cli.RunConfig.from_file({str(config)!r})\n" + PRINT_TORUSOBS_MODULES
+        f"config = torusobs.cli.RunConfig.from_file({str(config)!r})\n"
+        "config.space(), config.prototype()\n"
+        "print('numpy' in sys.modules)\n" + PRINT_TORUSOBS_MODULES
     )
     done = fresh_python("-c", code)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == str(
-        ["torusobs", "torusobs.cli", "torusobs.config", "torusobs.geometry"]
-    )
+    assert done.stdout.splitlines()[-2:] == [
+        "False", str(["torusobs", "torusobs.cli", "torusobs.config", "torusobs.geometry"])
+    ]
+
+
+# runs main() on the arguments after the script name, then prints its exit
+# code, an argparse exit's included, and whether numpy was loaded
+NUMPY_PROBE = (
+    "import sys\n"
+    "from torusobs.cli import main\n"
+    "try:\n"
+    "    code = main(sys.argv[1:])\n"
+    "except SystemExit as exc:\n"
+    "    code = exc.code\n"
+    "print(code, 'numpy' in sys.modules)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "case, code, numpy",
+    [
+        ("help", 0, False),
+        ("no_config", 2, False),
+        ("bad_json", 2, False),
+        ("unknown_key", 2, False),
+        ("out_under_a_file", 2, False),
+        ("experiment", 0, True),
+    ],
+)
+def test_only_a_command_that_computes_loads_numpy(tmp_path, case, code, numpy):
+    # numpy arrives with the first module that computes: a process that
+    # stops at --help, an argument or config error or an --out it cannot
+    # make never loads it, and one that runs its command does
+    config = Path(__file__).resolve().parents[1] / "configs" / "quick.json"
+    out = tmp_path / "out"
+    if case == "bad_json":
+        config = tmp_path / "bad.json"
+        config.write_text("{oops")
+    elif case == "unknown_key":
+        config = write_config(tmp_path, name="bad.json", flavor="spicy")
+    elif case == "out_under_a_file":
+        (tmp_path / "taken").write_text("not a directory\n")
+        out = tmp_path / "taken" / "out"
+    argv = ["experiment", "--config", str(config), "--out", str(out)]
+    if case == "help":
+        argv = ["--help"]
+    elif case == "no_config":
+        argv = ["experiment", "--out", str(out)]
+    done = fresh_python("-c", NUMPY_PROBE, *argv)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"{code} {numpy}"
 
 
 def test_design_process_imports_no_dynamics(tmp_path):
@@ -419,6 +472,26 @@ def test_an_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, command, un
     assert captured.err == f"cannot create output directory {out}: {reason}\n"
     assert captured.out == ""
     assert taken.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize(
+    "command, name", [("experiment", "series.csv"), ("continuous", "continuous.csv")]
+)
+def test_an_artifact_that_cannot_be_written_exits_2(tmp_path, command, name):
+    # a directory where the command writes its CSV: the process prints one
+    # line and exits 2, with no traceback and nothing on stdout, and the
+    # files of the earlier run in --out stay as they were
+    quick = Path(__file__).resolve().parents[1] / "configs" / "quick.json"
+    out = tmp_path / "out"
+    assert main([command, "--config", str(quick), "--out", str(out)]) == 0
+    (out / name).unlink()
+    (out / name).mkdir()
+    before = {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()}
+    done = fresh_python("-m", "torusobs.cli", command, "--config", str(quick), "--out", str(out))
+    assert done.returncode == 2
+    assert done.stderr == f"cannot write {out / name}: Is a directory\n"
+    assert done.stdout == ""
+    assert {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()} == before
 
 
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
@@ -1553,6 +1626,31 @@ def test_a_failing_schedule_write_leaves_the_earlier_files(tmp_path, monkeypatch
     monkeypatch.setattr(artifacts, "_schedule_lines", failing)
     assert main(["schedule", "--config", str(config), "--out", str(out)]) == 3
     assert "the formatter failed mid-file" in capsys.readouterr().err
+    assert (path.read_bytes(), sidecar.read_bytes()) == before
+    assert sorted(p.name for p in out.iterdir()) == ["schedule_m200.csv", "schedule_m200.json"]
+
+
+def test_a_schedule_write_error_exits_2_and_leaves_the_earlier_files(
+    tmp_path, monkeypatch, capsys
+):
+    # as above, for an OSError mid-file (a full disk): exit 2, one line
+    # naming --out, since a failed write names no file, and no temporary file
+    config, out, path = late_schedule(tmp_path)
+    sidecar = out / "schedule_m200.json"
+    before = path.read_bytes(), sidecar.read_bytes()
+    lines = artifacts._schedule_lines
+
+    def failing(schedule, cap):
+        chunks = lines(schedule, cap)
+        yield next(chunks)
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(artifacts, "_schedule_lines", failing)
+    capsys.readouterr()
+    assert main(["schedule", "--config", str(config), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"cannot write {out}: {os.strerror(errno.ENOSPC)}\n"
+    assert captured.out == ""
     assert (path.read_bytes(), sidecar.read_bytes()) == before
     assert sorted(p.name for p in out.iterdir()) == ["schedule_m200.csv", "schedule_m200.json"]
 
