@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import random
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -108,14 +109,13 @@ def _candidates(config: RunConfig, basis) -> list[GroupElement]:
     opts = config.design
     if opts.candidate_kind == "grid":
         return default_candidates(basis)
-    rng = np.random.default_rng(opts.candidate_seed)
+    # random() is k / 2^53, so the product is exact and int() keeps its top
+    # 20 bits: a uniform shift on the 2^-20 grid
+    rng = random.Random(opts.candidate_seed)
     denom = 1 << 20
     return [
         GroupElement(
-            tuple(
-                Fraction(int(v), denom)
-                for v in rng.integers(0, denom, size=config.dim)
-            )
+            tuple(Fraction(int(rng.random() * denom), denom) for _ in range(config.dim))
         )
         for _ in range(opts.candidates)
     ]

@@ -197,7 +197,9 @@ class DesignOptions(NamedTuple):
 
     The solver draws its candidate shifts either from the regular grid of
     4*cutoff+2 per axis, which always contains an exact design, or from a
-    seeded uniform sample of `candidates` shifts.
+    seeded uniform sample of `candidates` shifts on the 2^-20 grid, drawn
+    from the standard library's `random.Random(candidate_seed)` (so
+    `candidate_seed` must be >= 0: that generator would take -s as s).
     """
 
     method: str = "equispaced"
@@ -237,6 +239,8 @@ class DesignOptions(NamedTuple):
             raise ConfigError(f"{path}.cutoff: must be >= 0")
         if candidates < 1:
             raise ConfigError(f"{path}.candidates: must be >= 1")
+        if seed < 0:
+            raise ConfigError(f"{path}.candidate_seed: must be >= 0")
         if tol <= 0:
             raise ConfigError(f"{path}.tol: must be > 0")
         if max_iter < 1:

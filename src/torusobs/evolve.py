@@ -86,6 +86,7 @@ differently from `a * b` (a 26,244-entry kernel is 410 KiB).
 from __future__ import annotations
 
 import math
+import random
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -164,6 +165,25 @@ class ModalDatum:
         return ModalDatum(self.model, self.mass, self.basis, self.a * mask, self.b * mask)
 
 
+def _standard_normals(rng: random.Random, count: int) -> list[float]:
+    """`count` standard normal draws from `rng` by Marsaglia's polar method.
+
+    Each attempt takes u, v uniform on [-1, 1) and keeps the pair
+    (u f, v f), f = sqrt(-2 log(s) / s), when 0 < s = u^2 + v^2 < 1; an odd
+    count drops the last pair's second value.  Scalar `math` keeps the
+    bytes off numpy's SIMD-dispatched `log`.
+    """
+    out: list[float] = []
+    while len(out) < count:
+        u = 2.0 * rng.random() - 1.0
+        v = 2.0 * rng.random() - 1.0
+        s = u * u + v * v
+        if 0.0 < s < 1.0:
+            f = math.sqrt(-2.0 * math.log(s) / s)
+            out += (u * f, v * f)
+    return out[:count]
+
+
 def random_datum(
     model: str,
     basis: ModalBasis,
@@ -180,6 +200,12 @@ def random_datum(
     applies no scaling.  Identical (model, basis, window, decay, seed) give
     identical coefficients.  `mass` defaults to the model's (1 for
     klein_gordon, else 0); the `ModalDatum` built checks it against the model.
+
+    The draws come from the standard library's `random.Random(seed)`, whose
+    `random()` sequence Python keeps fixed across versions, turned into
+    normals by `_standard_normals`: the coefficients do not depend on the
+    installed numpy.  Each complex vector draws its real parts, then its
+    imaginary parts; a wave datum draws xi_a, then xi_b.
     """
     if decay not in ("flat", "power"):
         raise ValueError(f"unknown decay profile {decay!r}")
@@ -187,15 +213,15 @@ def random_datum(
         mass = 1.0 if model == "klein_gordon" else 0.0
     if window < 0 or window > basis.cutoff:
         raise ValueError(f"window must lie in [0, {basis.cutoff}]")
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     d = basis.dim
     norms = np.linalg.norm(basis.mode_array.astype(float), axis=1)
     scale = (1.0 + norms) ** (-decay_power) if decay == "power" else np.ones(d)
     mask = basis.window_mask(window)
 
     def draw() -> np.ndarray:
-        re = rng.standard_normal(d)
-        im = rng.standard_normal(d)
+        re = np.array(_standard_normals(rng, d))
+        im = np.array(_standard_normals(rng, d))
         return (re + 1j * im) / math.sqrt(2.0)
 
     if model == "schrodinger":

@@ -256,6 +256,41 @@ def test_verify_process_does_not_import_numpy_random(tmp_path):
     assert done.stdout.splitlines()[-1] == "False"
 
 
+# runs main() on the arguments after the script name, then prints its exit
+# code and which of numpy.random and the OpenSSL-backed modules it pulls in
+# main added to sys.modules (one a site hook loads earlier does not count)
+DRAW_PROBE = (
+    "import sys\n"
+    "before = set(sys.modules)\n"
+    "from torusobs.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(code, sorted(m for m in ('numpy.random', 'secrets', 'hashlib', '_hashlib')\n"
+    "                   if m in sys.modules and m not in before))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command", ["design", "experiment", "continuous", "verify", "schedule", "calibrate"]
+)
+def test_no_command_loads_numpy_random_or_openssl(tmp_path, command):
+    # the seeded datum and the random candidates come from the standard
+    # library's random, so no process pays for numpy.random or OpenSSL
+    config = write_config(
+        tmp_path,
+        model="wave",
+        datum={"window": 3, "seed": 2},
+        design={"method": "solver", "cutoff": 1, "candidate_kind": "random",
+                "candidates": 32, "candidate_seed": 5},
+    )
+    out = tmp_path / "out"
+    if command == "verify":
+        for writer in ("experiment", "continuous"):
+            assert main([writer, "--config", str(config), "--out", str(out)]) == 0
+    done = fresh_python("-c", DRAW_PROBE, command, "--config", str(config), "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 []"
+
+
 def test_no_process_imports_dataclasses(tmp_path):
     # records are NamedTuples or plain classes, so no module generates and
     # execs their methods at import: not the package, not a command
@@ -686,6 +721,37 @@ def test_sidecar_counts_rows_not_chunks(tmp_path, interval, cap):
         10**9: cap > sidecar["total_rows"],
     }
     assert where[cap]
+
+
+def test_random_candidates_are_pinned():
+    # each coordinate keeps the top 20 bits of one random.Random(seed)
+    # draw, candidate by candidate, axis by axis
+    config = quick_config(
+        space={"dim": 2},
+        prototype={"boxes": [[[0, "1/4"], [0, "1/2"]]]},
+        design={"method": "solver", "candidate_kind": "random", "candidates": 3,
+                "candidate_seed": 0},
+    )
+    denom = 1 << 20
+    assert [g.shift for g in artifacts._candidates(config, None)] == [
+        (Fraction(885440, denom), Fraction(794772, denom)),
+        (Fraction(441001, denom), Fraction(271493, denom)),
+        (Fraction(536110, denom), Fraction(424604, denom)),
+    ]
+
+
+@pytest.mark.parametrize("command", ["design", "experiment"])
+def test_a_negative_candidate_seed_exits_2(tmp_path, capsys, command):
+    config = write_config(
+        tmp_path,
+        design={"method": "solver", "candidate_kind": "random", "candidate_seed": -3},
+    )
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: config.design.candidate_seed: must be >= 0\n"
+    )
+    assert not out.exists()
 
 
 def test_solver_design_file_is_reproducible(tmp_path):

@@ -190,6 +190,19 @@ def test_tolerance_schedules():
     assert explicit.tolerance_at(9) == 0.05
 
 
+@pytest.mark.parametrize(
+    "section, options",
+    [("datum", {"window": 2, "seed": -1}), ("design", {"candidate_seed": -1})],
+    ids=["datum", "design"],
+)
+def test_seeds_must_be_non_negative(section, options):
+    # random.Random(-s) is random.Random(s): a negative seed would silently
+    # repeat a positive one
+    key = "seed" if section == "datum" else "candidate_seed"
+    with pytest.raises(ConfigError, match=rf"^config\.{section}\.{key}: must be >= 0$"):
+        RunConfig.from_dict(minimal(**{section: options}))
+
+
 def test_from_file_errors(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         RunConfig.from_file(tmp_path / "nope.json")
