@@ -10,8 +10,8 @@ both call: the rows or payload of the artifact, from the config, the
 quantities the config determines and the energies.  `verify` calls it on
 what it rebuilds from the config and on the energies the artifacts store,
 and requires the file to equal the result, text for text or key for key.
-The stored energies and the values of the tail report's split fields are
-what it takes on trust.
+The stored energies and the values of the tail report's split fields
+(`lower_margin`, `split_ok`, `split_bound`) are what it takes on trust.
 
 Every command imports this module, and `cli` never does at module level.
 The package modules a builder reads are imported inside it, when it is
@@ -42,7 +42,7 @@ CONTINUOUS_HEADER = "speed,interval,window,macro_count,certified_loss,observed,r
 CONTINUOUS_VERSION = "# torusobs continuous v1"
 DESIGN_SCHEMA = "torusobs-design/2"
 CALIBRATION_SCHEMA = "torusobs-calibration/1"
-RUN_SCHEMA = "torusobs-run/1"
+RUN_SCHEMA = "torusobs-run/2"
 CONTINUOUS_SCHEMA = "torusobs-continuous/2"
 
 
@@ -293,7 +293,7 @@ def _run_meta(config: RunConfig, constants, energy, means, bound, tail: dict) ->
     the conserved energy, the reference bound, the final running mean with
     its ratio to the bound, the last quarter's least mean, and the
     tail-reduction report."""
-    from .experiment import final_quarter_minimum, final_ratio
+    from .experiment import final_quarter_minimum
 
     final_mean = float(means[-1])
     return {
@@ -309,7 +309,7 @@ def _run_meta(config: RunConfig, constants, energy, means, bound, tail: dict) ->
         "reference_bound": bound,
         "interval_count": config.interval_count,
         "final_mean": final_mean,
-        "final_ratio": final_ratio(final_mean, bound),
+        "final_ratio": final_mean / bound,
         "final_quarter_minimum": final_quarter_minimum(means),
         "tail_reduction": tail,
     }

@@ -79,13 +79,13 @@ def cmd_schedule(config: RunConfig, out: Path, args) -> int:
 
 def cmd_experiment(config: RunConfig, out: Path, args) -> int:
     from .artifacts import _write_experiment
-    from .experiment import run_protocol, tail_reduction_check
+    from .experiment import TAIL_FLAGS, run_protocol, tail_reduction_check
 
     series = run_protocol(config)
     tail = tail_reduction_check(series)
     meta = _write_experiment(config, out, series, tail)
     print(f"final running-mean ratio: {meta['final_ratio']!r}")
-    if not (tail["upper_ok"] and tail["lower_ok"] and all(tail["split_ok"].values())):
+    if not all(tail[flag] for flag in TAIL_FLAGS):
         print("tail-reduction hypotheses FAILED", file=sys.stderr)
         return 3
     return 0
@@ -122,7 +122,7 @@ def verify_artifacts(config: RunConfig, out: Path) -> list[str]:
     rebuilds from the config (designs' residuals, the calibration,
     schedules, paths) and to the energies the artifacts store: CSV files
     text for text, JSON files key for key.  The stored energies and the
-    values of the tail report's split fields are what is taken on trust.
+    tail report's split fields are taken on trust; a false verdict fails.
     Each checker of `checks.CHECKS` says what its artifact is rebuilt from.
     A file that cannot be read, or holds a field of the wrong type, is
     reported as unreadable, under its own name only.  A missing directory,

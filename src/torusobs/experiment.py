@@ -75,8 +75,8 @@ __all__ = [
 ]
 
 
-#: the split parameters eta of the tail-reduction report
-ETAS = (0.5, 0.1, 0.01)
+#: the tail-report verdicts a run's certificate needs, all true
+TAIL_FLAGS = ("upper_ok", "lower_ok", "split_ok")
 
 
 class WindowExceedsSimulation(NumericError):
@@ -115,10 +115,6 @@ def final_quarter_minimum(means: np.ndarray) -> float:
 def reference_bound(measure: float, lower: float, energy: float) -> float:
     """The asymptotic floor measure * lower_constant * energy."""
     return measure * lower * energy
-
-
-def final_ratio(final_mean: float, bound: float) -> float:
-    return final_mean / bound
 
 
 def clears(margin: float | None, slack: float) -> bool:
@@ -310,24 +306,30 @@ def tail_report(
 ) -> dict:
     """The tail-reduction report as run_meta.json holds it.  `split` holds,
     as JSON, the fields only the truncated and tail energies give
-    (lower_margin, and split_ok and eta_bounds keyed by each eta of `ETAS`);
-    the rest derive from them, the energies Q_m and E_leK, the upper
-    constant, E and the reference bound."""
+    (lower_margin, split_ok, split_bound); the rest derive from them, the
+    energies Q_m and E_leK, the upper constant, E and the reference bound."""
     scale = upper * energy
     tail_mean = float((energy - windowed).mean())
     return {
-        "etas": list(ETAS),
         "upper_margin": float(observed.max() / scale),
         "upper_ok": bool(np.all(observed <= scale * (1.0 + 1e-10))),
         "lower_margin": split["lower_margin"],
         "lower_ok": clears(split["lower_margin"], 1e-10),
-        "split_ok": split["split_ok"],
-        "eta_bounds": split["eta_bounds"],
-        "best_bound": max(split["eta_bounds"].values()),
+        "split_ok": bool(split["split_ok"]),
+        "split_bound": float(split["split_bound"]),
         "reference_bound": bound,
         "tail_mean": tail_mean,
         "tail_fraction": tail_mean / energy,
     }
+
+
+def split_optimum(truncated, tail) -> np.ndarray:
+    """sup over eta in (0, 1) of (1 - eta) * truncated - (1/eta - 1) * tail,
+    reached at eta = sqrt(tail / truncated): (sqrt(truncated) - sqrt(tail))**2
+    where tail < truncated, else 0.  Each energy is clipped at 0 first, so a
+    rounding-level negative gives no NaN."""
+    gap = np.sqrt(np.maximum(truncated, 0.0)) - np.sqrt(np.maximum(tail, 0.0))
+    return np.maximum(gap, 0.0) ** 2
 
 
 def tail_reduction_check(series: CesaroSeries) -> dict:
@@ -337,11 +339,11 @@ def tail_reduction_check(series: CesaroSeries) -> dict:
     It checks the hypotheses that discard the spectral tail: the uniform
     upper bound, the windowed lower bound (each interval's truncated energy
     against its certified floor lower * (measure - eps_m) * E_leK), and the
-    split inequality
-
-        observed >= (1 - eta) * truncated - (1/eta - 1) * tail
-
-    for every eta of `ETAS`, with the running-mean floor each eta implies.
+    split inequality observed >= `split_optimum`(truncated, tail) on every
+    interval, whose mean is `split_bound`.  `coeff` is exactly `windowed +
+    tails` (windowing masks coefficients), so the inequality is a theorem:
+    a false `split_ok` means a kernel's quadratic form was not positive
+    semidefinite in floating point.
     """
     config = series.setup.config
     constants = series.constants
@@ -352,15 +354,11 @@ def tail_reduction_check(series: CesaroSeries) -> dict:
         lower_ratios = np.where(floors > 0, truncated / np.where(floors > 0, floors, 1.0), np.inf)
 
     slack = 1e-10 * max(series.energy, 1.0)
-    split_ok, eta_bounds = {}, {}
-    for eta in ETAS:
-        bound_terms = (1.0 - eta) * truncated - (1.0 / eta - 1.0) * tail
-        split_ok[str(eta)] = bool(np.all(observed >= bound_terms - slack))
-        eta_bounds[str(eta)] = float(bound_terms.mean())
+    optimum = split_optimum(truncated, tail)
     split = {
         "lower_margin": _finite_or_none(float(lower_ratios.min())),
-        "split_ok": split_ok,
-        "eta_bounds": eta_bounds,
+        "split_ok": bool(np.all(observed >= optimum - slack)),
+        "split_bound": float(optimum.mean()),
     }
     bound = reference_bound(config.measure, constants.lower, series.energy)
     return tail_report(observed, series.windowed, constants.upper, series.energy, bound, split)

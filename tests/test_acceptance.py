@@ -245,7 +245,7 @@ def test_criterion_7_tail_reduction_hypotheses(cesaro_runs, capsys):
     parts = []
     for model, series in cesaro_runs.items():
         check = tail_reduction_check(series)
-        split = all(check["split_ok"].values())
+        split = check["split_ok"]
         tail_ok = check["tail_mean"] <= 0.01 * series.energy
         ok = ok and check["upper_ok"] and check["lower_ok"] and split and tail_ok
         parts.append(

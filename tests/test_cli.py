@@ -1000,33 +1000,6 @@ def set_meta_tail(key, scale=None, value=None):
     return set_json("run_meta.json", "tail_reduction", key, scale=scale, value=value)
 
 
-def rekey_split(field):
-    """An edit of run_meta.json's tail report that keys the eta 0.5 entry of
-    the split field `field` by 0.7 instead."""
-
-    def edit(out):
-        path = out / "run_meta.json"
-        payload = strict_json(path)
-        split = payload["tail_reduction"][field]
-        split["0.7"] = split.pop("0.5")
-        _write_json(path, payload)
-
-    return edit
-
-
-def claim_eta(out):
-    """run_meta.json's tail report claiming the one eta 0.7, its split
-    fields keyed by it and consistent with the report's best bound."""
-    path = out / "run_meta.json"
-    payload = strict_json(path)
-    tail = payload["tail_reduction"]
-    tail.update(etas=[0.7], split_ok={"0.7": True}, eta_bounds={"0.7": tail["best_bound"]})
-    _write_json(path, payload)
-
-
-NOT_KEYED = "run_meta.json: tail_reduction.{} is not keyed by the etas [0.5, 0.1, 0.01]"
-
-
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -1123,6 +1096,12 @@ def test_verify_requires_run_meta_to_hold_the_loaded_config(tmp_path, capsys, va
 TAIL_DIFFERS = "run_meta.json: tail_reduction does not recompute from series.csv"
 
 
+def split_bound_as_text(out):
+    """run_meta.json's split bound written as a string of its own repr."""
+    tail = strict_json(out / "run_meta.json")["tail_reduction"]
+    set_meta_tail("split_bound", value=repr(tail["split_bound"]))(out)
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -1131,20 +1110,20 @@ TAIL_DIFFERS = "run_meta.json: tail_reduction does not recompute from series.csv
         (set_meta_tail("tail_mean", scale=1.0 + 2**-50), f"{TAIL_DIFFERS} (tail_mean)"),
         (set_meta_tail("tail_fraction", scale=0.5), f"{TAIL_DIFFERS} (tail_fraction)"),
         (set_meta_tail("reference_bound", scale=2.0), f"{TAIL_DIFFERS} (reference_bound)"),
-        (set_meta_tail("best_bound", scale=1.0 + 2**-50), f"{TAIL_DIFFERS} (best_bound)"),
+        (split_bound_as_text, f"{TAIL_DIFFERS} (split_bound)"),
+        (set_meta_tail("split_ok", value=1), f"{TAIL_DIFFERS} (split_ok)"),
+        (
+            set_meta_tail("split_ok", value={"0.5": True, "0.1": True, "0.01": True}),
+            f"{TAIL_DIFFERS} (split_ok)",
+        ),
         (set_meta_tail("lower_margin", value=0.5), f"{TAIL_DIFFERS} (lower_ok)"),
         (set_meta_tail("lower_ok", value=False), f"{TAIL_DIFFERS} (lower_ok)"),
-        (set_meta_tail("eta_bounds", value=[]), "run_meta.json: unreadable"),
         (set_meta("tail_reduction", value=5), "run_meta.json: unreadable"),
-        (set_meta_tail("etas", value=[0.7]), f"{TAIL_DIFFERS} (etas)"),
-        (rekey_split("split_ok"), NOT_KEYED.format("split_ok")),
-        (rekey_split("eta_bounds"), NOT_KEYED.format("eta_bounds")),
-        (claim_eta, NOT_KEYED.format("split_ok")),
     ],
     ids=[
         "upper-margin", "upper-ok", "tail-mean", "tail-fraction", "reference-bound",
-        "best-bound", "lower-margin", "lower-ok", "eta-bounds", "report", "etas",
-        "split-ok-keys", "eta-bounds-keys", "claimed-etas",
+        "split-bound-text", "split-ok-number", "split-ok-map", "lower-margin", "lower-ok",
+        "report",
     ],
 )
 def test_verify_recomputes_the_tail_reduction_report(tmp_path, capsys, edit, message):
@@ -1157,17 +1136,63 @@ def test_verify_recomputes_the_tail_reduction_report(tmp_path, capsys, edit, mes
     assert message in err and "verify: series.csv" not in err
 
 
-def test_verify_fails_a_consistent_but_false_lower_flag(tmp_path, capsys):
-    # a margin below 1 with its false flag recomputes, and is still a problem
+@pytest.mark.parametrize(
+    "flag, fields",
+    [("lower_ok", {"lower_margin": 0.5, "lower_ok": False}), ("split_ok", {"split_ok": False})],
+    ids=["lower_ok", "split_ok"],
+)
+def test_verify_fails_a_consistent_but_false_flag(tmp_path, capsys, flag, fields):
+    # a false flag that recomputes (a margin below 1 with its false flag, or
+    # a false split verdict) is still a problem, as it is in experiment's
+    # exit code
     config = write_config(tmp_path)
     out = tmp_path / "out"
     assert main(["experiment", "--config", str(config), "--out", str(out)]) == 0
-    set_meta_tail("lower_margin", value=0.5)(out)
-    set_meta_tail("lower_ok", value=False)(out)
+    for key, value in fields.items():
+        set_meta_tail(key, value=value)(out)
     assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert "run_meta.json: tail_reduction.lower_ok is false" in err
+    assert f"run_meta.json: tail_reduction.{flag} is false" in err
     assert TAIL_DIFFERS not in err
+
+
+@pytest.mark.parametrize("flag", ["upper_ok", "lower_ok", "split_ok"])
+def test_experiment_and_verify_both_refuse_a_false_tail_flag(tmp_path, capsys, monkeypatch, flag):
+    from torusobs import experiment
+
+    check = experiment.tail_reduction_check
+    monkeypatch.setattr(
+        experiment, "tail_reduction_check", lambda series: {**check(series), flag: False}
+    )
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(config), "--out", str(out)]) == 3
+    assert "tail-reduction hypotheses FAILED" in capsys.readouterr().err
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
+    assert "run_meta.json: tail_reduction" in capsys.readouterr().err
+
+
+def test_verify_reports_an_old_run_meta_by_its_schema(tmp_path, capsys):
+    # a torusobs-run/1 file keyed its split fields by the etas; it is not
+    # rebuilt, and its schema is the one problem named
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(config), "--out", str(out)]) == 0
+    path = out / "run_meta.json"
+    payload = strict_json(path)
+    tail = payload["tail_reduction"]
+    bound = tail.pop("split_bound")
+    tail.update(
+        etas=[0.5, 0.1, 0.01],
+        split_ok={"0.5": True, "0.1": True, "0.01": True},
+        eta_bounds={"0.5": bound, "0.1": bound, "0.01": bound},
+        best_bound=bound,
+    )
+    payload["schema"] = "torusobs-run/1"
+    _write_json(path, payload)
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "verify: run_meta.json: schema 'torusobs-run/1' is not torusobs-run/2\n"
 
 
 DESIGN_DIFFERS = "design_K1.json: differs from the design its atoms rebuild"

@@ -3,10 +3,13 @@ and the continuous-path rerun."""
 
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from torusobs import (
@@ -255,6 +258,62 @@ def test_windows_at_the_simulation_cutoff_are_rejected_at_runtime():
 
 # ---------------------------------------------------------------- tail reduction
 
+#: the fixed split parameters the tail report used before its closed form
+ETA_LADDER = (0.5, 0.1, 0.01)
+
+
+def eta_bound(truncated, tail, eta):
+    """The split bound of the tail-reduction proposition at one eta."""
+    return (1.0 - eta) * np.asarray(truncated) - (1.0 / eta - 1.0) * np.asarray(tail)
+
+
+split_energies = st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(split_energies, split_energies, st.floats(1e-6, 1.0 - 1e-6))
+def test_split_optimum_is_the_best_eta_bound(truncated, tail, eta):
+    optimum = float(experiment.split_optimum(truncated, tail))
+    rounding = 1e-12 * (truncated + tail)
+    for each in (*ETA_LADDER, eta):
+        assert optimum >= eta_bound(truncated, tail, each) - rounding
+    if tail == 0.0:  # the supremum, approached as eta -> 0
+        assert optimum == pytest.approx(truncated, rel=1e-12)
+    elif tail < truncated:
+        best = math.sqrt(tail / truncated)
+        assert optimum == pytest.approx(eta_bound(truncated, tail, best), rel=0, abs=rounding)
+    else:
+        assert optimum == 0.0
+
+
+@pytest.mark.parametrize("negative", [-0.0, -1e-300])
+def test_split_optimum_of_a_rounding_level_negative_is_finite(negative):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        values = [
+            experiment.split_optimum(negative, 1.0),
+            experiment.split_optimum(1.0, negative),
+            experiment.split_optimum(np.array([negative, 2.0]), np.array([0.5, negative])),
+        ]
+    assert all(np.all(np.isfinite(value)) for value in values)
+    assert float(values[1]) == 1.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_split_optimum_holds_for_positive_semidefinite_forms(n, seed):
+    # ||w + t||_K >= ||w||_K - ||t||_K for every Hermitian K >= 0
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    kernel = a @ a.conj().T
+    w, t = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2))
+
+    def form(v):
+        return float(np.real(v.conj() @ kernel @ v))
+
+    rounding = 1e-12 * np.linalg.norm(kernel) * (np.vdot(w, w).real + np.vdot(t, t).real)
+    assert form(w + t) >= experiment.split_optimum(form(w), form(t)) - rounding
+
 
 def test_tail_reduction_on_a_run_with_a_genuine_tail():
     series = run_protocol(quick_config())
@@ -262,12 +321,14 @@ def test_tail_reduction_on_a_run_with_a_genuine_tail():
     assert report["upper_ok"]
     assert report["lower_ok"]
     assert report["lower_margin"] >= 1.0 - 1e-10
-    assert all(report["split_ok"].values())
-    assert report["etas"] == [0.5, 0.1, 0.01]
-    assert set(report["split_ok"]) == set(report["eta_bounds"]) == {"0.5", "0.1", "0.01"}
-    # the split bound can never beat what was actually observed
+    assert report["split_ok"] is True
+    # the closed form is at least the best bound of the old eta ladder ...
+    assert report["split_bound"] >= max(
+        float(np.mean(eta_bound(series.truncated, series.tail, eta))) for eta in ETA_LADDER
+    )
+    # ... and can never beat what was actually observed
     slack = 1e-8 * max(series.energy, 1.0)
-    assert report["best_bound"] <= experiment.running_means(series.observed)[-1] + slack
+    assert report["split_bound"] <= experiment.running_means(series.observed)[-1] + slack
     assert report["tail_mean"] == pytest.approx(
         float(np.mean(series.energy - series.windowed)), rel=1e-12
     )
