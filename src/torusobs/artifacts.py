@@ -1,15 +1,17 @@
 """The artifact formats: versions, headers and schemas, the CSV and JSON
-readers and writers, and each artifact's builder.
+readers and texts, each artifact's builder, and `publish`, which writes them.
 
 Floats are written as round-trip `repr` text, JSON keys are sorted, and no
 timestamps or machine identifiers are written, so every artifact is
 bitwise-reproducible from (config, seed).
 
-Each artifact has one builder, which its writer and `verify` (`checks`)
+Each artifact has one builder, which its command and `verify` (`checks`)
 both call: the rows or payload of the artifact, from the config, the
-quantities the config determines and the energies.  `verify` calls it on
-what it rebuilds from the config and on the energies the artifacts store,
-and requires the file to equal the result, text for text or key for key.
+quantities the config determines and the energies.  Each writing command
+has one `{file name: text}` map of its artifacts, which `publish` writes
+whole or not at all.  `verify` calls the builder on what it rebuilds from
+the config and on the energies the artifacts store, and requires the file
+to equal the result: the writer's text, or its payload key for key.
 The stored energies and the values of the tail report's split fields
 (`lower_margin`, `split_ok`, `split_bound`) are what it takes on trust.
 
@@ -20,6 +22,7 @@ called, so a command loads no more of them than its artifacts need.
 
 from __future__ import annotations
 
+import errno
 import itertools
 import json
 import os
@@ -59,17 +62,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_lines(path: Path, version: str, header: str, chunks) -> None:
-    """Write the version and header lines, then every chunk of formatted lines."""
-    with path.open("w", newline="\n") as fh:
-        fh.write(f"{version}\n{header}\n")
-        fh.writelines(chunks)
-
-
-def _write_csv(path: Path, version: str, header: str, rows) -> None:
-    _write_lines(
-        path, version, header, (",".join(_fmt(v) for v in row) + "\n" for row in rows)
-    )
+def _csv(version: str, header: str, rows) -> str:
+    """A CSV artifact's text: the version and header lines, then one line
+    per row."""
+    return "".join([f"{version}\n{header}\n", *(",".join(map(_fmt, row)) + "\n" for row in rows)])
 
 
 def _read_csv(path: Path, version: str, header: str) -> list[list[str]]:
@@ -88,9 +84,9 @@ def _read_csv(path: Path, version: str, header: str) -> list[list[str]]:
     return rows
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _json(payload: dict) -> str:
     # a non-finite float has no JSON spelling: fail rather than write one
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _reject_constant(name: str):
@@ -114,9 +110,7 @@ def _candidates(config: RunConfig, basis) -> list[GroupElement]:
     rng = random.Random(opts.candidate_seed)
     denom = 1 << 20
     return [
-        GroupElement(
-            tuple(Fraction(int(rng.random() * denom), denom) for _ in range(config.dim))
-        )
+        GroupElement(tuple(Fraction(int(rng.random() * denom), denom) for _ in range(config.dim)))
         for _ in range(opts.candidates)
     ]
 
@@ -130,11 +124,8 @@ def _build_design(config: RunConfig, basis, prototype) -> ConvexDesign:
         design = equispaced_design(basis, prototype)
     else:
         design = solve_design(
-            basis,
-            prototype,
-            _candidates(config, basis),
-            tol=config.design.tol,
-            max_iter=config.design.max_iter,
+            basis, prototype, _candidates(config, basis),
+            tol=config.design.tol, max_iter=config.design.max_iter,
         )
     return caratheodory_reduce(design, basis, prototype)
 
@@ -153,10 +144,8 @@ def _design_payload(design, basis, prototype) -> dict:
     }
 
 
-def _write_design(out: Path, design, basis, prototype) -> Path:
-    path = out / f"design_K{basis.cutoff}.json"
-    _write_json(path, _design_payload(design, basis, prototype))
-    return path
+def _design_files(design, basis, prototype) -> dict:
+    return {f"design_K{basis.cutoff}.json": _json(_design_payload(design, basis, prototype))}
 
 
 def _calibration(config: RunConfig):
@@ -172,10 +161,8 @@ def _calibration_payload(constants) -> dict:
     return {"schema": CALIBRATION_SCHEMA, **constants.to_dict()}
 
 
-def _write_calibration(out: Path, constants) -> Path:
-    path = out / "calibration.json"
-    _write_json(path, _calibration_payload(constants))
-    return path
+def _calibration_files(constants) -> dict:
+    return {"calibration.json": _json(_calibration_payload(constants))}
 
 
 #: micro slots formatted per block of the schedule CSV writer
@@ -251,27 +238,16 @@ def _schedule_summary(index: int, schedule) -> dict:
     }
 
 
-def _write_sidecar(out: Path, index: int, schedule) -> None:
-    _write_json(out / f"schedule_m{index}.json", _schedule_summary(index, schedule))
+def _sidecar_files(index: int, schedule) -> dict:
+    return {f"schedule_m{index}.json": _json(_schedule_summary(index, schedule))}
 
 
-def _write_schedule(config: RunConfig, out: Path, index: int, schedule) -> Path:
-    """Write schedule_m{index}.csv (its first `csv_row_cap` rows), then its
-    sidecar.  The text goes to a temporary file in `out`, which replaces the
-    CSV only after the last row; on any error it is removed, so a CSV and
-    sidecar from an earlier run stay as they were."""
-    path = out / f"schedule_m{index}.csv"
-    temporary = path.with_name(path.name + ".tmp")
-    try:
-        _write_lines(
-            temporary, SCHEDULE_VERSION, schedule_header(config.dim),
-            _schedule_lines(schedule, config.schedule.csv_row_cap),
-        )
-        os.replace(temporary, path)
-    finally:
-        temporary.unlink(missing_ok=True)
-    _write_sidecar(out, index, schedule)
-    return path
+def _schedule_files(config: RunConfig, index: int, schedule) -> dict:
+    """Interval `index`'s schedule CSV, its text streamed in chunks (the
+    layout lines, then `_schedule_lines`), and its sidecar."""
+    layout = f"{SCHEDULE_VERSION}\n{schedule_header(config.dim)}\n"
+    text = itertools.chain([layout], _schedule_lines(schedule, config.schedule.csv_row_cap))
+    return {f"schedule_m{index}.csv": text, **_sidecar_files(index, schedule)}
 
 
 def _series_rows(config: RunConfig, observed: np.ndarray, windowed: np.ndarray) -> list:
@@ -333,38 +309,59 @@ def _continuous_rows(config: RunConfig, paths: dict, observed: dict) -> list[tup
     return rows
 
 
-def _write_experiment(config: RunConfig, out: Path, series, tail: dict) -> dict:
-    """Write a protocol run's artifacts: series.csv, calibration.json, one
-    design file per window, the sidecars of the intervals `emit_intervals`
-    names, and run_meta.json, whose payload is returned."""
+def _experiment_files(config: RunConfig, series, tail: dict) -> tuple[dict, dict]:
+    """A protocol run's artifacts: series.csv, calibration.json, one design
+    file per window, the sidecars of the intervals `emit_intervals` names,
+    and run_meta.json, with run_meta.json's payload."""
     from .experiment import reference_bound, running_means
     from .spectral import build_basis
 
+    setup, constants, prototype = series.setup, series.constants, config.prototype()
     rows = _series_rows(config, series.observed, series.windowed)
-    _write_csv(out / "series.csv", SERIES_VERSION, SERIES_HEADER, rows)
-    _write_calibration(out, series.constants)
-    setup = series.setup
+    files = {"series.csv": _csv(SERIES_VERSION, SERIES_HEADER, rows)}
+    files.update(_calibration_files(constants))
     for window, design in sorted(setup.designs.items()):
-        _write_design(out, design, build_basis(config.space(), window), config.prototype())
+        files.update(_design_files(design, build_basis(config.space(), window), prototype))
     for index in config.schedule.emit_intervals:
-        _write_sidecar(out, index, setup.schedule(index))
-    bound = reference_bound(config.measure, series.constants.lower, series.energy)
-    meta = _run_meta(
-        config, series.constants, series.energy, running_means(series.observed), bound, tail
-    )
-    _write_json(out / "run_meta.json", meta)
-    return meta
+        files.update(_sidecar_files(index, setup.schedule(index)))
+    bound = reference_bound(config.measure, constants.lower, series.energy)
+    meta = _run_meta(config, constants, series.energy, running_means(series.observed), bound, tail)
+    files["run_meta.json"] = _json(meta)
+    return files, meta
 
 
-def _write_continuous(config: RunConfig, out: Path, run) -> dict:
-    """Write continuous.csv, then build continuous_report.json as `verify`
-    does: from the paths, the energies and the certified losses of the
-    rows.  Returns the report's fields."""
+def _continuous_files(config: RunConfig, run) -> tuple[dict, dict]:
+    """continuous.csv, and continuous_report.json built as `verify` builds
+    it: from the paths, the energies and the certified losses of the rows;
+    with the report's fields."""
     from .experiment import continuous_fields
 
     rows = _continuous_rows(config, run.paths, run.observed)
-    _write_csv(out / "continuous.csv", CONTINUOUS_VERSION, CONTINUOUS_HEADER, rows)
     losses = {v: [row[4] for row in rows if row[0] == v] for v in run.observed}
     report = continuous_fields(config.measure, run.paths, run.observed, losses, run.realized_margin)
-    _write_json(out / "continuous_report.json", {"schema": CONTINUOUS_SCHEMA, **report})
-    return report
+    return {
+        "continuous.csv": _csv(CONTINUOUS_VERSION, CONTINUOUS_HEADER, rows),
+        "continuous_report.json": _json({"schema": CONTINUOUS_SCHEMA, **report}),
+    }, report
+
+
+def publish(out: Path, files: dict) -> list[Path]:
+    """Write a command's `{file name: text}` map, each text a string or an
+    iterable of chunks, and return the paths.  Each file is staged as
+    `<name>.tmp` in `out`, a name held by a directory refused, and only then
+    are they moved onto their names, in map order; on any error the staged
+    files are removed, so an earlier run's files in `out` stay as they were."""
+    staged = []
+    try:
+        for name, text in files.items():
+            if (out / name).is_dir():  # refused before any move, not halfway through them
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out / name))
+            with (out / f"{name}.tmp").open("w", encoding="ascii", newline="") as fh:
+                staged.append(out / f"{name}.tmp")
+                fh.writelines([text] if isinstance(text, str) else text)
+        for name in files:
+            os.replace(out / f"{name}.tmp", out / name)
+    finally:
+        for temporary in staged:
+            temporary.unlink(missing_ok=True)
+    return [out / name for name in files]

@@ -1,10 +1,11 @@
 """`verify`'s checks: one checker per artifact, and what they rebuild.
 
-Each checker reads its artifact, rebuilds what the config determines
-(`_Rebuilt`, each part on first use) and calls the artifact's builder in
-`artifacts` on it and on the energies the artifacts store; the file must
-equal the result, text for text or key for key, and a verdict that
-recomputes false fails, as it does the command that wrote it.
+Each checker reads its artifact and the CSV its energies are stored in,
+rebuilds what the config determines (`_Rebuilt`, each part on first use)
+and calls the artifact's builder in `artifacts` on it and on the energies.
+A CSV must be its writer's text (`_text_problems`), a JSON file its
+payload key for key, and a verdict that recomputes false fails, as it does
+the command that wrote it.  No checker reads what another left behind.
 `cli.verify_artifacts` runs the checkers of `CHECKS` and reports a file
 that raises one of `UNREADABLE` as unreadable.  Only `verify` and
 `--check` import this module.
@@ -12,10 +13,10 @@ that raises one of `UNREADABLE` as unreadable.  Only `verify` and
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 from functools import cached_property
+from itertools import zip_longest
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -26,18 +27,18 @@ from .artifacts import (
     CONTINUOUS_SCHEMA,
     CONTINUOUS_VERSION,
     RUN_SCHEMA,
-    SCHEDULE_VERSION,
     SERIES_HEADER,
     SERIES_VERSION,
     _calibration,
     _calibration_payload,
     _continuous_rows,
+    _csv,
     _design_payload,
     _fmt,
     _read_csv,
     _read_json,
     _run_meta,
-    _schedule_lines,
+    _schedule_files,
     _schedule_summary,
     _series_rows,
     schedule_header,
@@ -79,16 +80,33 @@ def _compare(name: str, have: dict, want: dict, default: str, own=None) -> list[
     return problems
 
 
-def _row_problems(name: str, have: list, want: list, header: str, what: str) -> list[str]:
-    """The first row of the CSV `name` whose cells are not the text its
-    builder's row `want` is written as, with the columns that differ; `what`
-    says what the row must be, with {row} its number."""
-    for i, (cells, row) in enumerate(zip(have, want), start=1):
-        differ = [
-            col for col, cell, value in zip(header.split(","), cells, row) if cell != _fmt(value)
-        ]
-        if differ:
-            return [f"{name}: row {i} {what.format(row=i)} ({', '.join(differ)})"]
+def _text_problems(path: Path, chunks, header: str, what: str, rows: int, whole=True) -> list:
+    """Where the CSV at `path` first departs from its writer's text
+    `chunks`, layout lines first, read one chunk at a time: a layout that
+    differs, a file that ends before the text's `rows` rows, the first row
+    that differs, with the columns that differ (`what` says what the row
+    must be, {row} its number), or, if `whole`, a file that runs on."""
+    done = -2  # data rows before the chunk; the layout lines are rows -1 and 0
+    # the writer's text is ASCII; no newline translation, so line ends count
+    with path.open(encoding="ascii", newline="") as fh:
+        for chunk in chunks:
+            text = fh.read(len(chunk))
+            if text != chunk:
+                at = len(os.path.commonprefix([text, chunk]))
+                row = done + chunk.count("\n", 0, at) + 1
+                if row <= 0:
+                    return [f"{path.name}: unrecognized layout"]
+                if at == len(text):
+                    return [f"{path.name}: file ends after {row - 1} of {rows} rows"]
+                start = chunk.rfind("\n", 0, at) + 1
+                have = (text[start:] + fh.readline()).partition("\n")[0]
+                want = chunk[start : chunk.index("\n", at)]
+                cells = zip_longest(*(line.split(",", header.count(",")) for line in (have, want)))
+                differ = ", ".join(col for col, (a, b) in zip(header.split(","), cells) if a != b)
+                return [f"{path.name}: row {row} {what.format(row=row)} ({differ})"]
+            done += chunk.count("\n")
+        if whole and fh.read(1):
+            return [f"{path.name}: file runs on past its {rows} rows"]
     return []
 
 
@@ -99,14 +117,10 @@ def _negative_energy(name: str, energies) -> list[str]:
 
 
 class _Rebuilt:
-    """What `verify` rebuilds from the config, each part on first use, and
-    the energies its CSV checks read for the JSON reports beside them."""
+    """What `verify` rebuilds from the config, each part on first use."""
 
     def __init__(self, config: RunConfig):
         self.config = config
-        self.series = None  # series.csv's (Q_m, E_leK), once read
-        self.continuous = None  # continuous.csv's energies and losses, if on the config's ladder
-        self.no_continuous = "no readable continuous.csv"  # why `continuous` is None
 
     @cached_property
     def constants(self):
@@ -120,8 +134,7 @@ class _Rebuilt:
 
     @cached_property
     def paths(self) -> dict:
-        setup = self.setup
-        speeds = self.config.schedule.speeds
+        setup, speeds = self.setup, self.config.schedule.speeds
         return {(k, v): setup.path(k, v) for v in speeds for k in setup.designs}
 
 
@@ -148,19 +161,23 @@ def _check_calibration(config: RunConfig, path: Path, state: _Rebuilt) -> list[s
     )
 
 
-def _check_series(config: RunConfig, path: Path, state: _Rebuilt) -> list[str]:
-    """series.csv must be the rows of the config's intervals around its own
-    energies Q_m and E_leK, which run_meta.json is then rebuilt from."""
+def _series_energies(path: Path) -> tuple:
+    """series.csv's energies Q_m and E_leK."""
     rows = _read_csv(path, SERIES_VERSION, SERIES_HEADER)
-    observed = np.array([float(row[3]) for row in rows])
-    windowed = np.array([float(row[5]) for row in rows])
-    state.series = observed, windowed
+    return np.array([float(row[3]) for row in rows]), np.array([float(row[5]) for row in rows])
+
+
+def _check_series(config: RunConfig, path: Path, state: _Rebuilt) -> list[str]:
+    """series.csv must be the text of the config's intervals around its own
+    energies Q_m and E_leK."""
+    observed, windowed = _series_energies(path)
     problems = []
-    if len(rows) != config.interval_count:
-        problems.append(f"{path.name}: {len(rows)} rows for {config.interval_count} intervals")
-    return problems + _negative_energy(path.name, observed) + _row_problems(
-        path.name, rows, _series_rows(config, observed, windowed), SERIES_HEADER,
-        "is not interval {row} of the config and its energies",
+    if len(observed) != config.interval_count:
+        problems.append(f"{path.name}: {len(observed)} rows for {config.interval_count} intervals")
+    want = _series_rows(config, observed, windowed)
+    return problems + _negative_energy(path.name, observed) + _text_problems(
+        path, [_csv(SERIES_VERSION, SERIES_HEADER, want)], SERIES_HEADER,
+        "is not interval {row} of the config and its energies", len(observed),
     )
 
 
@@ -189,12 +206,12 @@ def _check_run_meta(config: RunConfig, path: Path, state: _Rebuilt) -> list[str]
     meta = _read_json(path)
     if meta.get("schema") != RUN_SCHEMA:  # another layout: its fields are not rebuilt
         return _compare(path.name, {"schema": meta.get("schema")}, {"schema": RUN_SCHEMA}, "")
-    if state.series is None:
-        raise ValueError("no readable series.csv to rebuild it from")
-    observed, windowed = state.series
+    try:
+        observed, windowed = _series_energies(path.with_name("series.csv"))
+    except UNREADABLE:
+        raise ValueError("no readable series.csv to rebuild it from") from None
     constants = state.constants
-    energy, bound = meta["energy"], meta["reference_bound"]
-    split = meta["tail_reduction"]
+    energy, bound, split = meta["energy"], meta["reference_bound"], meta["tail_reduction"]
     tail = tail_report(observed, windowed, constants.upper, energy, bound, split)
     want = _run_meta(config, constants, energy, running_means(observed), bound, tail)
     want["reference_bound"] = reference_bound(meta["measure"], meta["lower_constant"], energy)
@@ -226,60 +243,43 @@ def _check_sidecar(config: RunConfig, path: Path, state: _Rebuilt) -> list[str]:
 
 def _check_schedule_csv(config: RunConfig, path: Path, state: _Rebuilt) -> list[str]:
     """A schedule CSV, whose sidecar must be beside it, must be the text
-    `schedule` writes for the interval its name gives, compared one writer
-    chunk at a time; the first row that differs is reported, as is a file
-    that ends early or runs on past the last row."""
+    `schedule` writes for the interval its name gives."""
     if not path.with_suffix(".json").exists():
         raise ValueError(f"no sidecar {path.stem}.json")
-    schedule = _schedule(state, path, int(path.stem.removeprefix("schedule_m")))
-    cap = config.schedule.csv_row_cap
-    rows = min(schedule.micro_count, cap)
-    layout = f"{SCHEDULE_VERSION}\n{schedule_header(config.dim)}\n"
-    done = -2  # data rows before the chunk; the layout lines are rows -1 and 0
-    # the writer's text is ASCII; no newline translation, so line ends count
-    with path.open(encoding="ascii", newline="") as fh:
-        for chunk in itertools.chain([layout], _schedule_lines(schedule, cap)):
-            text = fh.read(len(chunk))
-            if text != chunk:
-                at = len(os.path.commonprefix([text, chunk]))
-                row = done + chunk.count("\n", 0, at) + 1
-                if row <= 0:
-                    return [f"{path.name}: unrecognized layout"]
-                if at == len(text):
-                    return [f"{path.name}: file ends after {row - 1} of {rows} rows"]
-                return [f"{path.name}: row {row} differs from the rebuilt schedule"]
-            done += chunk.count("\n")
-        if fh.read(1):
-            return [f"{path.name}: file runs on past its {rows} rows"]
-    return []
+    index = int(path.stem.removeprefix("schedule_m"))
+    schedule = _schedule(state, path, index)
+    return _text_problems(
+        path, _schedule_files(config, index, schedule)[path.name], schedule_header(config.dim),
+        "differs from the rebuilt schedule", min(schedule.micro_count, config.schedule.csv_row_cap),
+    )
+
+
+def _continuous_columns(config: RunConfig, path: Path) -> tuple:
+    """continuous.csv's rows and energies, then its energies and certified
+    losses per speed of the config's ladder, `interval_count` rows each."""
+    rows = _read_csv(path, CONTINUOUS_VERSION, CONTINUOUS_HEADER)
+    losses, energies = ([float(row[col]) for row in rows] for col in (4, 5))
+    count = config.interval_count
+    runs = {v: slice(i * count, (i + 1) * count) for i, v in enumerate(config.schedule.speeds)}
+    observed = {v: np.array(energies[run]) for v, run in runs.items()}
+    return rows, energies, observed, {v: losses[run] for v, run in runs.items()}
 
 
 def _check_continuous(config: RunConfig, path: Path, state: _Rebuilt) -> list[str]:
-    """continuous.csv must be the rows of the config's speed ladder and
+    """continuous.csv must be the text of the config's speed ladder and
     intervals, with the rebuilt paths, around its own energies, none of
-    them negative; the report beside it is then rebuilt from them and its
-    certified losses, if the speed column is the config's ladder, each speed
-    for every interval."""
-    rows = _read_csv(path, CONTINUOUS_VERSION, CONTINUOUS_HEADER)
+    them negative."""
+    rows, energies, observed, _ = _continuous_columns(config, path)
     count, speeds = config.interval_count, config.schedule.speeds
-    losses = [float(row[4]) for row in rows]
-    energies = [float(row[5]) for row in rows]
-    runs = [slice(i * count, (i + 1) * count) for i in range(len(speeds))]
-    observed = {v: np.array(energies[run]) for v, run in zip(speeds, runs)}
-    if [row[0] for row in rows] == [_fmt(v) for v in speeds for _ in range(count)]:
-        state.continuous = observed, {v: losses[run] for v, run in zip(speeds, runs)}
-    else:
-        state.no_continuous = (
-            f"continuous.csv does not hold the config's {len(speeds)} speeds of {count} intervals"
-        )
     problems = [] if len(rows) == len(speeds) * count else [
         f"{path.name}: {len(rows)} rows for {len(speeds)} speeds of {count} intervals"
     ]
     if not path.with_name("continuous_report.json").exists():
         problems.append(f"{path.name}: no continuous_report.json beside it")
-    return problems + _negative_energy(path.name, energies) + _row_problems(
-        path.name, rows, _continuous_rows(config, state.paths, observed), CONTINUOUS_HEADER,
-        "differs from the config's ladder and its rebuilt path",
+    want = _continuous_rows(config, state.paths, observed)
+    return problems + _negative_energy(path.name, energies) + _text_problems(
+        path, [_csv(CONTINUOUS_VERSION, CONTINUOUS_HEADER, want)], CONTINUOUS_HEADER,
+        "differs from the config's ladder and its rebuilt path", len(rows), whole=False,
     )
 
 
@@ -296,23 +296,30 @@ CONTINUOUS_MESSAGES = {
 
 def _check_continuous_report(config: RunConfig, path: Path, state: _Rebuilt) -> list[str]:
     """continuous_report.json is rebuilt from the rebuilt paths,
-    continuous.csv's energies and certified losses, and its own realized
-    margin, which must clear 1.  Only an interval whose path certifies a
-    positive factor bounds the margin, so with no such path it is null."""
+    continuous.csv's energies and certified losses, if its speed column is
+    the config's ladder, and its own realized margin, which must clear 1.
+    Only an interval whose path certifies a positive factor bounds the
+    margin, so with no such path it is null."""
     from .experiment import certified_factor, continuous_fields
 
     report = _read_json(path)
-    if state.continuous is None:
-        return [f"{path.name}: not rebuilt, since {state.no_continuous}"]
+    count, speeds = config.interval_count, config.schedule.speeds
+    try:
+        rows, _, observed, losses = _continuous_columns(config, path.with_name("continuous.csv"))
+    except UNREADABLE:
+        return [f"{path.name}: not rebuilt, since no readable continuous.csv"]
+    if [row[0] for row in rows] != [_fmt(v) for v in speeds for _ in range(count)]:
+        return [
+            f"{path.name}: not rebuilt, since continuous.csv does not hold the config's "
+            f"{len(speeds)} speeds of {count} intervals"
+        ]
     margin = report["realized_margin"]
     if not any(
         certified_factor(config.measure, p.certified_loss) > 0.0 for p in state.paths.values()
     ):
         margin = None
-    want = {
-        "schema": CONTINUOUS_SCHEMA,
-        **continuous_fields(config.measure, state.paths, *state.continuous, margin),
-    }
+    fields = continuous_fields(config.measure, state.paths, observed, losses, margin)
+    want = {"schema": CONTINUOUS_SCHEMA, **fields}
     problems = _compare(
         path.name, report, want, "differs from the rebuilt report ({keys})",
         own=CONTINUOUS_MESSAGES,
@@ -322,9 +329,8 @@ def _check_continuous_report(config: RunConfig, path: Path, state: _Rebuilt) -> 
     return problems
 
 
-#: what `verify_artifacts` checks, in order: each artifact that matches a
-#: pattern, with its checker; a CSV is checked before the JSON report
-#: rebuilt from its energies
+#: what `verify_artifacts` checks, in the order it reports: each artifact
+#: that matches a pattern, with its checker
 CHECKS = (
     ("design_K*.json", _check_design),
     ("calibration.json", _check_calibration),

@@ -17,14 +17,13 @@ Exit codes: 0 ok, 2 config error or an --out that cannot be made a
 directory or written, 3 numeric/infeasibility failure.
 
 This module is the entry only: the parser, `main`, `entry` and one
-function per command.  The formats and every artifact's builder live in
-`artifacts`, `verify`'s checks in `checks`, and each command imports what
-it calls when it runs, so a process compiles no more of the package than
-its command uses: a writing command without --check no `checks`, `verify`
-no `evolve`, and `--help` or a config error no numpy, which arrives with
-the first module that computes.  No module imports `torusobs.cli`:
-`python -m torusobs.cli` runs this file as `__main__`, and an import would
-compile it again.
+function per command, which builds its artifacts' map and hands it to
+`artifacts.publish`.  The formats and builders live in `artifacts`,
+`verify`'s checks in `checks`, and each command imports what it calls when
+it runs: a writing command without --check no `checks`, `verify` no
+`evolve`, and `--help` or a config error no numpy.  No module imports
+`torusobs.cli`: `python -m torusobs.cli` runs this file as `__main__`, and
+an import would compile it again.
 """
 
 from __future__ import annotations
@@ -41,13 +40,13 @@ from .config import ConfigError, NumericError, RunConfig
 
 
 def cmd_design(config: RunConfig, out: Path, args) -> int:
-    from .artifacts import _build_design, _write_design
+    from .artifacts import _build_design, _design_files, publish
     from .spectral import build_basis
 
     basis = build_basis(config.space(), config.design.cutoff)
     prototype = config.prototype()
     design = _build_design(config, basis, prototype)
-    path = _write_design(out, design, basis, prototype)
+    [path] = publish(out, _design_files(design, basis, prototype))
     print(
         f"design cutoff={config.design.cutoff} atoms={len(design)} "
         f"residual={design.residual:.3e} -> {path}"
@@ -56,10 +55,10 @@ def cmd_design(config: RunConfig, out: Path, args) -> int:
 
 
 def cmd_calibrate(config: RunConfig, out: Path, args) -> int:
-    from .artifacts import _calibration, _write_calibration
+    from .artifacts import _calibration, _calibration_files, publish
 
     constants = _calibration(config)
-    path = _write_calibration(out, constants)
+    [path] = publish(out, _calibration_files(constants))
     print(
         f"calibration model={config.model} lower={constants.lower!r} "
         f"upper={constants.upper!r} -> {path}"
@@ -68,22 +67,23 @@ def cmd_calibrate(config: RunConfig, out: Path, args) -> int:
 
 
 def cmd_schedule(config: RunConfig, out: Path, args) -> int:
-    from .artifacts import _write_schedule
+    from .artifacts import _schedule_files, publish
     from .experiment import prepare_protocol
 
     index = config.schedule.interval
-    path = _write_schedule(config, out, index, prepare_protocol(config).schedule(index))
+    path, _ = publish(out, _schedule_files(config, index, prepare_protocol(config).schedule(index)))
     print(f"schedule interval={index} -> {path}")
     return 0
 
 
 def cmd_experiment(config: RunConfig, out: Path, args) -> int:
-    from .artifacts import _write_experiment
+    from .artifacts import _experiment_files, publish
     from .experiment import TAIL_FLAGS, run_protocol, tail_reduction_check
 
     series = run_protocol(config)
     tail = tail_reduction_check(series)
-    meta = _write_experiment(config, out, series, tail)
+    files, meta = _experiment_files(config, series, tail)
+    publish(out, files)
     print(f"final running-mean ratio: {meta['final_ratio']!r}")
     if not all(tail[flag] for flag in TAIL_FLAGS):
         print("tail-reduction hypotheses FAILED", file=sys.stderr)
@@ -92,11 +92,12 @@ def cmd_experiment(config: RunConfig, out: Path, args) -> int:
 
 
 def cmd_continuous(config: RunConfig, out: Path, args) -> int:
-    from .artifacts import _write_continuous
+    from .artifacts import _continuous_files, publish
     from .experiment import continuous_protocol_delta
 
     run = continuous_protocol_delta(config, config.schedule.speeds)
-    report = _write_continuous(config, out, run)
+    files, report = _continuous_files(config, run)
+    publish(out, files)
     print(
         f"continuous speeds={report['speeds']} "
         f"monotone={report['monotone_ok']} realized={report['realized_ok']}"
@@ -107,27 +108,17 @@ def cmd_continuous(config: RunConfig, out: Path, args) -> int:
     return 0
 
 
-def _verify_out(config: RunConfig, out: Path) -> int:
-    problems = verify_artifacts(config, out)
-    for p in problems:
-        print(f"verify: {p}", file=sys.stderr)
-    print(f"verify: {'ok' if not problems else f'{len(problems)} problem(s)'} in {out}")
-    return 0 if not problems else 3
-
-
 def verify_artifacts(config: RunConfig, out: Path) -> list[str]:
     """Revalidate every recognized artifact in `out` against the config.
 
-    Every artifact must equal its writer's builder applied to what `verify`
-    rebuilds from the config (designs' residuals, the calibration,
-    schedules, paths) and to the energies the artifacts store: CSV files
-    text for text, JSON files key for key.  The stored energies and the
-    tail report's split fields are taken on trust; a false verdict fails.
-    Each checker of `checks.CHECKS` says what its artifact is rebuilt from.
-    A file that cannot be read, or holds a field of the wrong type, is
-    reported as unreadable, under its own name only.  A missing directory,
-    or one holding none of these artifacts, is a problem: there is nothing
-    to vouch for.
+    Each checker of `checks.CHECKS` applies its artifact's builder to what
+    it rebuilds from the config and to the energies the artifacts store: a
+    CSV must be its writer's text, a JSON file its payload key for key.  The
+    stored energies and the tail report's split fields are taken on trust;
+    a false verdict fails.  A file that cannot be read, or holds a field of
+    the wrong type, is reported as unreadable, under its own name only.  A
+    missing directory, or one holding none of these artifacts, is a
+    problem: there is nothing to vouch for.
     """
     from .checks import CHECKS, UNREADABLE, _Rebuilt
 
@@ -147,7 +138,11 @@ def verify_artifacts(config: RunConfig, out: Path) -> list[str]:
 
 
 def cmd_verify(config: RunConfig, out: Path, args) -> int:
-    return _verify_out(config, out)
+    problems = verify_artifacts(config, out)
+    for p in problems:
+        print(f"verify: {p}", file=sys.stderr)
+    print(f"verify: {'ok' if not problems else f'{len(problems)} problem(s)'} in {out}")
+    return 0 if not problems else 3
 
 
 COMMANDS = {
@@ -196,7 +191,7 @@ def main(argv=None) -> int:
         print(f"cannot write {exc.filename or out}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     if code == 0 and args.check and args.command != "verify":
-        return _verify_out(config, out)
+        return cmd_verify(config, out, args)
     return code
 
 

@@ -44,6 +44,9 @@ OPTIMALITY_GAP = 1e-12
 #: a residual below ZERO_NORM * max_j ||p_j|| is zero to rounding
 ZERO_NORM = 64 * np.finfo(float).eps
 
+#: the moment drift `caratheodory_reduce` may leave before it fails
+DRIFT_TOL = 1e-11
+
 
 class DesignError(NumericError):
     """Base class for design construction failures."""
@@ -420,7 +423,6 @@ def caratheodory_reduce(
     design: ConvexDesign,
     basis: ModalBasis,
     prototype: PrototypeSet,
-    drift_tol: float = 1e-11,
 ) -> ConvexDesign:
     """Reduce the atoms to an affinely independent set of moment points.
 
@@ -470,8 +472,8 @@ def caratheodory_reduce(
     w = weights[kept]
     w = w / w.sum()
     drift = float(np.linalg.norm(w @ points[kept] - original_moment))
-    if drift > drift_tol:
-        raise NumericalRankFailure(f"moment drift {drift:.3e} exceeds {drift_tol:.1e}")
+    if drift > DRIFT_TOL:
+        raise NumericalRankFailure(f"moment drift {drift:.3e} exceeds {DRIFT_TOL:.1e}")
     atoms = [
         DesignAtom(shift=design.atoms[int(i)].shift, weight=float(wi))
         for i, wi in zip(kept, w)

@@ -42,7 +42,7 @@ FOUR_PI_SQ = 4.0 * math.pi**2
 TWO_PI = 2.0 * math.pi
 
 #: guard against accidentally huge profile spaces
-DEFAULT_MAX_DIM = 4096
+MAX_DIM = 4096
 
 
 class _ModalBasis(NamedTuple):
@@ -90,15 +90,13 @@ class ModalBasis(_ModalBasis):
         return np.max(np.abs(self.mode_array), axis=1) <= window
 
 
-def build_basis(space: TorusSpace, cutoff: int, max_dim: int = DEFAULT_MAX_DIM) -> ModalBasis:
+def build_basis(space: TorusSpace, cutoff: int) -> ModalBasis:
     """All modes with |n|_inf <= cutoff, lexicographic, with a size guard."""
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
     dim = (2 * cutoff + 1) ** space.dim
-    if dim > max_dim:
-        raise ValueError(
-            f"profile space would have dimension {dim} > maximum {max_dim}"
-        )
+    if dim > MAX_DIM:
+        raise ValueError(f"profile space would have dimension {dim} > maximum {MAX_DIM}")
     rng = range(-cutoff, cutoff + 1)
     modes = tuple(product(rng, repeat=space.dim))
     return ModalBasis(space=space, cutoff=cutoff, modes=modes)

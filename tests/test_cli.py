@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import oracles
 import torusobs
-from torusobs import artifacts, cli
+from torusobs import artifacts, checks, cli
 from torusobs import (
     ConvexDesign,
     DesignAtom,
@@ -37,10 +37,11 @@ from torusobs.artifacts import (
     _boundaries,
     _fmt,
     _schedule_lines,
-    _write_json,
     schedule_header,
 )
+from torusobs import experiment as experiment_module
 from torusobs.cli import main
+from torusobs.config import RunConfig
 from torusobs.experiment import prepare_protocol
 from test_experiment import config_dict, continuous_report, quick_config
 
@@ -63,6 +64,10 @@ def fresh_python(*args, env=None):
         capture_output=True,
         text=True,
     )
+
+
+def _write_json(path, payload):
+    path.write_text(artifacts._json(payload))
 
 
 def read_csv(path):
@@ -510,12 +515,17 @@ def test_an_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, command, un
 
 
 @pytest.mark.parametrize(
-    "command, name", [("experiment", "series.csv"), ("continuous", "continuous.csv")]
+    "command, name",
+    [
+        ("experiment", "series.csv"), ("experiment", "run_meta.json"),
+        ("continuous", "continuous.csv"), ("continuous", "continuous_report.json"),
+        ("schedule", "schedule_m1.json"),
+    ],
 )
 def test_an_artifact_that_cannot_be_written_exits_2(tmp_path, command, name):
-    # a directory where the command writes its CSV: the process prints one
-    # line and exits 2, with no traceback and nothing on stdout, and the
-    # files of the earlier run in --out stay as they were
+    # a directory where the command writes its first or its last artifact:
+    # the process prints one line and exits 2, with no traceback and nothing
+    # on stdout, and the files of the earlier run in --out stay as they were
     quick = Path(__file__).resolve().parents[1] / "configs" / "quick.json"
     out = tmp_path / "out"
     assert main([command, "--config", str(quick), "--out", str(out)]) == 0
@@ -527,6 +537,100 @@ def test_an_artifact_that_cannot_be_written_exits_2(tmp_path, command, name):
     assert done.stderr == f"cannot write {out / name}: Is a directory\n"
     assert done.stdout == ""
     assert {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()} == before
+
+
+# the last file each writing command publishes on configs/quick.json, and
+# the builder that a failing run makes raise: a schedule CSV's formatter
+# partway through its text, any other builder when it is called
+LAST_ARTIFACT = {
+    "design": ("design_K1.json", artifacts, "_design_payload"),
+    "calibrate": ("calibration.json", artifacts, "_calibration_payload"),
+    "schedule": ("schedule_m1.json", artifacts, "_schedule_lines"),
+    "experiment": ("run_meta.json", artifacts, "_run_meta"),
+    "continuous": ("continuous_report.json", experiment_module, "continuous_fields"),
+}
+
+
+def files_of(out):
+    """Each file in `out` by name, with its inode, its modification time and
+    its bytes: a file replaced or rewritten by the same bytes still changes."""
+    return {
+        p.name: (p.stat().st_ino, p.stat().st_mtime_ns, p.read_bytes())
+        for p in out.iterdir() if p.is_file()
+    }
+
+
+def failing_builder(builder):
+    if builder.__name__ == "_schedule_lines":
+        def failing(*args):
+            yield next(builder(*args))
+            raise ValueError("the builder failed")
+    else:
+        def failing(*args):
+            raise ValueError("the builder failed")
+    return failing
+
+
+def full_disk_at_the_last_file(publish):
+    """`publish`, with the disk full partway through its last file's text,
+    when every earlier file is staged."""
+    def failing(out, files):
+        def text():
+            yield "partial,"
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return publish(out, {**files, list(files)[-1]: text()})
+    return failing
+
+
+@pytest.mark.parametrize("failure", ["builder", "full-disk", "directory"])
+@pytest.mark.parametrize("command", sorted(LAST_ARTIFACT))
+def test_a_failed_write_leaves_the_earlier_run(tmp_path, monkeypatch, capsys, command, failure):
+    # every command writes through one publisher: its files are staged and
+    # moved into place only when all are staged, so a run that fails leaves
+    # the files of an earlier run in the same --out untouched, not even
+    # replaced by the same bytes, and no temporary file
+    quick = Path(__file__).resolve().parents[1] / "configs" / "quick.json"
+    out = tmp_path / "out"
+    argv = [command, "--config", str(quick), "--out", str(out)]
+    assert main(argv) == 0
+    for path in out.iterdir():
+        os.utime(path, ns=(0, 0))  # a write would stamp the file with the present
+    name, module, builder = LAST_ARTIFACT[command]
+    if failure == "builder":
+        monkeypatch.setattr(module, builder, failing_builder(getattr(module, builder)))
+        code, err = 3, "ValueError: the builder failed\n"
+    elif failure == "full-disk":
+        monkeypatch.setattr(artifacts, "publish", full_disk_at_the_last_file(artifacts.publish))
+        code, err = 2, f"cannot write {out}: {os.strerror(errno.ENOSPC)}\n"
+    else:
+        (out / name).unlink()
+        (out / name).mkdir()
+        code, err = 2, f"cannot write {out / name}: Is a directory\n"
+    before = files_of(out)
+    capsys.readouterr()
+    assert main(argv) == code
+    assert capsys.readouterr() == ("", err)
+    assert files_of(out) == before
+    assert not list(out.glob("*.tmp"))
+
+
+def test_a_rerun_that_cannot_write_a_sidecar_leaves_a_run_that_verifies(tmp_path, capsys):
+    # a directory at the seed-7 run's sidecar: the seed-8 rerun exits 2
+    # before it moves any file into place, so the seed-7 series.csv,
+    # run_meta.json, calibration and designs stay together and verify
+    quick = Path(__file__).resolve().parents[1] / "configs" / "quick.json"
+    seed_8 = json.loads(quick.read_text())
+    seed_8["datum"]["seed"] = 8
+    (tmp_path / "seed_8.json").write_text(json.dumps(seed_8))
+    out = tmp_path / "mix"
+    assert main(["experiment", "--config", str(quick), "--out", str(out)]) == 0
+    (out / "schedule_m1.json").unlink()
+    (out / "schedule_m1.json").mkdir()
+    capsys.readouterr()
+    assert main(["experiment", "--config", str(tmp_path / "seed_8.json"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"cannot write {out / 'schedule_m1.json'}: Is a directory\n"
+    (out / "schedule_m1.json").rmdir()
+    assert main(["verify", "--config", str(quick), "--out", str(out)]) == 0
 
 
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
@@ -861,6 +965,41 @@ def test_verify_detects_series_tampering(tmp_path, capsys):
     series.write_text("\n".join(lines) + "\n")
     assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
     assert "series.csv" in capsys.readouterr().err
+
+
+def change_an_energy(change):
+    """An edit of the second stored energy of series.csv and continuous.csv."""
+    def edit(out):
+        for name, column in (("series.csv", 3), ("continuous.csv", 5)):
+            lines = (out / name).read_text().splitlines()
+            cells = lines[3].split(",")
+            cells[column] = change(cells[column])
+            lines[3] = ",".join(cells)
+            (out / name).write_text("\n".join(lines) + "\n")
+    return edit
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [change_an_energy(lambda cell: repr(1.5 * float(cell))), change_an_energy(lambda cell: "abc")],
+    ids=["larger", "unreadable"],
+)
+def test_verify_finds_the_same_problems_in_any_order_of_the_checks(tmp_path, monkeypatch, tamper):
+    # each checker reads the CSV its report is rebuilt from itself, so run
+    # backwards, the checks of a tampered run find the same problems
+    quick = Path(__file__).resolve().parents[1] / "configs" / "quick.json"
+    out = tmp_path / "out"
+    for command in ("experiment", "continuous", "schedule"):
+        assert main([command, "--config", str(quick), "--out", str(out)]) == 0
+    tamper(out)
+    config = RunConfig.from_file(str(quick))
+    forward = cli.verify_artifacts(config, out)
+    monkeypatch.setattr(checks, "CHECKS", checks.CHECKS[::-1])
+    backward = cli.verify_artifacts(config, out)
+    assert {p.split(":")[0] for p in forward} == {
+        "series.csv", "run_meta.json", "continuous.csv", "continuous_report.json"
+    }
+    assert sorted(backward) == sorted(forward)
 
 
 def test_verify_detects_design_tampering(tmp_path, capsys):
@@ -1624,10 +1763,13 @@ def extra_field(cells):
 
 
 @pytest.mark.parametrize(
-    "edit", [next_atom, shift_moved, extra_field], ids=["atom", "shift", "extra-field"]
+    "edit, columns",
+    [(next_atom, "atom"), (shift_moved, "shift_0"), (extra_field, "shift_0")],
+    ids=["atom", "shift", "extra-field"],
 )
-def test_verify_compares_every_column_of_the_schedule_csv(tmp_path, capsys, edit):
-    # the time columns stay as written: only the cell the edit touches differs
+def test_verify_compares_every_column_of_the_schedule_csv(tmp_path, capsys, edit, columns):
+    # the time columns stay as written: only the cell the edit touches
+    # differs, and is named; a cell past the header's last is part of it
     config, out, path = late_schedule(tmp_path)
     lines = path.read_text().splitlines()
     cells = lines[2 + 4099].split(",")
@@ -1635,7 +1777,10 @@ def test_verify_compares_every_column_of_the_schedule_csv(tmp_path, capsys, edit
     lines[2 + 4099] = ",".join(cells)
     path.write_text("\n".join(lines) + "\n")
     assert main(["verify", "--config", str(config), "--out", str(out)]) == 3
-    assert "schedule_m200.csv: row 4100 differs from the rebuilt schedule" in capsys.readouterr().err
+    assert (
+        f"schedule_m200.csv: row 4100 differs from the rebuilt schedule ({columns})\n"
+        in capsys.readouterr().err
+    )
 
 
 @pytest.mark.parametrize(
@@ -1698,52 +1843,6 @@ def test_split_schedule_file_is_the_serial_text(tmp_path, monkeypatch, block, ex
     assert text == f"{SCHEDULE_VERSION}\n{schedule_header(1)}\n" + serial
     assert serial.count("\n") == min(cap, schedule.micro_count)
     assert sorted(path.name for path in out.iterdir()) == ["schedule_m1.csv", "schedule_m1.json"]
-
-
-def test_a_failing_schedule_write_leaves_the_earlier_files(tmp_path, monkeypatch, capsys):
-    # the text is written under a temporary name and moved into place after
-    # its last row: a write that fails mid-file leaves the files of an
-    # earlier run in the same --out byte for byte, and no temporary file
-    config, out, path = late_schedule(tmp_path)
-    sidecar = out / "schedule_m200.json"
-    before = path.read_bytes(), sidecar.read_bytes()
-    lines = artifacts._schedule_lines
-
-    def failing(schedule, cap):
-        chunks = lines(schedule, cap)
-        yield next(chunks)
-        raise ValueError("the formatter failed mid-file")
-
-    monkeypatch.setattr(artifacts, "_schedule_lines", failing)
-    assert main(["schedule", "--config", str(config), "--out", str(out)]) == 3
-    assert "the formatter failed mid-file" in capsys.readouterr().err
-    assert (path.read_bytes(), sidecar.read_bytes()) == before
-    assert sorted(p.name for p in out.iterdir()) == ["schedule_m200.csv", "schedule_m200.json"]
-
-
-def test_a_schedule_write_error_exits_2_and_leaves_the_earlier_files(
-    tmp_path, monkeypatch, capsys
-):
-    # as above, for an OSError mid-file (a full disk): exit 2, one line
-    # naming --out, since a failed write names no file, and no temporary file
-    config, out, path = late_schedule(tmp_path)
-    sidecar = out / "schedule_m200.json"
-    before = path.read_bytes(), sidecar.read_bytes()
-    lines = artifacts._schedule_lines
-
-    def failing(schedule, cap):
-        chunks = lines(schedule, cap)
-        yield next(chunks)
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-    monkeypatch.setattr(artifacts, "_schedule_lines", failing)
-    capsys.readouterr()
-    assert main(["schedule", "--config", str(config), "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == f"cannot write {out}: {os.strerror(errno.ENOSPC)}\n"
-    assert captured.out == ""
-    assert (path.read_bytes(), sidecar.read_bytes()) == before
-    assert sorted(p.name for p in out.iterdir()) == ["schedule_m200.csv", "schedule_m200.json"]
 
 
 def tamper_second_half(path, edit):
