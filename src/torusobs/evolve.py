@@ -49,18 +49,12 @@ leg's carry level a (the slowest axis it moves) fixes both its direction
 and its duration, so the legs fall into d classes, and the dwell start
 offsets are affine in every grid coordinate.  The dwells then sum to one
 slot integral times one Dirichlet ratio per axis, and each class of legs
-likewise: the whole template costs d + 1 segment integrals times per-axis
-Dirichlet sums, O(d^2) kernel-sized operations whatever the atom count,
-and a switching template (no leg classes) d of them (`grid_tour_sum`).
-Neither that template sum nor the repeat sum depends on where the
-realization starts (`path_template`); one phase
-e^{i D t_start} moves them to an interval (`shifted_kernel`), so
-realizations that differ only in their start share them.  Since that phase
-and the repeat sum are functions of D alone, an energy along any of them is
-Re sum_D e^{i D t_start} repeats(D) W(D), with W(D) the
-coefficient-weighted template summed over the entries of difference D: one
-reduction of the template per coefficient vector serves every start
-(`shifted_energies`), and no kernel is formed.
+likewise: the whole template is d + 1 segment integrals times per-axis
+Dirichlet sums, O(d^2) factors whatever the atom count, and a switching
+template (no leg classes) d of them (`grid_tour_factors`).  Neither the
+template nor the repeat sum depends on where the realization starts
+(`path_template`); one phase e^{i D t_start} moves them to an interval, so
+realizations that differ only in their start share them.
 
 Every factor of a grid kernel is a function of the frequency difference
 D = alpha_k - alpha_i alone (start phase, repeat sum, slot integral), of a
@@ -69,18 +63,27 @@ Dirichlet sums), or of a pair (D, sum_{b>=a} m_b) (the leg integral of carry
 level a).  A run has far fewer distinct keys than kernel entries: the 2D
 box with 81 modes has 26,244 entries but 354 distinct D and 2,971 distinct
 (D, m_0).  A `DifferenceTable`, built once per run, holds the distinct keys
-and, for each kind, the index of every entry's key; a kernel evaluates each
-factor once per key and gathers it back with that index.  The table is
-built by counting, not sorting, and forms no dense D: the distinct D are the
-differences of the distinct alpha, keyed on their bit patterns, so every
-gathered entry is the dense formula's floating-point operation on the same
-operands, and each pair key is read off an occupancy array of #D rows.
-Only the products of factors of different keys stay dense, and they are
-bitwise those of the dense evaluation when the two take them in the same
-operand order with the same temporaries: for a product `a * b` of 256 KiB
-or more whose right operand is a temporary, numpy reuses that temporary and
-evaluates `b * a`, and complex multiplication under FMA rounds `b * a`
-differently from `a * b` (a 26,244-entry kernel is 410 KiB).
+and, for each kind, the index of every entry's key.  A template evaluates
+each factor once per key (`Template`), and the kernel's entries are
+gathered from it.  The table is built by counting, not sorting, and forms
+no dense D: the distinct D are the differences of the distinct alpha, keyed
+on their bit patterns, so every gathered entry is the dense formula's
+floating-point operation on the same operands, and each pair key is read
+off an occupancy array of #D rows.
+
+No kernel is ever formed.  It is evaluated one block of lifted rows at a
+time, at most `BLOCK_ENTRIES` entries (128 KiB) each (`kernel_blocks`):
+the factors are gathered onto the block's rows and multiplied in a fixed
+operand order.  A switching energy is the quadratic form c^H K c, with K c
+assembled block by block (`kernel_energies`).  A continuous energy is
+Re sum_D e^{i D t_start} repeats(D) W(D), since that phase and the repeat
+sum are functions of D alone; W(D) sums the coefficient-weighted start-free
+kernel over the entries of difference D, block by block, so one reduction
+per coefficient vector serves every start (`shifted_energies`).  So an
+energy's memory grows with the keys and one block, not with the kernel:
+what a run keeps of kernel size is the table's narrow index arrays.  And no
+product's bits depend on numpy's temporary elision, which starts at
+256 KiB (`BLOCK_ENTRIES`).
 """
 
 from __future__ import annotations
@@ -406,60 +409,39 @@ class DifferenceTable(NamedTuple):
         return self.carries[level] if level < len(self.carries) else self.axes[-1]
 
 
-def kernel_energy(kernel: np.ndarray, coeff: np.ndarray) -> float:
-    """Re sum conj(C[i, p]) K[i, p, k, q] C[k, q] for a kernel on the lifted axes."""
-    flat = coeff.ravel()
-    return float(np.real(np.vdot(flat, kernel.reshape(flat.size, flat.size) @ flat)))
+#: The most kernel entries one block of lifted rows holds (a block never
+#: has less than one row): the bound on every energy's kernel-sized memory.
+#: 8192 complex entries are 128 KiB, below the 256 KiB from which numpy may
+#: evaluate `a * b` with a temporary right operand as `b * a`, written into
+#: that temporary (temporary elision), and complex multiplication under FMA
+#: rounds `b * a` differently.  So no product's bits depend on elision: each
+#: takes the operand order it is written in.  A constant, not an option: no
+#: energy depends on it while every block has two rows or more
+#: (`kernel_energies`).
+BLOCK_ENTRIES = 8192
 
 
-def shifted_kernel(
-    gamma_base: ObservationMatrix,
-    table: DifferenceTable,
-    t_start: float,
-    repeats: np.ndarray,
-    body: np.ndarray,
-) -> np.ndarray:
-    """Gamma(0) times e^{i D t_start} times the repeat sum times the macro
-    sum `body`: the one step of a kernel that depends on where the interval
-    starts.  The start phase and `repeats` are functions of D alone, given
-    on the distinct D of `table`; `body` is on the lifted axes."""
-    start = np.exp(1j * table.values * t_start)
-    return gamma_base.entries[:, None, :, None] * (
-        (start * repeats)[table.inverse] * body
-    )
+def row_blocks(size: int) -> list[tuple[int, int]]:
+    """The blocks [start, stop) of a kernel's `size` lifted rows: the fewest
+    of at most `BLOCK_ENTRIES` entries (at least one row each), their row
+    counts differing by at most one."""
+    count = -(-size // max(1, BLOCK_ENTRIES // size))
+    bounds = [k * size // count for k in range(count + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
-def shifted_energies(
-    gamma_base: ObservationMatrix,
-    table: DifferenceTable,
-    starts: np.ndarray,
-    repeats: np.ndarray,
-    body: np.ndarray,
-    coeffs: list[np.ndarray],
-) -> np.ndarray:
-    """`kernel_energy` of `shifted_kernel(gamma_base, table, t, repeats,
-    body)` for every start t in `starts` and every output coefficient vector
-    in `coeffs`, shape (len(starts), len(coeffs)), with no kernel formed.
+def _key_blocks(count: int) -> list[slice]:
+    """Consecutive slices of `count` keys, at most `BLOCK_ENTRIES` each: a
+    factor evaluated elementwise one slice at a time has the same values,
+    and temporaries of at most a block."""
+    return [slice(start, start + BLOCK_ENTRIES) for start in range(0, count, BLOCK_ENTRIES)]
 
-    The start phase and `repeats` depend on an entry's D alone, so each
-    energy is Re sum_D e^{i D t} repeats(D) W(D), where W(D) sums
-    conj(C_i) Gamma(0) body C_k over the entries of difference D: one
-    `np.bincount` over `table.inverse` per coefficient vector and part
-    (real, imaginary), whatever the number of starts.  Only the order of
-    summation differs from `kernel_energy`, so the two agree to rounding.
-    """
-    index = table.inverse.ravel()
-    size = table.values.size
-    reduced = np.empty((size, len(coeffs)), dtype=complex)
-    for j, coeff in enumerate(coeffs):
-        # one kernel-sized product at a time, scaled in place
-        density = gamma_base.entries[:, None, :, None] * body
-        density *= coeff.conj()[:, :, None, None]
-        density *= coeff
-        reduced[:, j].real = np.bincount(index, density.real.ravel(), size)
-        reduced[:, j].imag = np.bincount(index, density.imag.ravel(), size)
-    phases = np.exp(1j * np.outer(starts, table.values)) * repeats
-    return (phases @ reduced).real
+
+def _rows(index: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Lifted rows [start, stop) of a C-ordered array on the lifted axes,
+    as a view: its (N, N) reshape, sliced."""
+    size = index.shape[0] * index.shape[1]
+    return index.reshape(size, -1)[start:stop]
 
 
 def _check_gamma_base(datum: ModalDatum, gamma_base: ObservationMatrix) -> None:
@@ -499,8 +481,30 @@ def expansion_interval_energy(
     return np.real(np.einsum("ip,...ipq,iq->...", coeff.conj(), base, coeff))
 
 
-def grid_tour_sum(table: DifferenceTable, per_axis: int, path: Realization) -> np.ndarray:
-    """Segment integrals of one macro template summed over the grid tour.
+class Template(NamedTuple):
+    """The start-free factors of a kernel along a realization, each
+    evaluated once on the keys it depends on (`path_template`).
+
+    On the distinct D of the table: `repeats`, the Dirichlet sum over the R
+    macro repetitions, and `slot`, the integral of one dwell slot.
+    `dwells[b]` is the dwell Dirichlet sum of axis b on the pairs (D, m_b).
+    Where the legs take time, `legs[a]` holds the leg integral of carry
+    level a on the pairs (D, sum_{b>=a} m_b) with the per-axis factors of
+    its class, and `after_dwell` is e^{i D w} on the D; a legless template
+    has no legs and no `after_dwell`.  `template_rows` gathers them onto
+    the lifted axes.
+    """
+
+    repeats: np.ndarray
+    slot: np.ndarray
+    dwells: tuple[np.ndarray, ...]
+    legs: tuple[tuple[np.ndarray, tuple[np.ndarray, ...]], ...]
+    after_dwell: np.ndarray | None
+
+
+def grid_tour_factors(table: DifferenceTable, per_axis: int, path: Realization) -> tuple:
+    """The key-level factors of one macro template summed over the grid
+    tour: the `Template` fields after `repeats`.
 
     The tour visits the J = J1^d grid atoms in lexicographic order.  The leg
     leaving atom j has carry level a when j_{a+1..d-1} = J1-1 and j_a < J1-1
@@ -516,24 +520,19 @@ def grid_tour_sum(table: DifferenceTable, per_axis: int, path: Realization) -> n
     The level-a legs start at the dwell offsets plus w and form a sub-grid:
     axes b < a over J1 values, axis a over J1-1 values (J1 at level 0), the
     later axes fixed at J1-1.  Each class is one moving-phase integral over
-    [0, l_a) times at most d Dirichlet sums, O(d^2) kernel-sized operations
-    for the whole template whatever J is.  Slot phases are evaluated on the
-    distinct D of `table`, the dwell sums on the distinct (D, m_b) and the
-    level-a leg integrals on the distinct (D, sum_{b>=a} m_b).
+    [0, l_a) times at most d Dirichlet sums, O(d^2) factors for the whole
+    template whatever J is.  Slot phases are evaluated on the distinct D of
+    `table`, the dwell sums on the distinct (D, m_b) and the level-a leg
+    integrals on the distinct (D, sum_{b>=a} m_b), the pairs one slice of
+    keys at a time (`_key_blocks`).
 
     Where the legs take no time there are no leg classes: a switching
     schedule (infinite speed, so S = tau and c_b = tau / J1^(b+1)) and a
-    one-atom tour (s = 0) are their dwells alone.  The dwell product keeps
-    the expression `total = total * factor[keys.inverse]`, a fresh gathered
-    right operand, that switching kernels have always been built with: from
-    256 KiB numpy evaluates it as `factor * total` (see the module
-    docstring), and any other shape moves switching energies in the last
-    bit.
+    one-atom tour (s = 0) are their dwells alone.
     """
     dim = len(table.axes)
     span = path.macro_length - path.cycle / path.speed
     dwell = span / per_axis**dim
-    total = phase_integral(table.values, 0.0, dwell)[table.inverse]
     step = float(torus_displacement(0.0, 1.0 / per_axis))
     legs = [abs(step) * math.sqrt(dim - a) / path.speed for a in range(dim)]
     moving = min(legs) > 0.0
@@ -544,28 +543,29 @@ def grid_tour_sum(table: DifferenceTable, per_axis: int, path: Realization) -> n
         offset = span / per_axis ** (b + 1) + legs[b]
         for a in range(b + 1, dim):
             offset += legs[a] * (per_axis - 1) * per_axis ** (a - 1 - b)
-        arg = keys.diff * offset - (TWO_PI / per_axis) * keys.modes
-        full.append(geometric_phase_sum(arg, 1.0, per_axis))
-        total = total * full[b][keys.inverse]
+        full.append(np.empty(keys.diff.size, dtype=complex))
         if moving and b > 0:
-            short.append(geometric_phase_sum(arg, 1.0, per_axis - 1))
-            fixed.append(np.exp(1j * (per_axis - 1) * arg))
+            short.append(np.empty_like(full[b]))
+            fixed.append(np.empty_like(full[b]))
+        for at in _key_blocks(keys.diff.size):
+            arg = keys.diff[at] * offset - (TWO_PI / per_axis) * keys.modes[at]
+            full[b][at] = geometric_phase_sum(arg, 1.0, per_axis)
+            if moving and b > 0:
+                short[b][at] = geometric_phase_sum(arg, 1.0, per_axis - 1)
+                fixed[b][at] = np.exp(1j * (per_axis - 1) * arg)
+    slot = phase_integral(table.values, 0.0, dwell)
     if not moving:
-        return total
-    after_dwell = np.exp(1j * table.values * dwell)
+        return slot, tuple(full), (), None
+    classes = []
     for a in range(dim):
         keys = table.carry(a)
-        rate = -(TWO_PI * step / legs[a]) * keys.modes
-        leg = phase_integral(keys.diff + rate, 0.0, legs[a])
-        # in-place products on a fresh array: one kernel-sized temporary at
-        # a time, and the operand order is fixed whatever the size
-        atoms = leg[keys.inverse]
-        atoms *= after_dwell[table.inverse]
+        rate = -(TWO_PI * step / legs[a])
+        leg = np.empty(keys.diff.size, dtype=complex)
+        for at in _key_blocks(keys.diff.size):
+            leg[at] = phase_integral(keys.diff[at] + rate * keys.modes[at], 0.0, legs[a])
         factors = full[:a] + [(full if a == 0 else short)[a]] + fixed[a + 1 :]
-        for factor, axis in zip(factors, table.axes):
-            atoms *= factor[axis.inverse]
-        total += atoms
-    return total
+        classes.append((leg, tuple(factors)))
+    return slot, tuple(full), tuple(classes), np.exp(1j * table.values * dwell)
 
 
 def _grid_size(path: Realization) -> int:
@@ -575,44 +575,139 @@ def _grid_size(path: Realization) -> int:
     return path.design.grid_per_axis
 
 
-def path_template(path: Realization, table: DifferenceTable) -> tuple[np.ndarray, np.ndarray]:
-    """The start-free factors (repeats, segments) of a kernel along a path
-    or a switching schedule of an equal-weight grid design (`_grid_size`).
+def path_template(path: Realization, table: DifferenceTable) -> Template:
+    """The start-free factors of a kernel along a path or a switching
+    schedule of an equal-weight grid design (`_grid_size`): the Dirichlet
+    sum over the R macro repetitions and the grid tour's factors
+    (`grid_tour_factors`), all on the keys of `table`.
 
-    `repeats` is the Dirichlet sum over the R macro repetitions, on the
-    distinct D of `table`; `segments` the closed-form sum of one macro
-    template over the grid tour on the lifted axes (`grid_tour_sum`).
-    Neither reads `path.t_start`, so realizations that differ only in their
-    start share them.
+    Nothing here reads `path.t_start`, so realizations that differ only in
+    their start share one template, and nothing is kernel-sized.
     """
-    segments = grid_tour_sum(table, _grid_size(path), path)
+    per_axis = _grid_size(path)
     repeats = geometric_phase_sum(table.values, path.macro_length, path.macro_count)
-    return repeats, segments
+    return Template(repeats, *grid_tour_factors(table, per_axis, path))
 
 
-def path_kernel(
-    path: Realization, table: DifferenceTable, gamma_base: ObservationMatrix
+def template_rows(
+    table: DifferenceTable, template: Template, start: int, stop: int
 ) -> np.ndarray:
-    """Lifted kernel of the observation energy along a path or a switching
-    schedule.
+    """Lifted rows [start, stop) of the template's macro sum, shape
+    (stop - start, N): each factor gathered from its keys, multiplied in
+    place in a fixed order (the slot, the dwell sums by axis, then each
+    leg class added), so a row has the same bits in any block."""
+    inverse = _rows(table.inverse, start, stop)
+    body = template.slot[inverse]
+    for factor, keys in zip(template.dwells, table.axes):
+        body *= factor[_rows(keys.inverse, start, stop)]
+    for level, (leg, factors) in enumerate(template.legs):
+        atoms = leg[_rows(table.carry(level).inverse, start, stop)]
+        atoms *= template.after_dwell[inverse]
+        for factor, keys in zip(factors, table.axes):
+            atoms *= factor[_rows(keys.inverse, start, stop)]
+        body += atoms
+    return body
 
-    Gamma(0) times e^{i D t_start} times the Dirichlet sum over the R macro
-    repetitions times the segment sum of one macro template.  Only the first
-    phase depends on the start, so the kernel is the template
-    (`path_template`, built once per window and speed by the continuous
-    rerun) moved to `path.t_start` by one phase (`shifted_kernel`).  Its
-    quadratic form in the output coefficients (`kernel_energy`) is the
-    observed energy.
+
+def kernel_blocks(
+    gamma_base: ObservationMatrix,
+    table: DifferenceTable,
+    template: Template,
+    start_phase: np.ndarray | None = None,
+):
+    """Per block of lifted rows (`row_blocks`): the rows, the D index of
+    their entries, and Gamma(0) times the template's rows, first multiplied
+    by `start_phase` (given on the distinct D) when one is given.
+
+    With `start_phase` e^{i D t} times the repeat sum, a block is those rows
+    of the kernel of the realization started at t; without it, of the
+    start-free kernel.  Each is a fresh array of at most `BLOCK_ENTRIES`
+    entries, taken as Gamma(0) * (start_phase * macro sum) in that operand
+    order.
     """
-    repeats, segments = path_template(path, table)
-    return shifted_kernel(gamma_base, table, path.t_start, repeats, segments)
+    size = table.inverse.shape[0] * table.inverse.shape[1]
+    dim = gamma_base.entries.shape[0]
+    for start, stop in row_blocks(size):
+        inverse = _rows(table.inverse, start, stop)
+        block = template_rows(table, template, start, stop)
+        # each factor the left operand, the product written over the block
+        if start_phase is not None:
+            np.multiply(start_phase[inverse], block, out=block)
+        gamma = gamma_base.entries[np.arange(start, stop) // (size // dim), :, None]
+        by_mode = block.reshape(stop - start, dim, -1)
+        np.multiply(gamma, by_mode, out=by_mode)
+        yield slice(start, stop), inverse, block
+
+
+def kernel_energies(
+    gamma_base: ObservationMatrix,
+    table: DifferenceTable,
+    t_start: float,
+    template: Template,
+    coeffs: list[np.ndarray],
+) -> list[float]:
+    """Re sum conj(C[i, p]) K[i, p, k, q] C[k, q] for each output
+    coefficient vector C in `coeffs`, K the template's kernel started at
+    `t_start`: Gamma(0) times e^{i D t_start} times the repeat sum times the
+    macro sum.
+
+    K C is assembled one block of K's rows at a time (`kernel_blocks`), and
+    each energy is one `vdot` over it; no kernel is formed.  A block's
+    product is the BLAS matrix-vector product of a whole kernel restricted
+    to its rows, row for row the same bits, so the energies are bitwise the
+    whole kernel's quadratic form.  numpy takes a block of one row as a dot
+    product instead, which the balanced `row_blocks` leave only to kernels
+    of more than 2,730 lifted rows; there they agree to rounding.
+    """
+    flats = [coeff.ravel() for coeff in coeffs]
+    start_phase = np.exp(1j * table.values * t_start) * template.repeats
+    products = [np.empty_like(flat) for flat in flats]
+    for rows, _, block in kernel_blocks(gamma_base, table, template, start_phase):
+        for flat, product in zip(flats, products):
+            product[rows] = block @ flat
+    return [float(np.real(np.vdot(flat, product))) for flat, product in zip(flats, products)]
+
+
+def shifted_energies(
+    gamma_base: ObservationMatrix,
+    table: DifferenceTable,
+    starts: np.ndarray,
+    template: Template,
+    coeffs: list[np.ndarray],
+) -> np.ndarray:
+    """`kernel_energies` of the template for every start t in `starts` and
+    every output coefficient vector in `coeffs`, shape (len(starts),
+    len(coeffs)), with no kernel formed.
+
+    The start phase and the repeat sum depend on an entry's D alone, so
+    each energy is Re sum_D e^{i D t} repeats(D) W(D), where W(D) sums
+    conj(C_i) Gamma(0) body C_k over the entries of difference D: one
+    reduction of the start-free kernel per coefficient vector, whatever the
+    number of starts.  Each block's density is added into W with `np.add.at`
+    in entry order, the same additions as one `np.bincount` over all
+    entries.  Only the order of summation differs from `kernel_energies`,
+    so the two agree to rounding.
+    """
+    flats = [coeff.ravel() for coeff in coeffs]
+    reduced = np.zeros((table.values.size, len(flats)), dtype=complex)
+    for rows, inverse, block in kernel_blocks(gamma_base, table, template):
+        index = inverse.ravel()
+        for j, flat in enumerate(flats):
+            density = block * flat[rows, None].conj()
+            density *= flat
+            np.add.at(reduced[:, j], index, density.ravel())
+    phases = np.exp(1j * np.outer(starts, table.values)) * template.repeats
+    return (phases @ reduced).real
 
 
 def path_observation_energy(
     datum: ModalDatum, path: Realization, gamma_base: ObservationMatrix
 ) -> float:
     """Observation energy of the datum along a continuous path or a
-    switching schedule (see `path_kernel`).
+    switching schedule: the quadratic form of its kernel, Gamma(0) times
+    e^{i D t_start} times the Dirichlet sum over the R macro repetitions
+    times the segment sum of one macro template (`kernel_energies` of
+    `path_template`).
 
     For a switching schedule this is the sum over micro slots of
     v(t)^H Gamma(g_j) v(t) integrated in closed form, with
@@ -625,4 +720,5 @@ def path_observation_energy(
     _grid_size(path)
     coeff, alpha = output_expansion(datum)
     table = DifferenceTable.build(alpha, gamma_base.basis.mode_differences)
-    return kernel_energy(path_kernel(path, table, gamma_base), coeff)
+    template = path_template(path, table)
+    return kernel_energies(gamma_base, table, path.t_start, template, [coeff])[0]

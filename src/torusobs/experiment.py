@@ -15,14 +15,17 @@ it, and the atoms of the equal-weight grid designs are summed in closed form.
 Both realizations are one `schedule.Realization`: a switching schedule is
 the continuous path at infinite speed, whose legs take no time, and is
 summed by the same `path_template`.  One `ProtocolSetup` holds
-everything the intervals share, and each interval's kernel is built once:
-the observed, windowed and tail energies are three quadratic forms of it.
+everything the intervals share, and each interval's template is built
+once: the observed, windowed and tail energies are three quadratic forms
+of its kernel, taken in one pass over the kernel's blocks of rows.
 In the continuous rerun every interval of one window runs the same path at
-a given speed, so that path's template sum is built once per (window, speed)
-and moved to each interval by one phase e^{i D t}.  Every kernel of a run
-reads one table of the distinct frequency differences D of the datum's
-expansion (`ProtocolSetup.differences`), built once.  The full-torus
-calibration constants come from `spectral.calibration`.
+a given speed, so that path's template is built once per (window, speed)
+and moved to each interval by one phase e^{i D t}.  No command forms a
+kernel: `evolve` evaluates each one block of rows at a time, so memory
+grows with the distinct keys and one block.  Every template of a run reads
+one table of the distinct frequency differences D of the datum's expansion
+(`ProtocolSetup.differences`), built once.  The full-torus calibration
+constants come from `spectral.calibration`.
 
 The protocol returns numbers and payloads, not report objects: the
 per-interval energies (`CesaroSeries`), the tail-reduction report as
@@ -131,7 +134,7 @@ class ProtocolSetup:
     basis with its output expansion (coeff, alpha); the output coefficients
     of the datum below (`windowed`) and above (`tails`) each window; the one
     unshifted observation matrix; and the frequency differences of `alpha`
-    (`differences`), which every kernel of the run reads.  Windowing masks
+    (`differences`), which every template of the run reads.  Windowing masks
     coefficients only, so every part shares `alpha`.  `schedule` is the one
     place an interval's switching realization is built, and `path` the one
     place a window's continuous one is; both share the design's tour length
@@ -262,13 +265,14 @@ def run_protocol(config: RunConfig) -> CesaroSeries:
     """Run the full switching protocol described by the config.
 
     For each interval: build the switching schedule of the interval's window
-    and loss target, build its kernel once (its legless template moved to
-    the interval's start), and take three quadratic forms of it in closed
-    form: the observed energy of the evolving datum and the energies of its
-    parts below and above the window.  With the conserved energy below the
-    window, these are the series' four per-interval arrays.
+    and loss target and its legless template, and take three quadratic
+    forms of the template's kernel at the interval's start in one pass over
+    its blocks (`kernel_energies`): the observed energy of the evolving
+    datum and the energies of its parts below and above the window.  With
+    the conserved energy below the window, these are the series' four
+    per-interval arrays.
     """
-    from .evolve import conserved_energy, kernel_energy, path_template, shifted_kernel
+    from .evolve import conserved_energy, kernel_energies, path_template
 
     setup = prepare_protocol(config)
     energy = conserved_energy(setup.datum)
@@ -278,16 +282,13 @@ def run_protocol(config: RunConfig) -> CesaroSeries:
     for m in range(1, config.interval_count + 1):
         window = config.window_at(m)
         schedule = setup.schedule(m)
-        template = path_template(schedule, setup.differences)
-        kernel = shifted_kernel(
-            setup.gamma_base, setup.differences, schedule.t_start, *template
+        parts = [setup.coeff, setup.windowed[window], setup.tails[window]]
+        # the template is released before the next interval's is built
+        observed, truncated, tail = kernel_energies(
+            setup.gamma_base, setup.differences, schedule.t_start,
+            path_template(schedule, setup.differences), parts,
         )
-        energies.append((
-            kernel_energy(kernel, setup.coeff),
-            energy.below(window),
-            kernel_energy(kernel, setup.windowed[window]),
-            kernel_energy(kernel, setup.tails[window]),
-        ))
+        energies.append((observed, energy.below(window), truncated, tail))
     return CesaroSeries(setup, energy.total, constants, *np.array(energies).T)
 
 
@@ -431,8 +432,8 @@ def continuous_protocol_delta(config: RunConfig, speeds) -> ContinuousRun:
     (window, speed), and `shifted_energies` reduces it once onto the
     distinct frequency differences: every interval of the window then gets
     its observed energy, and where needed its windowed one, from one phase
-    product over its start, with no kernel formed.  The energies are those
-    of the started path's `path_kernel` up to rounding.
+    product over its start, with no kernel formed.  The energies are the
+    quadratic forms of the started path's kernel up to rounding.
 
     The realized margin is evaluated on the datum truncated at each
     interval's cutoff (the certificate covers the windowed part; the tail
@@ -467,13 +468,10 @@ def continuous_protocol_delta(config: RunConfig, speeds) -> ContinuousRun:
         for k, at in members.items():
             factor = certified_factor(config.measure, paths[k, speed].certified_loss)
             parts = [setup.coeff, setup.windowed[k]] if factor > 0.0 else [setup.coeff]
-            # built before Gamma(0) is first read, and released before the
-            # next window's: the run's memory peak is a template's build
-            repeats, segments = path_template(paths[k, speed], table)
+            # the template is released before the next window's is built
             energies = shifted_energies(
-                setup.gamma_base, table, starts[at], repeats, segments, parts
+                setup.gamma_base, table, starts[at], path_template(paths[k, speed], table), parts
             )
-            repeats = segments = None
             observed[speed][at] = energies[:, 0]
             if factor > 0.0:
                 bounded = references[at] > 0.0

@@ -11,6 +11,9 @@ template, and the tour's cycle from a loop over its legs.  That template is
 summed segment by segment for any design, with the package's own slot
 integral (`per_segment_sum`), the route the grid tour sum replaced.  The
 difference table is rebuilt from the dense D by sorting every kernel entry's key.
+The kernel route forms a whole kernel and takes its quadratic form in one
+matrix-vector product (`path_kernel`, `kernel_energy`), where the package
+evaluates one block of rows at a time.
 """
 
 from __future__ import annotations
@@ -23,7 +26,14 @@ import mpmath as mp
 import numpy as np
 from scipy.integrate import simpson
 
-from torusobs.evolve import DifferenceTable, ModalDatum, PairKeys, phase_integral
+from torusobs.evolve import (
+    DifferenceTable,
+    ModalDatum,
+    PairKeys,
+    path_template,
+    phase_integral,
+    template_rows,
+)
 from torusobs.geometry import torus_displacement
 
 TWO_PI = 2.0 * np.pi
@@ -469,3 +479,38 @@ def sorted_difference_table(alpha: np.ndarray, mode_differences: np.ndarray) -> 
             pairs(mode_differences[..., a:].sum(axis=-1)) for a in range(dim - 1)
         ),
     )
+
+
+# The kernel route: a whole kernel formed at once, and its quadratic form by
+# one BLAS matrix-vector product.  The package evaluates the same kernel one
+# block of rows at a time and never forms it.
+
+
+def kernel_energy(kernel: np.ndarray, coeff: np.ndarray) -> float:
+    """Re sum conj(C[i, p]) K[i, p, k, q] C[k, q] for a kernel on the lifted axes."""
+    flat = coeff.ravel()
+    return float(np.real(np.vdot(flat, kernel.reshape(flat.size, flat.size) @ flat)))
+
+
+def shifted_kernel(gamma_base, table, t_start: float, repeats, body) -> np.ndarray:
+    """Gamma(0) times e^{i D t_start} times the repeat sum times the macro
+    sum `body`: `repeats` on the distinct D of `table`, `body` on the lifted
+    axes."""
+    start = np.exp(1j * table.values * t_start)
+    kernel = (start * repeats)[table.inverse] * body
+    # Gamma(0) the left operand, as in the package's blocks
+    return np.multiply(gamma_base.entries[:, None, :, None], kernel, out=kernel)
+
+
+def template_body(table, template) -> np.ndarray:
+    """The template's macro sum on the lifted axes, all rows at once."""
+    size = table.inverse.shape[0] * table.inverse.shape[1]
+    return template_rows(table, template, 0, size).reshape(table.inverse.shape)
+
+
+def path_kernel(path, table, gamma_base) -> np.ndarray:
+    """The whole kernel along a grid path or switching schedule: its
+    template's macro sum formed in one piece and moved to `path.t_start`."""
+    template = path_template(path, table)
+    body = template_body(table, template)
+    return shifted_kernel(gamma_base, table, path.t_start, template.repeats, body)

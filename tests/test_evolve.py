@@ -33,17 +33,19 @@ from torusobs import (
 )
 from torusobs import evolve
 from torusobs.evolve import (
+    BLOCK_ENTRIES,
     DifferenceTable,
     expansion_interval_energy,
     geometric_phase_sum,
-    grid_tour_sum,
-    kernel_energy,
+    grid_tour_factors,
+    kernel_blocks,
+    kernel_energies,
     output_expansion,
-    path_kernel,
     path_template,
     phase_integral,
+    row_blocks,
     shifted_energies,
-    shifted_kernel,
+    template_rows,
 )
 from torusobs.geometry import torus_displacement
 
@@ -539,7 +541,7 @@ def test_grid_tour_sum_matches_the_segment_loop(dim, per_axis, model, mass, swit
     diff = oracles.frequency_differences(model_frequencies(model, mass, modes))
     mdiff = modes[:, None, :] - modes[None, :, :]
     table = DifferenceTable.build(model_frequencies(model, mass, modes), mdiff)
-    tour = grid_tour_sum(table, per_axis, path)
+    tour = oracles.template_body(table, path_template(path, table))
     loop = oracles.per_segment_sum(diff, mdiff, path)
     assert np.max(np.abs(tour - loop)) <= 1e-12 * np.max(np.abs(loop))
 
@@ -646,14 +648,13 @@ def dense_grid_atom_sum(diff, mode_differences, per_axis, tau):
     total = phase_integral(diff, 0.0, width)
     for a in range(dim):
         arg = diff * (tau / per_axis ** (a + 1)) - (2.0 * math.pi / per_axis) * mdiff[..., a]
-        total = total * geometric_phase_sum(arg, 1.0, per_axis)
+        total *= geometric_phase_sum(arg, 1.0, per_axis)
     return total
 
 
 def dense_grid_tour_sum(diff, mode_differences, per_axis, path):
-    # each product has the operand order and the temporaries of
-    # grid_tour_sum's, so that numpy's elision of a temporary right operand
-    # (it evaluates b * a for a * b at 256 KiB and up) acts on both alike
+    # the grid tour's closed form with every factor evaluated on every
+    # entry, multiplied in place in the package's order
     two_pi = 2.0 * math.pi
     dim = mode_differences.shape[-1]
     mdiff = mode_differences[:, None, :, None, :]
@@ -669,7 +670,7 @@ def dense_grid_tour_sum(diff, mode_differences, per_axis, path):
             offset += legs[a] * (per_axis - 1) * per_axis ** (a - 1 - b)
         arg = diff * offset - (two_pi / per_axis) * mdiff[..., b]
         full.append(geometric_phase_sum(arg, 1.0, per_axis))
-        total = total * geometric_phase_sum(arg, 1.0, per_axis)
+        total *= full[b]
         if b > 0:
             short.append(geometric_phase_sum(arg, 1.0, per_axis - 1))
             fixed.append(np.exp(1j * (per_axis - 1) * arg))
@@ -685,21 +686,24 @@ def dense_grid_tour_sum(diff, mode_differences, per_axis, path):
 
 
 def dense_shifted(gamma0, diff, t_start, repeats, body):
-    start = np.exp(1j * diff * t_start)
-    return gamma0.entries[:, None, :, None] * ((start * repeats) * body)
+    kernel = np.exp(1j * diff * t_start) * repeats
+    kernel *= body
+    return np.multiply(gamma0.entries[:, None, :, None], kernel, out=kernel)
 
 
 def late_grid_setup(dim, model, mass):
     """A grid design with 5 atoms per axis, Gamma(0) and an output
     expansion on a simulation basis past the design cutoff.  `dim`
     "torus_2d" is the 2D benchmark run's box and basis: 26,244 kernel
-    entries (410 KiB) for the second-order models."""
+    entries (410 KiB) for the second-order models, in 4 blocks of rows;
+    "many_blocks" the same box on a basis of 169 modes: 114,244 entries in
+    15 blocks, and 28,561 in 4 for the Schrodinger model."""
     if dim == 1:
         space, boxes, sim = T1, [(0, "1/4")], 3
     elif dim == 2:
         space, boxes, sim = T2, [[(0, "1/2"), ("1/8", "5/8")]], 2
     else:
-        space, boxes, sim = T2, [[(0, "1/2"), (0, "1/2")]], 4
+        space, boxes, sim = T2, [[(0, "1/2"), (0, "1/2")]], {"torus_2d": 4, "many_blocks": 6}[dim]
     w = PrototypeSet.from_boxes(space, boxes)
     design = equispaced_design(build_basis(space, 1), w)
     assert design.grid_per_axis == 5
@@ -709,11 +713,33 @@ def late_grid_setup(dim, model, mass):
     return design, basis, gamma0, alpha
 
 
+def assert_blocks_are_dense(gamma0, table, template, t_start, body, kernel):
+    # every block of rows, of the macro sum, of the start-free kernel and of
+    # the kernel started at t_start, is the dense array's rows bit for bit
+    size = table.inverse.shape[0] * table.inverse.shape[1]
+    body = body.reshape(size, size)
+    kernel = kernel.reshape(size, size)
+    start_phase = np.exp(1j * table.values * t_start) * template.repeats
+    free_kernel = lift(gamma0.entries, table.inverse.shape).reshape(size, size) * body
+    blocks = row_blocks(size)
+    started = kernel_blocks(gamma0, table, template, start_phase)
+    free = kernel_blocks(gamma0, table, template)
+    for (start, stop), one, other in zip(blocks, started, free, strict=True):
+        assert one[0] == other[0] == slice(start, stop)
+        assert np.array_equal(one[1], table.inverse.reshape(size, size)[start:stop])
+        rows = template_rows(table, template, start, stop)
+        assert np.array_equal(bits(rows), bits(body[start:stop]))
+        assert np.array_equal(bits(one[2]), bits(kernel[start:stop]))
+        assert np.array_equal(bits(other[2]), bits(free_kernel[start:stop]))
+    return len(blocks)
+
+
 @pytest.mark.parametrize("model,mass", MODELS)
-@pytest.mark.parametrize("dim", [1, 2, "torus_2d"])
+@pytest.mark.parametrize("dim", [1, 2, "torus_2d", "many_blocks"])
 def test_table_kernels_are_bitwise_the_dense_formulas(dim, model, mass):
     # a late interval (t_start = 199) with R ~ 10^5 macro repetitions; the
-    # switching schedule is the legless tour, bitwise the old atom sum
+    # switching schedule is the legless tour, bitwise the old atom sum.
+    # Every block of rows is the dense formula's rows, entry by entry
     design, basis, gamma0, alpha = late_grid_setup(dim, model, mass)
     table = DifferenceTable.build(alpha, basis.mode_differences)
     diff = oracles.frequency_differences(alpha)
@@ -724,26 +750,27 @@ def test_table_kernels_are_bitwise_the_dense_formulas(dim, model, mass):
     assert schedule.macro_count >= 10**5
     tau = schedule.macro_length
     atoms = dense_grid_atom_sum(diff, mdiff, 5, tau)
-    assert np.array_equal(bits(grid_tour_sum(table, 5, schedule)), bits(atoms))
     repeats = geometric_phase_sum(diff, tau, schedule.macro_count)
-    assert np.array_equal(
-        bits(geometric_phase_sum(table.values, tau, schedule.macro_count)[table.inverse]),
-        bits(repeats),
-    )
+    template = path_template(schedule, table)
+    assert np.array_equal(bits(template.repeats[table.inverse]), bits(repeats))
+    assert template.legs == () and template.after_dwell is None
     kernel = dense_shifted(gamma0, diff, 199.0, repeats, atoms)
-    assert np.array_equal(bits(path_kernel(schedule, table, gamma0)), bits(kernel))
+    blocks = assert_blocks_are_dense(gamma0, table, template, 199.0, atoms, kernel)
+    assert np.array_equal(bits(oracles.path_kernel(schedule, table, gamma0)), bits(kernel))
 
     path = build_continuous(design, (199.0, 1.0), 1e5, 1e5)
     assert path.macro_count >= 10**4
     segments = dense_grid_tour_sum(diff, mdiff, 5, path)
-    assert np.array_equal(bits(grid_tour_sum(table, 5, path)), bits(segments))
     repeats = geometric_phase_sum(diff, path.macro_length, path.macro_count)
     template = path_template(path, table)
-    assert np.array_equal(bits(template[0][table.inverse]), bits(repeats))
-    assert np.array_equal(bits(template[1]), bits(segments))
+    assert np.array_equal(bits(template.repeats[table.inverse]), bits(repeats))
     kernel = dense_shifted(gamma0, diff, 199.0, repeats, segments)
-    assert np.array_equal(bits(shifted_kernel(gamma0, table, 199.0, *template)), bits(kernel))
-    assert np.array_equal(bits(path_kernel(path, table, gamma0)), bits(kernel))
+    assert assert_blocks_are_dense(gamma0, table, template, 199.0, segments, kernel) == blocks
+    assert np.array_equal(bits(oracles.path_kernel(path, table, gamma0)), bits(kernel))
+    if dim == "many_blocks":
+        # and the wave's pair factors are evaluated in more than one slice
+        assert blocks >= 4
+        assert model == "schrodinger" or table.axes[0].diff.size > BLOCK_ENTRIES
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -759,7 +786,7 @@ def test_grid_tour_sum_makes_one_dirichlet_sum_less_than_two_per_axis(monkeypatc
         return geometric_phase_sum(*args)
 
     monkeypatch.setattr(evolve, "geometric_phase_sum", counted)
-    grid_tour_sum(table, 5, path)
+    grid_tour_factors(table, 5, path)
     assert len(calls) == 2 * dim - 1
     assert calls.count(5) == dim and calls.count(4) == dim - 1
 
@@ -819,7 +846,7 @@ def test_non_grid_paths_are_refused_before_any_kernel(monkeypatch, case):
     def fail(*args):
         raise AssertionError("a kernel-sized step ran on a non-grid design")
 
-    for name in ("grid_tour_sum", "geometric_phase_sum"):
+    for name in ("grid_tour_factors", "geometric_phase_sum"):
         monkeypatch.setattr(evolve, name, fail)
     monkeypatch.setattr(evolve.DifferenceTable, "build", classmethod(fail))
     for path in realizations:
@@ -843,9 +870,9 @@ def test_segment_oracle_matches_the_path_quadrature_on_a_non_grid_path():
         oracles.frequency_differences(alpha), basis.mode_differences, path
     )
     repeats = geometric_phase_sum(table.values, path.macro_length, path.macro_count)
-    kernel = shifted_kernel(gamma0, table, path.t_start, repeats, segments)
+    kernel = oracles.shifted_kernel(gamma0, table, path.t_start, repeats, segments)
     dense = oracles.simpson_path_energy(datum, path, gamma0.entries)
-    assert kernel_energy(kernel, coeff) == pytest.approx(dense, rel=1e-8)
+    assert oracles.kernel_energy(kernel, coeff) == pytest.approx(dense, rel=1e-8)
 
 
 def test_template_shifted_to_a_late_start_is_the_path_kernel():
@@ -862,16 +889,17 @@ def test_template_shifted_to_a_late_start_is_the_path_kernel():
     late = build_continuous(design, (199.0, 1.0), 40.0, rate)
     assert late.macro_count == early.macro_count > 1
     table = DifferenceTable.build(alpha, basis.mode_differences)
-    repeats, segments = path_template(early, table)
-    shifted = shifted_kernel(gamma0, table, 199.0, repeats, segments)
-    assert np.array_equal(shifted, path_kernel(late, table, gamma0))
+    template = path_template(early, table)
+    body = oracles.template_body(table, template)
+    shifted = oracles.shifted_kernel(gamma0, table, 199.0, template.repeats, body)
+    assert np.array_equal(shifted, oracles.path_kernel(late, table, gamma0))
     off_grid = build_continuous(non_grid_design("off_grid_shifts"), (0.0, 1.0), 40.0, rate)
     with pytest.raises(ValueError, match="equal-weight grid tours only"):
         path_template(off_grid, table)
 
 
 @pytest.mark.parametrize("model,mass", MODELS)
-@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2, "many_blocks"])
 def test_shifted_energies_are_the_quadratic_forms_of_the_shifted_kernels(dim, model, mass):
     # one reduction of the template per coefficient vector gives the energy
     # at every start, up to late ones with R ~ 10^4 macro repetitions; only
@@ -882,14 +910,58 @@ def test_shifted_energies_are_the_quadratic_forms_of_the_shifted_kernels(dim, mo
     table = DifferenceTable.build(alpha, basis.mode_differences)
     path = build_continuous(design, (0.0, 1.0), 1e5, 1e5)
     assert path.macro_count >= 10**4
-    repeats, segments = path_template(path, table)
+    template = path_template(path, table)
+    body = oracles.template_body(table, template)
     starts = np.array([0.0, 1.0, 57.0, 199.0])
-    energies = shifted_energies(gamma0, table, starts, repeats, segments, coeffs)
+    energies = shifted_energies(gamma0, table, starts, template, coeffs)
     assert energies.shape == (4, 2)
     for t, row in zip(starts, energies):
-        kernel = shifted_kernel(gamma0, table, t, repeats, segments)
-        dense = [kernel_energy(kernel, coeff) for coeff in coeffs]
+        kernel = oracles.shifted_kernel(gamma0, table, t, template.repeats, body)
+        dense = [oracles.kernel_energy(kernel, coeff) for coeff in coeffs]
         assert row == pytest.approx(dense, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("model,mass", MODELS)
+@pytest.mark.parametrize("dim", [1, "torus_2d", "many_blocks"])
+def test_block_energies_are_bitwise_the_whole_kernel_quadratic_form(dim, model, mass):
+    # K C assembled block by block is the whole kernel's K C row for row, so
+    # every energy is the kernel route's to the last bit, for a switching
+    # schedule and a continuous path late in the run
+    design, basis, gamma0, alpha = late_grid_setup(dim, model, mass)
+    datum = make_datum(model, mass, basis, seed=37)
+    coeffs = [output_expansion(part)[0] for part in (datum, datum.windowed(1), datum.tail(1))]
+    table = DifferenceTable.build(alpha, basis.mode_differences)
+    rate = trajectory_lipschitz_bound(build_basis(basis.space, 1), model, mass, 1.0)
+    realizations = [
+        build_switching(design, (199.0, 1.0), rate, 1.25 * rate / 1e5),
+        build_continuous(design, (199.0, 1.0), 1e5, 1e5),
+    ]
+    for path in realizations:
+        energies = kernel_energies(gamma0, table, 199.0, path_template(path, table), coeffs)
+        kernel = oracles.path_kernel(path, table, gamma0)
+        assert energies == [oracles.kernel_energy(kernel, coeff) for coeff in coeffs]
+        assert energies[0] == path_observation_energy(datum, path, gamma0)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 90, 91, 162, 578, 2730, 2731, 4096, 4097, 9000])
+def test_row_blocks_are_the_fewest_balanced_blocks_of_bounded_size(size):
+    blocks = row_blocks(size)
+    assert blocks[0][0] == 0 and blocks[-1][1] == size
+    assert all(stop == start for (_, stop), (start, _) in zip(blocks, blocks[1:]))
+    rows = [stop - start for start, stop in blocks]
+    most = max(1, BLOCK_ENTRIES // size)
+    assert min(rows) >= 1 and max(rows) <= most and max(rows) - min(rows) <= 1
+    assert len(blocks) == math.ceil(size / most)
+    assert max(rows) * size <= BLOCK_ENTRIES or max(rows) == 1
+
+
+def test_row_blocks_leave_no_single_row_below_2731_rows():
+    # a one-row block is a dot product in numpy's matmul, not the BLAS
+    # matrix-vector product a whole kernel takes
+    assert all(
+        min(stop - start for start, stop in row_blocks(size)) >= 2 for size in range(2, 2731)
+    )
+    assert min(stop - start for start, stop in row_blocks(2731)) == 1
 
 
 @pytest.mark.parametrize("model,mass", MODELS)

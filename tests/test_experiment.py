@@ -337,21 +337,31 @@ def test_tail_reduction_on_a_run_with_a_genuine_tail():
     json.dumps(report, allow_nan=False)
 
 
-def test_experiment_builds_one_switching_kernel_per_interval(monkeypatch):
+def test_experiment_builds_one_switching_template_per_interval(monkeypatch):
+    # each interval's schedule gets one template, and its three energies
+    # are taken from that template in one pass, started at the interval
     from torusobs import evolve
 
-    calls = []
+    templates, passes = [], []
 
-    def counted(gamma_base, table, t_start, *args):
-        calls.append(t_start)
-        return real(gamma_base, table, t_start, *args)
+    def counted_template(path, table):
+        templates.append((path.t_start, real_template(path, table)))
+        return templates[-1][1]
 
-    # every kernel ends in shifted_kernel, whichever realization it sums
-    real = evolve.shifted_kernel
-    monkeypatch.setattr(evolve, "shifted_kernel", counted)
+    def counted_energies(gamma_base, table, t_start, template, coeffs):
+        passes.append((t_start, template, len(coeffs)))
+        return real_energies(gamma_base, table, t_start, template, coeffs)
+
+    real_template, real_energies = evolve.path_template, evolve.kernel_energies
+    monkeypatch.setattr(evolve, "path_template", counted_template)
+    monkeypatch.setattr(evolve, "kernel_energies", counted_energies)
     config = quick_config()
     tail_reduction_check(run_protocol(config))
-    assert calls == [float(m) for m in range(config.interval_count)]
+    starts = [float(m) for m in range(config.interval_count)]
+    assert [t for t, _ in templates] == starts
+    assert [(t, id(template), 3) for t, template, _ in passes] == [
+        (t, id(template), 3) for t, template in templates
+    ]
 
 
 @pytest.mark.parametrize(
@@ -379,7 +389,9 @@ def test_a_run_builds_one_difference_table(monkeypatch, run):
     "model,mass", [("schrodinger", 0.0), ("wave", 0.0), ("klein_gordon", 1.0)]
 )
 def test_tail_report_equals_a_fresh_kernel_on_the_rebuilt_schedule(model, mass):
-    from torusobs.evolve import DifferenceTable, kernel_energy, output_expansion, path_kernel
+    # the kernel route of the oracles forms each kernel whole; the blocked
+    # energies must be its quadratic forms to the last bit
+    from torusobs.evolve import DifferenceTable, output_expansion
     from torusobs.schedule import build_switching
 
     config = quick_config(model=model, mass=mass)
@@ -395,12 +407,12 @@ def test_tail_report_equals_a_fresh_kernel_on_the_rebuilt_schedule(model, mass):
             config.tolerance_at(m),
         )
         table = DifferenceTable.build(alpha, setup.basis.mode_differences)
-        kernel = path_kernel(schedule, table, setup.gamma_base)
+        kernel = oracles.path_kernel(schedule, table, setup.gamma_base)
         inside, _ = output_expansion(setup.datum.windowed(window))
         outside, _ = output_expansion(setup.datum.tail(window))
-        assert series.truncated[m - 1] == kernel_energy(kernel, inside)
-        assert series.tail[m - 1] == kernel_energy(kernel, outside)
-        assert series.observed[m - 1] == kernel_energy(kernel, setup.coeff)
+        assert series.truncated[m - 1] == oracles.kernel_energy(kernel, inside)
+        assert series.tail[m - 1] == oracles.kernel_energy(kernel, outside)
+        assert series.observed[m - 1] == oracles.kernel_energy(kernel, setup.coeff)
 
 
 def test_tail_reduction_without_a_tail_is_exact():
@@ -498,8 +510,8 @@ def test_monotone_check_compares_speeds_in_sorted_order(monkeypatch):
 
 def started_path_energies(config, speed):
     """Observed energy per interval by the direct route: build the window's
-    path, start it at the interval, and take `path_kernel` of that path."""
-    from torusobs.evolve import kernel_energy, path_kernel
+    path, start it at the interval, and take the quadratic form of that
+    path's whole kernel (`oracles.path_kernel`)."""
     from torusobs.schedule import build_continuous
 
     setup = experiment.prepare_protocol(config)
@@ -514,8 +526,8 @@ def started_path_energies(config, speed):
             path.design, (m - 1) * config.duration, path.duration, path.macro_count,
             path.speed, path.certified_loss,
         )
-        kernel = path_kernel(started, setup.differences, setup.gamma_base)
-        values.append((path, kernel_energy(kernel, setup.coeff)))
+        kernel = oracles.path_kernel(started, setup.differences, setup.gamma_base)
+        values.append((path, oracles.kernel_energy(kernel, setup.coeff)))
     return values
 
 
@@ -562,7 +574,7 @@ def test_continuous_rerun_refuses_a_solver_design(monkeypatch):
         raise AssertionError("the grid tour sum ran on a non-grid design")
 
     monkeypatch.setattr(experiment, "equispaced_design", solver_design)
-    monkeypatch.setattr(evolve, "grid_tour_sum", no_tour)
+    monkeypatch.setattr(evolve, "grid_tour_factors", no_tour)
     config = quick_config(interval_count=7, windows={"kind": "stride", "stride": 3, "cap": 2})
     designs = experiment.prepare_protocol(config).designs.values()
     assert all(design.grid_per_axis is None for design in designs)
@@ -598,17 +610,53 @@ def test_continuous_rerun_builds_one_template_per_window_run(monkeypatch, window
     from torusobs import evolve
 
     calls = []
-    real = evolve.grid_tour_sum
+    real = evolve.grid_tour_factors
 
     def counted(*args):
         calls.append(args[2].speed)
         return real(*args)
 
-    monkeypatch.setattr(evolve, "grid_tour_sum", counted)
+    monkeypatch.setattr(evolve, "grid_tour_factors", counted)
     config = quick_config(sim_window=4, interval_count=12, windows=windows)
     speeds = (300.0, 10000.0)
     continuous_protocol_delta(config, speeds=speeds)
     assert calls == [speed for speed in speeds for _ in range(runs)]
+
+
+def test_energies_hold_no_kernel_sized_array(monkeypatch):
+    # both realizations evaluate their kernels one block of rows at a time:
+    # while the energies run on a warm setup, the traced allocations never
+    # rise by the bytes of one kernel; a formed kernel alone would
+    import tracemalloc
+
+    from torusobs import evolve
+
+    config = quick_config(
+        space={"dim": 2},
+        prototype={"boxes": [[[0, "1/2"], [0, "1/2"]]]},
+        model="wave",
+        sim_window=8,
+        interval_count=3,
+        windows={"kind": "stride", "stride": 1, "cap": 3},
+        datum={"window": 8, "seed": 3},
+    )
+    setup = experiment.prepare_protocol(config)
+    for part in ("datum", "windowed", "tails", "gamma_base", "differences"):
+        getattr(setup, part)
+    monkeypatch.setattr(experiment, "prepare_protocol", lambda _: setup)
+    size = setup.coeff.size
+    kernel_bytes = 16 * size * size
+    assert size == 578 and len(evolve.row_blocks(size)) >= 4
+    runs = [run_protocol, lambda c: continuous_protocol_delta(c, (1e4,))]
+    for run in runs:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < kernel_bytes
 
 
 def test_continuous_rerun_needs_a_speed():
